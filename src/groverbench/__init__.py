@@ -69,59 +69,3 @@ from .statevector import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Algorithm",
-    "AggregateRow",
-    "BasisPredicate",
-    "BlockPartition",
-    "ErrorRow",
-    "ExperimentPlan",
-    "FoundBits",
-    "MAX_QUBITS",
-    "OracleSpec",
-    "PredictedCost",
-    "ResultTable",
-    "SearchConfig",
-    "SearchContext",
-    "SearchOutcome",
-    "SegmentSearchError",
-    "ShotHistogram",
-    "StateVector",
-    "TrialRow",
-    "backward_segments",
-    "basis_state",
-    "bdgs_level_iterations",
-    "bdgs_terminal_iterations",
-    "bdgs_total_queries",
-    "cell_seed",
-    "dfgs_segments",
-    "emit_scaling_series",
-    "emit_table",
-    "extract_segment",
-    "forward_segments",
-    "grk_query_count",
-    "grk_reference_amplitudes",
-    "grover_angle",
-    "grover_iteration",
-    "invert_about_mean",
-    "operator_matrix",
-    "optimal_iterations",
-    "phase_flip",
-    "place_segment",
-    "predict_cost",
-    "predicted_layers",
-    "run_bdgs",
-    "run_dfgs",
-    "run_grk_partial",
-    "run_plan",
-    "run_search",
-    "run_standard_grover",
-    "sample",
-    "segment_mask",
-    "segment_partial_search",
-    "state_from_pairs",
-    "state_to_pairs",
-    "uniform_state",
-    "verify_outcome",
-]

@@ -10,16 +10,15 @@ the batch.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .ops import Algorithm, predicted_layers
-from .search import SearchConfig, SearchOutcome, run_search
+from .search import SearchConfig, SearchOutcome, _check_block_size, run_search
 
 TARGET_POLICIES = ("fixed", "random-per-trial")
 
@@ -45,10 +44,15 @@ class ExperimentPlan:
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         self.algorithms = [Algorithm(a) for a in self.algorithms]
+        for qubits in self.qubit_list:
+            for algorithm in self.algorithms:
+                _check_block_size(qubits, self.block_size, algorithm)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base seed must be >= 0")
         if self.target_policy not in TARGET_POLICIES:
             raise ValueError(f"target policy must be one of {TARGET_POLICIES}")
         if self.target_policy == "fixed":
@@ -119,26 +123,36 @@ class ResultTable:
         return cls(rows=rows, aggregates=aggregates, errors=errors)
 
 
+def _cell_seeds(
+    base_seed: int, qubits: int, algorithm: Algorithm, trial: int
+) -> tuple[int, int]:
+    """(search seed, target seed) of one cell.
+
+    Both words come from one ``SeedSequence`` keyed by the base seed and
+    the cell id, so streams never coincide across cells or base seeds.
+    """
+    key = (qubits, list(Algorithm).index(Algorithm(algorithm)), trial)
+    sequence = np.random.SeedSequence(base_seed, spawn_key=key)
+    search_seed, target_seed = sequence.generate_state(2, np.uint64)
+    return int(search_seed), int(target_seed)
+
+
 def cell_seed(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> int:
-    """Deterministic per-cell seed: base seed plus a stable cell digest."""
-    tag = f"{qubits}:{Algorithm(algorithm).value}:{trial}".encode()
-    return base_seed + int.from_bytes(hashlib.sha256(tag).digest()[:6], "big")
-
-
-def _cell_target(plan: ExperimentPlan, seed: int, qubits: int) -> int:
-    if plan.target_policy == "fixed":
-        return plan.target
-    rng = np.random.default_rng(seed + 1)
-    return int(rng.integers(0, 1 << qubits))
+    """Deterministic seed of one cell's search and shots."""
+    return _cell_seeds(base_seed, qubits, algorithm, trial)[0]
 
 
 def _run_cell(
     plan: ExperimentPlan, qubits: int, algorithm: Algorithm, trial: int
 ) -> TrialRow:
-    seed = cell_seed(plan.base_seed, qubits, algorithm, trial)
+    seed, target_seed = _cell_seeds(plan.base_seed, qubits, algorithm, trial)
+    if plan.target_policy == "fixed":
+        target = plan.target
+    else:
+        target = int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
     config = SearchConfig(
         r=qubits,
-        target=_cell_target(plan, seed, qubits),
+        target=target,
         algorithm=algorithm,
         b=plan.block_size,
         shots=plan.shots,
@@ -161,6 +175,8 @@ def _run_cell(
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ResultTable:
     """Execute every cell of the plan; failures become error rows."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [
         (qubits, algorithm, trial)
         for qubits in plan.qubit_list
@@ -190,52 +206,17 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ResultTable:
 # Export
 
 
-CSV_COLUMNS = ["qubits", "algorithm", "trial", "accuracy_pct", "time_s"]
+# Every export writes a row's dataclass fields in declaration order;
+# ``Algorithm`` is a str enum, so csv and json write it as "GS", "GRK", ...
+CSV_COLUMNS = [f.name for f in fields(TrialRow)]
 
 
 def _table_csv(table: ResultTable) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_COLUMNS)
-    for row in table.rows:
-        writer.writerow(
-            [row.qubits, row.algorithm.value, row.trial, row.accuracy_pct, row.time_s]
-        )
+    writer = csv.DictWriter(buffer, CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(asdict(row) for row in table.rows)
     return buffer.getvalue()
-
-
-def _table_json(table: ResultTable) -> str:
-    payload = {
-        "rows": [
-            {
-                "qubits": row.qubits,
-                "algorithm": row.algorithm.value,
-                "trial": row.trial,
-                "accuracy_pct": row.accuracy_pct,
-                "time_s": row.time_s,
-            }
-            for row in table.rows
-        ],
-        "aggregates": [
-            {
-                "qubits": agg.qubits,
-                "algorithm": agg.algorithm.value,
-                "accuracy_pct": agg.accuracy_pct,
-                "time_s": agg.time_s,
-            }
-            for agg in table.aggregates
-        ],
-        "errors": [
-            {
-                "qubits": err.qubits,
-                "algorithm": err.algorithm.value,
-                "trial": err.trial,
-                "message": err.message,
-            }
-            for err in table.errors
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def _table_markdown(table: ResultTable) -> str:
@@ -280,7 +261,7 @@ def emit_table(table: ResultTable, format: str) -> bytes:
     if format == "csv":
         return _table_csv(table).encode()
     if format == "json":
-        return _table_json(table).encode()
+        return json.dumps(asdict(table), indent=2).encode()
     if format == "markdown":
         return _table_markdown(table).encode()
     raise ValueError(f"unknown table format {format!r}")

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,16 +92,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             target=args.target,
             block_size=args.block_size,
         )
+        # run_plan checks ``jobs`` before any cell runs; cell errors become rows.
+        table = run_plan(plan, jobs=args.jobs)
     except ValueError as exc:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 2
 
-    table = run_plan(plan, jobs=args.jobs)
     out_dir = _output_dir(args.out)
     table_path = out_dir / f"results.{_FORMAT_EXT[args.format]}"
     table_path.write_bytes(emit_table(table, args.format))
     written = [table_path]
-    if len(set(plan.qubit_list)) >= 2 and table.rows:
+    # Cells that failed leave no row, so the series follow the rows, not the plan.
+    if len({row.qubits for row in table.rows}) >= 2:
         for name, payload in emit_scaling_series(table, plan.block_size).items():
             path = out_dir / name
             path.write_bytes(payload)
@@ -147,7 +150,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         report["resolved_block"] = block
     else:
         outcome = run_search(config)
-    report["outcome"] = outcome.to_dict()
+    report["outcome"] = asdict(outcome)
     report["verified"] = verify_outcome(outcome, config)
     print(json.dumps(report, indent=2))
     return 0

@@ -294,7 +294,7 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         planned = 0
         for lo in range(0, r, k):
             width = min(lo + k - 1, r - 1) - lo + 1
-            planned += optimal_iterations(1 << width) if width else 0
+            planned += optimal_iterations(1 << width)
         return PredictedCost(algorithm, float(planned), float(planned), math.ceil(r / k))
     bound = bdgs_total_queries(n, b, r, k)
     return PredictedCost(algorithm, bound, bound, math.ceil(r / (2 * k)))

@@ -59,6 +59,24 @@ class SegmentSearchError(RuntimeError):
     """A segment's value could not be confirmed within the attempt budget."""
 
 
+def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
+    """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
+
+    ``b`` must be a power of two >= 2 that fits the index space; the
+    block-partial search also needs at least two items per block, so
+    ``b <= 2**(r-1)``.
+    """
+    if b < 2 or b & (b - 1):
+        raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
+    if b > (1 << r):
+        raise ValueError(f"branching factor {b} exceeds the index space of {r} qubits")
+    if algorithm is Algorithm.GRK and b > (1 << (r - 1)):
+        raise ValueError(
+            f"block-partial search needs at least two items per block: "
+            f"b = {b} exceeds 2**{r - 1} at r = {r}"
+        )
+
+
 @dataclass
 class SearchConfig:
     """One search instance: register size, target, and run protocol."""
@@ -75,10 +93,7 @@ class SearchConfig:
         self.algorithm = Algorithm(self.algorithm)
         if not 0 <= self.target < (1 << self.r):
             raise ValueError(f"target {self.target} out of range for {self.r} qubits")
-        if self.b < 2 or self.b & (self.b - 1):
-            raise ValueError(f"branching factor must be a power of two >= 2, got {self.b}")
-        if self.b > (1 << self.r):
-            raise ValueError(f"branching factor {self.b} exceeds the index space")
+        _check_block_size(self.r, self.b, self.algorithm)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
 
@@ -134,17 +149,6 @@ class SearchOutcome:
     wall_time: float
     trial_seed: int
     certainty: float
-
-    def to_dict(self) -> dict:
-        return {
-            "measured_index": self.measured_index,
-            "success_fraction": self.success_fraction,
-            "layers": self.layers,
-            "oracle_calls": self.oracle_calls,
-            "wall_time": self.wall_time,
-            "trial_seed": self.trial_seed,
-            "certainty": self.certainty,
-        }
 
 
 @dataclass
@@ -409,8 +413,6 @@ def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     """
     n = 1 << r
     block = n // b
-    if block < 2:
-        raise ValueError("block-partial search needs at least two items per block")
     budget = math.ceil(grk_query_count(n, b)) + 1
     t_opt = optimal_iterations(n)
     p_full = math.sin((2 * t_opt + 1) * grover_angle(n)) ** 2
@@ -462,9 +464,6 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     """
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
-    n = 1 << config.r
-    if config.b > n // 2:
-        raise ValueError("block-partial search needs at least two items per block")
     partition = BlockPartition(config.r, config.b)
     t_global, t_local = _grk_schedule(config.r, config.b)
     rng = np.random.default_rng(config.seed)

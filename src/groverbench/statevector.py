@@ -8,10 +8,13 @@ top of the index and "backward" groups at the bottom.  Predicates and
 block masks are plain integer bit masks over ``y``; :func:`segment_mask`
 converts an inclusive position range into such a mask.
 
-Kernels never renormalize a state.  The reflections implemented here
-preserve the norm by construction, and :func:`sample` rejects states
-whose norm has drifted, so a normalization failure always points at a
-bug in the caller instead of being silently masked.
+Kernels never renormalize a state and never re-check its norm: the
+reflections implemented here preserve it by construction.  The one norm
+check is in :meth:`StateVector.probabilities`, the readout every driver
+passes through (sampling, certainties, block and segment marginals).  It
+rejects a state whose norm has drifted, so a normalization failure
+always points at a bug in the caller instead of being silently masked,
+and it raises the same way under ``python -O``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,20 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """Measurement probabilities ``|a|**2`` of every basis state.
+
+        Raises ``ValueError`` when the L2 norm deviates from 1 by more
+        than ``NORM_TOL``: by the no-renormalize policy that signals an
+        upstream kernel bug.
+        """
+        probs = np.abs(self.amplitudes) ** 2
+        norm = math.sqrt(float(probs.sum()))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"state norm {norm:.12f} deviates from 1 beyond {NORM_TOL}; "
+                "refusing to read out an unnormalized state"
+            )
+        return probs
 
     def copy(self) -> StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
@@ -200,30 +216,20 @@ def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
     if not free_axes:
         return state.copy()
     mean = arr.mean(axis=free_axes, keepdims=True)
-    out = (2.0 * mean - arr).reshape(-1)
-    result = StateVector(r, out)
-    assert abs(result.norm() - 1.0) < NORM_TOL, "inversion about mean lost the norm"
-    return result
+    return StateVector(r, (2.0 * mean - arr).reshape(-1))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
     """Draw ``shots`` independent basis-state indices with probability |a|^2.
 
-    Deterministic for a fixed ``seed``.  Rejects a state whose L2 norm
-    deviates from 1 by more than ``NORM_TOL``: by the no-renormalize
-    policy that signals an upstream kernel bug.
+    Deterministic for a fixed ``seed``.  Rejects an unnormalized state
+    through :meth:`StateVector.probabilities`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
-    total = float(probs.sum())
-    if abs(math.sqrt(total) - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"state norm {math.sqrt(total):.12f} deviates from 1 beyond {NORM_TOL}; "
-            "refusing to sample an unnormalized state"
-        )
     rng = np.random.default_rng(seed)
-    draws = rng.choice(probs.size, size=shots, p=probs / total)
+    draws = rng.choice(probs.size, size=shots, p=probs / probs.sum())
     values, counts = np.unique(draws, return_counts=True)
     return ShotHistogram({int(v): int(c) for v, c in zip(values, counts)}, shots)
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import groverbench as gb
@@ -32,6 +33,35 @@ def test_cell_seed_stable_and_distinct():
     }
     assert seed not in others
     assert len(others) == 3
+
+
+def test_cell_seeds_independent_across_base_seeds(monkeypatch):
+    """Neighbouring base seeds share no search (shot) seed and no target seed."""
+    import groverbench.bench as bench
+
+    shot_seeds: list[int] = []
+    target_seeds: list[int] = []
+    real_rng = np.random.default_rng
+
+    def recording_rng(seed=None):
+        target_seeds.append(int(seed))
+        return real_rng(seed)
+
+    def fake_search(config):
+        shot_seeds.append(config.seed)
+        return gb.SearchOutcome(config.target, 1.0, 1, 1, 0.0, config.seed, 1.0)
+
+    monkeypatch.setattr(bench, "run_search", fake_search)
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    streams = []
+    for base_seed in (7, 8):
+        shot_seeds.clear()
+        target_seeds.clear()
+        gb.run_plan(small_plan(base_seed=base_seed, algorithms=["GS", "GRK", "DFGS", "BDGS"]))
+        assert len(shot_seeds) == len(target_seeds) == 2 * 4 * 2
+        streams.append(set(shot_seeds) | set(target_seeds))
+    assert all(len(seeds) == 2 * 2 * 4 * 2 for seeds in streams)
+    assert not streams[0] & streams[1]
 
 
 def test_run_plan_single_cell():
@@ -120,6 +150,18 @@ def test_plan_validation():
         )
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], target_policy="sometimes")
+    with pytest.raises(ValueError):
+        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], base_seed=-1)
+    with pytest.raises(ValueError, match="power of two"):
+        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], block_size=3)
+    with pytest.raises(ValueError, match="index space"):
+        gb.ExperimentPlan(qubit_list=[2, 8], algorithms=["DFGS"], block_size=8)
+    # GRK needs two items per block at every r of the plan, not just the largest.
+    with pytest.raises(ValueError, match="two items per block"):
+        gb.ExperimentPlan(qubit_list=[8, 4], algorithms=["BDGS", "GRK"], block_size=16)
+    gb.ExperimentPlan(qubit_list=[4, 8], algorithms=["GRK"], block_size=8)
+    with pytest.raises(ValueError, match="jobs"):
+        gb.run_plan(gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"]), jobs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +192,12 @@ def test_emit_json_mirrors_table():
     assert len(payload["rows"]) == len(table.rows)
     assert len(payload["aggregates"]) == len(table.aggregates)
     assert payload["errors"] == []
-    assert set(payload["rows"][0]) == {"qubits", "algorithm", "trial", "accuracy_pct", "time_s"}
+    assert set(payload["rows"][0]) == {
+        "qubits", "algorithm", "trial", "accuracy_pct", "time_s",
+        "hits", "shots", "layers", "oracle_calls",
+    }
+    assert payload["rows"][0]["algorithm"] == "DFGS"
+    assert payload["aggregates"][0]["algorithm"] == "DFGS"
 
 
 def test_emit_markdown_has_average_rows():

@@ -98,7 +98,7 @@ def test_run_writes_table_and_series(tmp_path, capsys):
     table = tmp_path / "results.csv"
     assert table.exists()
     header = table.read_text().splitlines()[0]
-    assert header == "qubits,algorithm,trial,accuracy_pct,time_s"
+    assert header == "qubits,algorithm,trial,accuracy_pct,time_s,hits,shots,layers,oracle_calls"
     for name in (
         "layers_vs_qubits_BDGS.json",
         "runtime_vs_qubits_BDGS.json",
@@ -158,6 +158,58 @@ def test_run_cell_failure_exits_1(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "induced failure" in err
+
+
+def test_run_rejects_non_power_of_two_block_size(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["run", "--qubits", "4", "--algo", "BDGS", "--block-size", "3", "--out", str(tmp_path)],
+    )
+    assert code == 2
+    assert err.startswith("invalid plan:") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_rejects_zero_jobs(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["run", "--qubits", "4", "--algo", "BDGS", "--jobs", "0", "--out", str(tmp_path)],
+    )
+    assert code == 2
+    assert err.startswith("invalid plan:") and "jobs" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_search_rejects_infeasible_grk_block_size(capsys):
+    code, out, err = run_cli(
+        capsys, ["search", "--qubits", "3", "--algo", "GRK", "--block-size", "8"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid search config:") and "two items per block" in err
+
+
+def test_run_cells_failing_at_one_size_skip_series(tmp_path, capsys, monkeypatch):
+    import groverbench.bench as bench
+
+    real = bench.run_search
+
+    def flaky(config):
+        if config.r == 6:
+            raise RuntimeError("induced failure")
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", flaky)
+    code, _, err = run_cli(
+        capsys,
+        ["run", "--qubits", "4,6", "--algo", "GS,BDGS", "--trials", "1",
+         "--shots", "16", "--out", str(tmp_path)],
+    )
+    assert code == 1
+    assert err.count("cell failed") == 2
+    assert (tmp_path / "results.csv").exists()
+    # Surviving rows cover one qubit count, which has no scaling shape.
+    assert not list(tmp_path.glob("*_vs_qubits_*.json"))
 
 
 def test_unknown_algorithm_rejected(capsys):

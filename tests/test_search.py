@@ -172,9 +172,8 @@ def test_grk_schedule_feasible_within_budget(r):
 
 
 def test_grk_rejects_single_item_blocks():
-    config = gb.SearchConfig(r=2, target=1, algorithm="GRK", b=4)
-    with pytest.raises(ValueError):
-        gb.run_grk_partial(config)
+    with pytest.raises(ValueError, match="two items per block"):
+        gb.SearchConfig(r=2, target=1, algorithm="GRK", b=4)
 
 
 def test_grk_deterministic():
@@ -430,4 +429,40 @@ def test_search_config_validation():
         gb.SearchConfig(r=4, target=3, shots=0)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=30, target=3)
+    with pytest.raises(ValueError, match="index space"):
+        gb.SearchConfig(r=4, target=3, b=32)
+    with pytest.raises(ValueError, match="two items per block"):
+        gb.SearchConfig(r=3, target=3, algorithm="GRK", b=8)
+    assert gb.SearchConfig(r=4, target=3, algorithm="GRK", b=8).k == 3
     assert gb.SearchConfig(r=4, target=3, b=8).k == 3
+
+
+@pytest.mark.parametrize(
+    "algorithm, mode",
+    [
+        ("GS", None),
+        ("GRK", None),
+        ("DFGS", "compact"),
+        ("DFGS", "full"),
+        ("BDGS", "compact"),
+        ("BDGS", "full"),
+    ],
+)
+def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
+    """A kernel that loses the norm is caught by the readout, with or without -O."""
+    import groverbench.ops as ops
+
+    real = ops.phase_flip
+
+    def drifting(state, pred):
+        flipped = real(state, pred)
+        return gb.StateVector(flipped.num_qubits, flipped.amplitudes * 1.001)
+
+    monkeypatch.setattr(ops, "phase_flip", drifting)
+    config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
+    drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
+    with pytest.raises(ValueError, match="norm"):
+        if mode is None:
+            gb.run_search(config)
+        else:
+            drivers[algorithm](config, mode=mode)
