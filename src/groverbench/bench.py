@@ -142,14 +142,20 @@ def cell_seed(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> 
     return _cell_seeds(base_seed, qubits, algorithm, trial)[0]
 
 
+def cell_target(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> int:
+    """Random target index of one cell, drawn from the cell's target seed."""
+    target_seed = _cell_seeds(base_seed, qubits, algorithm, trial)[1]
+    return int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
+
+
 def _run_cell(
     plan: ExperimentPlan, qubits: int, algorithm: Algorithm, trial: int
 ) -> TrialRow:
-    seed, target_seed = _cell_seeds(plan.base_seed, qubits, algorithm, trial)
+    seed = cell_seed(plan.base_seed, qubits, algorithm, trial)
     if plan.target_policy == "fixed":
         target = plan.target
     else:
-        target = int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
+        target = cell_target(plan.base_seed, qubits, algorithm, trial)
     config = SearchConfig(
         r=qubits,
         target=target,

@@ -9,11 +9,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .bench import ExperimentPlan, emit_scaling_series, emit_table, run_plan
+from .bench import ExperimentPlan, cell_target, emit_scaling_series, emit_table, run_plan
 from .ops import Algorithm, predict_cost
 from .search import SearchConfig, run_grk_partial, run_search, verify_outcome
+from .statevector import _check_qubits
 
 _FORMAT_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
@@ -61,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument("--qubits", type=int, required=True)
     search_cmd.add_argument("--algo", type=_algorithm, default=Algorithm.GS)
     search_cmd.add_argument("--target", type=int, default=None,
-                            help="target index (default: random from seed)")
+                            help="target index (default: the target of trial 1 "
+                            "of a plan run with the same seed)")
     search_cmd.add_argument("--shots", type=int, default=1024)
     search_cmd.add_argument("--seed", type=int, default=0)
     search_cmd.add_argument("--block-size", type=int, default=4)
@@ -128,10 +128,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    target = args.target
-    if target is None:
-        target = int(np.random.default_rng(args.seed + 1).integers(0, 1 << args.qubits))
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        target = args.target
+        if target is None:
+            _check_qubits(args.qubits)
+            target = cell_target(args.seed, args.qubits, args.algo, trial=1)
         config = SearchConfig(
             r=args.qubits,
             target=target,

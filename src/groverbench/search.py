@@ -200,7 +200,7 @@ def _conditioned_uniform(r: int, found: FoundBits) -> StateVector:
     """Uniform superposition over every index consistent with ``found``."""
     n = 1 << r
     support = 1 << (r - bin(found.mask).count("1"))
-    amps = np.zeros(n, dtype=np.complex128)
+    amps = np.zeros(n)
     idx = np.arange(n)
     amps[(idx & found.mask) == found.value] = 1.0 / math.sqrt(support)
     return StateVector(r, amps)

@@ -1,12 +1,23 @@
 """Dense statevector kernels for amplitude amplification.
 
-A register of ``r`` qubits is a vector of ``2**r`` complex amplitudes
-indexed by the computational-basis integer ``y``.  Qubit positions are
-counted from the most significant bit of ``y``: position 0 is the MSB,
-position ``r - 1`` the LSB.  "Forward" bit groups therefore sit at the
-top of the index and "backward" groups at the bottom.  Predicates and
-block masks are plain integer bit masks over ``y``; :func:`segment_mask`
-converts an inclusive position range into such a mask.
+A register of ``r`` qubits is a vector of ``2**r`` amplitudes indexed by
+the computational-basis integer ``y``.  Qubit positions are counted from
+the most significant bit of ``y``: position 0 is the MSB, position
+``r - 1`` the LSB.  "Forward" bit groups therefore sit at the top of the
+index and "backward" groups at the bottom.  Predicates and block masks
+are plain integer bit masks over ``y``; :func:`segment_mask` converts an
+inclusive position range into such a mask.
+
+The package's own constructors build real float64 registers: the +-1
+phase oracle and the inversion about the mean never create an imaginary
+part, so storing one would only double the memory traffic.  A complex
+input (for example from :func:`state_from_pairs`) is kept as complex128,
+and every kernel works on either dtype unchanged.
+
+Kernels update the register in place and return the state they were
+given, so a search iteration allocates no second register.  Callers
+still write ``state = kernel(state, ...)``; use ``state.copy()`` first
+to keep an input.
 
 Kernels never renormalize a state and never re-check its norm: the
 reflections implemented here preserve it by construction.  The one norm
@@ -38,14 +49,19 @@ def _check_qubits(r: int) -> None:
 
 @dataclass
 class StateVector:
-    """Amplitudes of an ``r``-qubit register over the computational basis."""
+    """Amplitudes of an ``r``-qubit register over the computational basis.
+
+    A contiguous float64 or complex128 array is stored as given, not
+    copied, so the in-place kernels also write through to it.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         _check_qubits(self.num_qubits)
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.amplitudes) else np.float64
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=dtype)
         expected = 1 << self.num_qubits
         if self.amplitudes.shape != (expected,):
             raise ValueError(
@@ -171,7 +187,7 @@ def basis_state(r: int, index: int) -> StateVector:
     _check_qubits(r)
     if not 0 <= index < (1 << r):
         raise ValueError(f"index {index} out of range for {r} qubits")
-    amps = np.zeros(1 << r, dtype=np.complex128)
+    amps = np.zeros(1 << r)
     amps[index] = 1.0
     return StateVector(r, amps)
 
@@ -180,43 +196,42 @@ def uniform_state(r: int) -> StateVector:
     """Equal superposition over all ``2**r`` basis states."""
     _check_qubits(r)
     n = 1 << r
-    return StateVector(r, np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128))
+    return StateVector(r, np.full(n, 1.0 / math.sqrt(n)))
 
 
 def phase_flip(state: StateVector, pred: BasisPredicate) -> StateVector:
-    """Negate the amplitude of every basis state matching ``pred``.
+    """Negate, in place, the amplitude of every basis state matching ``pred``.
 
-    Self-inverse and norm-preserving; an empty mask applies a global
-    phase of -1.
+    Returns ``state`` itself.  Self-inverse and norm-preserving; an empty
+    mask applies a global phase of -1.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
-    out = state.amplitudes.copy()
-    view = out.reshape((2,) * r)
-    sel = _axis_selector(r, pred.fixed_mask, pred.fixed_value)
-    view[sel] = -view[sel]
-    return StateVector(r, out)
+    view = state.amplitudes.reshape((2,) * r)
+    view[_axis_selector(r, pred.fixed_mask, pred.fixed_value)] *= -1
+    return state
 
 
 def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
-    """Replace every amplitude ``a`` with ``2*mean - a`` within its block.
+    """Replace, in place, every amplitude ``a`` with ``2*mean - a`` within its block.
 
     Blocks are the groups of basis states sharing the same value on the
     masked bits; the unmasked bits index positions inside a block.  An
     empty mask gives the global diffuser (one block).  A full mask makes
     every block a single amplitude, so the operation degenerates to the
-    identity.  Applying the same mask twice restores the input.
+    identity.  Applying the same mask twice restores the input.  Returns
+    ``state`` itself.
     """
     r = state.num_qubits
     if block_mask >> r:
         raise ValueError(f"block mask {block_mask:#x} wider than {r} qubits")
     arr = state.amplitudes.reshape((2,) * r)
     free_axes = tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
-    if not free_axes:
-        return state.copy()
-    mean = arr.mean(axis=free_axes, keepdims=True)
-    return StateVector(r, (2.0 * mean - arr).reshape(-1))
+    if free_axes:
+        mean = arr.mean(axis=free_axes, keepdims=True)
+        np.subtract(2.0 * mean, arr, out=arr)
+    return state
 
 
 def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:

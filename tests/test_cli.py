@@ -75,6 +75,26 @@ def test_search_random_target_is_seeded(capsys):
     assert json.loads(out1)["target"] == json.loads(out2)["target"]
 
 
+def test_search_random_target_is_the_plan_cell_target(capsys):
+    from groverbench.bench import cell_target
+    from groverbench.ops import Algorithm
+
+    code, out, _ = run_cli(capsys, ["search", "--qubits", "12", "--algo", "DFGS", "--seed", "9", "--shots", "16"])
+    assert code == 0
+    assert json.loads(out)["target"] == cell_target(9, 12, Algorithm.DFGS, 1)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--seed", "-1"], ["--seed", "-4", "--target", "3"], ["--qubits", "-2"], ["--qubits", "99"]],
+)
+def test_search_rejects_bad_seed_or_qubits(capsys, extra):
+    code, out, err = run_cli(capsys, ["search", "--qubits", "5", "--algo", "GS", *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid search config:") and err.count("\n") == 1
+
+
 def test_search_invalid_target(capsys):
     code, _, err = run_cli(capsys, ["search", "--qubits", "4", "--algo", "GS", "--target", "99"])
     assert code == 2

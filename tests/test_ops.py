@@ -2,6 +2,7 @@
 against dense-matrix references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,39 @@ def test_success_probability_law(n_states):
         state = gb.grover_iteration(state, oracle)
         expected = math.sin((2 * t + 1) * omega) ** 2
         assert state.probabilities()[target] == pytest.approx(expected, abs=1e-9)
+
+
+def test_gs_amplitudes_follow_closed_form_at_r18():
+    # Grover's two-class law on the full register: after t iterations the
+    # target holds sin((2t+1)theta) and every other index cos((2t+1)theta)/sqrt(N-1).
+    r = 18
+    n = 1 << r
+    target = n - 7
+    t = gb.optimal_iterations(n)
+    angle = (2 * t + 1) * gb.grover_angle(n)
+    oracle = gb.OracleSpec(r, target)
+    state = gb.uniform_state(r)
+    for _ in range(t):
+        state = gb.grover_iteration(state, oracle)
+    expected = np.full(n, math.cos(angle) / math.sqrt(n - 1))
+    expected[target] = math.sin(angle)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-9)
+
+
+def test_global_iteration_allocates_no_register():
+    # The kernels work in place: one iteration on a 512 KiB register traces
+    # a small fraction of one register.
+    r = 16
+    oracle = gb.OracleSpec(r, (1 << r) - 1)
+    state = gb.grover_iteration(gb.uniform_state(r), oracle)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gb.grover_iteration(state, oracle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_query_accounting_matches_invocations():

@@ -142,6 +142,46 @@ def test_grk_statevector_matches_reference_recurrence():
     np.testing.assert_allclose(amps[outside], g, atol=1e-12)
 
 
+def test_grk_statevector_matches_reference_recurrence_at_r18():
+    r, b, target = 18, 4, 200_000
+    n = 1 << r
+    t_global, t_local = _grk_schedule(r, b)
+    partition = gb.BlockPartition(r, b)
+    oracle = gb.OracleSpec(r, target)
+    state = gb.uniform_state(r)
+    for _ in range(t_global):
+        state = gb.grover_iteration(state, oracle)
+    for _ in range(t_local):
+        state = gb.grover_iteration(state, oracle, partition.block_mask)
+    state = gb.grover_iteration(state, oracle)
+    a, b_amp, g = grk_reference_amplitudes(n, b, t_global, t_local)
+
+    block = partition.block_of(target)
+    size = partition.block_size
+    expected = np.full(n, g)
+    expected[block * size : (block + 1) * size] = b_amp
+    expected[target] = a
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("algorithm", ["GS", "GRK"])
+def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
+    import groverbench.ops as ops
+
+    real = ops.invert_about_mean
+    dtypes = set()
+
+    def recording(state, block_mask=0):
+        dtypes.add(state.amplitudes.dtype)
+        out = real(state, block_mask)
+        dtypes.add(out.amplitudes.dtype)
+        return out
+
+    monkeypatch.setattr(ops, "invert_about_mean", recording)
+    gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
+    assert dtypes == {np.dtype(np.float64)}
+
+
 def test_grk_local_rotation_closed_form():
     # One local step rotates the in-block pair by exactly 2*arcsin(1/sqrt(B)).
     block = 16

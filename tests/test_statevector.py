@@ -77,8 +77,9 @@ def test_phase_flip_single_state():
 
 def test_phase_flip_empty_mask_is_global_phase():
     state = gb.uniform_state(2)
+    expected = -state.amplitudes
     flipped = gb.phase_flip(state, gb.BasisPredicate(0, 0))
-    np.testing.assert_allclose(flipped.amplitudes, -state.amplitudes, atol=1e-15)
+    np.testing.assert_allclose(flipped.amplitudes, expected, atol=1e-15)
 
 
 def test_phase_flip_top_bits():
@@ -99,8 +100,24 @@ def test_phase_flip_matches_brute_force(seed):
     mask = int(rng.integers(0, 1 << r))
     value = int(rng.integers(0, 1 << r)) & mask
     state = random_state(r, seed)
+    expected = brute_phase_flip(state, mask, value)
     kernel = gb.phase_flip(state, gb.BasisPredicate(mask, value))
-    np.testing.assert_allclose(kernel.amplitudes, brute_phase_flip(state, mask, value), atol=1e-14)
+    np.testing.assert_allclose(kernel.amplitudes, expected, atol=1e-14)
+
+
+def test_kernels_update_in_place():
+    state = random_state(3, 5)
+    assert gb.phase_flip(state, gb.BasisPredicate(0b101, 0b001)) is state
+    assert gb.invert_about_mean(state) is state
+    assert gb.invert_about_mean(state, block_mask=0b100) is state
+    assert gb.invert_about_mean(state, block_mask=0b111) is state
+
+
+def test_constructors_build_real_registers():
+    assert gb.uniform_state(3).amplitudes.dtype == np.float64
+    assert gb.basis_state(3, 5).amplitudes.dtype == np.float64
+    assert gb.StateVector(1, [1, 0]).amplitudes.dtype == np.float64
+    assert random_state(3, 0).amplitudes.dtype == np.complex128
 
 
 def test_phase_flip_rejects_wide_mask():
@@ -124,22 +141,22 @@ def test_invert_global_example():
 
 
 def test_invert_uniform_with_block_mask_is_noop():
-    state = gb.uniform_state(4)
-    out = gb.invert_about_mean(state, block_mask=0b1100)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    out = gb.invert_about_mean(gb.uniform_state(4), block_mask=0b1100)
+    np.testing.assert_allclose(out.amplitudes, gb.uniform_state(4).amplitudes, atol=1e-15)
 
 
 def test_invert_full_mask_degenerates_to_identity():
     state = random_state(3, 7)
-    out = gb.invert_about_mean(state, block_mask=0b111)
+    out = gb.invert_about_mean(state.copy(), block_mask=0b111)
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
 def test_invert_matches_brute_force(block_mask):
     state = random_state(4, 42)
+    expected = brute_invert(state, block_mask)
     kernel = gb.invert_about_mean(state, block_mask)
-    np.testing.assert_allclose(kernel.amplitudes, brute_invert(state, block_mask), atol=1e-13)
+    np.testing.assert_allclose(kernel.amplitudes, expected, atol=1e-13)
 
 
 def test_invert_rejects_wide_mask():
@@ -279,7 +296,7 @@ def test_property_norm_preserved(r, seed, mask_bits, value_bits):
     mask = mask_bits & ((1 << r) - 1)
     pred = gb.BasisPredicate(mask, value_bits & mask)
     state = random_state(r, seed)
-    flipped = gb.phase_flip(state, pred)
+    flipped = gb.phase_flip(state.copy(), pred)
     assert abs(flipped.norm() - 1.0) < 1e-10
     inverted = gb.invert_about_mean(flipped, block_mask=mask)
     assert abs(inverted.norm() - 1.0) < 1e-10
@@ -294,7 +311,7 @@ def test_property_norm_preserved(r, seed, mask_bits, value_bits):
 def test_property_inversion_is_involution(r, seed, mask_bits):
     mask = mask_bits & ((1 << r) - 1)
     state = random_state(r, seed)
-    twice = gb.invert_about_mean(gb.invert_about_mean(state, mask), mask)
+    twice = gb.invert_about_mean(gb.invert_about_mean(state.copy(), mask), mask)
     np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -309,7 +326,7 @@ def test_property_phase_flip_self_inverse(r, seed, mask_bits, value_bits):
     mask = mask_bits & ((1 << r) - 1)
     pred = gb.BasisPredicate(mask, value_bits & mask)
     state = random_state(r, seed)
-    twice = gb.phase_flip(gb.phase_flip(state, pred), pred)
+    twice = gb.phase_flip(gb.phase_flip(state.copy(), pred), pred)
     np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
 
