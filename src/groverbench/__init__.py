@@ -56,6 +56,7 @@ from .statevector import (
     ShotHistogram,
     StateVector,
     basis_state,
+    block_sums,
     extract_segment,
     invert_about_mean,
     operator_matrix,

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .statevector import (
     BasisPredicate,
     StateVector,
@@ -87,16 +89,18 @@ class OracleSpec:
             (self.target & seg) | self.determined_value,
         )
 
-    def apply(self, state: StateVector) -> StateVector:
+    def apply(self, state: StateVector, sums: np.ndarray | None = None) -> StateVector:
         """One oracle query: sign-flip the marked amplitudes of ``state``.
 
         Accepts either the full ``r``-qubit register or a compact working
         register whose dimension matches the active segment width (the
-        segment subspace with all conditioning folded in).
+        segment subspace with all conditioning folded in).  Carried block
+        ``sums`` of the full register follow the flip (see
+        :func:`~groverbench.statevector.phase_flip`).
         """
         self.query_count += 1
         if state.num_qubits == self.r:
-            return phase_flip(state, self.flip_predicate())
+            return phase_flip(state, self.flip_predicate(), sums)
         if state.num_qubits == self.segment_width:
             width = self.segment_width
             pred = BasisPredicate((1 << width) - 1, self.segment_value)
@@ -177,7 +181,10 @@ def optimal_iterations(search_dim: int) -> int:
 
 
 def grover_iteration(
-    state: StateVector, oracle: OracleSpec, diffusion_mask: int = 0
+    state: StateVector,
+    oracle: OracleSpec,
+    diffusion_mask: int = 0,
+    sums: np.ndarray | None = None,
 ) -> StateVector:
     """One amplification step: oracle sign flip, then blockwise inversion
     about the mean restricted by ``diffusion_mask``.
@@ -185,10 +192,12 @@ def grover_iteration(
     The composed map equals the product of the two textbook reflections
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
-    query counter by one.
+    query counter by one.  Given ``block_sums(state, diffusion_mask)``,
+    the step keeps them current in place and reads the register once
+    instead of twice; pass the same array to every step of a run.
     """
-    flipped = oracle.apply(state)
-    return invert_about_mean(flipped, diffusion_mask)
+    flipped = oracle.apply(state, sums)
+    return invert_about_mean(flipped, diffusion_mask, sums)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .statevector import (
     StateVector,
     _axis_selector,
     _check_qubits,
+    block_sums,
     place_segment,
     sample,
     segment_mask,
@@ -258,8 +259,9 @@ def _amplify_and_extract(
         if fresh or ctx.state is None:
             ctx.state = _conditioned_uniform(ctx.r, found)
         diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
+        sums = block_sums(ctx.state, diffusion_mask)
         for _ in range(reps):
-            ctx.state = grover_iteration(ctx.state, oracle, diffusion_mask)
+            ctx.state = grover_iteration(ctx.state, oracle, diffusion_mask, sums)
         marginal = _segment_marginal(ctx.state, lo, hi)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
@@ -351,11 +353,14 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
     state = uniform_state(config.r)
+    sums = block_sums(state)
     reps = optimal_iterations(1 << config.r)
     for _ in range(reps):
-        state = grover_iteration(state, oracle)
+        state = grover_iteration(state, oracle, 0, sums)
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
+    # sample() has checked the norm; the certainty needs one amplitude.
+    certainty = float(abs(state.amplitudes[config.target]) ** 2)
     return SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=histogram.fraction(config.target),
@@ -363,7 +368,7 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
         oracle_calls=oracle.query_count,
         wall_time=wall,
         trial_seed=config.seed,
-        certainty=float(state.probabilities()[config.target]),
+        certainty=certainty,
     )
 
 
@@ -470,11 +475,14 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
     state = uniform_state(config.r)
+    sums = block_sums(state)
     for _ in range(t_global):
-        state = grover_iteration(state, oracle)
+        state = grover_iteration(state, oracle, 0, sums)
+    local = block_sums(state, partition.block_mask)
     for _ in range(t_local):
-        state = grover_iteration(state, oracle, partition.block_mask)
-    state = grover_iteration(state, oracle)  # global cleanup
+        state = grover_iteration(state, oracle, partition.block_mask, local)
+    # Global cleanup: the global sum is the sum of the carried block sums.
+    state = grover_iteration(state, oracle, 0, local.sum(keepdims=True))
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
 
@@ -488,9 +496,10 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
             block_hits += count
     resolved = min(block_votes, key=lambda blk: (-block_votes[blk], blk))
 
+    # sample() has checked the norm; the certainty needs the target block only.
     size = partition.block_size
-    probs = state.probabilities()
-    block_probability = float(probs[target_block * size : (target_block + 1) * size].sum())
+    amps = state.amplitudes[target_block * size : (target_block + 1) * size]
+    block_probability = float(np.vdot(amps, amps).real)
     outcome = SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=block_hits / config.shots,

@@ -19,6 +19,16 @@ given, so a search iteration allocates no second register.  Callers
 still write ``state = kernel(state, ...)``; use ``state.copy()`` first
 to keep an input.
 
+A run of iterations can carry each block's amplitude sum instead of
+re-reading the register for it.  :func:`block_sums` reads the sums once,
+keepdims-shaped against the ``(2,)*r`` view, so the shape itself says
+which axes a block spans.  :func:`invert_about_mean` leaves every block
+sum unchanged (``sum(2*mean - a) == sum(a)``), so given sums are used as
+they are and the inversion makes one pass over the register, the write.
+:func:`phase_flip` negates its entries and adds twice their new sum to
+the blocks that hold them; a single flipped amplitude costs a scalar
+update.
+
 Kernels never renormalize a state and never re-check its norm: the
 reflections implemented here preserve it by construction.  The one norm
 check is in :meth:`StateVector.probabilities`, the readout every driver
@@ -199,21 +209,57 @@ def uniform_state(r: int) -> StateVector:
     return StateVector(r, np.full(n, 1.0 / math.sqrt(n)))
 
 
-def phase_flip(state: StateVector, pred: BasisPredicate) -> StateVector:
+def phase_flip(
+    state: StateVector, pred: BasisPredicate, sums: np.ndarray | None = None
+) -> StateVector:
     """Negate, in place, the amplitude of every basis state matching ``pred``.
 
     Returns ``state`` itself.  Self-inverse and norm-preserving; an empty
-    mask applies a global phase of -1.
+    mask applies a global phase of -1.  Given ``sums`` from
+    :func:`block_sums`, adds twice the flipped entries' new sum to the
+    sums of the blocks holding them, so the sums stay those of ``state``.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
     view = state.amplitudes.reshape((2,) * r)
-    view[_axis_selector(r, pred.fixed_mask, pred.fixed_value)] *= -1
+    sel = _axis_selector(r, pred.fixed_mask, pred.fixed_value)
+    view[sel] *= -1
+    if sums is not None:
+        flipped = view[sel]
+        if pred.fixed_mask != (1 << r) - 1:  # else one amplitude, added as it is
+            # Sum out the unfixed axes inside a block; the unfixed block axes
+            # stay, lined up with the slices of the index into ``sums`` below.
+            unfixed = [n for s, n in zip(sel, sums.shape) if type(s) is slice]
+            inner = tuple(i for i, n in enumerate(unfixed) if n == 1)
+            if inner:
+                flipped = flipped.sum(axis=inner)
+        sums[tuple(s if n == 2 else 0 for s, n in zip(sel, sums.shape))] += 2 * flipped
     return state
 
 
-def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
+def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
+    """Axes of the ``(2,)*r`` view that index positions inside a block."""
+    if block_mask >> r:
+        raise ValueError(f"block mask {block_mask:#x} wider than {r} qubits")
+    return tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
+
+
+def block_sums(state: StateVector, block_mask: int = 0) -> np.ndarray:
+    """Amplitude sum of every block of ``block_mask``, in one read.
+
+    Keepdims-shaped against the ``(2,)*r`` view: size 1 on the axes a
+    block spans, size 2 on the masked axes.  This is the ``sums``
+    argument :func:`invert_about_mean` and :func:`phase_flip` take.
+    """
+    r = state.num_qubits
+    arr = state.amplitudes.reshape((2,) * r)
+    return arr.sum(axis=_free_axes(r, block_mask), keepdims=True)
+
+
+def invert_about_mean(
+    state: StateVector, block_mask: int = 0, sums: np.ndarray | None = None
+) -> StateVector:
     """Replace, in place, every amplitude ``a`` with ``2*mean - a`` within its block.
 
     Blocks are the groups of basis states sharing the same value on the
@@ -222,29 +268,41 @@ def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
     every block a single amplitude, so the operation degenerates to the
     identity.  Applying the same mask twice restores the input.  Returns
     ``state`` itself.
+
+    Given ``sums`` (from :func:`block_sums`, carried through
+    :func:`phase_flip`), the block means come from them and the register
+    is read once; the inversion leaves them correct for the result.
+    Without, they are read from the register first.
     """
     r = state.num_qubits
-    if block_mask >> r:
-        raise ValueError(f"block mask {block_mask:#x} wider than {r} qubits")
     arr = state.amplitudes.reshape((2,) * r)
-    free_axes = tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
-    if free_axes:
-        mean = arr.mean(axis=free_axes, keepdims=True)
-        np.subtract(2.0 * mean, arr, out=arr)
+    if sums is None:
+        free_axes = _free_axes(r, block_mask)
+        if not free_axes:
+            return state
+        sums = arr.sum(axis=free_axes, keepdims=True)
+    # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
+    np.subtract(sums * (2.0 * sums.size / state.dim), arr, out=arr)
     return state
 
 
 def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
     """Draw ``shots`` independent basis-state indices with probability |a|^2.
 
-    Deterministic for a fixed ``seed``.  Rejects an unnormalized state
-    through :meth:`StateVector.probabilities`.
+    Deterministic for a fixed ``seed``, and the same draws as
+    ``Generator.choice(dim, shots, p=probs / probs.sum())``: the CDF is
+    built in place in the probabilities array, so no second register-sized
+    array is held.  Rejects an unnormalized state through
+    :meth:`StateVector.probabilities`.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    cdf = state.probabilities()
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
+    del cdf  # the histogram is built without the register-sized CDF held
     values, counts = np.unique(draws, return_counts=True)
     return ShotHistogram({int(v): int(c) for v, c in zip(values, counts)}, shots)
 

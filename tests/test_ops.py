@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groverbench as gb
 
@@ -180,6 +182,40 @@ def test_dense_equivalence_segment_conditioned_oracle():
         expected = dense_iteration_matrix(r, oracle.flip_predicate(), 0)
         actual = gb.operator_matrix(r, lambda s: gb.grover_iteration(s, oracle))
         np.testing.assert_allclose(actual, expected, atol=1e-10)
+
+
+@st.composite
+def carried_runs(draw):
+    """A state, a segment oracle with determined bits, a diffusion mask, a length."""
+    r = draw(st.integers(min_value=2, max_value=6))
+    lo = draw(st.integers(min_value=0, max_value=r - 1))
+    hi = draw(st.integers(min_value=lo, max_value=r - 1))
+    seg = gb.segment_mask(r, lo, hi)
+    det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
+    det_value = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & det_mask
+    target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
+    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
+    diffusion_mask = draw(st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    amps = rng.normal(size=1 << r)
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=1 << r)
+    state = gb.StateVector(r, amps / np.linalg.norm(amps))
+    oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, det_value)
+    return state, oracle, diffusion_mask, draw(st.integers(min_value=1, max_value=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(carried_runs())
+def test_property_carried_sums_match_uncarried_iterations(run):
+    state, oracle, mask, steps = run
+    plain = state.copy()
+    sums = gb.block_sums(state, mask)
+    for _ in range(steps):
+        state = gb.grover_iteration(state, oracle, mask, sums)
+        plain = gb.grover_iteration(plain, oracle, mask)
+    np.testing.assert_allclose(state.amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sums, gb.block_sums(state, mask), rtol=0, atol=1e-12)
 
 
 def test_first_iteration_marked_amplitude_closed_form():

@@ -164,6 +164,94 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-9)
 
 
+def sampled_state(monkeypatch) -> list:
+    """Record the state each driver samples, with the sampling left as it is."""
+    import groverbench.search as search
+
+    seen = []
+    real = search.sample
+
+    def recording(state, shots, seed):
+        seen.append(state.copy())
+        return real(state, shots, seed)
+
+    monkeypatch.setattr(search, "sample", recording)
+    return seen
+
+
+def test_gs_driver_follows_closed_form_at_r20(monkeypatch):
+    # Grover's two-class law through the driver's carried block sums.
+    r, target = 20, 314_159
+    n = 1 << r
+    seen = sampled_state(monkeypatch)
+    outcome = gb.run_standard_grover(gb.SearchConfig(r=r, target=target, shots=64, seed=3))
+    angle = (2 * gb.optimal_iterations(n) + 1) * gb.grover_angle(n)
+    expected = np.full(n, math.cos(angle) / math.sqrt(n - 1))
+    expected[target] = math.sin(angle)
+    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    assert outcome.certainty == pytest.approx(math.sin(angle) ** 2, abs=1e-9)
+
+
+def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
+    r, b, target = 20, 4, 700_001
+    n = 1 << r
+    seen = sampled_state(monkeypatch)
+    config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=64, seed=3)
+    block, outcome = gb.run_grk_partial(config)
+    a, b_amp, g = grk_reference_amplitudes(n, b, *_grk_schedule(r, b))
+
+    partition = gb.BlockPartition(r, b)
+    size = partition.block_size
+    expected = np.full(n, g)
+    expected[block * size : (block + 1) * size] = b_amp
+    expected[target] = a
+    assert block == partition.block_of(target)
+    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    assert outcome.certainty == pytest.approx(a**2 + (size - 1) * b_amp**2, abs=1e-9)
+
+
+@pytest.mark.parametrize("algorithm, reads", [("GS", 1), ("GRK", 2)])
+def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
+    # GS carries one global sum; GRK reads it for the burn-in and the block
+    # sums for the local phase, and its cleanup adds those up.
+    import groverbench.search as search
+
+    calls = []
+    real = search.block_sums
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "block_sums", counting)
+    gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
+    assert len(calls) == reads
+
+
+def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
+    # perfbench/tracing.py times these three lookups; each must see every iteration.
+    import groverbench.ops as ops
+    import groverbench.search as search
+
+    calls = {}
+
+    def counter(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counter(search, "grover_iteration")
+    counter(ops, "phase_flip")
+    counter(ops, "invert_about_mean")
+    gb.run_standard_grover(gb.SearchConfig(r=8, target=200, shots=16))
+    reps = gb.optimal_iterations(256)
+    assert calls == {"grover_iteration": reps, "phase_flip": reps, "invert_about_mean": reps}
+
+
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
     import groverbench.ops as ops
@@ -171,9 +259,9 @@ def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
     real = ops.invert_about_mean
     dtypes = set()
 
-    def recording(state, block_mask=0):
+    def recording(state, block_mask=0, *args):
         dtypes.add(state.amplitudes.dtype)
-        out = real(state, block_mask)
+        out = real(state, block_mask, *args)
         dtypes.add(out.amplitudes.dtype)
         return out
 
@@ -494,8 +582,8 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
 
     real = ops.phase_flip
 
-    def drifting(state, pred):
-        flipped = real(state, pred)
+    def drifting(state, pred, *args):
+        flipped = real(state, pred, *args)
         return gb.StateVector(flipped.num_qubits, flipped.amplitudes * 1.001)
 
     monkeypatch.setattr(ops, "phase_flip", drifting)

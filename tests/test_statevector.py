@@ -3,6 +3,7 @@ norm/involution properties."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,45 @@ def test_invert_rejects_wide_mask():
 
 
 # ---------------------------------------------------------------------------
+# block_sums and carried sums
+
+
+@pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
+def test_block_sums_match_brute_force(block_mask):
+    state = random_state(4, 5)
+    sums = gb.block_sums(state, block_mask)
+    assert sums.shape == tuple(2 if (block_mask >> (3 - ax)) & 1 else 1 for ax in range(4))
+    flat = sums.reshape(-1)
+    blocks = sorted({i & block_mask for i in range(16)})
+    for slot, block in enumerate(blocks):
+        expected = sum(state.amplitudes[i] for i in range(16) if i & block_mask == block)
+        assert flat[slot] == pytest.approx(expected, abs=1e-14)
+
+
+def test_block_sums_rejects_wide_mask():
+    with pytest.raises(ValueError):
+        gb.block_sums(gb.uniform_state(2), 0b100)
+
+
+@pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
+def test_kernels_keep_given_sums_current(block_mask):
+    # Every predicate on 4 qubits: the flip updates the sums in place, the
+    # inversion leaves them as they are, and both match a fresh read.
+    for mask in range(16):
+        for value in range(16):
+            if value & ~mask:
+                continue
+            state = random_state(4, 100 * mask + value)
+            sums = gb.block_sums(state, block_mask)
+            gb.phase_flip(state, gb.BasisPredicate(mask, value), sums)
+            np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+            expected = brute_invert(state, block_mask)
+            gb.invert_about_mean(state, block_mask, sums)
+            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+            np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # sample
 
 
@@ -185,6 +225,32 @@ def test_sample_deterministic_for_seed():
     first = gb.sample(state, shots=500, seed=7)
     second = gb.sample(state, shots=500, seed=7)
     assert first.counts == second.counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("r", [1, 5, 11])
+def test_sample_draws_match_generator_choice(r, seed):
+    # The in-place CDF gives exactly the draws of Generator.choice.
+    state = random_state(r, seed)
+    if seed % 2:
+        state = gb.StateVector(r, np.abs(state.amplitudes))
+    probs = state.probabilities()
+    draws = np.random.default_rng(seed).choice(probs.size, size=333, p=probs / probs.sum())
+    values, counts = np.unique(draws, return_counts=True)
+    hist = gb.sample(state, shots=333, seed=seed)
+    assert hist.counts == {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def test_sample_holds_one_register_sized_array():
+    state = gb.uniform_state(16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gb.sample(state, shots=1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * state.amplitudes.nbytes
 
 
 def test_sample_rejects_unnormalized_state():
