@@ -95,8 +95,8 @@ class OracleSpec:
         Accepts either the full ``r``-qubit register or a compact working
         register whose dimension matches the active segment width (the
         segment subspace with all conditioning folded in).  Carried block
-        ``sums`` of the full register follow the flip (see
-        :func:`~groverbench.statevector.phase_flip`).
+        ``sums`` of either register follow the flip when it marks a single
+        amplitude (see :func:`~groverbench.statevector.phase_flip`).
         """
         self.query_count += 1
         if state.num_qubits == self.r:
@@ -104,7 +104,7 @@ class OracleSpec:
         if state.num_qubits == self.segment_width:
             width = self.segment_width
             pred = BasisPredicate((1 << width) - 1, self.segment_value)
-            return phase_flip(state, pred)
+            return phase_flip(state, pred, sums)
         raise ValueError(
             f"state on {state.num_qubits} qubits matches neither the full register "
             f"({self.r}) nor the segment width ({self.segment_width})"
@@ -192,9 +192,10 @@ def grover_iteration(
     The composed map equals the product of the two textbook reflections
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
-    query counter by one.  Given ``block_sums(state, diffusion_mask)``,
-    the step keeps them current in place and reads the register once
-    instead of twice; pass the same array to every step of a run.
+    query counter by one.  Given ``block_sums(state, diffusion_mask)``
+    and an oracle that marks a single amplitude of ``state``, the step
+    keeps the sums current in place and reads the register once instead
+    of twice; pass the same array to every step of a run.
     """
     flipped = oracle.apply(state, sums)
     return invert_about_mean(flipped, diffusion_mask, sums)

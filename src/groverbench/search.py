@@ -259,9 +259,8 @@ def _amplify_and_extract(
         if fresh or ctx.state is None:
             ctx.state = _conditioned_uniform(ctx.r, found)
         diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
-        sums = block_sums(ctx.state, diffusion_mask)
         for _ in range(reps):
-            ctx.state = grover_iteration(ctx.state, oracle, diffusion_mask, sums)
+            ctx.state = grover_iteration(ctx.state, oracle, diffusion_mask)
         marginal = _segment_marginal(ctx.state, lo, hi)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:

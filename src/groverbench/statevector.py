@@ -25,9 +25,9 @@ keepdims-shaped against the ``(2,)*r`` view, so the shape itself says
 which axes a block spans.  :func:`invert_about_mean` leaves every block
 sum unchanged (``sum(2*mean - a) == sum(a)``), so given sums are used as
 they are and the inversion makes one pass over the register, the write.
-:func:`phase_flip` negates its entries and adds twice their new sum to
-the blocks that hold them; a single flipped amplitude costs a scalar
-update.
+:func:`phase_flip` carries them only for a single flipped amplitude,
+the single-target oracle of the dense drivers: a scalar update, twice
+the amplitude's new value added to its block's sum.
 
 Kernels never renormalize a state and never re-check its norm: the
 reflections implemented here preserve it by construction.  The one norm
@@ -90,12 +90,12 @@ class StateVector:
         """Measurement probabilities ``|a|**2`` of every basis state.
 
         Raises ``ValueError`` when the L2 norm deviates from 1 by more
-        than ``NORM_TOL``: by the no-renormalize policy that signals an
-        upstream kernel bug.
+        than ``NORM_TOL``, or is NaN: by the no-renormalize policy that
+        signals an upstream kernel bug.
         """
         probs = np.abs(self.amplitudes) ** 2
         norm = math.sqrt(float(probs.sum()))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(
                 f"state norm {norm:.12f} deviates from 1 beyond {NORM_TOL}; "
                 "refusing to read out an unnormalized state"
@@ -216,25 +216,23 @@ def phase_flip(
 
     Returns ``state`` itself.  Self-inverse and norm-preserving; an empty
     mask applies a global phase of -1.  Given ``sums`` from
-    :func:`block_sums`, adds twice the flipped entries' new sum to the
-    sums of the blocks holding them, so the sums stay those of ``state``.
+    :func:`block_sums`, adds twice the flipped amplitude's new value to
+    the sum of its block, so the sums stay those of ``state``.  Carried
+    sums follow a single flipped amplitude only: ``pred`` must fix every
+    qubit, as the single-target oracle does.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
+    if sums is not None and pred.fixed_mask != (1 << r) - 1:
+        raise ValueError(
+            f"carried sums need a single-amplitude predicate, got mask {pred.fixed_mask:#x}"
+        )
     view = state.amplitudes.reshape((2,) * r)
     sel = _axis_selector(r, pred.fixed_mask, pred.fixed_value)
     view[sel] *= -1
     if sums is not None:
-        flipped = view[sel]
-        if pred.fixed_mask != (1 << r) - 1:  # else one amplitude, added as it is
-            # Sum out the unfixed axes inside a block; the unfixed block axes
-            # stay, lined up with the slices of the index into ``sums`` below.
-            unfixed = [n for s, n in zip(sel, sums.shape) if type(s) is slice]
-            inner = tuple(i for i, n in enumerate(unfixed) if n == 1)
-            if inner:
-                flipped = flipped.sum(axis=inner)
-        sums[tuple(s if n == 2 else 0 for s, n in zip(sel, sums.shape))] += 2 * flipped
+        sums[tuple(s if n == 2 else 0 for s, n in zip(sel, sums.shape))] += 2 * view[sel]
     return state
 
 
@@ -272,15 +270,20 @@ def invert_about_mean(
     Given ``sums`` (from :func:`block_sums`, carried through
     :func:`phase_flip`), the block means come from them and the register
     is read once; the inversion leaves them correct for the result.
-    Without, they are read from the register first.
+    Without, they are read from the register first.  Sums not shaped
+    for ``block_mask`` raise ``ValueError``.
     """
     r = state.num_qubits
     arr = state.amplitudes.reshape((2,) * r)
+    free_axes = _free_axes(r, block_mask)
+    if not free_axes:
+        return state
     if sums is None:
-        free_axes = _free_axes(r, block_mask)
-        if not free_axes:
-            return state
         sums = arr.sum(axis=free_axes, keepdims=True)
+    elif sums.shape != tuple(1 if ax in free_axes else 2 for ax in range(r)):
+        raise ValueError(
+            f"sums of shape {sums.shape} are not the block sums of mask {block_mask:#x}"
+        )
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
     np.subtract(sums * (2.0 * sums.size / state.dim), arr, out=arr)
     return state

@@ -186,21 +186,34 @@ def test_dense_equivalence_segment_conditioned_oracle():
 
 @st.composite
 def carried_runs(draw):
-    """A state, a segment oracle with determined bits, a diffusion mask, a length."""
+    """A state, a single-target oracle, a diffusion mask, a length.
+
+    The oracle is a segment oracle whose determined bits cover the rest
+    of the register, so it marks one amplitude of the full register; or
+    any segment oracle on a compact register of the segment's width.
+    """
     r = draw(st.integers(min_value=2, max_value=6))
     lo = draw(st.integers(min_value=0, max_value=r - 1))
     hi = draw(st.integers(min_value=lo, max_value=r - 1))
     seg = gb.segment_mask(r, lo, hi)
-    det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
-    det_value = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & det_mask
     target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
-    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
-    diffusion_mask = draw(st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg]))
+    compact = draw(st.booleans())
+    if compact:
+        det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
+        n = hi - lo + 1
+        diffusion_masks = [0]
+    else:
+        det_mask = ((1 << r) - 1) ^ seg
+        n = r
+        diffusion_masks = [0, ((1 << r) - 1) ^ seg]
+    det_value = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & det_mask
+    top_k = gb.segment_mask(n, 0, draw(st.integers(min_value=0, max_value=n - 1)))
+    diffusion_mask = draw(st.sampled_from(diffusion_masks + [top_k]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    amps = rng.normal(size=1 << r)
+    amps = rng.normal(size=1 << n)
     if draw(st.booleans()):
-        amps = amps + 1j * rng.normal(size=1 << r)
-    state = gb.StateVector(r, amps / np.linalg.norm(amps))
+        amps = amps + 1j * rng.normal(size=1 << n)
+    state = gb.StateVector(n, amps / np.linalg.norm(amps))
     oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, det_value)
     return state, oracle, diffusion_mask, draw(st.integers(min_value=1, max_value=8))
 
@@ -216,6 +229,18 @@ def test_property_carried_sums_match_uncarried_iterations(run):
         plain = gb.grover_iteration(plain, oracle, mask)
     np.testing.assert_allclose(state.amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
     np.testing.assert_allclose(sums, gb.block_sums(state, mask), rtol=0, atol=1e-12)
+
+
+def test_carried_sums_reject_a_multi_amplitude_oracle():
+    # A segment oracle on the full register marks a sub-block; carried sums
+    # follow a single flipped amplitude only.
+    oracle = gb.OracleSpec(4, 0b0110, (0, 1))
+    state = gb.uniform_state(4)
+    sums = gb.block_sums(state)
+    with pytest.raises(ValueError, match="single-amplitude"):
+        gb.grover_iteration(state, oracle, 0, sums)
+    np.testing.assert_array_equal(state.amplitudes, gb.uniform_state(4).amplitudes)
+    np.testing.assert_array_equal(sums, gb.block_sums(state))
 
 
 def test_first_iteration_marked_amplitude_closed_form():

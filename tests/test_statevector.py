@@ -188,20 +188,41 @@ def test_block_sums_rejects_wide_mask():
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
 def test_kernels_keep_given_sums_current(block_mask):
-    # Every predicate on 4 qubits: the flip updates the sums in place, the
-    # inversion leaves them as they are, and both match a fresh read.
-    for mask in range(16):
-        for value in range(16):
-            if value & ~mask:
-                continue
-            state = random_state(4, 100 * mask + value)
-            sums = gb.block_sums(state, block_mask)
-            gb.phase_flip(state, gb.BasisPredicate(mask, value), sums)
-            np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
-            expected = brute_invert(state, block_mask)
-            gb.invert_about_mean(state, block_mask, sums)
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
-            np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+    # Every single-amplitude flip on 4 qubits: the flip updates the sums in
+    # place, the inversion leaves them as they are, and both match a fresh read.
+    for value in range(16):
+        state = random_state(4, value)
+        sums = gb.block_sums(state, block_mask)
+        gb.phase_flip(state, gb.BasisPredicate(0b1111, value), sums)
+        np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+        expected = brute_invert(state, block_mask)
+        gb.invert_about_mean(state, block_mask, sums)
+        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+        np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+
+
+@pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b1110])
+def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
+    state = random_state(4, 11)
+    before = state.amplitudes.copy()
+    sums = gb.block_sums(state)
+    with pytest.raises(ValueError, match="single-amplitude"):
+        gb.phase_flip(state, gb.BasisPredicate(mask, 0), sums)
+    np.testing.assert_array_equal(state.amplitudes, before)
+    np.testing.assert_array_equal(sums, gb.block_sums(state))
+
+
+@pytest.mark.parametrize(
+    "sums_r, sums_mask, block_mask",
+    [(4, 0, 0b1100), (4, 0b1100, 0), (4, 0b1100, 0b0011), (4, 0b1000, 0b0001), (3, 0, 0)],
+)
+def test_invert_rejects_sums_of_another_mask(sums_r, sums_mask, block_mask):
+    state = random_state(4, 12)
+    before = state.amplitudes.copy()
+    sums = gb.block_sums(random_state(sums_r, 12), sums_mask)
+    with pytest.raises(ValueError, match="block sums of mask"):
+        gb.invert_about_mean(state, block_mask, sums)
+    np.testing.assert_array_equal(state.amplitudes, before)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +278,14 @@ def test_sample_rejects_unnormalized_state():
     bad = gb.StateVector(2, np.array([0.5, 0.5, 0.5, 0.4], dtype=complex))
     with pytest.raises(ValueError, match="norm"):
         gb.sample(bad, shots=10, seed=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sample_rejects_a_nan_amplitude(dtype):
+    amps = np.full(4, 0.5, dtype=dtype)
+    amps[2] = np.nan
+    with pytest.raises(ValueError, match="norm"):
+        gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
 def test_sample_rejects_zero_shots():
