@@ -17,22 +17,23 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .ops import Algorithm, predicted_layers
-from .search import SearchConfig, SearchOutcome, _check_block_size, run_search
-
-TARGET_POLICIES = ("fixed", "random-per-trial")
+from .ops import Algorithm, _check_block_size, predicted_layers
+from .search import SearchConfig, SearchOutcome, run_search
 
 
 @dataclass
 class ExperimentPlan:
-    """Grid of benchmark cells plus the shared run protocol."""
+    """Grid of benchmark cells plus the shared run protocol.
+
+    ``target`` fixes the target index of every cell; ``None`` draws a
+    random target per cell from the cell's seed.
+    """
 
     qubit_list: list[int]
     algorithms: list[Algorithm]
     trials: int = 5
     shots: int = 1024
     base_seed: int = 0
-    target_policy: str = "random-per-trial"
     target: int | None = None
     block_size: int = 4
 
@@ -53,11 +54,7 @@ class ExperimentPlan:
             raise ValueError("shots must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base seed must be >= 0")
-        if self.target_policy not in TARGET_POLICIES:
-            raise ValueError(f"target policy must be one of {TARGET_POLICIES}")
-        if self.target_policy == "fixed":
-            if self.target is None:
-                raise ValueError("fixed target policy requires a target")
+        if self.target is not None:
             smallest = min(self.qubit_list)
             if not 0 <= self.target < (1 << smallest):
                 raise ValueError(
@@ -152,9 +149,8 @@ def _run_cell(
     plan: ExperimentPlan, qubits: int, algorithm: Algorithm, trial: int
 ) -> TrialRow:
     seed = cell_seed(plan.base_seed, qubits, algorithm, trial)
-    if plan.target_policy == "fixed":
-        target = plan.target
-    else:
+    target = plan.target
+    if target is None:
         target = cell_target(plan.base_seed, qubits, algorithm, trial)
     config = SearchConfig(
         r=qubits,

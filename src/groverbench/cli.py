@@ -88,7 +88,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trials=args.trials,
             shots=args.shots,
             base_seed=args.seed,
-            target_policy="fixed" if args.target is not None else "random-per-trial",
             target=args.target,
             block_size=args.block_size,
         )

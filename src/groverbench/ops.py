@@ -119,6 +119,24 @@ class OracleSpec:
         return self.flip_predicate().matches(index)
 
 
+def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
+    """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
+
+    ``b`` must be a power of two >= 2 that fits the index space; the
+    block-partial search also needs at least two items per block, so
+    ``b <= 2**(r-1)``.
+    """
+    if b < 2 or b & (b - 1):
+        raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
+    if b > (1 << r):
+        raise ValueError(f"branching factor {b} exceeds the index space of {r} qubits")
+    if algorithm is Algorithm.GRK and b > (1 << (r - 1)):
+        raise ValueError(
+            f"block-partial search needs at least two items per block: "
+            f"b = {b} exceeds 2**{r - 1} at r = {r}"
+        )
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Split of a ``2**r`` index space into ``b`` equal blocks by top bits."""
@@ -287,11 +305,13 @@ def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
 
 
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
-    """Bundle the closed-form predictions for one (algorithm, size) cell."""
+    """Bundle the closed-form predictions for one (algorithm, size) cell.
+
+    Rejects the same ``(r, b)`` the drivers reject.
+    """
     algorithm = Algorithm(algorithm)
+    _check_block_size(r, b, algorithm)
     n = 1 << r
-    if b < 2 or b & (b - 1):
-        raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
     k = b.bit_length() - 1
     if algorithm is Algorithm.GS:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5

@@ -12,12 +12,16 @@ Four drivers share the kernel layer:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
-DFGS and BDGS default to compact working registers: each segment search
-runs on a fresh ``2**width`` register holding just the segment subspace,
-with every already-determined bit folded into the oracle condition.  The
-full-register mode (block-restricted diffusion on the entire ``2**r``
-state) is retained for cross-validation at desk scale (``r <= 12``);
-both modes resolve identical bit values and cost identical queries.
+Both layered drivers run rounds of segment searches, and every segment
+search starts from a fresh register: measuring a segment's bits leaves
+the uniform superposition over the indices still consistent with them.
+By default the register is compact, ``2**width`` amplitudes holding just
+the segment subspace, with every already-determined bit folded into the
+oracle condition.  The full-register mode (``mode="full"``) starts from
+that conditioned superposition on the entire ``2**r`` state and diffuses
+within each block of the other bits, up to ``MAX_QUBITS``; it is the
+reference the compact mode is checked against.  Both modes resolve
+identical bit values and cost identical queries.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .ops import (
     Algorithm,
     BlockPartition,
     OracleSpec,
+    _check_block_size,
     grk_query_count,
     grover_angle,
     grover_iteration,
@@ -58,24 +64,6 @@ _EXACT_THRESHOLD = 1.0 - 1e-9
 
 class SegmentSearchError(RuntimeError):
     """A segment's value could not be confirmed within the attempt budget."""
-
-
-def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
-    """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
-
-    ``b`` must be a power of two >= 2 that fits the index space; the
-    block-partial search also needs at least two items per block, so
-    ``b <= 2**(r-1)``.
-    """
-    if b < 2 or b & (b - 1):
-        raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
-    if b > (1 << r):
-        raise ValueError(f"branching factor {b} exceeds the index space of {r} qubits")
-    if algorithm is Algorithm.GRK and b > (1 << (r - 1)):
-        raise ValueError(
-            f"block-partial search needs at least two items per block: "
-            f"b = {b} exceeds 2**{r - 1} at r = {r}"
-        )
 
 
 @dataclass
@@ -160,7 +148,6 @@ class SearchContext:
     k: int
     rng: np.random.Generator
     mode: str = "compact"
-    state: StateVector | None = None
     max_attempts: int = MAX_SEGMENT_ATTEMPTS
     oracles: list[OracleSpec] = field(default_factory=list)
     certainty: float = 1.0
@@ -199,11 +186,11 @@ def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
 
 def _conditioned_uniform(r: int, found: FoundBits) -> StateVector:
     """Uniform superposition over every index consistent with ``found``."""
-    n = 1 << r
-    support = 1 << (r - bin(found.mask).count("1"))
-    amps = np.zeros(n)
-    idx = np.arange(n)
-    amps[(idx & found.mask) == found.value] = 1.0 / math.sqrt(support)
+    support = 1 << (r - found.mask.bit_count())
+    amps = np.zeros(1 << r)
+    amps.reshape((2,) * r)[_axis_selector(r, found.mask, found.value)] = (
+        1.0 / math.sqrt(support)
+    )
     return StateVector(r, amps)
 
 
@@ -217,30 +204,13 @@ def _segment_marginal(state: StateVector, lo: int, hi: int) -> np.ndarray:
     return probs.reshape(-1)
 
 
-def _collapse_segment(state: StateVector, lo: int, hi: int, value: int) -> StateVector:
-    """Project onto segment == value and renormalize (measurement collapse)."""
-    r = state.num_qubits
-    bits = segment_mask(r, lo, hi)
-    placed = place_segment(r, value, lo, hi)
-    src = state.amplitudes.reshape((2,) * r)
-    keep = _axis_selector(r, bits, placed)
-    kept = src[keep]
-    mass = float(np.sum(np.abs(kept) ** 2))
-    if mass <= 0.0:
-        raise SegmentSearchError("collapse onto a zero-probability segment value")
-    out = np.zeros_like(state.amplitudes).reshape((2,) * r)
-    out[keep] = kept / math.sqrt(mass)
-    return StateVector(r, out.reshape(-1))
-
-
 def _amplify_and_extract(
     ctx: SearchContext,
     oracle: OracleSpec,
     segment: tuple[int, int],
     found: FoundBits,
-    fresh: bool,
 ) -> tuple[int, float]:
-    """Run the segment's amplification rounds and pick a value.
+    """Run the segment's amplification rounds on a fresh register and pick a value.
 
     Returns ``(value, probability)`` where the probability is the mass
     the post-amplification marginal puts on the chosen value.  The
@@ -256,12 +226,11 @@ def _amplify_and_extract(
             register = grover_iteration(register, oracle)
         marginal = register.probabilities()
     else:
-        if fresh or ctx.state is None:
-            ctx.state = _conditioned_uniform(ctx.r, found)
+        register = _conditioned_uniform(ctx.r, found)
         diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
         for _ in range(reps):
-            ctx.state = grover_iteration(ctx.state, oracle, diffusion_mask)
-        marginal = _segment_marginal(ctx.state, lo, hi)
+            register = grover_iteration(register, oracle, diffusion_mask)
+        marginal = _segment_marginal(register, lo, hi)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
         return top, float(marginal[top])
@@ -271,7 +240,7 @@ def _amplify_and_extract(
 
 def segment_partial_search(
     ctx: SearchContext,
-    segment: tuple[int, int] | None,
+    segment: tuple[int, int],
     target: int,
     found: FoundBits,
 ) -> FoundBits:
@@ -284,13 +253,9 @@ def segment_partial_search(
     the sampled value is confirmed with a classical oracle probe and, on
     a miss, retried up to ``ctx.max_attempts`` times — a width-1 miss
     leaves only one other candidate, so that case resolves
-    deterministically.  An empty segment is a no-op.
+    deterministically.
     """
-    if segment is None:
-        return found
     lo, hi = segment
-    if lo > hi:
-        return found
     width = hi - lo + 1
     if width > ctx.k:
         raise ValueError(f"segment [{lo}, {hi}] wider than {ctx.k} bits")
@@ -302,7 +267,7 @@ def segment_partial_search(
     oracle = OracleSpec(ctx.r, target, (lo, hi), found.mask, found.value)
     ctx.oracles.append(oracle)
 
-    value, prob = _amplify_and_extract(ctx, oracle, segment, found, fresh=False)
+    value, prob = _amplify_and_extract(ctx, oracle, segment, found)
     if prob > _EXACT_THRESHOLD:
         accepted_prob = prob
     else:
@@ -315,15 +280,13 @@ def segment_partial_search(
             if width == 1:
                 value = 1 - value
             else:
-                value, prob = _amplify_and_extract(ctx, oracle, segment, found, fresh=True)
+                value, prob = _amplify_and_extract(ctx, oracle, segment, found)
         if not verified:
             raise SegmentSearchError(
                 f"segment [{lo}, {hi}] not confirmed in {ctx.max_attempts} attempts"
             )
         accepted_prob = 1.0  # oracle-confirmed
 
-    if ctx.mode == "full":
-        ctx.state = _collapse_segment(ctx.state, lo, hi, value)
     found.record(ctx.r, (lo, hi), value)
     ctx.certainty *= min(accepted_prob, 1.0)
     return found
@@ -335,13 +298,6 @@ def segment_partial_search(
 
 def _derive_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
-
-
-def _check_mode(mode: str, r: int) -> None:
-    if mode not in ("compact", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full" and r > 12:
-        raise ValueError("full-register cross-validation mode is limited to r <= 12")
 
 
 def run_standard_grover(config: SearchConfig) -> SearchOutcome:
@@ -511,25 +467,29 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     return resolved, outcome
 
 
-def _layered_outcome(
-    config: SearchConfig,
-    found: FoundBits,
-    layers: int,
-    ctx: SearchContext,
-    wall: float,
+def _run_layered(
+    config: SearchConfig, rounds: list[list[tuple[int, int]]], mode: str
 ) -> SearchOutcome:
+    """Resolve ``rounds`` of segment searches in order; each round is one layer."""
+    if mode not in ("compact", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.default_rng(config.seed)
+    start = time.perf_counter()
+    ctx = SearchContext(config.r, config.k, rng, mode=mode)
+    found = FoundBits()
+    for segments in rounds:
+        for segment in segments:
+            segment_partial_search(ctx, segment, config.target, found)
+    wall = time.perf_counter() - start
     if not found.complete(config.r):
         raise SegmentSearchError("segment plan terminated without covering all bits")
-    measured = found.value
     # The final register is a computational basis state, so every shot
     # lands on the reconstructed index.
-    success = 1.0 if measured == config.target else 0.0
-    calls = sum(oracle.query_count for oracle in ctx.oracles)
     return SearchOutcome(
-        measured_index=measured,
-        success_fraction=success,
-        layers=layers,
-        oracle_calls=calls,
+        measured_index=found.value,
+        success_fraction=1.0 if found.value == config.target else 0.0,
+        layers=len(rounds),
+        oracle_calls=sum(oracle.query_count for oracle in ctx.oracles),
         wall_time=wall,
         trial_seed=config.seed,
         certainty=ctx.certainty,
@@ -540,16 +500,8 @@ def run_dfgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
     """Depth-first layered search: resolve every segment MSB to LSB."""
     if config.algorithm is not Algorithm.DFGS:
         raise ValueError(f"config requests {config.algorithm}, not DFGS")
-    _check_mode(mode, config.r)
-    rng = np.random.default_rng(config.seed)
-    start = time.perf_counter()
-    ctx = SearchContext(config.r, config.k, rng, mode=mode)
-    found = FoundBits()
-    plan = dfgs_segments(config.r, config.k)
-    for segment in plan:
-        segment_partial_search(ctx, segment, config.target, found)
-    wall = time.perf_counter() - start
-    return _layered_outcome(config, found, len(plan), ctx, wall)
+    rounds = [[segment] for segment in dfgs_segments(config.r, config.k)]
+    return _run_layered(config, rounds, mode)
 
 
 def run_bdgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
@@ -563,21 +515,11 @@ def run_bdgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
     """
     if config.algorithm is not Algorithm.BDGS:
         raise ValueError(f"config requests {config.algorithm}, not BDGS")
-    _check_mode(mode, config.r)
-    rng = np.random.default_rng(config.seed)
-    start = time.perf_counter()
-    ctx = SearchContext(config.r, config.k, rng, mode=mode)
-    found = FoundBits()
-    forward = forward_segments(config.r, config.k)
-    backward = backward_segments(config.r, config.k)
-    layers = max(len(forward), len(backward))
-    for i in range(layers):
-        if i < len(forward):
-            segment_partial_search(ctx, forward[i], config.target, found)
-        if i < len(backward):
-            segment_partial_search(ctx, backward[i], config.target, found)
-    wall = time.perf_counter() - start
-    return _layered_outcome(config, found, layers, ctx, wall)
+    pairs = zip_longest(
+        forward_segments(config.r, config.k), backward_segments(config.r, config.k)
+    )
+    rounds = [[segment for segment in pair if segment is not None] for pair in pairs]
+    return _run_layered(config, rounds, mode)
 
 
 def run_search(config: SearchConfig) -> SearchOutcome:

@@ -108,9 +108,20 @@ def test_run_plan_parallel_matches_serial():
     assert sorted(map(key, serial.rows)) == sorted(map(key, parallel.rows))
 
 
-def test_run_plan_fixed_target():
-    plan = small_plan(qubit_list=[4], target_policy="fixed", target=9, algorithms=["BDGS"])
+def test_run_plan_fixed_target(monkeypatch):
+    import groverbench.bench as bench
+
+    real = bench.run_search
+    targets = []
+
+    def recording(config):
+        targets.append(config.target)
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", recording)
+    plan = small_plan(qubit_list=[4], target=9, algorithms=["BDGS"])
     table = gb.run_plan(plan)
+    assert targets == [9, 9]
     assert all(row.accuracy_pct == 100.0 for row in table.rows)
 
 
@@ -143,13 +154,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], trials=0)
     with pytest.raises(ValueError):
-        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], target_policy="fixed")
-    with pytest.raises(ValueError):
-        gb.ExperimentPlan(
-            qubit_list=[4], algorithms=["GS"], target_policy="fixed", target=16
-        )
-    with pytest.raises(ValueError):
-        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], target_policy="sometimes")
+        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], target=16)
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], base_seed=-1)
     with pytest.raises(ValueError, match="power of two"):

@@ -45,6 +45,21 @@ def test_predict_invalid_block_size(capsys):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--qubits", "2", "--algo", "DFGS", "--block-size", "8"],
+        ["--qubits", "3", "--algo", "GRK", "--block-size", "8"],
+        ["--qubits", "0", "--algo", "DFGS"],
+    ],
+)
+def test_predict_rejects_what_search_rejects(capsys, argv):
+    code, out, err = run_cli(capsys, ["predict", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid prediction request:") and err.count("\n") == 1
+
+
 def test_search_bdgs(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -252,6 +252,30 @@ def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
     assert calls == {"grover_iteration": reps, "phase_flip": reps, "invert_about_mean": reps}
 
 
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_layered_run_keeps_the_traced_segment_boundaries(monkeypatch, algorithm):
+    # perfbench/tracing.py counts segment searches and their amplification
+    # passes through these lookups: 10 width-2 segments at r = 20, b = 4.
+    import groverbench.search as search
+
+    calls = {}
+
+    def counter(name):
+        real = getattr(search, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, counted)
+
+    for name in ("segment_partial_search", "uniform_state", "grover_iteration"):
+        counter(name)
+    config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
+    gb.run_search(config)
+    assert calls == {"segment_partial_search": 10, "uniform_state": 10, "grover_iteration": 10}
+
+
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
     import groverbench.ops as ops
@@ -425,15 +449,6 @@ def test_layered_drivers_deterministic():
 # segment_partial_search contract
 
 
-def test_segment_search_empty_segment_is_noop():
-    ctx = gb.SearchContext(4, 2, np.random.default_rng(0))
-    found = gb.FoundBits()
-    out = gb.segment_partial_search(ctx, None, 5, found)
-    assert out is found
-    assert found.mask == 0
-    assert ctx.oracles == []
-
-
 def test_segment_search_rejects_overlap():
     ctx = gb.SearchContext(4, 2, np.random.default_rng(0))
     found = gb.FoundBits()
@@ -495,10 +510,17 @@ def test_compact_and_full_modes_agree(r):
             assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
 
 
-def test_full_mode_respects_size_cap():
-    config = gb.SearchConfig(r=13, target=1, algorithm="BDGS", shots=8, seed=0)
-    with pytest.raises(ValueError, match="r <= 12"):
-        gb.run_bdgs(config, mode="full")
+@pytest.mark.parametrize("b", [4, 8])
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_compact_and_full_modes_agree_at_r16(algorithm, b):
+    runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
+    config = gb.SearchConfig(r=16, target=40503, algorithm=algorithm, b=b, shots=8, seed=b)
+    compact = runner(config, mode="compact")
+    full = runner(config, mode="full")
+    assert compact.measured_index == full.measured_index == config.target
+    assert compact.oracle_calls == full.oracle_calls
+    assert compact.layers == full.layers
+    assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
 
 
 def test_unknown_mode_rejected():
