@@ -53,6 +53,7 @@ from .search import (
 from .statevector import (
     MAX_QUBITS,
     BasisPredicate,
+    DeferredState,
     ShotHistogram,
     StateVector,
     basis_state,

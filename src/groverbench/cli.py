@@ -64,14 +64,29 @@ def build_parser() -> argparse.ArgumentParser:
                             "of a plan run with the same seed)")
     search_cmd.add_argument("--shots", type=int, default=1024)
     search_cmd.add_argument("--seed", type=int, default=0)
-    search_cmd.add_argument("--block-size", type=int, default=4)
+    search_cmd.add_argument("--block-size", type=int, default=None,
+                            help="branching factor b (default 4; GS does not use b)")
 
     predict_cmd = sub.add_parser("predict", help="print closed-form cost predictions")
     predict_cmd.add_argument("--qubits", type=int, required=True)
     predict_cmd.add_argument("--algo", type=_algorithm, required=True)
-    predict_cmd.add_argument("--block-size", type=int, default=4)
+    predict_cmd.add_argument("--block-size", type=int, default=None,
+                             help="branching factor b (default 4; GS does not use b)")
 
     return parser
+
+
+def _block_size(args: argparse.Namespace) -> int:
+    """The ``--block-size`` given, else 4.
+
+    GS never uses ``b``, so its default shrinks to fit a register of
+    fewer than 4 states instead of failing the index-space check.
+    """
+    if args.block_size is not None:
+        return args.block_size
+    if args.algo is Algorithm.GS:
+        return min(4, 1 << max(args.qubits, 1))
+    return 4
 
 
 def _output_dir(arg: str | None) -> Path:
@@ -138,7 +153,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             r=args.qubits,
             target=target,
             algorithm=args.algo,
-            b=args.block_size,
+            b=_block_size(args),
             shots=args.shots,
             seed=args.seed,
         )
@@ -159,8 +174,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    b = _block_size(args)
     try:
-        cost = predict_cost(args.algo, args.qubits, args.block_size)
+        cost = predict_cost(args.algo, args.qubits, b)
     except ValueError as exc:
         print(f"invalid prediction request: {exc}", file=sys.stderr)
         return 2
@@ -169,8 +185,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             {
                 "algorithm": cost.algorithm.value,
                 "r": args.qubits,
-                "b": args.block_size,
-                "k": args.block_size.bit_length() - 1,
+                "b": b,
+                "k": b.bit_length() - 1,
                 "layers": cost.layers,
                 "oracle_calls_bound": cost.oracle_calls,
             },

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .statevector import (
     BasisPredicate,
-    StateVector,
+    Register,
     extract_segment,
     invert_about_mean,
     phase_flip,
@@ -89,22 +87,21 @@ class OracleSpec:
             (self.target & seg) | self.determined_value,
         )
 
-    def apply(self, state: StateVector, sums: np.ndarray | None = None) -> StateVector:
+    def apply(self, state: Register) -> Register:
         """One oracle query: sign-flip the marked amplitudes of ``state``.
 
         Accepts either the full ``r``-qubit register or a compact working
         register whose dimension matches the active segment width (the
-        segment subspace with all conditioning folded in).  Carried block
-        ``sums`` of either register follow the flip when it marks a single
-        amplitude (see :func:`~groverbench.statevector.phase_flip`).
+        segment subspace with all conditioning folded in), in dense or
+        deferred form.
         """
         self.query_count += 1
         if state.num_qubits == self.r:
-            return phase_flip(state, self.flip_predicate(), sums)
+            return phase_flip(state, self.flip_predicate())
         if state.num_qubits == self.segment_width:
             width = self.segment_width
             pred = BasisPredicate((1 << width) - 1, self.segment_value)
-            return phase_flip(state, pred, sums)
+            return phase_flip(state, pred)
         raise ValueError(
             f"state on {state.num_qubits} qubits matches neither the full register "
             f"({self.r}) nor the segment width ({self.segment_width})"
@@ -119,12 +116,12 @@ class OracleSpec:
         return self.flip_predicate().matches(index)
 
 
-def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
+def _check_block_size(r: int, b: int, algorithm: Algorithm | None = None) -> None:
     """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
 
-    ``b`` must be a power of two >= 2 that fits the index space; the
-    block-partial search also needs at least two items per block, so
-    ``b <= 2**(r-1)``.
+    ``b`` must be a power of two >= 2 that fits the index space, which is
+    all a :class:`BlockPartition` needs; the block-partial search also
+    needs at least two items per block, so ``b <= 2**(r-1)``.
     """
     if b < 2 or b & (b - 1):
         raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
@@ -145,10 +142,7 @@ class BlockPartition:
     b: int
 
     def __post_init__(self) -> None:
-        if self.b < 2 or self.b & (self.b - 1):
-            raise ValueError(f"branching factor must be a power of two >= 2, got {self.b}")
-        if self.b > (1 << self.r):
-            raise ValueError(f"branching factor {self.b} exceeds the index space 2^{self.r}")
+        _check_block_size(self.r, self.b)
 
     @property
     def k(self) -> int:
@@ -199,24 +193,20 @@ def optimal_iterations(search_dim: int) -> int:
 
 
 def grover_iteration(
-    state: StateVector,
-    oracle: OracleSpec,
-    diffusion_mask: int = 0,
-    sums: np.ndarray | None = None,
-) -> StateVector:
+    state: Register, oracle: OracleSpec, diffusion_mask: int = 0
+) -> Register:
     """One amplification step: oracle sign flip, then blockwise inversion
     about the mean restricted by ``diffusion_mask``.
 
     The composed map equals the product of the two textbook reflections
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
-    query counter by one.  Given ``block_sums(state, diffusion_mask)``
-    and an oracle that marks a single amplitude of ``state``, the step
-    keeps the sums current in place and reads the register once instead
-    of twice; pass the same array to every step of a run.
+    query counter by one.  On a :class:`~groverbench.statevector.DeferredState`
+    and an oracle that marks a single amplitude, the step touches one
+    entry of the register.
     """
-    flipped = oracle.apply(state, sums)
-    return invert_about_mean(flipped, diffusion_mask, sums)
+    flipped = oracle.apply(state)
+    return invert_about_mean(flipped, diffusion_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ Four drivers share the kernel layer:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
+GS and GRK flip one amplitude per query, so they iterate on a
+:class:`~groverbench.statevector.DeferredState`, which makes each step
+O(1) work, and write it out once, before sampling.
+
 Both layered drivers run rounds of segment searches, and every segment
 search starts from a fresh register: measuring a segment's bits leaves
 the uniform superposition over the indices still consistent with them.
@@ -45,10 +49,10 @@ from .ops import (
     optimal_iterations,
 )
 from .statevector import (
+    DeferredState,
     StateVector,
     _axis_selector,
     _check_qubits,
-    block_sums,
     place_segment,
     sample,
     segment_mask,
@@ -307,11 +311,11 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
-    state = uniform_state(config.r)
-    sums = block_sums(state)
+    state = DeferredState(uniform_state(config.r))
     reps = optimal_iterations(1 << config.r)
     for _ in range(reps):
-        state = grover_iteration(state, oracle, 0, sums)
+        state = grover_iteration(state, oracle)
+    state = state.write_out()
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
     # sample() has checked the norm; the certainty needs one amplitude.
@@ -429,15 +433,13 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
-    state = uniform_state(config.r)
-    sums = block_sums(state)
+    state = DeferredState(uniform_state(config.r))
     for _ in range(t_global):
-        state = grover_iteration(state, oracle, 0, sums)
-    local = block_sums(state, partition.block_mask)
+        state = grover_iteration(state, oracle)
     for _ in range(t_local):
-        state = grover_iteration(state, oracle, partition.block_mask, local)
-    # Global cleanup: the global sum is the sum of the carried block sums.
-    state = grover_iteration(state, oracle, 0, local.sum(keepdims=True))
+        state = grover_iteration(state, oracle, partition.block_mask)
+    state = grover_iteration(state, oracle)  # global cleanup
+    state = state.write_out()
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
 

@@ -19,15 +19,26 @@ given, so a search iteration allocates no second register.  Callers
 still write ``state = kernel(state, ...)``; use ``state.copy()`` first
 to keep an input.
 
-A run of iterations can carry each block's amplitude sum instead of
-re-reading the register for it.  :func:`block_sums` reads the sums once,
-keepdims-shaped against the ``(2,)*r`` view, so the shape itself says
-which axes a block spans.  :func:`invert_about_mean` leaves every block
-sum unchanged (``sum(2*mean - a) == sum(a)``), so given sums are used as
-they are and the inversion makes one pass over the register, the write.
-:func:`phase_flip` carries them only for a single flipped amplitude,
-the single-target oracle of the dense drivers: a scalar update, twice
-the amplitude's new value added to its block's sum.
+A run of single-target iterations need not touch the register at all.
+:class:`DeferredState` keeps it as ``alpha*x + beta[block]``: a buffer
+``x``, a sign ``alpha`` and one offset per block, keepdims-shaped against
+the ``(2,)*r`` view like :func:`block_sums`, with the true amplitude sum
+of every block beside them.  An inversion maps each amplitude ``a`` to
+``2*mean - a``, which is ``-alpha*x + (2*mean - beta)``: it negates
+``alpha`` and rewrites ``beta`` from the sums, and it leaves the sum of
+each of its blocks unchanged (``sum(2*mean - a) == sum(a)``).  A flip of
+one amplitude rewrites one entry of ``x`` and one block sum.  Neither
+reads the register.  The offsets and sums are held for the finest block
+mask used so far.  An inversion about a coarser mask adds up the sums
+held, and maps each held sum ``S`` of ``n`` amplitudes to
+``2*mean*n - S``; only a finer mask reads the buffer, once.  A flip of
+more than one amplitude writes the register out and runs the dense
+kernel, and the sums are read again at the next inversion.
+:func:`phase_flip`, :func:`invert_about_mean` and :func:`block_sums`
+dispatch on the register type, so a driver calls the same kernels on
+either form.  Every readout writes the register out first:
+:meth:`DeferredState.write_out` folds ``alpha`` and ``beta`` into the
+buffer in one pass and returns it as a :class:`StateVector`.
 
 Kernels never renormalize a state and never re-check its norm: the
 reflections implemented here preserve it by construction.  The one norm
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -104,6 +116,108 @@ class StateVector:
 
     def copy(self) -> StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
+
+    def write_out(self) -> StateVector:
+        """The register with every amplitude stored: a dense one already is."""
+        return self
+
+
+class DeferredState:
+    """An ``r``-qubit register kept as ``alpha*x + beta[block]`` (see the module notes).
+
+    Takes over the buffer of ``state`` as ``x``: the kernels write into
+    it, so keep using this register, not ``state``.  ``beta`` holds one
+    offset per block of ``mask``, the finest block mask an inversion has
+    used; ``sums`` holds the true amplitude sum of each of those blocks,
+    or None until an inversion needs them.
+    """
+
+    def __init__(self, state: StateVector) -> None:
+        self.num_qubits = state.num_qubits
+        self.x = state.amplitudes
+        self.alpha = 1.0
+        self.mask = 0
+        self.beta = np.zeros((1,) * state.num_qubits, dtype=self.x.dtype)
+        self.sums: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.num_qubits
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """A read-only stand-in with the register's shape, dtype and ``nbytes``.
+
+        The amplitudes are not stored until :meth:`write_out`, so every
+        entry is NaN: code that sizes a register works on either form,
+        and code that reads values here instead gets NaN, which the
+        readout's norm check rejects.
+        """
+        return np.broadcast_to(np.array(np.nan, dtype=self.x.dtype), self.x.shape)
+
+    def write_out(self) -> StateVector:
+        """Fold ``alpha`` and ``beta`` into the buffer in one pass; return it.
+
+        The returned :class:`StateVector` shares the buffer, so it is the
+        register from then on.  The sums stay valid.
+        """
+        view = self.x.reshape((2,) * self.num_qubits)
+        if self.alpha < 0:
+            np.subtract(self.beta, view, out=view)
+        elif self.beta.any():
+            view += self.beta
+        self.alpha = 1.0
+        self.beta = np.zeros_like(self.beta)
+        return StateVector(self.num_qubits, self.x)
+
+    def probabilities(self) -> np.ndarray:
+        """As :meth:`StateVector.probabilities`, after writing the register out."""
+        return self.write_out().probabilities()
+
+    def copy(self) -> DeferredState:
+        clone = DeferredState(StateVector(self.num_qubits, self.x.copy()))
+        clone.alpha, clone.mask, clone.beta = self.alpha, self.mask, self.beta.copy()
+        clone.sums = None if self.sums is None else self.sums.copy()
+        return clone
+
+    def _block_sums(self, block_mask: int) -> np.ndarray:
+        """True block sums of ``block_mask``, shaped as :func:`block_sums` returns them.
+
+        Adds up the sums held when ``block_mask`` is no finer than
+        ``mask``.  Otherwise first moves the offsets and sums to the
+        union of both masks, with one read of the buffer.  The result
+        may be the held array itself.
+        """
+        r = self.num_qubits
+        free_axes = _free_axes(r, block_mask)
+        if self.sums is None or block_mask & ~self.mask:
+            self.mask |= block_mask
+            x_sums = _sum_blocks(self.x, r, self.mask)
+            self.beta = np.broadcast_to(self.beta, x_sums.shape).copy()
+            self.sums = self.alpha * x_sums + (self.dim // x_sums.size) * self.beta
+        if block_mask == self.mask:
+            return self.sums
+        merged = tuple(ax for ax in free_axes if self.sums.shape[ax] == 2)
+        return self.sums.sum(axis=merged, keepdims=True)
+
+    def _flip_one(self, index: int) -> None:
+        """Negate amplitude ``index``: one entry of ``x``, one block sum."""
+        # The flat position of the index's block in beta and sums: its
+        # bits on ``mask``, from the most significant down.
+        cell, rest = 0, self.mask
+        while rest:
+            top = rest.bit_length() - 1
+            cell = (cell << 1) | (index >> top) & 1
+            rest ^= 1 << top
+        offset = self.beta.flat[cell]
+        amplitude = self.alpha * self.x[index] + offset
+        self.x[index] = -self.x[index] - 2 * self.alpha * offset
+        if self.sums is not None:
+            self.sums.flat[cell] -= 2 * amplitude
+
+
+# What the kernels take and return: a register in either form.
+Register = StateVector | DeferredState
 
 
 @dataclass(frozen=True)
@@ -209,33 +323,30 @@ def uniform_state(r: int) -> StateVector:
     return StateVector(r, np.full(n, 1.0 / math.sqrt(n)))
 
 
-def phase_flip(
-    state: StateVector, pred: BasisPredicate, sums: np.ndarray | None = None
-) -> StateVector:
+def phase_flip(state: Register, pred: BasisPredicate) -> Register:
     """Negate, in place, the amplitude of every basis state matching ``pred``.
 
     Returns ``state`` itself.  Self-inverse and norm-preserving; an empty
-    mask applies a global phase of -1.  Given ``sums`` from
-    :func:`block_sums`, adds twice the flipped amplitude's new value to
-    the sum of its block, so the sums stay those of ``state``.  Carried
-    sums follow a single flipped amplitude only: ``pred`` must fix every
-    qubit, as the single-target oracle does.
+    mask applies a global phase of -1.  A :class:`DeferredState` follows
+    a single flipped amplitude without touching the rest of the register;
+    a wider flip writes it out and drops its sums.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
-    if sums is not None and pred.fixed_mask != (1 << r) - 1:
-        raise ValueError(
-            f"carried sums need a single-amplitude predicate, got mask {pred.fixed_mask:#x}"
-        )
+    if isinstance(state, DeferredState):
+        if pred.fixed_mask == (1 << r) - 1:
+            state._flip_one(pred.fixed_value)
+        else:
+            phase_flip(state.write_out(), pred)
+            state.sums = None
+        return state
     view = state.amplitudes.reshape((2,) * r)
-    sel = _axis_selector(r, pred.fixed_mask, pred.fixed_value)
-    view[sel] *= -1
-    if sums is not None:
-        sums[tuple(s if n == 2 else 0 for s, n in zip(sel, sums.shape))] += 2 * view[sel]
+    view[_axis_selector(r, pred.fixed_mask, pred.fixed_value)] *= -1
     return state
 
 
+@lru_cache(maxsize=256)
 def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
     """Axes of the ``(2,)*r`` view that index positions inside a block."""
     if block_mask >> r:
@@ -243,21 +354,25 @@ def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
     return tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
 
 
-def block_sums(state: StateVector, block_mask: int = 0) -> np.ndarray:
-    """Amplitude sum of every block of ``block_mask``, in one read.
+def _sum_blocks(amplitudes: np.ndarray, r: int, block_mask: int) -> np.ndarray:
+    """One read of ``amplitudes``: the keepdims-shaped sum of every block."""
+    return amplitudes.reshape((2,) * r).sum(axis=_free_axes(r, block_mask), keepdims=True)
+
+
+def block_sums(state: Register, block_mask: int = 0) -> np.ndarray:
+    """Amplitude sum of every block of ``block_mask``.
 
     Keepdims-shaped against the ``(2,)*r`` view: size 1 on the axes a
-    block spans, size 2 on the masked axes.  This is the ``sums``
-    argument :func:`invert_about_mean` and :func:`phase_flip` take.
+    block spans, size 2 on the masked axes.  A :class:`StateVector` is
+    read once; a :class:`DeferredState` answers from the sums it holds,
+    and reads its buffer only for a mask finer than any it has used.
     """
-    r = state.num_qubits
-    arr = state.amplitudes.reshape((2,) * r)
-    return arr.sum(axis=_free_axes(r, block_mask), keepdims=True)
+    if isinstance(state, DeferredState):
+        return state._block_sums(block_mask).copy()
+    return _sum_blocks(state.amplitudes, state.num_qubits, block_mask)
 
 
-def invert_about_mean(
-    state: StateVector, block_mask: int = 0, sums: np.ndarray | None = None
-) -> StateVector:
+def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
     """Replace, in place, every amplitude ``a`` with ``2*mean - a`` within its block.
 
     Blocks are the groups of basis states sharing the same value on the
@@ -267,29 +382,32 @@ def invert_about_mean(
     identity.  Applying the same mask twice restores the input.  Returns
     ``state`` itself.
 
-    Given ``sums`` (from :func:`block_sums`, carried through
-    :func:`phase_flip`), the block means come from them and the register
-    is read once; the inversion leaves them correct for the result.
-    Without, they are read from the register first.  Sums not shaped
-    for ``block_mask`` raise ``ValueError``.
+    A :class:`StateVector` is read for its block sums and then written
+    once.  A :class:`DeferredState` negates ``alpha`` and rewrites its
+    offsets and sums from the sums of ``block_mask``, which the inversion
+    leaves unchanged.
     """
     r = state.num_qubits
-    arr = state.amplitudes.reshape((2,) * r)
-    free_axes = _free_axes(r, block_mask)
-    if not free_axes:
+    if not _free_axes(r, block_mask):
         return state
-    if sums is None:
-        sums = arr.sum(axis=free_axes, keepdims=True)
-    elif sums.shape != tuple(1 if ax in free_axes else 2 for ax in range(r)):
-        raise ValueError(
-            f"sums of shape {sums.shape} are not the block sums of mask {block_mask:#x}"
-        )
+    if isinstance(state, DeferredState):
+        sums = state._block_sums(block_mask)
+        twice_means = sums * (2.0 * sums.size / state.dim)
+        np.subtract(twice_means, state.beta, out=state.beta)
+        if block_mask != state.mask:
+            # A held block of n amplitudes inside a coarser one: S -> 2*mean*n - S.
+            n = state.dim // state.sums.size
+            np.subtract(twice_means * n, state.sums, out=state.sums)
+        state.alpha = -state.alpha
+        return state
+    sums = _sum_blocks(state.amplitudes, r, block_mask)
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
+    arr = state.amplitudes.reshape((2,) * r)
     np.subtract(sums * (2.0 * sums.size / state.dim), arr, out=arr)
     return state
 
 
-def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
+def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
     """Draw ``shots`` independent basis-state indices with probability |a|^2.
 
     Deterministic for a fixed ``seed``, and the same draws as

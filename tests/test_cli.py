@@ -215,6 +215,20 @@ def test_run_rejects_zero_jobs(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["search", "predict"])
+def test_gs_on_one_qubit_needs_no_block_size(capsys, command):
+    # GS never uses b, so the default block size must not reject a 2-state register.
+    code, out, err = run_cli(capsys, [command, "--qubits", "1", "--algo", "GS"])
+    assert code == 0, err
+    payload = json.loads(out)
+    if command == "search":
+        # One iteration over two states leaves the target at probability 1/2.
+        assert payload["outcome"]["oracle_calls"] == 1
+        assert payload["outcome"]["certainty"] == pytest.approx(0.5, abs=1e-12)
+    else:
+        assert payload["layers"] == 1 and payload["b"] == 2
+
+
 def test_search_rejects_infeasible_grk_block_size(capsys):
     code, out, err = run_cli(
         capsys, ["search", "--qubits", "3", "--algo", "GRK", "--block-size", "8"]

@@ -146,6 +146,27 @@ def test_global_iteration_allocates_no_register():
     assert peak < 64 * 1024
 
 
+def test_deferred_iteration_touches_one_entry_and_allocates_no_register():
+    # One deferred iteration at r = 20, after the sums are read: under
+    # 64 KiB traced, and one buffer entry changed, for the block-local
+    # mask and for the coarser global one.
+    r = 20
+    oracle = gb.OracleSpec(r, 700_001)
+    local = gb.segment_mask(r, 0, 1)
+    state = gb.grover_iteration(gb.DeferredState(gb.uniform_state(r)), oracle, local)
+    for mask in (local, 0):
+        before = state.x.copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gb.grover_iteration(state, oracle, mask)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert np.count_nonzero(state.x != before) <= 1
+
+
 def test_query_accounting_matches_invocations():
     oracle = gb.OracleSpec(5, 17)
     state = gb.uniform_state(5)
@@ -184,6 +205,15 @@ def test_dense_equivalence_segment_conditioned_oracle():
         np.testing.assert_allclose(actual, expected, atol=1e-10)
 
 
+def random_register(draw, n: int) -> gb.StateVector:
+    """A random normalized register on ``n`` qubits, real or complex."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    amps = rng.normal(size=1 << n)
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=1 << n)
+    return gb.StateVector(n, amps / np.linalg.norm(amps))
+
+
 @st.composite
 def carried_runs(draw):
     """A state, a single-target oracle, a diffusion mask, a length.
@@ -209,11 +239,7 @@ def carried_runs(draw):
     det_value = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & det_mask
     top_k = gb.segment_mask(n, 0, draw(st.integers(min_value=0, max_value=n - 1)))
     diffusion_mask = draw(st.sampled_from(diffusion_masks + [top_k]))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    amps = rng.normal(size=1 << n)
-    if draw(st.booleans()):
-        amps = amps + 1j * rng.normal(size=1 << n)
-    state = gb.StateVector(n, amps / np.linalg.norm(amps))
+    state = random_register(draw, n)
     oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, det_value)
     return state, oracle, diffusion_mask, draw(st.integers(min_value=1, max_value=8))
 
@@ -221,26 +247,76 @@ def carried_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(carried_runs())
 def test_property_carried_sums_match_uncarried_iterations(run):
+    # The deferred register carries its block sums; the dense one re-reads them.
     state, oracle, mask, steps = run
     plain = state.copy()
-    sums = gb.block_sums(state, mask)
+    deferred = gb.DeferredState(state)
     for _ in range(steps):
-        state = gb.grover_iteration(state, oracle, mask, sums)
+        deferred = gb.grover_iteration(deferred, oracle, mask)
         plain = gb.grover_iteration(plain, oracle, mask)
-    np.testing.assert_allclose(state.amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sums, gb.block_sums(state, mask), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
+
+
+@st.composite
+def mask_switching_runs(draw):
+    """A full register, any segment oracle, and one diffusion mask per step.
+
+    The oracle's determined bits are any subset of the rest of the
+    register, so it marks one amplitude or a whole sub-block.  Each step
+    diffuses globally, within the top-k blocks, or within the blocks of
+    the segment's complement.
+    """
+    r = draw(st.integers(min_value=2, max_value=6))
+    lo = draw(st.integers(min_value=0, max_value=r - 1))
+    hi = draw(st.integers(min_value=lo, max_value=r - 1))
+    seg = gb.segment_mask(r, lo, hi)
+    target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
+    det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
+    oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, target & det_mask)
+    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
+    masks = st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg])
+    steps = draw(st.lists(masks, min_size=1, max_size=8))
+    return random_register(draw, r), oracle, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_switching_runs())
+def test_property_deferred_iterations_match_dense_across_mask_switches(run):
+    state, oracle, masks = run
+    plain = state.copy()
+    deferred = gb.DeferredState(state)
+    for mask in masks:
+        deferred = gb.grover_iteration(deferred, oracle, mask)
+        plain = gb.grover_iteration(plain, oracle, mask)
+        np.testing.assert_allclose(
+            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
+        )
+    np.testing.assert_allclose(
+        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
 
 
 def test_carried_sums_reject_a_multi_amplitude_oracle():
-    # A segment oracle on the full register marks a sub-block; carried sums
-    # follow a single flipped amplitude only.
+    # A segment oracle on the full register marks a sub-block; a deferred
+    # register drops its carried sums for it and writes itself out, so it
+    # stays equal to the dense iteration.
     oracle = gb.OracleSpec(4, 0b0110, (0, 1))
-    state = gb.uniform_state(4)
-    sums = gb.block_sums(state)
-    with pytest.raises(ValueError, match="single-amplitude"):
-        gb.grover_iteration(state, oracle, 0, sums)
-    np.testing.assert_array_equal(state.amplitudes, gb.uniform_state(4).amplitudes)
-    np.testing.assert_array_equal(sums, gb.block_sums(state))
+    plain = gb.uniform_state(4)
+    state = gb.DeferredState(gb.uniform_state(4))
+    for mask in (0, 0b0011, 0):
+        plain = gb.grover_iteration(plain, oracle, mask)
+        state = gb.grover_iteration(state, oracle, mask)
+    for register in (plain, state):
+        oracle.apply(register)
+    assert state.sums is None and state.alpha == 1 and not state.beta.any()
+    np.testing.assert_allclose(
+        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
+    )
 
 
 def test_first_iteration_marked_amplitude_closed_form():

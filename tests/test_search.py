@@ -212,20 +212,67 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
 
 @pytest.mark.parametrize("algorithm, reads", [("GS", 1), ("GRK", 2)])
 def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
-    # GS carries one global sum; GRK reads it for the burn-in and the block
-    # sums for the local phase, and its cleanup adds those up.
-    import groverbench.search as search
+    # The deferred register reads GS's one global sum; GRK reads it for the
+    # burn-in and the block sums for the local phase, and its cleanup adds
+    # those up.
+    import groverbench.statevector as statevector
 
     calls = []
-    real = search.block_sums
+    real = statevector._sum_blocks
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(search, "block_sums", counting)
+    monkeypatch.setattr(statevector, "_sum_blocks", counting)
     gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
     assert len(calls) == reads
+
+
+@pytest.mark.parametrize("algorithm", ["GS", "GRK"])
+def test_deferred_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
+    # The state each driver samples, against Grover's two-class law (GS) or
+    # the three-class block-partial recurrence (GRK).
+    r, b, target = 22, 4, 3_141_592
+    n = 1 << r
+    seen = sampled_state(monkeypatch)
+    config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b, shots=64, seed=3)
+    outcome = gb.run_search(config)
+    if algorithm == "GS":
+        angle = (2 * gb.optimal_iterations(n) + 1) * gb.grover_angle(n)
+        expected = np.full(n, math.cos(angle) / math.sqrt(n - 1))
+        expected[target] = math.sin(angle)
+        certainty = math.sin(angle) ** 2
+    else:
+        a, b_amp, g = grk_reference_amplitudes(n, b, *_grk_schedule(r, b))
+        partition = gb.BlockPartition(r, b)
+        size = partition.block_size
+        block = partition.block_of(target)
+        expected = np.full(n, g)
+        expected[block * size : (block + 1) * size] = b_amp
+        expected[target] = a
+        certainty = a**2 + (size - 1) * b_amp**2
+    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    assert outcome.certainty == pytest.approx(certainty, abs=1e-9)
+
+
+def test_dense_and_deferred_iterations_agree_at_r22():
+    # The dense kernels stay the checked code at r = 22: a few global and
+    # block-local iterations from a random real state, both ways.
+    r = 22
+    rng = np.random.default_rng(22)
+    amps = rng.normal(size=1 << r)
+    amps /= np.linalg.norm(amps)
+    plain = gb.StateVector(r, amps)
+    deferred = gb.DeferredState(plain.copy())
+    oracle = gb.OracleSpec(r, 1_234_567)
+    local = gb.segment_mask(r, 0, 1)
+    for mask in (0, 0, local, local, 0):
+        plain = gb.grover_iteration(plain, oracle, mask)
+        deferred = gb.grover_iteration(deferred, oracle, mask)
+    np.testing.assert_allclose(
+        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
 
 
 def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
@@ -250,6 +297,35 @@ def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
     gb.run_standard_grover(gb.SearchConfig(r=8, target=200, shots=16))
     reps = gb.optimal_iterations(256)
     assert calls == {"grover_iteration": reps, "phase_flip": reps, "invert_about_mean": reps}
+
+
+def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
+    # perfbench/tracing.py times these lookups: one call of each per oracle
+    # query, and one register and one sampling per run.
+    import groverbench.ops as ops
+    import groverbench.search as search
+
+    calls = {}
+
+    def counter(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("grover_iteration", "uniform_state", "sample"):
+        counter(search, name)
+    counter(ops, "phase_flip")
+    counter(ops, "invert_about_mean")
+    _, outcome = gb.run_grk_partial(gb.SearchConfig(r=8, target=200, algorithm="GRK", shots=16))
+    queries = outcome.oracle_calls
+    assert calls == {
+        "grover_iteration": queries, "phase_flip": queries, "invert_about_mean": queries,
+        "uniform_state": 1, "sample": 1,
+    }
 
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])

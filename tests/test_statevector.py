@@ -163,10 +163,12 @@ def test_invert_matches_brute_force(block_mask):
 def test_invert_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.invert_about_mean(gb.uniform_state(2), 0b100)
+    with pytest.raises(ValueError):
+        gb.invert_about_mean(gb.DeferredState(gb.uniform_state(2)), 0b100)
 
 
 # ---------------------------------------------------------------------------
-# block_sums and carried sums
+# block_sums and the deferred register
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
@@ -184,45 +186,105 @@ def test_block_sums_match_brute_force(block_mask):
 def test_block_sums_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.block_sums(gb.uniform_state(2), 0b100)
+    with pytest.raises(ValueError):
+        gb.block_sums(gb.DeferredState(gb.uniform_state(2)), 0b100)
+
+
+def fresh_sums(state: gb.DeferredState, block_mask: int) -> np.ndarray:
+    """Block sums read from a written-out copy, leaving ``state`` as it is."""
+    return gb.block_sums(state.copy().write_out(), block_mask)
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
 def test_kernels_keep_given_sums_current(block_mask):
-    # Every single-amplitude flip on 4 qubits: the flip updates the sums in
-    # place, the inversion leaves them as they are, and both match a fresh read.
+    # Every single-amplitude flip on a deferred 4-qubit register, between
+    # two inversions: the flip updates the register's sums, the inversion
+    # leaves them as they are, and both match a fresh read.
     for value in range(16):
-        state = random_state(4, value)
-        sums = gb.block_sums(state, block_mask)
-        gb.phase_flip(state, gb.BasisPredicate(0b1111, value), sums)
-        np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
-        expected = brute_invert(state, block_mask)
-        gb.invert_about_mean(state, block_mask, sums)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
-        np.testing.assert_allclose(sums, gb.block_sums(state, block_mask), atol=1e-14)
+        state = gb.DeferredState(random_state(4, value))
+        expected = brute_invert(random_state(4, value), block_mask)
+        gb.invert_about_mean(state, block_mask)
+        expected[value] *= -1
+        gb.phase_flip(state, gb.BasisPredicate(0b1111, value))
+        np.testing.assert_allclose(
+            gb.block_sums(state, block_mask), fresh_sums(state, block_mask), atol=1e-14
+        )
+        expected = brute_invert(gb.StateVector(4, expected), block_mask)
+        gb.invert_about_mean(state, block_mask)
+        np.testing.assert_allclose(
+            gb.block_sums(state, block_mask), fresh_sums(state, block_mask), atol=1e-14
+        )
+        np.testing.assert_allclose(state.write_out().amplitudes, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b1110])
 def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
-    state = random_state(4, 11)
-    before = state.amplitudes.copy()
-    sums = gb.block_sums(state)
-    with pytest.raises(ValueError, match="single-amplitude"):
-        gb.phase_flip(state, gb.BasisPredicate(mask, 0), sums)
-    np.testing.assert_array_equal(state.amplitudes, before)
-    np.testing.assert_array_equal(sums, gb.block_sums(state))
+    # A deferred register does not carry its sums through a flip of more
+    # than one amplitude: it writes itself out, runs the dense kernel and
+    # drops them, to be read again at the next inversion.
+    plain = random_state(4, 11)
+    state = gb.DeferredState(plain.copy())
+    pred = gb.BasisPredicate(mask, 0)
+    for register in (plain, state):
+        gb.invert_about_mean(register, 0b1100)
+        gb.phase_flip(register, pred)
+    assert state.alpha == 1 and not state.beta.any() and state.sums is None
+    np.testing.assert_allclose(state.x, plain.amplitudes, rtol=0, atol=1e-15)
+    for register in (plain, state):
+        gb.invert_about_mean(register, 0)
+    np.testing.assert_allclose(
+        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
+    )
 
 
 @pytest.mark.parametrize(
     "sums_r, sums_mask, block_mask",
     [(4, 0, 0b1100), (4, 0b1100, 0), (4, 0b1100, 0b0011), (4, 0b1000, 0b0001), (3, 0, 0)],
 )
-def test_invert_rejects_sums_of_another_mask(sums_r, sums_mask, block_mask):
-    state = random_state(4, 12)
-    before = state.amplitudes.copy()
-    sums = gb.block_sums(random_state(sums_r, 12), sums_mask)
-    with pytest.raises(ValueError, match="block sums of mask"):
-        gb.invert_about_mean(state, block_mask, sums)
-    np.testing.assert_array_equal(state.amplitudes, before)
+def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, block_mask):
+    # A deferred register holding the sums of ``sums_mask`` never inverts
+    # about ``block_mask`` with them: a coarser mask adds them up, and any
+    # other reads the buffer once.  The last case keeps its mask.
+    import groverbench.statevector as statevector
+
+    plain = random_state(sums_r, 12)
+    state = gb.DeferredState(plain.copy())
+    for register in (plain, state):
+        gb.invert_about_mean(register, sums_mask)
+    reads = []
+    real = statevector._sum_blocks
+
+    def counting(*args):
+        reads.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(statevector, "_sum_blocks", counting)
+    for register in (plain, state):
+        gb.invert_about_mean(register, block_mask)
+    assert len(reads) == 1 + bool(block_mask & ~sums_mask)  # the first is the dense read
+    for mask in (sums_mask, block_mask):
+        np.testing.assert_allclose(
+            gb.block_sums(state, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-14
+        )
+    np.testing.assert_allclose(
+        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
+    )
+
+
+def test_deferred_register_reads_out_only_written_amplitudes():
+    # The readouts go through write_out; the amplitudes stand-in holds no values.
+    plain = random_state(3, 4)
+    state = gb.DeferredState(plain.copy())
+    for register in (plain, state):
+        gb.invert_about_mean(register, 0b100)
+        gb.phase_flip(register, gb.BasisPredicate(0b111, 5))
+    copy = state.copy()
+    assert state.amplitudes.nbytes == plain.amplitudes.nbytes
+    assert state.amplitudes.dtype == plain.amplitudes.dtype
+    assert np.isnan(state.amplitudes).all()
+    np.testing.assert_allclose(state.probabilities(), plain.probabilities(), atol=1e-15)
+    np.testing.assert_allclose(copy.write_out().amplitudes, plain.amplitudes, atol=1e-15)
+    assert gb.sample(copy, 64, 3).counts == gb.sample(plain, 64, 3).counts
 
 
 # ---------------------------------------------------------------------------
