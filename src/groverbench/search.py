@@ -456,7 +456,9 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     # sample() has checked the norm; the certainty needs the target block only.
     size = partition.block_size
     amps = state.amplitudes[target_block * size : (target_block + 1) * size]
-    block_probability = float(np.vdot(amps, amps).real)
+    # einsum, not vdot: a BLAS dot this long wakes OpenBLAS worker threads,
+    # which then spin on the other cores into the next call.
+    block_probability = float(np.einsum("i,i->", amps.conj(), amps).real)
     outcome = SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=block_hits / config.shots,
