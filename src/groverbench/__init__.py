@@ -63,6 +63,7 @@ from .statevector import (
     operator_matrix,
     phase_flip,
     place_segment,
+    probability,
     sample,
     segment_mask,
     state_from_pairs,

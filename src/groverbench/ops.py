@@ -18,6 +18,7 @@ from enum import Enum
 from .statevector import (
     BasisPredicate,
     Register,
+    _check_qubits,
     extract_segment,
     invert_about_mean,
     phase_flip,
@@ -45,7 +46,9 @@ class OracleSpec:
     single-target oracle.  ``query_count`` increments by exactly one per
     application, whether the oracle acts on the full register, on a
     compact working register holding just the segment subspace, or as a
-    classical index probe.
+    classical index probe.  The predicate for each register form is
+    built once, at its first use, not per query; a layered search uses
+    only one of them, so neither is built before it is needed.
     """
 
     r: int
@@ -66,6 +69,8 @@ class OracleSpec:
             raise ValueError("active segment overlaps determined bits")
         if self.determined_value & ~self.determined_mask:
             raise ValueError("determined value has bits outside its mask")
+        self._flip: BasisPredicate | None = None
+        self._compact: BasisPredicate | None = None
 
     @property
     def segment_width(self) -> int:
@@ -80,12 +85,14 @@ class OracleSpec:
 
     def flip_predicate(self) -> BasisPredicate:
         """Full-register predicate for the states that get their sign flipped."""
-        lo, hi = self.active_segment
-        seg = segment_mask(self.r, lo, hi)
-        return BasisPredicate(
-            seg | self.determined_mask,
-            (self.target & seg) | self.determined_value,
-        )
+        if self._flip is None:
+            lo, hi = self.active_segment
+            seg = segment_mask(self.r, lo, hi)
+            self._flip = BasisPredicate(
+                seg | self.determined_mask,
+                (self.target & seg) | self.determined_value,
+            )
+        return self._flip
 
     def apply(self, state: Register) -> Register:
         """One oracle query: sign-flip the marked amplitudes of ``state``.
@@ -99,9 +106,9 @@ class OracleSpec:
         if state.num_qubits == self.r:
             return phase_flip(state, self.flip_predicate())
         if state.num_qubits == self.segment_width:
-            width = self.segment_width
-            pred = BasisPredicate((1 << width) - 1, self.segment_value)
-            return phase_flip(state, pred)
+            if self._compact is None:
+                self._compact = BasisPredicate((1 << self.segment_width) - 1, self.segment_value)
+            return phase_flip(state, self._compact)
         raise ValueError(
             f"state on {state.num_qubits} qubits matches neither the full register "
             f"({self.r}) nor the segment width ({self.segment_width})"
@@ -299,6 +306,7 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
 
     Rejects the same ``(r, b)`` the drivers reject.
     """
+    _check_qubits(r)
     algorithm = Algorithm(algorithm)
     _check_block_size(r, b, algorithm)
     n = 1 << r

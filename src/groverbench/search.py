@@ -12,9 +12,11 @@ Four drivers share the kernel layer:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
-GS and GRK flip one amplitude per query, so they iterate on a
-:class:`~groverbench.statevector.DeferredState`, which makes each step
-O(1) work, and write it out once, before sampling.
+GS and GRK flip one amplitude per query, so they run on a
+:meth:`~groverbench.statevector.DeferredState.uniform` register, which
+makes each step O(1) work and is never written out: :func:`sample` and
+:func:`probability` read the measurement and the certainty from its few
+amplitude classes, so neither driver allocates a ``2**r`` array.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from a fresh register: measuring a segment's bits leaves
@@ -49,11 +51,13 @@ from .ops import (
     optimal_iterations,
 )
 from .statevector import (
+    BasisPredicate,
     DeferredState,
     StateVector,
     _axis_selector,
     _check_qubits,
     place_segment,
+    probability,
     sample,
     segment_mask,
     uniform_state,
@@ -311,15 +315,13 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
-    state = DeferredState(uniform_state(config.r))
+    state = DeferredState.uniform(config.r)
     reps = optimal_iterations(1 << config.r)
     for _ in range(reps):
         state = grover_iteration(state, oracle)
-    state = state.write_out()
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
-    # sample() has checked the norm; the certainty needs one amplitude.
-    certainty = float(abs(state.amplitudes[config.target]) ** 2)
+    certainty = probability(state, oracle.flip_predicate())
     return SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=histogram.fraction(config.target),
@@ -433,13 +435,12 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     oracle = OracleSpec(config.r, config.target)
-    state = DeferredState(uniform_state(config.r))
+    state = DeferredState.uniform(config.r)
     for _ in range(t_global):
         state = grover_iteration(state, oracle)
     for _ in range(t_local):
         state = grover_iteration(state, oracle, partition.block_mask)
     state = grover_iteration(state, oracle)  # global cleanup
-    state = state.write_out()
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
 
@@ -453,12 +454,8 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
             block_hits += count
     resolved = min(block_votes, key=lambda blk: (-block_votes[blk], blk))
 
-    # sample() has checked the norm; the certainty needs the target block only.
-    size = partition.block_size
-    amps = state.amplitudes[target_block * size : (target_block + 1) * size]
-    # einsum, not vdot: a BLAS dot this long wakes OpenBLAS worker threads,
-    # which then spin on the other cores into the next call.
-    block_probability = float(np.einsum("i,i->", amps.conj(), amps).real)
+    mask = partition.block_mask
+    block_probability = probability(state, BasisPredicate(mask, config.target & mask))
     outcome = SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=block_hits / config.shots,

@@ -36,14 +36,26 @@ more than one amplitude writes the register out and runs the dense
 kernel, and the sums are read again at the next inversion.
 :func:`phase_flip`, :func:`invert_about_mean` and :func:`block_sums`
 dispatch on the register type, so a driver calls the same kernels on
-either form.  Every readout writes the register out first:
-:meth:`DeferredState.write_out` folds ``alpha`` and ``beta`` into the
-buffer in one pass and returns it as a :class:`StateVector`.
+either form.  :meth:`DeferredState.write_out` folds ``alpha`` and
+``beta`` into the buffer in one pass and returns it as a
+:class:`StateVector`.
+
+:meth:`DeferredState.uniform` starts a register with no buffer: ``x`` is
+a constant ``fill`` plus a dict of the entries the oracle has written,
+and only :meth:`~DeferredState.write_out` allocates it.  Such a register
+has few amplitude classes (Boyer, Brassard, Hoyer & Tapp,
+quant-ph/9605034): each written entry, and the untouched members of each
+block, which share one amplitude.  A finer block mask then computes its
+sums from the classes, and :func:`probability` and :func:`sample` read
+them in O(classes) and O(shots + classes) work, so a single-target
+search runs and reads out without any ``2**r`` array.  Any other
+register is read out through its probabilities.
 
 Kernels never renormalize a state and never re-check its norm: the
-reflections implemented here preserve it by construction.  The one norm
-check is in :meth:`StateVector.probabilities`, the readout every driver
-passes through (sampling, certainties, block and segment marginals).  It
+reflections implemented here preserve it by construction.  The norm
+check is in :meth:`StateVector.probabilities`, the readout of every
+register with a buffer (sampling, certainties, block and segment
+marginals), and in the class readouts of a register without one.  It
 rejects a state whose norm has drifted, so a normalization failure
 always points at a bug in the caller instead of being silently masked,
 and it raises the same way under ``python -O``.
@@ -51,6 +63,7 @@ and it raises the same way under ``python -O``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,6 +80,16 @@ NORM_TOL = 1e-8
 def _check_qubits(r: int) -> None:
     if not 1 <= r <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {r}")
+
+
+def _check_norm(mass: float) -> None:
+    """Reject a total probability ``mass`` whose norm is off 1 beyond ``NORM_TOL``, or NaN."""
+    norm = math.sqrt(mass)
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
+        raise ValueError(
+            f"state norm {norm:.12f} deviates from 1 beyond {NORM_TOL}; "
+            "refusing to read out an unnormalized state"
+        )
 
 
 @dataclass
@@ -106,12 +129,7 @@ class StateVector:
         signals an upstream kernel bug.
         """
         probs = np.abs(self.amplitudes) ** 2
-        norm = math.sqrt(float(probs.sum()))
-        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
-            raise ValueError(
-                f"state norm {norm:.12f} deviates from 1 beyond {NORM_TOL}; "
-                "refusing to read out an unnormalized state"
-            )
+        _check_norm(float(probs.sum()))
         return probs
 
     def copy(self) -> StateVector:
@@ -125,19 +143,37 @@ class StateVector:
 class DeferredState:
     """An ``r``-qubit register kept as ``alpha*x + beta[block]`` (see the module notes).
 
-    Takes over the buffer of ``state`` as ``x``: the kernels write into
-    it, so keep using this register, not ``state``.  ``beta`` holds one
-    offset per block of ``mask``, the finest block mask an inversion has
-    used; ``sums`` holds the true amplitude sum of each of those blocks,
-    or None until an inversion needs them.
+    ``DeferredState(state)`` takes over the buffer of ``state`` as ``x``:
+    the kernels write into it, so keep using this register, not
+    ``state``.  :meth:`uniform` starts from the equal superposition with
+    no buffer at all: ``x`` is None, and its entries are ``fill`` except
+    the ones in ``written``, the entries the oracle has flipped.
+    :meth:`write_out` is the one place a buffer is allocated.  ``beta``
+    holds one offset per block of ``mask``, the finest block mask an
+    inversion has used; ``sums`` holds the true amplitude sum of each of
+    those blocks, or None until an inversion needs them.
     """
 
     def __init__(self, state: StateVector) -> None:
-        self.num_qubits = state.num_qubits
-        self.x = state.amplitudes
+        self._start(state.num_qubits, state.amplitudes, fill=0.0)
+
+    @classmethod
+    def uniform(cls, r: int) -> DeferredState:
+        """Equal superposition over all ``2**r`` basis states, with no buffer."""
+        _check_qubits(r)
+        register = cls.__new__(cls)
+        register._start(r, None, fill=1.0 / math.sqrt(1 << r))
+        return register
+
+    def _start(self, r: int, x: np.ndarray | None, fill: float) -> None:
+        self.num_qubits = r
+        self.x = x
+        self.dtype = np.dtype(np.float64) if x is None else x.dtype
+        self.fill = fill
+        self.written: dict[int, float] = {}
         self.alpha = 1.0
         self.mask = 0
-        self.beta = np.zeros((1,) * state.num_qubits, dtype=self.x.dtype)
+        self.beta = np.zeros((1,) * r, dtype=self.dtype)
         self.sums: np.ndarray | None = None
 
     @property
@@ -153,14 +189,20 @@ class DeferredState:
         and code that reads values here instead gets NaN, which the
         readout's norm check rejects.
         """
-        return np.broadcast_to(np.array(np.nan, dtype=self.x.dtype), self.x.shape)
+        return np.broadcast_to(np.array(np.nan, dtype=self.dtype), (self.dim,))
 
     def write_out(self) -> StateVector:
         """Fold ``alpha`` and ``beta`` into the buffer in one pass; return it.
 
-        The returned :class:`StateVector` shares the buffer, so it is the
-        register from then on.  The sums stay valid.
+        Allocates the buffer first when there is none.  The returned
+        :class:`StateVector` shares the buffer, so it is the register
+        from then on.  The sums stay valid.
         """
+        if self.x is None:
+            self.x = np.full(self.dim, self.fill, dtype=self.dtype)
+            for index, value in self.written.items():
+                self.x[index] = value
+            self.written = {}
         view = self.x.reshape((2,) * self.num_qubits)
         if self.alpha < 0:
             np.subtract(self.beta, view, out=view)
@@ -175,8 +217,10 @@ class DeferredState:
         return self.write_out().probabilities()
 
     def copy(self) -> DeferredState:
-        clone = DeferredState(StateVector(self.num_qubits, self.x.copy()))
-        clone.alpha, clone.mask, clone.beta = self.alpha, self.mask, self.beta.copy()
+        clone = copy.copy(self)
+        clone.x = None if self.x is None else self.x.copy()
+        clone.written = dict(self.written)
+        clone.beta = self.beta.copy()
         clone.sums = None if self.sums is None else self.sums.copy()
         return clone
 
@@ -185,14 +229,25 @@ class DeferredState:
 
         Adds up the sums held when ``block_mask`` is no finer than
         ``mask``.  Otherwise first moves the offsets and sums to the
-        union of both masks, with one read of the buffer.  The result
-        may be the held array itself.
+        union of both masks: with one read of the buffer, or, with no
+        buffer, from ``fill`` and the written entries.  The result may be
+        the held array itself.
         """
         r = self.num_qubits
         free_axes = _free_axes(r, block_mask)
         if self.sums is None or block_mask & ~self.mask:
             self.mask |= block_mask
-            x_sums = _sum_blocks(self.x, r, self.mask)
+            if self.x is None:
+                free = _free_axes(r, self.mask)
+                shape = tuple(1 if ax in free else 2 for ax in range(r))
+                x_sums = np.full(
+                    shape, self.fill * (self.dim >> self.mask.bit_count()), dtype=self.dtype
+                )
+                flat = x_sums.reshape(-1)
+                for index, value in self.written.items():
+                    flat[_compress(index, self.mask)] += value - self.fill
+            else:
+                x_sums = _sum_blocks(self.x, r, self.mask)
             self.beta = np.broadcast_to(self.beta, x_sums.shape).copy()
             self.sums = self.alpha * x_sums + (self.dim // x_sums.size) * self.beta
         if block_mask == self.mask:
@@ -201,19 +256,36 @@ class DeferredState:
         return self.sums.sum(axis=merged, keepdims=True)
 
     def _flip_one(self, index: int) -> None:
-        """Negate amplitude ``index``: one entry of ``x``, one block sum."""
-        # The flat position of the index's block in beta and sums: its
-        # bits on ``mask``, from the most significant down.
-        cell, rest = 0, self.mask
-        while rest:
-            top = rest.bit_length() - 1
-            cell = (cell << 1) | (index >> top) & 1
-            rest ^= 1 << top
-        offset = self.beta.flat[cell]
-        amplitude = self.alpha * self.x[index] + offset
-        self.x[index] = -self.x[index] - 2 * self.alpha * offset
+        """Negate amplitude ``index``: one entry of ``x`` or ``written``, one block sum."""
+        cell = _compress(index, self.mask)  # the index's block in beta and sums
+        offset = self.beta.item(cell)
+        value = self.written.get(index, self.fill) if self.x is None else self.x.item(index)
+        flipped = -value - 2 * self.alpha * offset
+        if self.x is None:
+            self.written[index] = flipped
+        else:
+            self.x[index] = flipped
         if self.sums is not None:
-            self.sums.flat[cell] -= 2 * amplitude
+            self.sums.flat[cell] -= 2 * (self.alpha * value + offset)
+
+    def _classes(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """The amplitude classes of a register with no buffer.
+
+        Each written entry is a class of its own; the untouched members
+        of a block of ``mask`` share one amplitude, ``alpha*fill +
+        beta``.  Returns ``(indices, masses, member_mass, untouched)``:
+        the written indices in ascending order and the probability of
+        each, then, shaped like ``beta``, the probability of one untouched
+        member of each block and the number of them.
+        """
+        indices = sorted(self.written)
+        cells = [_compress(index, self.mask) for index in indices]
+        values = np.array([self.written[index] for index in indices], dtype=self.dtype)
+        masses = np.abs(self.alpha * values + self.beta.reshape(-1)[cells]) ** 2
+        member_mass = np.abs(self.alpha * self.fill + self.beta) ** 2
+        untouched = np.full(self.beta.shape, self.dim >> self.mask.bit_count())
+        np.subtract.at(untouched.reshape(-1), cells, 1)
+        return indices, masses, member_mass, untouched
 
 
 # What the kernels take and return: a register in either form.
@@ -288,6 +360,28 @@ def place_segment(r: int, value: int, lo: int, hi: int) -> int:
     if value >> width:
         raise ValueError(f"value {value} does not fit in {width} bits")
     return value << (r - 1 - hi)
+
+
+def _compress(index: int, mask: int) -> int:
+    """The bits of ``index`` on ``mask``, packed in order into the low bits."""
+    packed, rest = 0, mask
+    while rest:
+        top = rest.bit_length() - 1
+        packed = (packed << 1) | (index >> top) & 1
+        rest ^= 1 << top
+    return packed
+
+
+def _expand(packed, mask: int):
+    """Inverse of :func:`_compress` on an int or an integer array: spread the low bits onto ``mask``."""
+    out, used = 0, 0
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        run = (~(mask >> low) & ((mask >> low) + 1)).bit_length() - 1
+        out = out | ((packed >> used) & ((1 << run) - 1)) << low
+        used += run
+        mask &= ~(((1 << run) - 1) << low)
+    return out
 
 
 def _axis_selector(r: int, mask: int, value: int) -> tuple:
@@ -407,25 +501,91 @@ def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
     return state
 
 
+def probability(state: Register, pred: BasisPredicate) -> float:
+    """Probability that measuring ``state`` gives a basis state matching ``pred``.
+
+    A register with no buffer (:meth:`DeferredState.uniform`) answers
+    from its amplitude classes, in O(classes) work; any other register
+    is read out through its probabilities.  Either way an unnormalized
+    state is rejected, as :meth:`StateVector.probabilities` does.
+    """
+    r = state.num_qubits
+    if pred.fixed_mask >> r:
+        raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
+    if not (isinstance(state, DeferredState) and state.x is None):
+        probs = state.probabilities().reshape((2,) * r)
+        return float(probs[_axis_selector(r, pred.fixed_mask, pred.fixed_value)].sum())
+    indices, masses, member_mass, untouched = state._classes()
+    _check_norm(float(masses.sum() + (member_mass * untouched).sum()))
+    # Every block that agrees with pred on their common bits holds the same
+    # number of matching members; a written one trades a member's mass for its own.
+    overlap = state.mask & pred.fixed_mask
+    per_block = state.dim >> (state.mask | pred.fixed_mask).bit_count()
+    total = member_mass[_axis_selector(r, overlap, pred.fixed_value & overlap)].sum() * per_block
+    for index, mass in zip(indices, masses):
+        if pred.matches(index):
+            total += mass - member_mass.flat[_compress(index, state.mask)]
+    return float(total)
+
+
+def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``shots`` indices of a register with no buffer, drawn class by class.
+
+    Each shot picks an amplitude class by inverse CDF over the class
+    masses; a shot on a block's untouched members then picks one of them
+    uniformly, skipping the written ones.
+    """
+    indices, masses, member_mass, untouched = state._classes()
+    cdf = np.concatenate([masses, (member_mass * untouched).reshape(-1)])
+    np.cumsum(cdf, out=cdf)
+    _check_norm(float(cdf[-1]))
+    cdf /= cdf[-1]
+    classes = cdf.searchsorted(rng.random(shots), side="right")
+    first = len(indices)  # the block classes follow the written entries
+    draws = np.empty(shots, dtype=np.int64)
+    single = classes < first
+    draws[single] = np.array(indices, dtype=np.int64)[classes[single]]
+    free = (state.dim - 1) ^ state.mask
+    per_class = np.bincount(classes, minlength=cdf.size)
+    for cell in np.flatnonzero(per_class[first:]):
+        members = rng.integers(0, untouched.flat[cell], size=per_class[first + cell])
+        # The j-th untouched member sits past every written one ranked at or below it.
+        written = np.array(
+            sorted(_compress(i, free) for i in indices if _compress(i, state.mask) == cell),
+            dtype=np.int64,
+        )
+        members += np.searchsorted(written - np.arange(written.size), members, side="right")
+        draws[classes == first + cell] = _expand(members, free) | _expand(int(cell), state.mask)
+    return draws
+
+
 def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
     """Draw ``shots`` independent basis-state indices with probability |a|^2.
 
-    Deterministic for a fixed ``seed``, and the same draws as
-    ``Generator.choice(dim, shots, p=probs / probs.sum())``: the CDF is
-    built in place in the probabilities array, so no second register-sized
-    array is held.  Rejects an unnormalized state through
-    :meth:`StateVector.probabilities`.
+    Deterministic for a fixed ``seed``.  A dense register, or a deferred
+    one with a buffer, gives the same draws as ``Generator.choice(dim,
+    shots, p=probs / probs.sum())``: the CDF is built in place in the
+    probabilities array, so no second register-sized array is held.  A
+    register with no buffer (:meth:`DeferredState.uniform`) draws from
+    its amplitude classes in O(shots + classes) work and allocates no
+    register: the same distribution, but not the same draws.  Either way
+    an unnormalized state is rejected, as
+    :meth:`StateVector.probabilities` does.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    cdf = state.probabilities()
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
-    del cdf  # the histogram is built without the register-sized CDF held
+    rng = np.random.default_rng(seed)
+    if isinstance(state, DeferredState) and state.x is None:
+        draws = _draw_classes(state, shots, rng)
+    else:
+        cdf = state.probabilities()
+        cdf /= cdf.sum()
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        draws = cdf.searchsorted(rng.random(shots), side="right")
+        del cdf  # the histogram is built without the register-sized CDF held
     values, counts = np.unique(draws, return_counts=True)
-    return ShotHistogram({int(v): int(c) for v, c in zip(values, counts)}, shots)
+    return ShotHistogram(dict(zip(values.tolist(), counts.tolist())), shots)
 
 
 def operator_matrix(r: int, operation: Callable[[StateVector], StateVector]) -> np.ndarray:

@@ -60,6 +60,22 @@ def test_predict_rejects_what_search_rejects(capsys, argv):
     assert err.startswith("invalid prediction request:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("algo", ["GS", "DFGS"])
+@pytest.mark.parametrize("qubits", ["0", "-3", "25"])
+def test_predict_and_search_reject_a_qubit_count_alike(capsys, qubits, algo):
+    # predict checks the qubit count first, so it gives search's message,
+    # not a bound (GS) or a shift error (a negative count).
+    messages = []
+    for command, prefix in (("predict", "invalid prediction request: "),
+                            ("search", "invalid search config: ")):
+        code, out, err = run_cli(capsys, [command, "--qubits", qubits, "--algo", algo])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+        messages.append(err[len(prefix):])
+    assert messages[0] == messages[1] == f"qubit count must be in [1, 24], got {qubits}\n"
+
+
 def test_search_bdgs(capsys):
     code, out, _ = run_cli(
         capsys,

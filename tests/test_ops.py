@@ -301,6 +301,76 @@ def test_property_deferred_iterations_match_dense_across_mask_switches(run):
     )
 
 
+def predicates(draw, r: int, multi: bool = False) -> gb.BasisPredicate:
+    """Any predicate on ``r`` qubits; with ``multi``, one marking two or more states."""
+    mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
+    if multi:
+        mask &= ~(1 << draw(st.integers(min_value=0, max_value=r - 1)))
+    return gb.BasisPredicate(mask, draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & mask)
+
+
+@st.composite
+def unbuffered_histories(draw):
+    """Single-target iterations from a register with no buffer, then readouts.
+
+    Each step has its own target, from a few, and its own diffusion mask:
+    global, within the top-k blocks, or any mask, so the steps switch
+    masks.  Some histories end with a flip of several amplitudes.
+    """
+    r = draw(st.integers(min_value=2, max_value=6))
+    index = st.integers(min_value=0, max_value=(1 << r) - 1)
+    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
+    masks = st.sampled_from([0, top_k]) | index
+    targets = draw(st.lists(index, min_size=1, max_size=3))
+    steps = draw(st.lists(st.tuples(st.sampled_from(targets), masks), min_size=1, max_size=8))
+    flip = predicates(draw, r, multi=True) if draw(st.booleans()) else None
+    preds = [predicates(draw, r) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    read_masks = draw(st.lists(masks, min_size=1, max_size=3))
+    return r, steps, flip, preds, read_masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(unbuffered_histories())
+def test_property_unbuffered_readouts_match_the_written_out_register(history):
+    # probability, the block sums and the amplitude classes of a register
+    # with no buffer, against the same history on a dense register.
+    from groverbench.statevector import _compress
+
+    r, steps, flip, preds, read_masks = history
+    deferred = gb.DeferredState.uniform(r)
+    plain = gb.uniform_state(r)
+    for target, mask in steps:
+        deferred = gb.grover_iteration(deferred, gb.OracleSpec(r, target), mask)
+        plain = gb.grover_iteration(plain, gb.OracleSpec(r, target), mask)
+    if flip is not None:
+        for register in (deferred, plain):
+            gb.phase_flip(register, flip)
+    assert (deferred.x is None) == (flip is None)
+    probs = plain.probabilities()
+    for mask in read_masks:
+        np.testing.assert_allclose(
+            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
+        )
+        for pred in preds:
+            expected = sum(probs[i] for i in range(1 << r) if pred.matches(i))
+            assert gb.probability(deferred, pred) == pytest.approx(expected, abs=1e-12)
+        if flip is None:
+            indices, masses, member_mass, untouched = deferred._classes()
+            np.testing.assert_allclose(masses, probs[indices], rtol=0, atol=1e-12)
+            for cell in range(untouched.size):
+                members = [
+                    i for i in range(1 << r)
+                    if _compress(i, deferred.mask) == cell and i not in deferred.written
+                ]
+                assert untouched.flat[cell] == len(members)
+                np.testing.assert_allclose(
+                    member_mass.flat[cell], probs[members], rtol=0, atol=1e-12
+                )
+    np.testing.assert_allclose(
+        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
+
+
 def test_carried_sums_reject_a_multi_amplitude_oracle():
     # A segment oracle on the full register marks a sub-block; a deferred
     # register drops its carried sums for it and writes itself out, so it

@@ -2,6 +2,7 @@
 cross-validation of the compact and full register modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,14 +166,14 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
 
 
 def sampled_state(monkeypatch) -> list:
-    """Record the state each driver samples, with the sampling left as it is."""
+    """Record, written out, the state each driver samples, with the sampling left as it is."""
     import groverbench.search as search
 
     seen = []
     real = search.sample
 
     def recording(state, shots, seed):
-        seen.append(state.copy())
+        seen.append(state.copy().write_out())
         return real(state, shots, seed)
 
     monkeypatch.setattr(search, "sample", recording)
@@ -210,11 +211,11 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
     assert outcome.certainty == pytest.approx(a**2 + (size - 1) * b_amp**2, abs=1e-9)
 
 
-@pytest.mark.parametrize("algorithm, reads", [("GS", 1), ("GRK", 2)])
+@pytest.mark.parametrize("algorithm, reads", [("GS", 0), ("GRK", 0)])
 def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
-    # The deferred register reads GS's one global sum; GRK reads it for the
-    # burn-in and the block sums for the local phase, and its cleanup adds
-    # those up.
+    # The drivers' registers have no buffer: GS's global sum and GRK's
+    # block sums come from the amplitude classes, and GRK's cleanup adds
+    # the block sums up.  No register is read.
     import groverbench.statevector as statevector
 
     calls = []
@@ -253,6 +254,33 @@ def test_deferred_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
         expected[target] = a
         certainty = a**2 + (size - 1) * b_amp**2
     np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    assert outcome.certainty == pytest.approx(certainty, abs=1e-9)
+
+
+@pytest.mark.parametrize("algorithm", ["GS", "GRK"])
+def test_drivers_at_r24_allocate_no_register(algorithm):
+    # The register would be 128 MiB; the run, readouts included, traces
+    # under 1 MiB, and its certainty follows the closed form.
+    r, b, target = 24, 4, 12_345_678
+    n = 1 << r
+    config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b, shots=1024, seed=5)
+    _grk_schedule(r, b)  # cached; its scan is not the run's memory
+    # A small run first pays the lazy imports (numpy.random) outside the trace.
+    gb.run_search(gb.SearchConfig(r=4, target=5, algorithm=algorithm, b=b, shots=16))
+    tracemalloc.start()
+    try:
+        outcome = gb.run_search(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if algorithm == "GS":
+        certainty = math.sin((2 * gb.optimal_iterations(n) + 1) * gb.grover_angle(n)) ** 2
+        assert outcome.measured_index == target
+    else:
+        a, b_amp, _ = grk_reference_amplitudes(n, b, *_grk_schedule(r, b))
+        certainty = a**2 + (n // b - 1) * b_amp**2
+        assert outcome.measured_index >> (r - 2) == target >> (r - 2)
     assert outcome.certainty == pytest.approx(certainty, abs=1e-9)
 
 
@@ -301,7 +329,7 @@ def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
 
 def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
     # perfbench/tracing.py times these lookups: one call of each per oracle
-    # query, and one register and one sampling per run.
+    # query, and one sampling per run.  The driver builds no dense register.
     import groverbench.ops as ops
     import groverbench.search as search
 
@@ -309,6 +337,7 @@ def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
 
     def counter(owner, name):
         real = getattr(owner, name)
+        calls[name] = 0
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
@@ -324,7 +353,7 @@ def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
     queries = outcome.oracle_calls
     assert calls == {
         "grover_iteration": queries, "phase_flip": queries, "invert_about_mean": queries,
-        "uniform_state": 1, "sample": 1,
+        "uniform_state": 0, "sample": 1,
     }
 
 

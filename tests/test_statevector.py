@@ -350,6 +350,78 @@ def test_sample_rejects_a_nan_amplitude(dtype):
         gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
+def unbuffered_history() -> gb.DeferredState:
+    """A 5-qubit register with no buffer and three written entries, two in one block."""
+    state = gb.DeferredState.uniform(5)
+    local = gb.segment_mask(5, 0, 1)
+    for target, mask in [(9, 0), (9, local), (11, local), (9, 0), (22, local), (11, 0)]:
+        gb.grover_iteration(state, gb.OracleSpec(5, target), mask)
+    return state
+
+
+def test_unbuffered_sample_follows_the_register_distribution():
+    # 200k class-sampled shots against the written-out register: every
+    # index's count within 5 sigma of its binomial mean.
+    shots = 200_000
+    state = unbuffered_history()
+    probs = state.copy().probabilities()
+    hist = gb.sample(state, shots=shots, seed=2024)
+    assert state.x is None and sorted(state.written) == [9, 11, 22]
+    for index, p in enumerate(probs):
+        band = 5 * math.sqrt(shots * p * (1 - p))
+        assert abs(hist.counts.get(index, 0) - shots * p) <= band, index
+    assert gb.sample(state, shots=500, seed=7).counts == gb.sample(state, shots=500, seed=7).counts
+
+
+def test_unbuffered_sample_skips_written_entries():
+    # Index 5 is written with amplitude 0, in the one block with the seven
+    # other states: a shot on that block's class never lands on it.
+    state = gb.DeferredState.uniform(3)
+    state.fill = 1 / math.sqrt(7)
+    state.written[5] = 0.0
+    hist = gb.sample(state, shots=4096, seed=11)
+    assert sorted(hist.counts) == [0, 1, 2, 3, 4, 6, 7]
+    assert gb.probability(state, gb.BasisPredicate(0b111, 5)) == 0.0
+    assert gb.probability(state, gb.BasisPredicate(0b100, 0)) == pytest.approx(4 / 7, abs=1e-15)
+
+
+def test_unbuffered_sample_holds_no_register():
+    # 1024 shots at r = 24, whose register would be 128 MiB.
+    state = gb.DeferredState.uniform(24)
+    gb.grover_iteration(state, gb.OracleSpec(24, 12_345_678))
+    tracemalloc.start()
+    try:
+        gb.sample(state, shots=1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert state.x is None
+
+
+@pytest.mark.parametrize("scale", [1.001, np.nan])
+def test_class_readouts_reject_an_unnormalized_register(scale):
+    state = unbuffered_history()
+    state.fill *= scale
+    with pytest.raises(ValueError, match="norm"):
+        gb.sample(state, shots=10, seed=0)
+    with pytest.raises(ValueError, match="norm"):
+        gb.probability(state, gb.BasisPredicate(0b11111, 9))
+
+
+def test_probability_on_a_dense_register():
+    state = random_state(4, 8)
+    probs = np.abs(state.amplitudes) ** 2
+    assert gb.probability(state, gb.BasisPredicate(0b1010, 0b1000)) == pytest.approx(
+        probs[[0b1000, 0b1001, 0b1100, 0b1101]].sum(), abs=1e-15
+    )
+    with pytest.raises(ValueError):
+        gb.probability(state, gb.BasisPredicate(0b10000, 0))
+    bad = gb.StateVector(2, np.array([0.5, 0.5, 0.5, 0.4]))
+    with pytest.raises(ValueError, match="norm"):
+        gb.probability(bad, gb.BasisPredicate(0, 0))
+
+
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         gb.sample(gb.uniform_state(1), shots=0, seed=0)
