@@ -19,6 +19,7 @@ import numpy as np
 
 from .ops import Algorithm, _check_block_size, predicted_layers
 from .search import SearchConfig, SearchOutcome, run_search
+from .statevector import MAX_QUBITS
 
 
 @dataclass
@@ -40,8 +41,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.qubit_list:
             raise ValueError("plan needs at least one qubit count")
-        if any(not 2 <= r <= 24 for r in self.qubit_list):
-            raise ValueError("qubit counts must lie in [2, 24]")
+        if any(not 2 <= r <= MAX_QUBITS for r in self.qubit_list):
+            raise ValueError(f"qubit counts must lie in [2, {MAX_QUBITS}]")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         self.algorithms = [Algorithm(a) for a in self.algorithms]

@@ -10,7 +10,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bench import ExperimentPlan, cell_target, emit_scaling_series, emit_table, run_plan
-from .ops import Algorithm, predict_cost
+from .ops import Algorithm, BlockPartition, predict_cost
 from .search import SearchConfig, run_grk_partial, run_search, verify_outcome
 from .statevector import _check_qubits
 
@@ -163,12 +163,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     report = {"algorithm": config.algorithm.value, "r": config.r, "target": config.target}
     if config.algorithm is Algorithm.GRK:
+        # GRK resolves the target's block, which is what a plan row counts.
         block, outcome = run_grk_partial(config)
         report["resolved_block"] = block
+        verified = block == BlockPartition(config.r, config.b).block_of(config.target)
     else:
         outcome = run_search(config)
+        verified = verify_outcome(outcome, config)
     report["outcome"] = asdict(outcome)
-    report["verified"] = verify_outcome(outcome, config)
+    report["verified"] = verified
     print(json.dumps(report, indent=2))
     return 0
 

@@ -209,8 +209,9 @@ def grover_iteration(
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
     query counter by one.  On a :class:`~groverbench.statevector.DeferredState`
-    and an oracle that marks a single amplitude, the step touches one
-    entry of the register.
+    and an oracle that marks a single amplitude, the step updates the
+    register's few amplitude classes; an oracle that marks more returns a
+    dense register, which the step goes on with.
     """
     flipped = oracle.apply(state)
     return invert_about_mean(flipped, diffusion_mask)

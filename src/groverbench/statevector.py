@@ -16,49 +16,44 @@ and every kernel works on either dtype unchanged.
 
 Kernels update the register in place and return the state they were
 given, so a search iteration allocates no second register.  Callers
-still write ``state = kernel(state, ...)``; use ``state.copy()`` first
-to keep an input.
+still write ``state = kernel(state, ...)``, which also carries the one
+exception, a :class:`DeferredState` under a flip of several amplitudes
+(below); use ``state.copy()`` first to keep an input.
 
-A run of single-target iterations need not touch the register at all.
-:class:`DeferredState` keeps it as ``alpha*x + beta[block]``: a buffer
-``x``, a sign ``alpha`` and one offset per block, keepdims-shaped against
-the ``(2,)*r`` view like :func:`block_sums`, with the true amplitude sum
-of every block beside them.  An inversion maps each amplitude ``a`` to
-``2*mean - a``, which is ``-alpha*x + (2*mean - beta)``: it negates
-``alpha`` and rewrites ``beta`` from the sums, and it leaves the sum of
-each of its blocks unchanged (``sum(2*mean - a) == sum(a)``).  A flip of
-one amplitude rewrites one entry of ``x`` and one block sum.  Neither
-reads the register.  The offsets and sums are held for the finest block
-mask used so far.  An inversion about a coarser mask adds up the sums
-held, and maps each held sum ``S`` of ``n`` amplitudes to
-``2*mean*n - S``; only a finer mask reads the buffer, once.  A flip of
-more than one amplitude writes the register out and runs the dense
-kernel, and the sums are read again at the next inversion.
-:func:`phase_flip`, :func:`invert_about_mean` and :func:`block_sums`
-dispatch on the register type, so a driver calls the same kernels on
-either form.  :meth:`DeferredState.write_out` folds ``alpha`` and
-``beta`` into the buffer in one pass and returns it as a
-:class:`StateVector`.
-
-:meth:`DeferredState.uniform` starts a register with no buffer: ``x`` is
-a constant ``fill`` plus a dict of the entries the oracle has written,
-and only :meth:`~DeferredState.write_out` allocates it.  Such a register
-has few amplitude classes (Boyer, Brassard, Hoyer & Tapp,
-quant-ph/9605034): each written entry, and the untouched members of each
-block, which share one amplitude.  A finer block mask then computes its
-sums from the classes, and :func:`probability` and :func:`sample` read
-them in O(classes) and O(shots + classes) work, so a single-target
-search runs and reads out without any ``2**r`` array.  Any other
-register is read out through its probabilities.
+A run of single-target iterations need not store the register at all.
+It has few amplitude classes (Boyer, Brassard, Hoyer & Tapp,
+quant-ph/9605034): each amplitude the oracle has flipped, and the
+untouched members of each block, which share one amplitude.
+:class:`DeferredState` holds exactly those classes: ``member``, the
+amplitude of the untouched members of each block, keepdims-shaped
+against the ``(2,)*r`` view like :func:`block_sums`; ``written``, a dict
+from each flipped index to its amplitude; and the amplitude sum of every
+block beside them.  A flip of one amplitude negates one class and
+updates one block sum.  An inversion maps each amplitude ``a`` to
+``2*mean - a``: it maps ``member`` and every written amplitude from the
+sums, and it leaves the sum of each of its blocks unchanged
+(``sum(2*mean - a) == sum(a)``).  The classes and sums are held for the
+finest block mask used so far.  An inversion about a coarser mask adds
+up the sums held, and maps each held sum ``S`` of ``n`` amplitudes to
+``2*mean*n - S``; a finer mask splits the classes and computes its sums
+from them.  :func:`probability` and :func:`sample` read the classes in
+O(classes) and O(shots + classes) work, so a single-target search runs
+and reads out without any ``2**r`` array.  A flip of more than one
+amplitude returns a new dense register, written out from the classes,
+and the caller goes on with that.  :func:`phase_flip`,
+:func:`invert_about_mean`, :func:`block_sums`, :func:`probability` and
+:func:`sample` dispatch on the register type, so a driver calls the same
+kernels on either form.  :meth:`DeferredState.write_out` builds the
+dense :class:`StateVector` and leaves the classes as they are.
 
 Kernels never renormalize a state and never re-check its norm: the
 reflections implemented here preserve it by construction.  The norm
 check is in :meth:`StateVector.probabilities`, the readout of every
-register with a buffer (sampling, certainties, block and segment
-marginals), and in the class readouts of a register without one.  It
-rejects a state whose norm has drifted, so a normalization failure
-always points at a bug in the caller instead of being silently masked,
-and it raises the same way under ``python -O``.
+dense register (sampling, certainties, block and segment marginals),
+and in the class readouts of a :class:`DeferredState`.  It rejects a
+state whose norm has drifted, so a normalization failure always points
+at a bug in the caller instead of being silently masked, and it raises
+the same way under ``python -O``.
 """
 
 from __future__ import annotations
@@ -135,46 +130,29 @@ class StateVector:
     def copy(self) -> StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
-    def write_out(self) -> StateVector:
-        """The register with every amplitude stored: a dense one already is."""
-        return self
-
 
 class DeferredState:
-    """An ``r``-qubit register kept as ``alpha*x + beta[block]`` (see the module notes).
+    """An ``r``-qubit register kept as its amplitude classes (see the module notes).
 
-    ``DeferredState(state)`` takes over the buffer of ``state`` as ``x``:
-    the kernels write into it, so keep using this register, not
-    ``state``.  :meth:`uniform` starts from the equal superposition with
-    no buffer at all: ``x`` is None, and its entries are ``fill`` except
-    the ones in ``written``, the entries the oracle has flipped.
-    :meth:`write_out` is the one place a buffer is allocated.  ``beta``
-    holds one offset per block of ``mask``, the finest block mask an
-    inversion has used; ``sums`` holds the true amplitude sum of each of
-    those blocks, or None until an inversion needs them.
+    :meth:`uniform` is the one constructor.  ``member`` holds the
+    amplitude shared by the untouched members of each block of ``mask``,
+    the finest block mask an inversion has used, keepdims-shaped like
+    :func:`block_sums`; ``written`` maps each index the oracle has
+    flipped to its amplitude; ``sums`` holds the amplitude sum of each
+    block of ``mask``.  The register is real (float64).
     """
-
-    def __init__(self, state: StateVector) -> None:
-        self._start(state.num_qubits, state.amplitudes, fill=0.0)
 
     @classmethod
     def uniform(cls, r: int) -> DeferredState:
-        """Equal superposition over all ``2**r`` basis states, with no buffer."""
+        """Equal superposition over all ``2**r`` basis states."""
         _check_qubits(r)
         register = cls.__new__(cls)
-        register._start(r, None, fill=1.0 / math.sqrt(1 << r))
+        register.num_qubits = r
+        register.mask = 0
+        register.member = np.full((1,) * r, 1.0 / math.sqrt(1 << r))
+        register.written = {}
+        register.sums = register.member * (1 << r)
         return register
-
-    def _start(self, r: int, x: np.ndarray | None, fill: float) -> None:
-        self.num_qubits = r
-        self.x = x
-        self.dtype = np.dtype(np.float64) if x is None else x.dtype
-        self.fill = fill
-        self.written: dict[int, float] = {}
-        self.alpha = 1.0
-        self.mask = 0
-        self.beta = np.zeros((1,) * r, dtype=self.dtype)
-        self.sums: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -184,108 +162,76 @@ class DeferredState:
     def amplitudes(self) -> np.ndarray:
         """A read-only stand-in with the register's shape, dtype and ``nbytes``.
 
-        The amplitudes are not stored until :meth:`write_out`, so every
+        The amplitudes are stored only by :meth:`write_out`, so every
         entry is NaN: code that sizes a register works on either form,
         and code that reads values here instead gets NaN, which the
         readout's norm check rejects.
         """
-        return np.broadcast_to(np.array(np.nan, dtype=self.dtype), (self.dim,))
+        return np.broadcast_to(np.array(np.nan), (self.dim,))
 
     def write_out(self) -> StateVector:
-        """Fold ``alpha`` and ``beta`` into the buffer in one pass; return it.
-
-        Allocates the buffer first when there is none.  The returned
-        :class:`StateVector` shares the buffer, so it is the register
-        from then on.  The sums stay valid.
-        """
-        if self.x is None:
-            self.x = np.full(self.dim, self.fill, dtype=self.dtype)
-            for index, value in self.written.items():
-                self.x[index] = value
-            self.written = {}
-        view = self.x.reshape((2,) * self.num_qubits)
-        if self.alpha < 0:
-            np.subtract(self.beta, view, out=view)
-        elif self.beta.any():
-            view += self.beta
-        self.alpha = 1.0
-        self.beta = np.zeros_like(self.beta)
-        return StateVector(self.num_qubits, self.x)
+        """A new dense :class:`StateVector` of every amplitude; the classes stay as they are."""
+        amplitudes = np.empty(self.dim)
+        amplitudes.reshape((2,) * self.num_qubits)[...] = self.member
+        for index, value in self.written.items():
+            amplitudes[index] = value
+        return StateVector(self.num_qubits, amplitudes)
 
     def probabilities(self) -> np.ndarray:
-        """As :meth:`StateVector.probabilities`, after writing the register out."""
+        """As :meth:`StateVector.probabilities`, of the written-out register."""
         return self.write_out().probabilities()
 
     def copy(self) -> DeferredState:
         clone = copy.copy(self)
-        clone.x = None if self.x is None else self.x.copy()
+        clone.member = self.member.copy()
         clone.written = dict(self.written)
-        clone.beta = self.beta.copy()
-        clone.sums = None if self.sums is None else self.sums.copy()
+        clone.sums = self.sums.copy()
         return clone
 
     def _block_sums(self, block_mask: int) -> np.ndarray:
         """True block sums of ``block_mask``, shaped as :func:`block_sums` returns them.
 
         Adds up the sums held when ``block_mask`` is no finer than
-        ``mask``.  Otherwise first moves the offsets and sums to the
-        union of both masks: with one read of the buffer, or, with no
-        buffer, from ``fill`` and the written entries.  The result may be
-        the held array itself.
+        ``mask``.  Otherwise first moves the classes and sums to the
+        union of both masks.  The result may be the held array itself.
         """
         r = self.num_qubits
-        free_axes = _free_axes(r, block_mask)
-        if self.sums is None or block_mask & ~self.mask:
+        if block_mask & ~self.mask:
             self.mask |= block_mask
-            if self.x is None:
-                free = _free_axes(r, self.mask)
-                shape = tuple(1 if ax in free else 2 for ax in range(r))
-                x_sums = np.full(
-                    shape, self.fill * (self.dim >> self.mask.bit_count()), dtype=self.dtype
-                )
-                flat = x_sums.reshape(-1)
-                for index, value in self.written.items():
-                    flat[_compress(index, self.mask)] += value - self.fill
-            else:
-                x_sums = _sum_blocks(self.x, r, self.mask)
-            self.beta = np.broadcast_to(self.beta, x_sums.shape).copy()
-            self.sums = self.alpha * x_sums + (self.dim // x_sums.size) * self.beta
+            free = _free_axes(r, self.mask)
+            shape = tuple(1 if ax in free else 2 for ax in range(r))
+            self.member = np.broadcast_to(self.member, shape).copy()
+            self.sums = self.member * (self.dim >> self.mask.bit_count())
+            for index, value in self.written.items():
+                cell = _compress(index, self.mask)
+                self.sums.flat[cell] += value - self.member.flat[cell]
         if block_mask == self.mask:
             return self.sums
-        merged = tuple(ax for ax in free_axes if self.sums.shape[ax] == 2)
+        merged = tuple(ax for ax in _free_axes(r, block_mask) if self.sums.shape[ax] == 2)
         return self.sums.sum(axis=merged, keepdims=True)
 
     def _flip_one(self, index: int) -> None:
-        """Negate amplitude ``index``: one entry of ``x`` or ``written``, one block sum."""
-        cell = _compress(index, self.mask)  # the index's block in beta and sums
-        offset = self.beta.item(cell)
-        value = self.written.get(index, self.fill) if self.x is None else self.x.item(index)
-        flipped = -value - 2 * self.alpha * offset
-        if self.x is None:
-            self.written[index] = flipped
-        else:
-            self.x[index] = flipped
-        if self.sums is not None:
-            self.sums.flat[cell] -= 2 * (self.alpha * value + offset)
+        """Negate amplitude ``index``: one entry of ``written``, one block sum."""
+        cell = _compress(index, self.mask)  # the index's block in member and sums
+        value = self.written[index] if index in self.written else self.member.item(cell)
+        self.written[index] = -value
+        self.sums.flat[cell] -= 2 * value
 
     def _classes(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """The amplitude classes of a register with no buffer.
+        """The amplitude classes and their probabilities.
 
         Each written entry is a class of its own; the untouched members
-        of a block of ``mask`` share one amplitude, ``alpha*fill +
-        beta``.  Returns ``(indices, masses, member_mass, untouched)``:
-        the written indices in ascending order and the probability of
-        each, then, shaped like ``beta``, the probability of one untouched
-        member of each block and the number of them.
+        of a block of ``mask`` share one amplitude.  Returns ``(indices,
+        masses, member_mass, untouched)``: the written indices in
+        ascending order and the probability of each, then, shaped like
+        ``member``, the probability of one untouched member of each block
+        and the number of them.
         """
         indices = sorted(self.written)
-        cells = [_compress(index, self.mask) for index in indices]
-        values = np.array([self.written[index] for index in indices], dtype=self.dtype)
-        masses = np.abs(self.alpha * values + self.beta.reshape(-1)[cells]) ** 2
-        member_mass = np.abs(self.alpha * self.fill + self.beta) ** 2
-        untouched = np.full(self.beta.shape, self.dim >> self.mask.bit_count())
-        np.subtract.at(untouched.reshape(-1), cells, 1)
-        return indices, masses, member_mass, untouched
+        masses = np.array([self.written[index] for index in indices]) ** 2
+        untouched = np.full(self.member.shape, self.dim >> self.mask.bit_count())
+        np.subtract.at(untouched.reshape(-1), [_compress(i, self.mask) for i in indices], 1)
+        return indices, masses, self.member**2, untouched
 
 
 # What the kernels take and return: a register in either form.
@@ -420,20 +366,19 @@ def uniform_state(r: int) -> StateVector:
 def phase_flip(state: Register, pred: BasisPredicate) -> Register:
     """Negate, in place, the amplitude of every basis state matching ``pred``.
 
-    Returns ``state`` itself.  Self-inverse and norm-preserving; an empty
-    mask applies a global phase of -1.  A :class:`DeferredState` follows
-    a single flipped amplitude without touching the rest of the register;
-    a wider flip writes it out and drops its sums.
+    Returns ``state`` itself, but for the case below.  Self-inverse and
+    norm-preserving; an empty mask applies a global phase of -1.  A
+    :class:`DeferredState` negates a single amplitude's class; a wider
+    flip returns a new dense register, written out from it, and leaves
+    the :class:`DeferredState` as it is.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
     if isinstance(state, DeferredState):
-        if pred.fixed_mask == (1 << r) - 1:
-            state._flip_one(pred.fixed_value)
-        else:
-            phase_flip(state.write_out(), pred)
-            state.sums = None
+        if pred.fixed_mask != (1 << r) - 1:
+            return phase_flip(state.write_out(), pred)
+        state._flip_one(pred.fixed_value)
         return state
     view = state.amplitudes.reshape((2,) * r)
     view[_axis_selector(r, pred.fixed_mask, pred.fixed_value)] *= -1
@@ -459,7 +404,8 @@ def block_sums(state: Register, block_mask: int = 0) -> np.ndarray:
     Keepdims-shaped against the ``(2,)*r`` view: size 1 on the axes a
     block spans, size 2 on the masked axes.  A :class:`StateVector` is
     read once; a :class:`DeferredState` answers from the sums it holds,
-    and reads its buffer only for a mask finer than any it has used.
+    and computes them from its classes for a mask finer than any it has
+    used.
     """
     if isinstance(state, DeferredState):
         return state._block_sums(block_mask).copy()
@@ -477,9 +423,8 @@ def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
     ``state`` itself.
 
     A :class:`StateVector` is read for its block sums and then written
-    once.  A :class:`DeferredState` negates ``alpha`` and rewrites its
-    offsets and sums from the sums of ``block_mask``, which the inversion
-    leaves unchanged.
+    once.  A :class:`DeferredState` maps each of its classes from the
+    sums of ``block_mask``, which the inversion leaves unchanged.
     """
     r = state.num_qubits
     if not _free_axes(r, block_mask):
@@ -487,12 +432,14 @@ def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
     if isinstance(state, DeferredState):
         sums = state._block_sums(block_mask)
         twice_means = sums * (2.0 * sums.size / state.dim)
-        np.subtract(twice_means, state.beta, out=state.beta)
+        np.subtract(twice_means, state.member, out=state.member)
+        means = twice_means.ravel()  # 1-D: item() on the keepdims shape is slower
+        for index, value in state.written.items():
+            state.written[index] = means.item(_compress(index, block_mask)) - value
         if block_mask != state.mask:
             # A held block of n amplitudes inside a coarser one: S -> 2*mean*n - S.
             n = state.dim // state.sums.size
             np.subtract(twice_means * n, state.sums, out=state.sums)
-        state.alpha = -state.alpha
         return state
     sums = _sum_blocks(state.amplitudes, r, block_mask)
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
@@ -504,15 +451,15 @@ def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
 def probability(state: Register, pred: BasisPredicate) -> float:
     """Probability that measuring ``state`` gives a basis state matching ``pred``.
 
-    A register with no buffer (:meth:`DeferredState.uniform`) answers
-    from its amplitude classes, in O(classes) work; any other register
-    is read out through its probabilities.  Either way an unnormalized
-    state is rejected, as :meth:`StateVector.probabilities` does.
+    A :class:`DeferredState` answers from its amplitude classes, in
+    O(classes) work; a :class:`StateVector` is read out through its
+    probabilities.  Either way an unnormalized state is rejected, as
+    :meth:`StateVector.probabilities` does.
     """
     r = state.num_qubits
     if pred.fixed_mask >> r:
         raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
-    if not (isinstance(state, DeferredState) and state.x is None):
+    if not isinstance(state, DeferredState):
         probs = state.probabilities().reshape((2,) * r)
         return float(probs[_axis_selector(r, pred.fixed_mask, pred.fixed_value)].sum())
     indices, masses, member_mass, untouched = state._classes()
@@ -529,7 +476,7 @@ def probability(state: Register, pred: BasisPredicate) -> float:
 
 
 def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``shots`` indices of a register with no buffer, drawn class by class.
+    """``shots`` indices of a :class:`DeferredState`, drawn class by class.
 
     Each shot picks an amplitude class by inverse CDF over the class
     masses; a shot on a block's untouched members then picks one of them
@@ -562,11 +509,10 @@ def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) ->
 def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
     """Draw ``shots`` independent basis-state indices with probability |a|^2.
 
-    Deterministic for a fixed ``seed``.  A dense register, or a deferred
-    one with a buffer, gives the same draws as ``Generator.choice(dim,
-    shots, p=probs / probs.sum())``: the CDF is built in place in the
-    probabilities array, so no second register-sized array is held.  A
-    register with no buffer (:meth:`DeferredState.uniform`) draws from
+    Deterministic for a fixed ``seed``.  A :class:`StateVector` gives the
+    same draws as ``Generator.choice(dim, shots, p=probs / probs.sum())``:
+    the CDF is built in place in the probabilities array, so no second
+    register-sized array is held.  A :class:`DeferredState` draws from
     its amplitude classes in O(shots + classes) work and allocates no
     register: the same distribution, but not the same draws.  Either way
     an unnormalized state is rejected, as
@@ -575,7 +521,7 @@ def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    if isinstance(state, DeferredState) and state.x is None:
+    if isinstance(state, DeferredState):
         draws = _draw_classes(state, shots, rng)
     else:
         cdf = state.probabilities()

@@ -145,10 +145,14 @@ def test_run_plan_records_error_rows(monkeypatch):
 
 
 def test_plan_validation():
+    from groverbench.statevector import MAX_QUBITS
+
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[], algorithms=["GS"])
-    with pytest.raises(ValueError):
-        gb.ExperimentPlan(qubit_list=[1], algorithms=["GS"])
+    for qubits in (1, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=rf"\[2, {MAX_QUBITS}\]"):
+            gb.ExperimentPlan(qubit_list=[qubits], algorithms=["GS"])
+    gb.ExperimentPlan(qubit_list=[2, MAX_QUBITS], algorithms=["GS"])
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[4], algorithms=[])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import groverbench as gb
 from groverbench.cli import main
 
 
@@ -96,6 +97,18 @@ def test_search_grk_reports_block(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["resolved_block"] == 200 >> 6
+
+
+def test_search_grk_verifies_the_resolved_block(capsys):
+    # GRK resolves the target's block: seed 0 draws target 1 on 4 qubits,
+    # whose block of 8 is 0, while the most frequent index need not be 1.
+    code, out, _ = run_cli(capsys, ["search", "--qubits", "4", "--algo", "GRK", "--block-size", "8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["target"] == 1
+    assert payload["resolved_block"] == gb.BlockPartition(4, 8).block_of(1) == 0
+    assert payload["outcome"]["measured_index"] != payload["target"]
+    assert payload["verified"] is True
 
 
 def test_search_random_target_is_seeded(capsys):

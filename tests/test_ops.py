@@ -147,24 +147,26 @@ def test_global_iteration_allocates_no_register():
 
 
 def test_deferred_iteration_touches_one_entry_and_allocates_no_register():
-    # One deferred iteration at r = 20, after the sums are read: under
-    # 64 KiB traced, and one buffer entry changed, for the block-local
-    # mask and for the coarser global one.
+    # One class-register iteration at r = 20, after a first one: under
+    # 64 KiB traced, and at most one written entry added, for the
+    # block-local mask and for the coarser global one.
     r = 20
-    oracle = gb.OracleSpec(r, 700_001)
     local = gb.segment_mask(r, 0, 1)
-    state = gb.grover_iteration(gb.DeferredState(gb.uniform_state(r)), oracle, local)
+    state = gb.grover_iteration(gb.DeferredState.uniform(r), gb.OracleSpec(r, 700_001), local)
+    oracle = gb.OracleSpec(r, 123_456)
     for mask in (local, 0):
-        before = state.x.copy()
+        before = len(state.written)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gb.grover_iteration(state, oracle, mask)
+            state = gb.grover_iteration(state, oracle, mask)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert np.count_nonzero(state.x != before) <= 1
+        assert isinstance(state, gb.DeferredState)
+        assert len(state.written) - before <= 1 and state.member.size == 4
+    assert sorted(state.written) == [123_456, 700_001]
 
 
 def test_query_accounting_matches_invocations():
@@ -205,102 +207,6 @@ def test_dense_equivalence_segment_conditioned_oracle():
         np.testing.assert_allclose(actual, expected, atol=1e-10)
 
 
-def random_register(draw, n: int) -> gb.StateVector:
-    """A random normalized register on ``n`` qubits, real or complex."""
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    amps = rng.normal(size=1 << n)
-    if draw(st.booleans()):
-        amps = amps + 1j * rng.normal(size=1 << n)
-    return gb.StateVector(n, amps / np.linalg.norm(amps))
-
-
-@st.composite
-def carried_runs(draw):
-    """A state, a single-target oracle, a diffusion mask, a length.
-
-    The oracle is a segment oracle whose determined bits cover the rest
-    of the register, so it marks one amplitude of the full register; or
-    any segment oracle on a compact register of the segment's width.
-    """
-    r = draw(st.integers(min_value=2, max_value=6))
-    lo = draw(st.integers(min_value=0, max_value=r - 1))
-    hi = draw(st.integers(min_value=lo, max_value=r - 1))
-    seg = gb.segment_mask(r, lo, hi)
-    target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
-    compact = draw(st.booleans())
-    if compact:
-        det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
-        n = hi - lo + 1
-        diffusion_masks = [0]
-    else:
-        det_mask = ((1 << r) - 1) ^ seg
-        n = r
-        diffusion_masks = [0, ((1 << r) - 1) ^ seg]
-    det_value = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & det_mask
-    top_k = gb.segment_mask(n, 0, draw(st.integers(min_value=0, max_value=n - 1)))
-    diffusion_mask = draw(st.sampled_from(diffusion_masks + [top_k]))
-    state = random_register(draw, n)
-    oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, det_value)
-    return state, oracle, diffusion_mask, draw(st.integers(min_value=1, max_value=8))
-
-
-@settings(max_examples=150, deadline=None)
-@given(carried_runs())
-def test_property_carried_sums_match_uncarried_iterations(run):
-    # The deferred register carries its block sums; the dense one re-reads them.
-    state, oracle, mask, steps = run
-    plain = state.copy()
-    deferred = gb.DeferredState(state)
-    for _ in range(steps):
-        deferred = gb.grover_iteration(deferred, oracle, mask)
-        plain = gb.grover_iteration(plain, oracle, mask)
-    np.testing.assert_allclose(
-        gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
-    )
-
-
-@st.composite
-def mask_switching_runs(draw):
-    """A full register, any segment oracle, and one diffusion mask per step.
-
-    The oracle's determined bits are any subset of the rest of the
-    register, so it marks one amplitude or a whole sub-block.  Each step
-    diffuses globally, within the top-k blocks, or within the blocks of
-    the segment's complement.
-    """
-    r = draw(st.integers(min_value=2, max_value=6))
-    lo = draw(st.integers(min_value=0, max_value=r - 1))
-    hi = draw(st.integers(min_value=lo, max_value=r - 1))
-    seg = gb.segment_mask(r, lo, hi)
-    target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
-    det_mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & ~seg
-    oracle = gb.OracleSpec(r, target, (lo, hi), det_mask, target & det_mask)
-    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
-    masks = st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg])
-    steps = draw(st.lists(masks, min_size=1, max_size=8))
-    return random_register(draw, r), oracle, steps
-
-
-@settings(max_examples=300, deadline=None)
-@given(mask_switching_runs())
-def test_property_deferred_iterations_match_dense_across_mask_switches(run):
-    state, oracle, masks = run
-    plain = state.copy()
-    deferred = gb.DeferredState(state)
-    for mask in masks:
-        deferred = gb.grover_iteration(deferred, oracle, mask)
-        plain = gb.grover_iteration(plain, oracle, mask)
-        np.testing.assert_allclose(
-            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
-        )
-    np.testing.assert_allclose(
-        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
-    )
-
-
 def predicates(draw, r: int, multi: bool = False) -> gb.BasisPredicate:
     """Any predicate on ``r`` qubits; with ``multi``, one marking two or more states."""
     mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
@@ -310,83 +216,109 @@ def predicates(draw, r: int, multi: bool = False) -> gb.BasisPredicate:
 
 
 @st.composite
-def unbuffered_histories(draw):
-    """Single-target iterations from a register with no buffer, then readouts.
+def class_histories(draw):
+    """Iterations from the equal superposition, then readouts.
 
-    Each step has its own target, from a few, and its own diffusion mask:
-    global, within the top-k blocks, or any mask, so the steps switch
+    The register is the full one, or a compact one of a segment's width
+    whose oracle is that segment's, conditioned on any other bits.  On
+    the full register each step's oracle marks one of a few targets, or
+    is a segment oracle whose determined bits are any subset of the rest,
+    so it marks one amplitude or a whole sub-block.  Each step has its
+    own diffusion mask: global, within the top-k blocks, within the
+    blocks of the segment's complement, or any mask, so the steps switch
     masks.  Some histories end with a flip of several amplitudes.
     """
     r = draw(st.integers(min_value=2, max_value=6))
     index = st.integers(min_value=0, max_value=(1 << r) - 1)
-    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
-    masks = st.sampled_from([0, top_k]) | index
-    targets = draw(st.lists(index, min_size=1, max_size=3))
-    steps = draw(st.lists(st.tuples(st.sampled_from(targets), masks), min_size=1, max_size=8))
-    flip = predicates(draw, r, multi=True) if draw(st.booleans()) else None
-    preds = [predicates(draw, r) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    lo = draw(st.integers(min_value=0, max_value=r - 1))
+    hi = draw(st.integers(min_value=lo, max_value=r - 1))
+    seg = gb.segment_mask(r, lo, hi)
+    det_mask = draw(index) & ~seg
+    segment_oracle = gb.OracleSpec(r, draw(index), (lo, hi), det_mask, draw(index) & det_mask)
+    if draw(st.booleans()):
+        n, oracles, masks = hi - lo + 1, [segment_oracle], []
+    else:
+        n, masks = r, [((1 << r) - 1) ^ seg]
+        oracles = [gb.OracleSpec(r, t) for t in draw(st.lists(index, min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            oracles.append(segment_oracle)
+    top_k = gb.segment_mask(n, 0, draw(st.integers(min_value=0, max_value=n - 1)))
+    masks = st.sampled_from([0, top_k, *masks]) | st.integers(min_value=0, max_value=(1 << n) - 1)
+    steps = draw(st.lists(st.tuples(st.sampled_from(oracles), masks), min_size=1, max_size=8))
+    flip = predicates(draw, n, multi=True) if draw(st.booleans()) else None
+    preds = [predicates(draw, n) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
     read_masks = draw(st.lists(masks, min_size=1, max_size=3))
-    return r, steps, flip, preds, read_masks
+    return n, steps, flip, preds, read_masks
 
 
-@settings(max_examples=300, deadline=None)
-@given(unbuffered_histories())
+@settings(max_examples=600, deadline=None)
+@given(class_histories())
 def test_property_unbuffered_readouts_match_the_written_out_register(history):
-    # probability, the block sums and the amplitude classes of a register
-    # with no buffer, against the same history on a dense register.
+    # The same history on a class register and on a dense one: the block
+    # sums after every step, then probability, the block sums and the
+    # amplitude classes.  A flip of several amplitudes hands back a dense
+    # register, which the history goes on with.
     from groverbench.statevector import _compress
 
-    r, steps, flip, preds, read_masks = history
-    deferred = gb.DeferredState.uniform(r)
-    plain = gb.uniform_state(r)
-    for target, mask in steps:
-        deferred = gb.grover_iteration(deferred, gb.OracleSpec(r, target), mask)
-        plain = gb.grover_iteration(plain, gb.OracleSpec(r, target), mask)
+    n, steps, flip, preds, read_masks = history
+    deferred = gb.DeferredState.uniform(n)
+    plain = gb.uniform_state(n)
+    single = flip is None
+    for oracle, mask in steps:
+        single &= n < oracle.r or oracle.flip_predicate().fixed_mask == (1 << n) - 1
+        deferred = gb.grover_iteration(deferred, oracle, mask)
+        plain = gb.grover_iteration(plain, oracle, mask)
+        np.testing.assert_allclose(
+            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
+        )
     if flip is not None:
-        for register in (deferred, plain):
-            gb.phase_flip(register, flip)
-    assert (deferred.x is None) == (flip is None)
+        deferred = gb.phase_flip(deferred, flip)
+        plain = gb.phase_flip(plain, flip)
+    assert isinstance(deferred, gb.DeferredState) == single
     probs = plain.probabilities()
     for mask in read_masks:
         np.testing.assert_allclose(
             gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
         )
         for pred in preds:
-            expected = sum(probs[i] for i in range(1 << r) if pred.matches(i))
+            expected = sum(probs[i] for i in range(1 << n) if pred.matches(i))
             assert gb.probability(deferred, pred) == pytest.approx(expected, abs=1e-12)
-        if flip is None:
+        if single:
             indices, masses, member_mass, untouched = deferred._classes()
             np.testing.assert_allclose(masses, probs[indices], rtol=0, atol=1e-12)
             for cell in range(untouched.size):
                 members = [
-                    i for i in range(1 << r)
+                    i for i in range(1 << n)
                     if _compress(i, deferred.mask) == cell and i not in deferred.written
                 ]
                 assert untouched.flat[cell] == len(members)
                 np.testing.assert_allclose(
                     member_mass.flat[cell], probs[members], rtol=0, atol=1e-12
                 )
-    np.testing.assert_allclose(
-        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
-    )
+    written_out = deferred.write_out() if single else deferred
+    np.testing.assert_allclose(written_out.amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_carried_sums_reject_a_multi_amplitude_oracle():
-    # A segment oracle on the full register marks a sub-block; a deferred
-    # register drops its carried sums for it and writes itself out, so it
-    # stays equal to the dense iteration.
-    oracle = gb.OracleSpec(4, 0b0110, (0, 1))
+    # A segment oracle on the full register marks a sub-block, which a
+    # class register cannot hold: the iteration goes on with a dense
+    # register written out from it, equal to the dense iteration, and the
+    # class register it was given keeps its classes and sums.
+    single = gb.OracleSpec(4, 0b0110)
     plain = gb.uniform_state(4)
-    state = gb.DeferredState(gb.uniform_state(4))
-    for mask in (0, 0b0011, 0):
-        plain = gb.grover_iteration(plain, oracle, mask)
-        state = gb.grover_iteration(state, oracle, mask)
-    for register in (plain, state):
-        oracle.apply(register)
-    assert state.sums is None and state.alpha == 1 and not state.beta.any()
-    np.testing.assert_allclose(
-        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
-    )
+    state = gb.DeferredState.uniform(4)
+    for mask in (0, 0b1100, 0):
+        plain = gb.grover_iteration(plain, single, mask)
+        state = gb.grover_iteration(state, single, mask)
+    kept = state.copy()
+    oracle = gb.OracleSpec(4, 0b0110, (0, 1))
+    plain = gb.grover_iteration(plain, oracle, 0b0011)
+    dense = gb.grover_iteration(state, oracle, 0b0011)
+    assert isinstance(dense, gb.StateVector)
+    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-13)
+    assert (state.mask, state.written) == (kept.mask, kept.written)
+    np.testing.assert_array_equal(state.member, kept.member)
+    np.testing.assert_array_equal(state.sums, kept.sums)
 
 
 def test_first_iteration_marked_amplitude_closed_form():

@@ -173,7 +173,7 @@ def sampled_state(monkeypatch) -> list:
     real = search.sample
 
     def recording(state, shots, seed):
-        seen.append(state.copy().write_out())
+        seen.append(state.write_out())
         return real(state, shots, seed)
 
     monkeypatch.setattr(search, "sample", recording)
@@ -213,7 +213,7 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
 
 @pytest.mark.parametrize("algorithm, reads", [("GS", 0), ("GRK", 0)])
 def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
-    # The drivers' registers have no buffer: GS's global sum and GRK's
+    # The drivers run on class registers: GS's global sum and GRK's
     # block sums come from the amplitude classes, and GRK's cleanup adds
     # the block sums up.  No register is read.
     import groverbench.statevector as statevector
@@ -286,16 +286,15 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
 
 def test_dense_and_deferred_iterations_agree_at_r22():
     # The dense kernels stay the checked code at r = 22: a few global and
-    # block-local iterations from a random real state, both ways.
+    # block-local iterations from the equal superposition, both ways, with
+    # two targets in one block.
     r = 22
-    rng = np.random.default_rng(22)
-    amps = rng.normal(size=1 << r)
-    amps /= np.linalg.norm(amps)
-    plain = gb.StateVector(r, amps)
-    deferred = gb.DeferredState(plain.copy())
-    oracle = gb.OracleSpec(r, 1_234_567)
+    plain = gb.uniform_state(r)
+    deferred = gb.DeferredState.uniform(r)
     local = gb.segment_mask(r, 0, 1)
-    for mask in (0, 0, local, local, 0):
+    steps = [(1_234_567, 0), (1_234_567, 0), (1_100_000, local), (1_234_567, local), (1_100_000, 0)]
+    for target, mask in steps:
+        oracle = gb.OracleSpec(r, target)
         plain = gb.grover_iteration(plain, oracle, mask)
         deferred = gb.grover_iteration(deferred, oracle, mask)
     np.testing.assert_allclose(

@@ -164,7 +164,7 @@ def test_invert_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.invert_about_mean(gb.uniform_state(2), 0b100)
     with pytest.raises(ValueError):
-        gb.invert_about_mean(gb.DeferredState(gb.uniform_state(2)), 0b100)
+        gb.invert_about_mean(gb.DeferredState.uniform(2), 0b100)
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +187,42 @@ def test_block_sums_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.block_sums(gb.uniform_state(2), 0b100)
     with pytest.raises(ValueError):
-        gb.block_sums(gb.DeferredState(gb.uniform_state(2)), 0b100)
+        gb.block_sums(gb.DeferredState.uniform(2), 0b100)
+
+
+def run_history(register, steps):
+    """Single-target iterations on ``register``, one ``(target, mask)`` per step."""
+    for target, mask in steps:
+        register = gb.grover_iteration(register, gb.OracleSpec(register.num_qubits, target), mask)
+    return register
+
+
+# Four classes on 4 qubits: two written entries, in the blocks of 0b1100.
+HISTORY_4 = [(3, 0), (12, 0b1100), (3, 0b1100)]
+
+
+def assert_same_classes(state: gb.DeferredState, kept: gb.DeferredState) -> None:
+    assert (state.mask, state.written) == (kept.mask, kept.written)
+    np.testing.assert_array_equal(state.member, kept.member)
+    np.testing.assert_array_equal(state.sums, kept.sums)
 
 
 def fresh_sums(state: gb.DeferredState, block_mask: int) -> np.ndarray:
-    """Block sums read from a written-out copy, leaving ``state`` as it is."""
-    return gb.block_sums(state.copy().write_out(), block_mask)
+    """Block sums read from the written-out register, leaving ``state`` as it is."""
+    return gb.block_sums(state.write_out(), block_mask)
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
 def test_kernels_keep_given_sums_current(block_mask):
-    # Every single-amplitude flip on a deferred 4-qubit register, between
-    # two inversions: the flip updates the register's sums, the inversion
-    # leaves them as they are, and both match a fresh read.
+    # Every single-amplitude flip on a 4-qubit class register, written or
+    # untouched, between two inversions: the flip updates the register's
+    # sums, the inversion leaves them as they are, and both match a fresh
+    # read.
+    start = run_history(gb.DeferredState.uniform(4), HISTORY_4)
+    plain = start.write_out()
     for value in range(16):
-        state = gb.DeferredState(random_state(4, value))
-        expected = brute_invert(random_state(4, value), block_mask)
+        state = start.copy()
+        expected = brute_invert(plain, block_mask)
         gb.invert_about_mean(state, block_mask)
         expected[value] *= -1
         gb.phase_flip(state, gb.BasisPredicate(0b1111, value))
@@ -219,22 +239,23 @@ def test_kernels_keep_given_sums_current(block_mask):
 
 @pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b1110])
 def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
-    # A deferred register does not carry its sums through a flip of more
-    # than one amplitude: it writes itself out, runs the dense kernel and
-    # drops them, to be read again at the next inversion.
-    plain = random_state(4, 11)
-    state = gb.DeferredState(plain.copy())
+    # A class register does not hold a flip of more than one amplitude:
+    # the flip returns a new dense register, equal to the dense kernel's
+    # result, and leaves the class register and its sums as they were.
+    state = run_history(gb.DeferredState.uniform(4), HISTORY_4)
+    plain = state.write_out()
     pred = gb.BasisPredicate(mask, 0)
     for register in (plain, state):
         gb.invert_about_mean(register, 0b1100)
-        gb.phase_flip(register, pred)
-    assert state.alpha == 1 and not state.beta.any() and state.sums is None
-    np.testing.assert_allclose(state.x, plain.amplitudes, rtol=0, atol=1e-15)
-    for register in (plain, state):
+    kept = state.copy()
+    dense = gb.phase_flip(state, pred)
+    plain = gb.phase_flip(plain, pred)
+    assert isinstance(dense, gb.StateVector) and dense is not plain
+    assert_same_classes(state, kept)
+    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-15)
+    for register in (plain, dense):
         gb.invert_about_mean(register, 0)
-    np.testing.assert_allclose(
-        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
-    )
+    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -242,15 +263,15 @@ def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
     [(4, 0, 0b1100), (4, 0b1100, 0), (4, 0b1100, 0b0011), (4, 0b1000, 0b0001), (3, 0, 0)],
 )
 def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, block_mask):
-    # A deferred register holding the sums of ``sums_mask`` never inverts
+    # A class register holding the sums of ``sums_mask`` never inverts
     # about ``block_mask`` with them: a coarser mask adds them up, and any
-    # other reads the buffer once.  The last case keeps its mask.
+    # other splits the classes and computes the sums from them, with no
+    # register read.  The last case keeps its mask.
     import groverbench.statevector as statevector
 
-    plain = random_state(sums_r, 12)
-    state = gb.DeferredState(plain.copy())
-    for register in (plain, state):
-        gb.invert_about_mean(register, sums_mask)
+    steps = [(5, sums_mask), (2, sums_mask)]
+    plain = run_history(gb.uniform_state(sums_r), steps)
+    state = run_history(gb.DeferredState.uniform(sums_r), steps)
     reads = []
     real = statevector._sum_blocks
 
@@ -261,7 +282,8 @@ def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, blo
     monkeypatch.setattr(statevector, "_sum_blocks", counting)
     for register in (plain, state):
         gb.invert_about_mean(register, block_mask)
-    assert len(reads) == 1 + bool(block_mask & ~sums_mask)  # the first is the dense read
+    assert len(reads) == 1  # the dense read
+    assert state.mask == sums_mask | block_mask
     for mask in (sums_mask, block_mask):
         np.testing.assert_allclose(
             gb.block_sums(state, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-14
@@ -272,19 +294,44 @@ def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, blo
 
 
 def test_deferred_register_reads_out_only_written_amplitudes():
-    # The readouts go through write_out; the amplitudes stand-in holds no values.
-    plain = random_state(3, 4)
-    state = gb.DeferredState(plain.copy())
-    for register in (plain, state):
-        gb.invert_about_mean(register, 0b100)
-        gb.phase_flip(register, gb.BasisPredicate(0b111, 5))
-    copy = state.copy()
+    # The readouts go through write_out, which leaves the classes as they
+    # are; the amplitudes stand-in holds no values.
+    steps = [(5, 0b100), (5, 0)]
+    plain = run_history(gb.uniform_state(3), steps)
+    state = run_history(gb.DeferredState.uniform(3), steps)
+    kept = state.copy()
     assert state.amplitudes.nbytes == plain.amplitudes.nbytes
     assert state.amplitudes.dtype == plain.amplitudes.dtype
     assert np.isnan(state.amplitudes).all()
     np.testing.assert_allclose(state.probabilities(), plain.probabilities(), atol=1e-15)
-    np.testing.assert_allclose(copy.write_out().amplitudes, plain.amplitudes, atol=1e-15)
-    assert gb.sample(copy, 64, 3).counts == gb.sample(plain, 64, 3).counts
+    written_out = state.write_out()
+    np.testing.assert_allclose(written_out.amplitudes, plain.amplitudes, atol=1e-15)
+    assert gb.sample(written_out, 64, 3).counts == gb.sample(plain, 64, 3).counts
+    assert_same_classes(state, kept)
+
+
+def test_readouts_leave_the_class_register_unchanged():
+    # Every readout of a class register, then the same history again: it
+    # still matches the dense run.
+    steps = [(9, 0), (9, 0b11000), (22, 0b11000), (11, 0)]
+    plain = run_history(gb.uniform_state(5), steps)
+    state = run_history(gb.DeferredState.uniform(5), steps)
+    kept = state.copy()
+    readouts = [
+        state.write_out,
+        state.probabilities,
+        lambda: gb.probability(state, gb.BasisPredicate(0b11000, 0b01000)),
+        lambda: gb.block_sums(state, 0b11000),
+        lambda: gb.sample(state, 256, 1),
+    ]
+    for readout in readouts:
+        readout()
+        assert_same_classes(state, kept)
+    plain = run_history(plain, steps)
+    state = run_history(state, steps)
+    np.testing.assert_allclose(
+        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +397,21 @@ def test_sample_rejects_a_nan_amplitude(dtype):
         gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
-def unbuffered_history() -> gb.DeferredState:
-    """A 5-qubit register with no buffer and three written entries, two in one block."""
-    state = gb.DeferredState.uniform(5)
+def class_history() -> gb.DeferredState:
+    """A 5-qubit class register with three written entries, two in one block."""
     local = gb.segment_mask(5, 0, 1)
-    for target, mask in [(9, 0), (9, local), (11, local), (9, 0), (22, local), (11, 0)]:
-        gb.grover_iteration(state, gb.OracleSpec(5, target), mask)
-    return state
+    steps = [(9, 0), (9, local), (11, local), (9, 0), (22, local), (11, 0)]
+    return run_history(gb.DeferredState.uniform(5), steps)
 
 
 def test_unbuffered_sample_follows_the_register_distribution():
     # 200k class-sampled shots against the written-out register: every
     # index's count within 5 sigma of its binomial mean.
     shots = 200_000
-    state = unbuffered_history()
-    probs = state.copy().probabilities()
+    state = class_history()
+    probs = state.probabilities()
     hist = gb.sample(state, shots=shots, seed=2024)
-    assert state.x is None and sorted(state.written) == [9, 11, 22]
+    assert sorted(state.written) == [9, 11, 22]
     for index, p in enumerate(probs):
         band = 5 * math.sqrt(shots * p * (1 - p))
         assert abs(hist.counts.get(index, 0) - shots * p) <= band, index
@@ -377,7 +422,7 @@ def test_unbuffered_sample_skips_written_entries():
     # Index 5 is written with amplitude 0, in the one block with the seven
     # other states: a shot on that block's class never lands on it.
     state = gb.DeferredState.uniform(3)
-    state.fill = 1 / math.sqrt(7)
+    state.member[...] = 1 / math.sqrt(7)
     state.written[5] = 0.0
     hist = gb.sample(state, shots=4096, seed=11)
     assert sorted(hist.counts) == [0, 1, 2, 3, 4, 6, 7]
@@ -396,13 +441,12 @@ def test_unbuffered_sample_holds_no_register():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
-    assert state.x is None
 
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])
 def test_class_readouts_reject_an_unnormalized_register(scale):
-    state = unbuffered_history()
-    state.fill *= scale
+    state = class_history()
+    state.member *= scale
     with pytest.raises(ValueError, match="norm"):
         gb.sample(state, shots=10, seed=0)
     with pytest.raises(ValueError, match="norm"):
