@@ -56,6 +56,7 @@ from .statevector import (
     StateVector,
     _axis_selector,
     _check_qubits,
+    _inverse_cdf,
     place_segment,
     probability,
     sample,
@@ -242,7 +243,7 @@ def _amplify_and_extract(
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
         return top, float(marginal[top])
-    value = int(ctx.rng.choice(marginal.size, p=marginal / marginal.sum()))
+    value = int(_inverse_cdf(marginal / marginal.sum(), ctx.rng))
     return value, float(marginal[value])
 
 
@@ -535,5 +536,14 @@ def run_search(config: SearchConfig) -> SearchOutcome:
 
 
 def verify_outcome(outcome: SearchOutcome, config: SearchConfig) -> bool:
-    """True iff the run recovered the configured target index."""
+    """True iff the run recovered the configured target index.
+
+    GRK resolves the target's block, not its index, and its outcome does
+    not carry the block, so a GRK config raises ``ValueError``.
+    """
+    if config.algorithm is Algorithm.GRK:
+        raise ValueError(
+            "GRK resolves a block, not an index: compare the block run_grk_partial "
+            "returns with BlockPartition(r, b).block_of(target)"
+        )
     return outcome.measured_index == config.target

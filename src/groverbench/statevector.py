@@ -25,11 +25,13 @@ It has few amplitude classes (Boyer, Brassard, Hoyer & Tapp,
 quant-ph/9605034): each amplitude the oracle has flipped, and the
 untouched members of each block, which share one amplitude.
 :class:`DeferredState` holds exactly those classes: ``member``, the
-amplitude of the untouched members of each block, keepdims-shaped
-against the ``(2,)*r`` view like :func:`block_sums`; ``written``, a dict
-from each flipped index to its amplitude; and the amplitude sum of every
-block beside them.  A flip of one amplitude negates one class and
-updates one block sum.  An inversion maps each amplitude ``a`` to
+amplitude of the untouched members of each block, 1-D in block order
+(the order of :func:`block_sums` flattened); ``written``, a dict from
+each flipped index to its amplitude; and the amplitude sum of every
+block beside them, in the same order.  The keepdims view of a block
+array against the ``(2,)*r`` view is built only where a kernel
+broadcasts over the register.  A flip of one amplitude negates one
+class and updates one block sum.  An inversion maps each amplitude ``a`` to
 ``2*mean - a``: it maps ``member`` and every written amplitude from the
 sums, and it leaves the sum of each of its blocks unchanged
 (``sum(2*mean - a) == sum(a)``).  The classes and sums are held for the
@@ -136,10 +138,11 @@ class DeferredState:
 
     :meth:`uniform` is the one constructor.  ``member`` holds the
     amplitude shared by the untouched members of each block of ``mask``,
-    the finest block mask an inversion has used, keepdims-shaped like
-    :func:`block_sums`; ``written`` maps each index the oracle has
-    flipped to its amplitude; ``sums`` holds the amplitude sum of each
-    block of ``mask``.  The register is real (float64).
+    the finest block mask an inversion has used; ``written`` maps each
+    index the oracle has flipped to its amplitude; ``sums`` holds the
+    amplitude sum of each block of ``mask``.  ``member`` and ``sums`` are
+    1-D float64 arrays in block order: block ``_compress(index, mask)``
+    holds ``index``.
     """
 
     @classmethod
@@ -149,7 +152,7 @@ class DeferredState:
         register = cls.__new__(cls)
         register.num_qubits = r
         register.mask = 0
-        register.member = np.full((1,) * r, 1.0 / math.sqrt(1 << r))
+        register.member = np.full(1, 1.0 / math.sqrt(1 << r))
         register.written = {}
         register.sums = register.member * (1 << r)
         return register
@@ -172,7 +175,8 @@ class DeferredState:
     def write_out(self) -> StateVector:
         """A new dense :class:`StateVector` of every amplitude; the classes stay as they are."""
         amplitudes = np.empty(self.dim)
-        amplitudes.reshape((2,) * self.num_qubits)[...] = self.member
+        r = self.num_qubits
+        amplitudes.reshape((2,) * r)[...] = self.member.reshape(_block_shape(r, self.mask))
         for index, value in self.written.items():
             amplitudes[index] = value
         return StateVector(self.num_qubits, amplitudes)
@@ -189,7 +193,7 @@ class DeferredState:
         return clone
 
     def _block_sums(self, block_mask: int) -> np.ndarray:
-        """True block sums of ``block_mask``, shaped as :func:`block_sums` returns them.
+        """True block sums of ``block_mask``, 1-D in block order.
 
         Adds up the sums held when ``block_mask`` is no finer than
         ``mask``.  Otherwise first moves the classes and sums to the
@@ -197,25 +201,25 @@ class DeferredState:
         """
         r = self.num_qubits
         if block_mask & ~self.mask:
+            coarse = self.member.reshape(_block_shape(r, self.mask))
             self.mask |= block_mask
-            free = _free_axes(r, self.mask)
-            shape = tuple(1 if ax in free else 2 for ax in range(r))
-            self.member = np.broadcast_to(self.member, shape).copy()
+            self.member = np.broadcast_to(coarse, _block_shape(r, self.mask)).ravel()
             self.sums = self.member * (self.dim >> self.mask.bit_count())
             for index, value in self.written.items():
                 cell = _compress(index, self.mask)
-                self.sums.flat[cell] += value - self.member.flat[cell]
+                self.sums[cell] += value - self.member[cell]
         if block_mask == self.mask:
             return self.sums
-        merged = tuple(ax for ax in _free_axes(r, block_mask) if self.sums.shape[ax] == 2)
-        return self.sums.sum(axis=merged, keepdims=True)
+        held = _block_shape(r, self.mask)
+        merged = tuple(ax for ax in _free_axes(r, block_mask) if held[ax] == 2)
+        return self.sums.reshape(held).sum(axis=merged).ravel()
 
     def _flip_one(self, index: int) -> None:
         """Negate amplitude ``index``: one entry of ``written``, one block sum."""
         cell = _compress(index, self.mask)  # the index's block in member and sums
         value = self.written[index] if index in self.written else self.member.item(cell)
         self.written[index] = -value
-        self.sums.flat[cell] -= 2 * value
+        self.sums[cell] -= 2 * value
 
     def _classes(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """The amplitude classes and their probabilities.
@@ -223,14 +227,14 @@ class DeferredState:
         Each written entry is a class of its own; the untouched members
         of a block of ``mask`` share one amplitude.  Returns ``(indices,
         masses, member_mass, untouched)``: the written indices in
-        ascending order and the probability of each, then, shaped like
-        ``member``, the probability of one untouched member of each block
-        and the number of them.
+        ascending order and the probability of each, then, in block order
+        like ``member``, the probability of one untouched member of each
+        block and the number of them.
         """
         indices = sorted(self.written)
         masses = np.array([self.written[index] for index in indices]) ** 2
-        untouched = np.full(self.member.shape, self.dim >> self.mask.bit_count())
-        np.subtract.at(untouched.reshape(-1), [_compress(i, self.mask) for i in indices], 1)
+        untouched = np.full(self.member.size, self.dim >> self.mask.bit_count())
+        np.subtract.at(untouched, [_compress(i, self.mask) for i in indices], 1)
         return indices, masses, self.member**2, untouched
 
 
@@ -393,6 +397,17 @@ def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
     return tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
 
 
+@lru_cache(maxsize=256)
+def _block_shape(r: int, block_mask: int) -> tuple[int, ...]:
+    """Keepdims shape of a per-block array against the ``(2,)*r`` view.
+
+    Size 2 on the masked axes, 1 on the axes a block spans.  A 1-D array
+    in block order reshapes to it without moving a value.
+    """
+    free = _free_axes(r, block_mask)
+    return tuple(1 if ax in free else 2 for ax in range(r))
+
+
 def _sum_blocks(amplitudes: np.ndarray, r: int, block_mask: int) -> np.ndarray:
     """One read of ``amplitudes``: the keepdims-shaped sum of every block."""
     return amplitudes.reshape((2,) * r).sum(axis=_free_axes(r, block_mask), keepdims=True)
@@ -408,7 +423,8 @@ def block_sums(state: Register, block_mask: int = 0) -> np.ndarray:
     used.
     """
     if isinstance(state, DeferredState):
-        return state._block_sums(block_mask).copy()
+        r = state.num_qubits
+        return state._block_sums(block_mask).reshape(_block_shape(r, block_mask)).copy()
     return _sum_blocks(state.amplitudes, state.num_qubits, block_mask)
 
 
@@ -432,14 +448,19 @@ def invert_about_mean(state: Register, block_mask: int = 0) -> Register:
     if isinstance(state, DeferredState):
         sums = state._block_sums(block_mask)
         twice_means = sums * (2.0 * sums.size / state.dim)
-        np.subtract(twice_means, state.member, out=state.member)
-        means = twice_means.ravel()  # 1-D: item() on the keepdims shape is slower
+        if block_mask == state.mask:
+            np.subtract(twice_means, state.member, out=state.member)
+        else:
+            # Each held block lies inside one block of the coarser mask:
+            # broadcast its mean onto the held blocks through the keepdims
+            # views, and map a held sum S of n amplitudes to 2*mean*n - S.
+            coarse = twice_means.reshape(_block_shape(r, block_mask))
+            held = _block_shape(r, state.mask)
+            member, held_sums = state.member.reshape(held), state.sums.reshape(held)
+            np.subtract(coarse, member, out=member)
+            np.subtract(coarse * (state.dim // state.sums.size), held_sums, out=held_sums)
         for index, value in state.written.items():
-            state.written[index] = means.item(_compress(index, block_mask)) - value
-        if block_mask != state.mask:
-            # A held block of n amplitudes inside a coarser one: S -> 2*mean*n - S.
-            n = state.dim // state.sums.size
-            np.subtract(twice_means * n, state.sums, out=state.sums)
+            state.written[index] = twice_means.item(_compress(index, block_mask)) - value
         return state
     sums = _sum_blocks(state.amplitudes, r, block_mask)
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
@@ -468,11 +489,26 @@ def probability(state: Register, pred: BasisPredicate) -> float:
     # number of matching members; a written one trades a member's mass for its own.
     overlap = state.mask & pred.fixed_mask
     per_block = state.dim >> (state.mask | pred.fixed_mask).bit_count()
-    total = member_mass[_axis_selector(r, overlap, pred.fixed_value & overlap)].sum() * per_block
+    view = member_mass.reshape(_block_shape(r, state.mask))
+    total = view[_axis_selector(r, overlap, pred.fixed_value & overlap)].sum() * per_block
     for index, mass in zip(indices, masses):
         if pred.matches(index):
-            total += mass - member_mass.flat[_compress(index, state.mask)]
+            total += mass - member_mass[_compress(index, state.mask)]
     return float(total)
+
+
+def _inverse_cdf(
+    p: np.ndarray, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray | np.integer:
+    """Indices drawn from the distribution ``p`` by inverse CDF.
+
+    The same draws as ``rng.choice(p.size, size, p=p)``, without its
+    checks on ``p``: callers pass a distribution their norm check has
+    already passed.  The CDF is built in place in ``p``.
+    """
+    np.cumsum(p, out=p)
+    p /= p[-1]
+    return p.searchsorted(rng.random(size), side="right")
 
 
 def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -483,19 +519,17 @@ def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) ->
     uniformly, skipping the written ones.
     """
     indices, masses, member_mass, untouched = state._classes()
-    cdf = np.concatenate([masses, (member_mass * untouched).reshape(-1)])
-    np.cumsum(cdf, out=cdf)
-    _check_norm(float(cdf[-1]))
-    cdf /= cdf[-1]
-    classes = cdf.searchsorted(rng.random(shots), side="right")
+    weights = np.concatenate([masses, member_mass * untouched])
+    _check_norm(float(weights.sum()))
+    classes = _inverse_cdf(weights, rng, shots)
     first = len(indices)  # the block classes follow the written entries
     draws = np.empty(shots, dtype=np.int64)
     single = classes < first
     draws[single] = np.array(indices, dtype=np.int64)[classes[single]]
     free = (state.dim - 1) ^ state.mask
-    per_class = np.bincount(classes, minlength=cdf.size)
+    per_class = np.bincount(classes, minlength=weights.size)
     for cell in np.flatnonzero(per_class[first:]):
-        members = rng.integers(0, untouched.flat[cell], size=per_class[first + cell])
+        members = rng.integers(0, untouched[cell], size=per_class[first + cell])
         # The j-th untouched member sits past every written one ranked at or below it.
         written = np.array(
             sorted(_compress(i, free) for i in indices if _compress(i, state.mask) == cell),
@@ -526,9 +560,7 @@ def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
     else:
         cdf = state.probabilities()
         cdf /= cdf.sum()
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        draws = cdf.searchsorted(rng.random(shots), side="right")
+        draws = _inverse_cdf(cdf, rng, shots)
         del cdf  # the histogram is built without the register-sized CDF held
     values, counts = np.unique(draws, return_counts=True)
     return ShotHistogram(dict(zip(values.tolist(), counts.tolist())), shots)

@@ -670,6 +670,22 @@ def test_verify_outcome():
     assert not gb.verify_outcome(outcome, other)
 
 
+def test_verify_outcome_rejects_a_grk_config():
+    # GRK resolves a block, which its outcome does not carry: verify_outcome
+    # refuses the config instead of comparing the sampled index.
+    config = gb.SearchConfig(r=4, target=1, algorithm="GRK", b=8, shots=64, seed=0)
+    block, outcome = gb.run_grk_partial(config)
+    assert block == gb.BlockPartition(4, 8).block_of(config.target)
+    with pytest.raises(ValueError, match="block_of"):
+        gb.verify_outcome(outcome, config)
+    for algorithm in ("GS", "DFGS", "BDGS"):
+        config = gb.SearchConfig(r=6, target=45, algorithm=algorithm, shots=64, seed=3)
+        outcome = gb.run_search(config)
+        assert outcome.measured_index == 45 and gb.verify_outcome(outcome, config)
+        other = gb.SearchConfig(r=6, target=44, algorithm=algorithm, shots=64, seed=3)
+        assert not gb.verify_outcome(outcome, other)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=16)

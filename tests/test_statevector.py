@@ -338,6 +338,40 @@ def test_readouts_leave_the_class_register_unchanged():
 # sample
 
 
+def test_class_register_holds_its_classes_1d_in_block_order():
+    # After a GS -> GRK-local -> cleanup history, member and sums hold one
+    # entry per block of the held mask, in block order: member at an
+    # untouched index's block is that index's amplitude.
+    from groverbench.statevector import _compress
+
+    r, target = 8, 0b10110101
+    local = gb.segment_mask(r, 0, 1)
+    state = run_history(
+        gb.DeferredState.uniform(r), [(target, 0)] * 3 + [(target, local)] * 2 + [(target, 0)]
+    )
+    assert state.mask == local and sorted(state.written) == [target]
+    assert state.member.shape == state.sums.shape == (1 << local.bit_count(),)
+    amplitudes = state.write_out().amplitudes
+    for index in range(1 << r):
+        if index not in state.written:
+            assert state.member[_compress(index, state.mask)] == amplitudes[index]
+    np.testing.assert_allclose(state.sums, fresh_sums(state, local).ravel(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("block_mask", [0, 0b1000, 0b1100, 0b1110, 0b0011])
+def test_block_sums_keep_the_keepdims_shape_on_either_register(block_mask):
+    # HISTORY_4 holds the mask 0b1100: a coarser, the same and a finer mask
+    # read the same shape and values from the class register as from the
+    # dense one.
+    state = run_history(gb.DeferredState.uniform(4), HISTORY_4)
+    plain = run_history(gb.uniform_state(4), HISTORY_4)
+    assert state.mask == 0b1100
+    sums = gb.block_sums(state, block_mask)
+    expected = gb.block_sums(plain, block_mask)
+    assert sums.shape == expected.shape
+    np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-14)
+
+
 def test_sample_point_mass():
     hist = gb.sample(gb.basis_state(4, 3), shots=1024, seed=1)
     assert hist.counts == {3: 1024}
@@ -369,6 +403,24 @@ def test_sample_draws_match_generator_choice(r, seed):
     values, counts = np.unique(draws, return_counts=True)
     hist = gb.sample(state, shots=333, seed=seed)
     assert hist.counts == {int(v): int(c) for v, c in zip(values, counts)}
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_inverse_cdf_draws_match_generator_choice(size):
+    # The one inverse-CDF draw that the samplers and the layered drivers
+    # share gives the draws of Generator.choice, one at a time or many.
+    from groverbench.statevector import _inverse_cdf
+
+    marginals = np.random.default_rng(size)
+    for seed in range(50):
+        marginal = marginals.random(size) ** 3
+        p = marginal / marginal.sum()
+        expected, actual = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert int(_inverse_cdf(p.copy(), actual)) == int(expected.choice(size, p=p))
+        np.testing.assert_array_equal(
+            _inverse_cdf(p.copy(), actual, 64), expected.choice(size, 64, p=p)
+        )
 
 
 def test_sample_holds_one_register_sized_array():
