@@ -1,8 +1,8 @@
 """Seeded benchmark plans and the exported artifacts.
 
 A plan is a (qubits x algorithm x trial) grid.  Every cell derives its
-seed from the base seed and the cell id, so reruns reproduce the same
-table bit for bit and cells can run in parallel.  The same run feeds the
+seed from the base seed and the cell id, never from execution order, so
+reruns reproduce the same table bit for bit.  The same run feeds the
 markdown/CSV tables and the per-algorithm scaling series.
 
 The 20-qubit full-search column takes a few seconds per trial; this demo

@@ -1,10 +1,10 @@
 """Experiment runner: seeded trial plans, result tables, and plot data.
 
 A plan is a grid of (qubits, algorithm, trial) cells.  Every cell gets a
-seed derived from the base seed and the cell id alone, never from
-execution order, so plans are reproducible and cells can run
-concurrently.  Per-cell failures become error rows instead of aborting
-the batch.
+seed derived from the base seed and the cell id alone, so plans are
+reproducible and seeds do not depend on execution order.  Cells run one
+after another in plan order.  Per-cell failures become error rows
+instead of aborting the batch.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -46,6 +45,10 @@ class ExperimentPlan:
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         self.algorithms = [Algorithm(a) for a in self.algorithms]
+        if len(set(self.qubit_list)) < len(self.qubit_list):
+            raise ValueError(f"qubit counts must be distinct, got {self.qubit_list}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError("algorithms must be distinct")
         for qubits in self.qubit_list:
             for algorithm in self.algorithms:
                 _check_block_size(qubits, self.block_size, algorithm)
@@ -176,32 +179,19 @@ def _run_cell(
     )
 
 
-def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ResultTable:
-    """Execute every cell of the plan; failures become error rows."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = [
-        (qubits, algorithm, trial)
-        for qubits in plan.qubit_list
-        for algorithm in plan.algorithms
-        for trial in range(1, plan.trials + 1)
-    ]
-
-    def execute(cell: tuple[int, Algorithm, int]):
-        qubits, algorithm, trial = cell
-        try:
-            return _run_cell(plan, qubits, algorithm, trial)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return ErrorRow(qubits, algorithm, trial, f"{type(exc).__name__}: {exc}")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, cells))
-    else:
-        results = [execute(cell) for cell in cells]
-
-    rows = [item for item in results if isinstance(item, TrialRow)]
-    errors = [item for item in results if isinstance(item, ErrorRow)]
+def run_plan(plan: ExperimentPlan) -> ResultTable:
+    """Execute every cell in plan order; failures become error rows."""
+    rows: list[TrialRow] = []
+    errors: list[ErrorRow] = []
+    for qubits in plan.qubit_list:
+        for algorithm in plan.algorithms:
+            for trial in range(1, plan.trials + 1):
+                try:
+                    rows.append(_run_cell(plan, qubits, algorithm, trial))
+                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                    errors.append(
+                        ErrorRow(qubits, algorithm, trial, f"{type(exc).__name__}: {exc}")
+                    )
     return ResultTable.from_rows(rows, errors)
 
 

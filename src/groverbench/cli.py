@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--format", choices=sorted(_FORMAT_EXT), default="csv")
     run_cmd.add_argument("--out", default=None,
                          help="output directory (default: $GROVERBENCH_OUT or cwd)")
-    run_cmd.add_argument("--jobs", type=int, default=1)
+    run_cmd.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; must be >= 1 and has no "
+                         "other effect (cells run one after another)")
 
     search_cmd = sub.add_parser("search", help="run one search and print the outcome")
     search_cmd.add_argument("--qubits", type=int, required=True)
@@ -106,12 +108,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             target=args.target,
             block_size=args.block_size,
         )
-        # run_plan checks ``jobs`` before any cell runs; cell errors become rows.
-        table = run_plan(plan, jobs=args.jobs)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     except ValueError as exc:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 2
 
+    table = run_plan(plan)  # a failing cell becomes an error row
     out_dir = _output_dir(args.out)
     table_path = out_dir / f"results.{_FORMAT_EXT[args.format]}"
     table_path.write_bytes(emit_table(table, args.format))

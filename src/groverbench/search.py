@@ -94,6 +94,8 @@ class SearchConfig:
         _check_block_size(self.r, self.b, self.algorithm)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def k(self) -> int:

@@ -101,11 +101,31 @@ def test_run_plan_deterministic():
     ]
 
 
-def test_run_plan_parallel_matches_serial():
-    serial = gb.run_plan(small_plan())
-    parallel = gb.run_plan(small_plan(), jobs=4)
-    key = lambda row: (row.qubits, row.algorithm, row.trial, row.accuracy_pct, row.hits)
-    assert sorted(map(key, serial.rows)) == sorted(map(key, parallel.rows))
+def test_run_plan_runs_cells_in_plan_order_on_the_calling_thread(monkeypatch):
+    import threading
+
+    import groverbench.bench as bench
+
+    real = bench.run_search
+    calls = []
+
+    def recording(config):
+        calls.append((config.seed, threading.get_ident()))
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", recording)
+    table = gb.run_plan(small_plan())
+    # Qubits, then algorithm, then trial.
+    cells = [
+        (qubits, algorithm, trial)
+        for qubits in (4, 8)
+        for algorithm in (gb.Algorithm.GS, gb.Algorithm.DFGS, gb.Algorithm.BDGS)
+        for trial in (1, 2)
+    ]
+    # A cell's search seed names its trial too.
+    caller = threading.get_ident()
+    assert calls == [(gb.cell_seed(7, *cell), caller) for cell in cells]
+    assert [(row.qubits, row.algorithm, row.trial) for row in table.rows] == cells
 
 
 def test_run_plan_fixed_target(monkeypatch):
@@ -169,8 +189,11 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="two items per block"):
         gb.ExperimentPlan(qubit_list=[8, 4], algorithms=["BDGS", "GRK"], block_size=16)
     gb.ExperimentPlan(qubit_list=[4, 8], algorithms=["GRK"], block_size=8)
-    with pytest.raises(ValueError, match="jobs"):
-        gb.run_plan(gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"]), jobs=0)
+    # A repeated qubit count or algorithm would run the same cells twice.
+    with pytest.raises(ValueError, match="qubit counts must be distinct"):
+        gb.ExperimentPlan(qubit_list=[4, 4], algorithms=["GS"])
+    with pytest.raises(ValueError, match="algorithms must be distinct"):
+        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS", gb.Algorithm.GS])
 
 
 # ---------------------------------------------------------------------------

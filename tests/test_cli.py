@@ -244,6 +244,36 @@ def test_run_rejects_zero_jobs(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("qubits, algo", [("4,4", "GS"), ("4", "GS,gs")])
+def test_run_rejects_duplicate_cells(tmp_path, capsys, qubits, algo):
+    code, _, err = run_cli(
+        capsys,
+        ["run", "--qubits", qubits, "--algo", algo, "--trials", "1", "--out", str(tmp_path)],
+    )
+    assert code == 2
+    assert err.startswith("invalid plan:") and "distinct" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_jobs_has_no_effect_on_rows(tmp_path, capsys):
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        code, _, err = run_cli(
+            capsys,
+            ["run", "--qubits", "4,6", "--algo", "GS,GRK,DFGS,BDGS", "--trials", "2",
+             "--shots", "64", "--seed", "11", "--jobs", jobs, "--format", "json",
+             "--out", str(out)],
+        )
+        assert code == 0, err
+        rows[jobs] = json.loads((out / "results.json").read_text())["rows"]
+        for row in rows[jobs]:
+            del row["time_s"]
+    assert len(rows["1"]) == 2 * 4 * 2
+    assert rows["1"] == rows["2"]
+
+
 @pytest.mark.parametrize("command", ["search", "predict"])
 def test_gs_on_one_qubit_needs_no_block_size(capsys, command):
     # GS never uses b, so the default block size must not reject a 2-state register.

@@ -697,6 +697,9 @@ def test_search_config_validation():
         gb.SearchConfig(r=4, target=3, b=1)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, shots=0)
+    # A negative seed fails here, not later inside np.random.default_rng.
+    with pytest.raises(ValueError, match="seed"):
+        gb.SearchConfig(4, 3, seed=-1)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=30, target=3)
     with pytest.raises(ValueError, match="index space"):
