@@ -52,4 +52,4 @@ print("applied twice:      ", np.round(state.amplitudes, 4))
 # build; the test suite uses it to cross-check every composed pipeline.
 matrix = gb.operator_matrix(2, lambda s: gb.grover_iteration(s, gb.OracleSpec(2, 3)))
 print("dense operator of one iteration:")
-print(np.round(matrix.real, 4))
+print(np.round(matrix, 4))

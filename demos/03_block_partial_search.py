@@ -51,7 +51,7 @@ for _ in range(t_global):
 for _ in range(t_local):
     state = gb.grover_iteration(state, oracle, partition.block_mask)
 state = gb.grover_iteration(state, oracle)
-amps = state.amplitudes.real
+amps = state.amplitudes
 others = [i for i in range(n) if partition.block_of(i) == block and i != target]
 outside = [i for i in range(n) if partition.block_of(i) != block]
 print(f"  simulated target     {amps[target]:+.9f}")

@@ -66,8 +66,6 @@ from .statevector import (
     probability,
     sample,
     segment_mask,
-    state_from_pairs,
-    state_to_pairs,
     uniform_state,
 )
 

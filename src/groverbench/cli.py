@@ -113,9 +113,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 2
+    try:
+        out_dir = _output_dir(args.out)
+    except OSError as exc:
+        print(f"invalid output directory: {exc}", file=sys.stderr)
+        return 2
 
     table = run_plan(plan)  # a failing cell becomes an error row
-    out_dir = _output_dir(args.out)
     table_path = out_dir / f"results.{_FORMAT_EXT[args.format]}"
     table_path.write_bytes(emit_table(table, args.format))
     written = [table_path]

@@ -312,18 +312,18 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     _check_block_size(r, b, algorithm)
     n = 1 << r
     k = b.bit_length() - 1
-    if algorithm is Algorithm.GS:
-        exact = math.pi / (4.0 * grover_angle(n)) - 0.5
-        t = optimal_iterations(n)
-        return PredictedCost(algorithm, exact, float(t), t)
     if algorithm is Algorithm.GRK:
         bound = grk_query_count(n, b)
         return PredictedCost(algorithm, bound, bound + 1.0, None)
+    layers = predicted_layers(algorithm, r, k)
+    if algorithm is Algorithm.GS:
+        exact = math.pi / (4.0 * grover_angle(n)) - 0.5
+        return PredictedCost(algorithm, exact, float(layers), layers)
     if algorithm is Algorithm.DFGS:
         planned = 0
         for lo in range(0, r, k):
             width = min(lo + k - 1, r - 1) - lo + 1
             planned += optimal_iterations(1 << width)
-        return PredictedCost(algorithm, float(planned), float(planned), math.ceil(r / k))
+        return PredictedCost(algorithm, float(planned), float(planned), layers)
     bound = bdgs_total_queries(n, b, r, k)
-    return PredictedCost(algorithm, bound, bound, math.ceil(r / (2 * k)))
+    return PredictedCost(algorithm, bound, bound, layers)

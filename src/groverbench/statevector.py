@@ -8,11 +8,9 @@ index and "backward" groups at the bottom.  Predicates and block masks
 are plain integer bit masks over ``y``; :func:`segment_mask` converts an
 inclusive position range into such a mask.
 
-The package's own constructors build real float64 registers: the +-1
-phase oracle and the inversion about the mean never create an imaginary
-part, so storing one would only double the memory traffic.  A complex
-input (for example from :func:`state_from_pairs`) is kept as complex128,
-and every kernel works on either dtype unchanged.
+Registers are real float64: the +-1 phase oracle and the inversion about
+the mean never create an imaginary part.  A complex input is rejected,
+never cast, so no imaginary part is dropped silently.
 
 Kernels update the register in place and return the state they were
 given, so a search iteration allocates no second register.  Callers
@@ -93,8 +91,9 @@ def _check_norm(mass: float) -> None:
 class StateVector:
     """Amplitudes of an ``r``-qubit register over the computational basis.
 
-    A contiguous float64 or complex128 array is stored as given, not
-    copied, so the in-place kernels also write through to it.
+    A contiguous float64 array is stored as given, not copied, so the
+    in-place kernels also write through to it.  Complex amplitudes are
+    rejected, even with a zero imaginary part.
     """
 
     num_qubits: int
@@ -102,8 +101,9 @@ class StateVector:
 
     def __post_init__(self) -> None:
         _check_qubits(self.num_qubits)
-        dtype = np.complex128 if np.iscomplexobj(self.amplitudes) else np.float64
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=dtype)
+        if np.iscomplexobj(self.amplitudes):
+            raise ValueError("amplitudes must be real; registers are float64")
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=np.float64)
         expected = 1 << self.num_qubits
         if self.amplitudes.shape != (expected,):
             raise ValueError(
@@ -119,13 +119,13 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
-        """Measurement probabilities ``|a|**2`` of every basis state.
+        """Measurement probabilities ``a**2`` of every basis state.
 
         Raises ``ValueError`` when the L2 norm deviates from 1 by more
         than ``NORM_TOL``, or is NaN: by the no-renormalize policy that
         signals an upstream kernel bug.
         """
-        probs = np.abs(self.amplitudes) ** 2
+        probs = np.square(self.amplitudes)
         _check_norm(float(probs.sum()))
         return probs
 
@@ -180,10 +180,6 @@ class DeferredState:
         for index, value in self.written.items():
             amplitudes[index] = value
         return StateVector(self.num_qubits, amplitudes)
-
-    def probabilities(self) -> np.ndarray:
-        """As :meth:`StateVector.probabilities`, of the written-out register."""
-        return self.write_out().probabilities()
 
     def copy(self) -> DeferredState:
         clone = copy.copy(self)
@@ -541,7 +537,7 @@ def _draw_classes(state: DeferredState, shots: int, rng: np.random.Generator) ->
 
 
 def sample(state: Register, shots: int, seed: int) -> ShotHistogram:
-    """Draw ``shots`` independent basis-state indices with probability |a|^2.
+    """Draw ``shots`` independent basis-state indices with probability ``a**2``.
 
     Deterministic for a fixed ``seed``.  A :class:`StateVector` gives the
     same draws as ``Generator.choice(dim, shots, p=probs / probs.sum())``:
@@ -577,24 +573,8 @@ def operator_matrix(r: int, operation: Callable[[StateVector], StateVector]) -> 
     if r > 6:
         raise ValueError(f"dense operator construction is capped at 6 qubits, got {r}")
     dim = 1 << r
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    matrix = np.zeros((dim, dim))
     for j in range(dim):
         matrix[:, j] = operation(basis_state(r, j)).amplitudes
     return matrix
 
-
-# ---------------------------------------------------------------------------
-# Fixture serialization: states as JSON-friendly [re, im] pairs
-
-
-def state_to_pairs(state: StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
-
-
-def state_from_pairs(pairs: list[list[float]]) -> StateVector:
-    n = len(pairs)
-    r = n.bit_length() - 1
-    if n <= 0 or (1 << r) != n:
-        raise ValueError(f"amplitude count {n} is not a power of two")
-    amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return StateVector(r, amps)

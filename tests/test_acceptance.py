@@ -162,7 +162,7 @@ def test_criterion_6_kernel_correctness():
 
         for case in range(100):
             r = int(rng.integers(2, 11))
-            vec = rng.normal(size=1 << r) + 1j * rng.normal(size=1 << r)
+            vec = rng.normal(size=1 << r)
             state = gb.StateVector(r, vec / np.linalg.norm(vec))
             for _ in range(3):
                 target = int(rng.integers(0, 1 << r))

@@ -186,13 +186,13 @@ def test_run_markdown_format(tmp_path, capsys):
 
 
 def test_run_env_var_output_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GROVERBENCH_OUT", str(tmp_path / "nested"))
+    monkeypatch.setenv("GROVERBENCH_OUT", str(tmp_path / "nested" / "deeper"))
     code, _, _ = run_cli(
         capsys,
         ["run", "--qubits", "4", "--algo", "BDGS", "--trials", "1", "--shots", "16"],
     )
     assert code == 0
-    assert (tmp_path / "nested" / "results.csv").exists()
+    assert (tmp_path / "nested" / "deeper" / "results.csv").exists()
 
 
 def test_run_invalid_plan_exits_2(tmp_path, capsys):
@@ -202,6 +202,26 @@ def test_run_invalid_plan_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid plan" in err
+
+
+def test_run_out_naming_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    import groverbench.bench as bench
+
+    def no_cell(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "run_search", no_cell)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run_cli(
+        capsys,
+        ["run", "--qubits", "4,6", "--algo", "GS", "--trials", "1", "--out", str(afile)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid output directory:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert afile.read_text() == ""
 
 
 def test_run_cell_failure_exits_1(tmp_path, capsys, monkeypatch):

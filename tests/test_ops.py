@@ -329,7 +329,7 @@ def test_first_iteration_marked_amplitude_closed_form():
         oracle = gb.OracleSpec(r, 1)
         state = gb.grover_iteration(gb.uniform_state(r), oracle)
         expected = (3 * n - 4) / (n * math.sqrt(n))
-        assert state.amplitudes[1].real == pytest.approx(expected, abs=1e-12)
+        assert state.amplitudes[1] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_grk_statevector_matches_reference_recurrence():
 
     block = partition.block_of(target)
     size = partition.block_size
-    amps = state.amplitudes.real
+    amps = state.amplitudes
     assert amps[target] == pytest.approx(a, abs=1e-12)
     for i in range(block * size, (block + 1) * size):
         if i != target:
