@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .statevector import (
     BasisPredicate,
     Register,
+    _check_norm,
     _check_qubits,
     extract_segment,
     invert_about_mean,
@@ -46,9 +48,11 @@ class OracleSpec:
     single-target oracle.  ``query_count`` increments by exactly one per
     application, whether the oracle acts on the full register, on a
     compact working register holding just the segment subspace, or as a
-    classical index probe.  The predicate for each register form is
-    built once, at its first use, not per query; a layered search uses
-    only one of them, so neither is built before it is needed.
+    classical index probe.  A compact segment search reads its outcome in
+    closed form (:func:`segment_masses`) and adds its
+    ``optimal_iterations(2**width)`` amplification rounds to
+    ``query_count`` directly, one query each.  The predicate for each
+    register form is built once, at its first use, not per query.
     """
 
     r: int
@@ -199,6 +203,45 @@ def optimal_iterations(search_dim: int) -> int:
     return max(1, math.floor(math.pi / (4.0 * grover_angle(search_dim))))
 
 
+# A segment's readout is taken as certain when the marked value's
+# probability clears this bar; anything less certain is sampled and then
+# confirmed against the oracle with one classical probe.
+_EXACT_THRESHOLD = 1.0 - 1e-9
+
+
+def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
+    """One iteration inside a block of ``block`` items holding the target.
+
+    ``a`` is the target's amplitude and ``b_amp`` the one every other
+    item of the block shares: the oracle negates ``a``, and the
+    inversion maps both about the block mean.
+    """
+    mu = ((block - 1) * b_amp - a) / block
+    return 2.0 * mu + a, 2.0 * mu - b_amp
+
+
+@lru_cache(maxsize=None)
+def segment_masses(width: int) -> tuple[float, float]:
+    """Readout masses ``(p_hit, p_miss)`` of one compact segment search.
+
+    A single-target search over a uniform ``2**width`` register keeps two
+    amplitude classes (Boyer, Brassard, Høyer & Tapp, quant-ph/9605034):
+    the marked value and the rest.  Runs their recurrence for
+    ``optimal_iterations(2**width)`` rounds and returns the probability
+    of the marked value and of each other value.  The total mass passes
+    the readout norm check.  Cached per width, so it holds at most
+    ``MAX_QUBITS`` entries.
+    """
+    _check_qubits(width)
+    n = 1 << width
+    a = b_amp = 1.0 / math.sqrt(n)
+    for _ in range(optimal_iterations(n)):
+        a, b_amp = _grk_local_step(a, b_amp, n)
+    p_hit, p_miss = a * a, b_amp * b_amp
+    _check_norm(p_hit + (n - 1) * p_miss)
+    return p_hit, p_miss
+
+
 def grover_iteration(
     state: Register, oracle: OracleSpec, diffusion_mask: int = 0
 ) -> Register:
@@ -305,7 +348,11 @@ def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     """Bundle the closed-form predictions for one (algorithm, size) cell.
 
-    Rejects the same ``(r, b)`` the drivers reject.
+    The DFGS count is the least any run makes: each segment's
+    ``reps = optimal_iterations(2**width)`` amplification rounds, plus the
+    one confirming probe of every inexact segment (``segment_masses``
+    tells which widths are).  A retry adds ``reps + 1`` more, or one
+    probe at width 1.  Rejects the same ``(r, b)`` the drivers reject.
     """
     _check_qubits(r)
     algorithm = Algorithm(algorithm)
@@ -320,10 +367,12 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
         return PredictedCost(algorithm, exact, float(layers), layers)
     if algorithm is Algorithm.DFGS:
-        planned = 0
+        iterations = queries = 0
         for lo in range(0, r, k):
             width = min(lo + k - 1, r - 1) - lo + 1
-            planned += optimal_iterations(1 << width)
-        return PredictedCost(algorithm, float(planned), float(planned), layers)
+            reps = optimal_iterations(1 << width)
+            iterations += reps
+            queries += reps + (segment_masses(width)[0] <= _EXACT_THRESHOLD)
+        return PredictedCost(algorithm, float(iterations), float(queries), layers)
     bound = bdgs_total_queries(n, b, r, k)
     return PredictedCost(algorithm, bound, bound, layers)

@@ -19,15 +19,19 @@ makes each step O(1) work and is never written out: :func:`sample` and
 amplitude classes, so neither driver allocates a ``2**r`` array.
 
 Both layered drivers run rounds of segment searches, and every segment
-search starts from a fresh register: measuring a segment's bits leaves
-the uniform superposition over the indices still consistent with them.
-By default the register is compact, ``2**width`` amplitudes holding just
-the segment subspace, with every already-determined bit folded into the
-oracle condition.  The full-register mode (``mode="full"``) starts from
-that conditioned superposition on the entire ``2**r`` state and diffuses
-within each block of the other bits, up to ``MAX_QUBITS``; it is the
-reference the compact mode is checked against.  Both modes resolve
-identical bit values and cost identical queries.
+search starts from the uniform superposition over the indices still
+consistent with the bits measured so far.  By default the search is
+compact: every already-determined bit is folded into the oracle
+condition, and the ``2**width`` segment subspace is read in closed form.
+A single-target search over it keeps two amplitude classes, so
+:func:`~groverbench.ops.segment_masses` gives the readout, the oracle is
+charged its ``optimal_iterations(2**width)`` queries, and a sampled value
+takes the one draw the dense readout would.  The full-register mode
+(``mode="full"``) starts from that conditioned superposition on the
+entire ``2**r`` state and diffuses within each block of the other bits,
+up to ``MAX_QUBITS``; it is the dense reference the compact mode is
+checked against.  Both modes resolve identical bit values and cost
+identical queries.
 """
 
 from __future__ import annotations
@@ -41,14 +45,17 @@ from itertools import zip_longest
 import numpy as np
 
 from .ops import (
+    _EXACT_THRESHOLD,
     Algorithm,
     BlockPartition,
     OracleSpec,
     _check_block_size,
+    _grk_local_step,
     grk_query_count,
     grover_angle,
     grover_iteration,
     optimal_iterations,
+    segment_masses,
 )
 from .statevector import (
     BasisPredicate,
@@ -61,14 +68,10 @@ from .statevector import (
     probability,
     sample,
     segment_mask,
-    uniform_state,
+    uniform_state,  # no driver calls it; kept bound for tracers that wrap it here
 )
 
 MAX_SEGMENT_ATTEMPTS = 8
-
-# Segment extraction reads the argmax when its probability clears this bar;
-# anything less certain is sampled and then confirmed against the oracle.
-_EXACT_THRESHOLD = 1.0 - 1e-9
 
 
 class SegmentSearchError(RuntimeError):
@@ -221,27 +224,40 @@ def _amplify_and_extract(
     segment: tuple[int, int],
     found: FoundBits,
 ) -> tuple[int, float]:
-    """Run the segment's amplification rounds on a fresh register and pick a value.
+    """Run the segment's amplification rounds and pick a value.
 
     Returns ``(value, probability)`` where the probability is the mass
     the post-amplification marginal puts on the chosen value.  The
     argmax is read directly when it is certain; otherwise the value is
-    sampled with the run's generator.
+    sampled with one draw of the run's generator.  The compact mode reads
+    the two masses of :func:`segment_masses` and charges the oracle its
+    ``reps`` queries; the full mode amplifies a ``2**r`` register.
     """
     lo, hi = segment
     width = hi - lo + 1
     reps = optimal_iterations(1 << width)
     if ctx.mode == "compact":
-        register = uniform_state(width)
-        for _ in range(reps):
-            register = grover_iteration(register, oracle)
-        marginal = register.probabilities()
-    else:
-        register = _conditioned_uniform(ctx.r, found)
-        diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
-        for _ in range(reps):
-            register = grover_iteration(register, oracle, diffusion_mask)
-        marginal = _segment_marginal(register, lo, hi)
+        p_hit, p_miss = segment_masses(width)
+        oracle.query_count += reps
+        hit = oracle.segment_value
+        if p_hit > _EXACT_THRESHOLD:
+            return hit, p_hit
+        # Inverse CDF over values below the marked one, the marked one,
+        # then the values above it: the draw the dense readout makes.  The
+        # clamps keep a draw that rounds across a boundary in its range.
+        last = (1 << width) - 1
+        u = ctx.rng.random() * (p_hit + last * p_miss)
+        below = hit * p_miss
+        if u < below:
+            return min(int(u / p_miss), hit - 1), p_miss
+        if u < below + p_hit:
+            return hit, p_hit
+        return min(hit + 1 + int((u - below - p_hit) / p_miss), last), p_miss
+    register = _conditioned_uniform(ctx.r, found)
+    diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
+    for _ in range(reps):
+        register = grover_iteration(register, oracle, diffusion_mask)
+    marginal = _segment_marginal(register, lo, hi)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
         return top, float(marginal[top])
@@ -341,11 +357,6 @@ def _grk_global_step(
 ) -> tuple[float, float, float]:
     mu = ((n - block) * g + (block - 1) * b_amp - a) / n
     return 2.0 * mu + a, 2.0 * mu - b_amp, 2.0 * mu - g
-
-
-def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
-    mu = ((block - 1) * b_amp - a) / block
-    return 2.0 * mu + a, 2.0 * mu - b_amp
 
 
 def grk_reference_amplitudes(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
+from groverbench.ops import segment_masses
 
 
 def dense_iteration_matrix(r: int, pred: gb.BasisPredicate, block_mask: int) -> np.ndarray:
@@ -483,6 +484,41 @@ def test_predict_cost():
     assert dfgs.layers == 10
     assert dfgs.oracle_calls == pytest.approx(10.0)
 
+    # Two width-3 segments: two rounds each, and each is confirmed by a probe.
+    dfgs = gb.predict_cost("DFGS", 6, 8)
+    assert (dfgs.iterations, dfgs.oracle_calls) == (4.0, 6.0)
+
     grk = gb.predict_cost("GRK", 8, 4)
     assert grk.layers is None
     assert grk.oracle_calls == pytest.approx(gb.grk_query_count(256, 4) + 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_segment_masses_match_a_dense_segment_search(width):
+    n = 1 << width
+    p_hit, p_miss = segment_masses(width)
+    for value in sorted({0, n // 3, n - 1}):
+        state = gb.uniform_state(width)
+        oracle = gb.OracleSpec(width, value)
+        for _ in range(gb.optimal_iterations(n)):
+            state = gb.grover_iteration(state, oracle)
+        expected = np.full(n, p_miss)
+        expected[value] = p_hit
+        np.testing.assert_allclose(state.probabilities(), expected, rtol=0, atol=1e-12)
+
+
+def test_predicted_dfgs_queries_bound_every_run():
+    # predict_cost counts the least a DFGS run spends: amplification rounds
+    # plus one probe per inexact segment.  Exact at b = 4 with even r.
+    for r in range(2, 17):
+        for k in range(1, min(r, 4) + 1):
+            predicted = gb.predict_cost("DFGS", r, 1 << k).oracle_calls
+            for seed in range(3):
+                config = gb.SearchConfig(
+                    r=r, target=(37 * seed + 11 * r) % (1 << r), algorithm="DFGS",
+                    b=1 << k, seed=seed,
+                )
+                measured = gb.run_dfgs(config).oracle_calls
+                assert predicted <= measured, (r, k, seed)
+                if k == 2 and r % 2 == 0:
+                    assert predicted == measured, (r, seed)

@@ -284,6 +284,27 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
     assert outcome.certainty == pytest.approx(certainty, abs=1e-9)
 
 
+def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
+    # One segment of width 24: the compact readout takes the two class
+    # masses, never the 128 MiB register, and runs the recurrence cold.
+    from groverbench.ops import segment_masses
+
+    r = 24
+    config = gb.SearchConfig(r=r, target=12_345_678, algorithm="DFGS", b=1 << r, seed=5)
+    gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="DFGS", b=16, seed=5))
+    segment_masses.cache_clear()
+    tracemalloc.start()
+    try:
+        outcome = gb.run_search(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert outcome.measured_index == config.target and outcome.layers == 1
+    reps = gb.optimal_iterations(1 << r)
+    assert outcome.oracle_calls >= reps + 1  # amplification, then one probe
+
+
 def test_dense_and_deferred_iterations_agree_at_r22():
     # The dense kernels stay the checked code at r = 22: a few global and
     # block-local iterations from the equal superposition, both ways, with
@@ -356,28 +377,46 @@ def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
-def test_layered_run_keeps_the_traced_segment_boundaries(monkeypatch, algorithm):
+def _count_layered_lookups(monkeypatch, run) -> dict:
     # perfbench/tracing.py counts segment searches and their amplification
-    # passes through these lookups: 10 width-2 segments at r = 20, b = 4.
+    # passes through these lookups in ``search``.
     import groverbench.search as search
 
     calls = {}
 
     def counter(name):
         real = getattr(search, name)
+        calls[name] = 0
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(search, name, counted)
 
     for name in ("segment_partial_search", "uniform_state", "grover_iteration"):
         counter(name)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_layered_run_keeps_the_traced_segment_boundaries(monkeypatch, algorithm):
+    # 10 width-2 segments at r = 20, b = 4.  The compact mode reads each
+    # segment's two amplitude classes in closed form: no register, no
+    # iteration call.
     config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
-    gb.run_search(config)
-    assert calls == {"segment_partial_search": 10, "uniform_state": 10, "grover_iteration": 10}
+    calls = _count_layered_lookups(monkeypatch, lambda: gb.run_search(config))
+    assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 0}
+
+
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
+    # The full mode amplifies the 2**r register: one iteration per segment.
+    config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
+    runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
+    calls = _count_layered_lookups(monkeypatch, lambda: runner(config, mode="full"))
+    assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 10}
 
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
@@ -598,20 +637,33 @@ def test_found_bits_monotonic_and_complete():
 # Full-register cross-validation
 
 
-@pytest.mark.parametrize("r", [4, 5, 6, 8, 10])
-def test_compact_and_full_modes_agree(r):
-    rng = np.random.default_rng(900 + r)
-    for _ in range(6):
+def _assert_modes_agree(r: int, b: int, rng: np.random.Generator, configs: int = 6) -> None:
+    for _ in range(configs):
         target = int(rng.integers(0, 1 << r))
         seed = int(rng.integers(2**31))
         for algorithm, runner in (("BDGS", gb.run_bdgs), ("DFGS", gb.run_dfgs)):
-            config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, shots=16, seed=seed)
+            config = gb.SearchConfig(
+                r=r, target=target, algorithm=algorithm, b=b, shots=16, seed=seed
+            )
             compact = runner(config, mode="compact")
             full = runner(config, mode="full")
             assert compact.measured_index == full.measured_index == target
             assert compact.oracle_calls == full.oracle_calls
             assert compact.layers == full.layers
             assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 8, 10])
+def test_compact_and_full_modes_agree(r):
+    _assert_modes_agree(r, 4, np.random.default_rng(900 + r))
+
+
+@pytest.mark.parametrize("b", [16, 32])
+@pytest.mark.parametrize("r", [10, 12])
+def test_compact_and_full_modes_agree_at_sampled_widths(r, b):
+    # Widths 4 and 5 (and their residuals) are sampled and confirmed, so a
+    # miss retries: equal oracle_calls mean both modes made the same draws.
+    _assert_modes_agree(r, b, np.random.default_rng(31 * r + b), configs=4)
 
 
 @pytest.mark.parametrize("b", [4, 8])
@@ -722,20 +774,37 @@ def test_search_config_validation():
     ],
 )
 def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
-    """A kernel that loses the norm is caught by the readout, with or without -O."""
+    """A kernel that loses the norm is caught by the readout, with or without -O.
+
+    The compact layered mode runs no kernel: the drift goes into its
+    two-class recurrence, whose cached masses are cleared around the run.
+    """
     import groverbench.ops as ops
 
-    real = ops.phase_flip
+    if mode == "compact":
+        real_step = ops._grk_local_step
 
-    def drifting(state, pred, *args):
-        flipped = real(state, pred, *args)
-        return gb.StateVector(flipped.num_qubits, flipped.amplitudes * 1.001)
+        def drifting_step(a, b_amp, block):
+            a, b_amp = real_step(a, b_amp, block)
+            return a * 1.001, b_amp * 1.001
 
-    monkeypatch.setattr(ops, "phase_flip", drifting)
+        monkeypatch.setattr(ops, "_grk_local_step", drifting_step)
+    else:
+        real = ops.phase_flip
+
+        def drifting(state, pred, *args):
+            flipped = real(state, pred, *args)
+            return gb.StateVector(flipped.num_qubits, flipped.amplitudes * 1.001)
+
+        monkeypatch.setattr(ops, "phase_flip", drifting)
     config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
     drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
-    with pytest.raises(ValueError, match="norm"):
-        if mode is None:
-            gb.run_search(config)
-        else:
-            drivers[algorithm](config, mode=mode)
+    ops.segment_masses.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="norm"):
+            if mode is None:
+                gb.run_search(config)
+            else:
+                drivers[algorithm](config, mode=mode)
+    finally:
+        ops.segment_masses.cache_clear()
