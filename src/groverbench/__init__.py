@@ -42,6 +42,7 @@ from .search import (
     dfgs_segments,
     forward_segments,
     grk_reference_amplitudes,
+    layered_plan,
     run_bdgs,
     run_dfgs,
     run_grk_partial,

@@ -46,13 +46,12 @@ class OracleSpec:
     active segment AND matches every already-determined bit.  With the
     full-range segment and no determined bits this is the textbook
     single-target oracle.  ``query_count`` increments by exactly one per
-    application, whether the oracle acts on the full register, on a
-    compact working register holding just the segment subspace, or as a
-    classical index probe.  A compact segment search reads its outcome in
-    closed form (:func:`segment_masses`) and adds its
-    ``optimal_iterations(2**width)`` amplification rounds to
-    ``query_count`` directly, one query each.  The predicate for each
-    register form is built once, at its first use, not per query.
+    application, whether the oracle acts on the full register or as a
+    classical index probe.  A compact segment search never applies it: it
+    reads its outcome in closed form (:func:`segment_masses`), counts its
+    ``optimal_iterations(2**width)`` amplification rounds itself, and
+    builds an oracle only to probe a drawn value.  The flip predicate is
+    built once, at its first use, not per query.
     """
 
     r: int
@@ -73,13 +72,11 @@ class OracleSpec:
             raise ValueError("active segment overlaps determined bits")
         if self.determined_value & ~self.determined_mask:
             raise ValueError("determined value has bits outside its mask")
+        # The flip condition, which a classical probe tests without building
+        # the predicate.
+        self._flip_mask = seg | self.determined_mask
+        self._flip_value = (self.target & seg) | self.determined_value
         self._flip: BasisPredicate | None = None
-        self._compact: BasisPredicate | None = None
-
-    @property
-    def segment_width(self) -> int:
-        lo, hi = self.active_segment
-        return hi - lo + 1
 
     @property
     def segment_value(self) -> int:
@@ -90,33 +87,16 @@ class OracleSpec:
     def flip_predicate(self) -> BasisPredicate:
         """Full-register predicate for the states that get their sign flipped."""
         if self._flip is None:
-            lo, hi = self.active_segment
-            seg = segment_mask(self.r, lo, hi)
-            self._flip = BasisPredicate(
-                seg | self.determined_mask,
-                (self.target & seg) | self.determined_value,
-            )
+            self._flip = BasisPredicate(self._flip_mask, self._flip_value)
         return self._flip
 
     def apply(self, state: Register) -> Register:
-        """One oracle query: sign-flip the marked amplitudes of ``state``.
-
-        Accepts either the full ``r``-qubit register or a compact working
-        register whose dimension matches the active segment width (the
-        segment subspace with all conditioning folded in), in dense or
-        deferred form.
-        """
+        """One oracle query: sign-flip the marked amplitudes of the full
+        ``r``-qubit register ``state``, dense or deferred."""
+        if state.num_qubits != self.r:
+            raise ValueError(f"state on {state.num_qubits} qubits, oracle on {self.r}")
         self.query_count += 1
-        if state.num_qubits == self.r:
-            return phase_flip(state, self.flip_predicate())
-        if state.num_qubits == self.segment_width:
-            if self._compact is None:
-                self._compact = BasisPredicate((1 << self.segment_width) - 1, self.segment_value)
-            return phase_flip(state, self._compact)
-        raise ValueError(
-            f"state on {state.num_qubits} qubits matches neither the full register "
-            f"({self.r}) nor the segment width ({self.segment_width})"
-        )
+        return phase_flip(state, self.flip_predicate())
 
     def query_index(self, index: int) -> bool:
         """Classical probe: does ``index`` satisfy the flip condition?
@@ -124,7 +104,7 @@ class OracleSpec:
         Costs one query, like any other oracle use.
         """
         self.query_count += 1
-        return self.flip_predicate().matches(index)
+        return index & self._flip_mask == self._flip_value
 
 
 def _check_block_size(r: int, b: int, algorithm: Algorithm | None = None) -> None:

@@ -20,18 +20,27 @@ amplitude classes, so neither driver allocates a ``2**r`` array.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
-consistent with the bits measured so far.  By default the search is
-compact: every already-determined bit is folded into the oracle
-condition, and the ``2**width`` segment subspace is read in closed form.
-A single-target search over it keeps two amplitude classes, so
-:func:`~groverbench.ops.segment_masses` gives the readout, the oracle is
-charged its ``optimal_iterations(2**width)`` queries, and a sampled value
-takes the one draw the dense readout would.  The full-register mode
-(``mode="full"``) starts from that conditioned superposition on the
-entire ``2**r`` state and diffuses within each block of the other bits,
-up to ``MAX_QUBITS``; it is the dense reference the compact mode is
-checked against.  Both modes resolve identical bit values and cost
-identical queries.
+consistent with the bits measured so far.  The rounds depend only on
+``(algorithm, r, k)``: :func:`layered_plan` builds and checks them once
+per triple, and :func:`segment_row` caches each segment's mask, shift,
+round count and readout masses once per ``(r, lo, hi)``.  By default the
+search is compact: every already-determined bit is folded into the
+oracle condition, and the ``2**width`` segment subspace is read in
+closed form.  A single-target search over it keeps two amplitude
+classes, so :func:`~groverbench.ops.segment_masses` gives the readout.
+Per cell a compact run builds one :class:`SearchContext` and walks the
+cached plan; per segment it adds the row's ``reps`` queries to
+``SearchContext.queries`` and reads the marked value as
+``(target & mask) >> shift``.  Only an inexact segment draws (from a
+generator built from the seed at the first draw) and builds an
+:class:`~groverbench.ops.OracleSpec`, whose
+:meth:`~groverbench.ops.OracleSpec.query_index` confirms the drawn value
+with one classical probe, so every retry still shows there.  The
+full-register mode (``mode="full"``) starts from that conditioned
+superposition on the entire ``2**r`` state and diffuses within each
+block of the other bits, up to ``MAX_QUBITS``; it is the dense reference
+the compact mode is checked against.  Both modes resolve identical bit
+values and cost identical queries.
 """
 
 from __future__ import annotations
@@ -64,7 +73,6 @@ from .statevector import (
     _axis_selector,
     _check_qubits,
     _inverse_cdf,
-    place_segment,
     probability,
     sample,
     segment_mask,
@@ -120,14 +128,16 @@ class FoundBits:
 
     def record(self, r: int, segment: tuple[int, int], seg_value: int) -> None:
         lo, hi = segment
-        bits = segment_mask(r, lo, hi)
-        if bits & self.mask:
+        row = segment_row(r, lo, hi)
+        if row.mask & self.mask:
             raise ValueError(
                 f"segment [{lo}, {hi}] overlaps bits already determined "
                 "(driver scheduling bug)"
             )
-        self.mask |= bits
-        self.value |= place_segment(r, seg_value, lo, hi)
+        if seg_value >> row.width:
+            raise ValueError(f"value {seg_value} does not fit in {row.width} bits")
+        self.mask |= row.mask
+        self.value |= seg_value << row.shift
         self.history.append(((lo, hi), seg_value))
 
     def complete(self, r: int) -> bool:
@@ -156,15 +166,27 @@ class SearchOutcome:
 
 @dataclass
 class SearchContext:
-    """Working state shared by the segment searches of one layered run."""
+    """Working state shared by the segment searches of one layered run.
+
+    ``rng`` is the run's generator; when it is None, :meth:`generator`
+    builds it from ``seed`` at the first draw, so a run whose segments
+    are all exact builds none.  ``queries`` counts every oracle query the
+    run's segment searches made.
+    """
 
     r: int
     k: int
-    rng: np.random.Generator
+    rng: np.random.Generator | None = None
     mode: str = "compact"
     max_attempts: int = MAX_SEGMENT_ATTEMPTS
-    oracles: list[OracleSpec] = field(default_factory=list)
+    seed: int = 0
+    queries: int = 0
     certainty: float = 1.0
+
+    def generator(self) -> np.random.Generator:
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+        return self.rng
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +216,71 @@ def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
     return plan
 
 
+@dataclass(frozen=True, slots=True)
+class SegmentRow:
+    """What a segment search over positions ``lo..hi`` of ``r`` needs.
+
+    ``mask`` covers the segment's bits and ``shift`` right-aligns them;
+    ``reps`` is ``optimal_iterations(2**width)`` and ``(p_hit, p_miss)``
+    the compact readout masses of :func:`segment_masses`.
+    """
+
+    width: int
+    mask: int
+    shift: int
+    reps: int
+    p_hit: float
+    p_miss: float
+
+
+@lru_cache(maxsize=None)
+def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
+    """The :class:`SegmentRow` of one segment; cached, ``r(r+1)/2`` rows at most per ``r``."""
+    width = hi - lo + 1
+    mask = segment_mask(r, lo, hi)
+    return SegmentRow(
+        width, mask, r - 1 - hi, optimal_iterations(1 << width), *segment_masses(width)
+    )
+
+
+@lru_cache(maxsize=None)
+def layered_plan(
+    algorithm: Algorithm | str, r: int, k: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rounds of segment searches of a DFGS or BDGS run; each round is one layer.
+
+    A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
+    pairs a forward and a backward segment, the longer pass running on
+    alone.  Checked once per ``(algorithm, r, k)``: every segment is at
+    most ``k`` wide, no two overlap, and together they cover all ``r``
+    bits.
+    """
+    algorithm = Algorithm(algorithm)
+    if algorithm is Algorithm.DFGS:
+        rounds = [(segment,) for segment in dfgs_segments(r, k)]
+    elif algorithm is Algorithm.BDGS:
+        pairs = zip_longest(forward_segments(r, k), backward_segments(r, k))
+        rounds = [tuple(segment for segment in pair if segment is not None) for pair in pairs]
+    else:
+        raise ValueError(f"{algorithm.value} has no segment plan")
+    covered = 0
+    for segments in rounds:
+        for lo, hi in segments:
+            bits = segment_mask(r, lo, hi)
+            if hi - lo + 1 > k or bits & covered:
+                raise ValueError(
+                    f"{algorithm.value} plan at r={r}, k={k}: segment [{lo}, {hi}] is wider "
+                    "than k or overlaps an earlier one (driver scheduling bug)"
+                )
+            covered |= bits
+    if covered != (1 << r) - 1:
+        raise ValueError(
+            f"{algorithm.value} plan at r={r}, k={k} leaves bits unresolved "
+            "(driver scheduling bug)"
+        )
+    return tuple(rounds)
+
+
 # ---------------------------------------------------------------------------
 # Segment search
 
@@ -220,48 +307,48 @@ def _segment_marginal(state: StateVector, lo: int, hi: int) -> np.ndarray:
 
 def _amplify_and_extract(
     ctx: SearchContext,
-    oracle: OracleSpec,
+    row: SegmentRow,
     segment: tuple[int, int],
+    target: int,
     found: FoundBits,
+    oracle: OracleSpec | None,
 ) -> tuple[int, float]:
     """Run the segment's amplification rounds and pick a value.
 
     Returns ``(value, probability)`` where the probability is the mass
     the post-amplification marginal puts on the chosen value.  The
     argmax is read directly when it is certain; otherwise the value is
-    sampled with one draw of the run's generator.  The compact mode reads
-    the two masses of :func:`segment_masses` and charges the oracle its
-    ``reps`` queries; the full mode amplifies a ``2**r`` register.
+    sampled with one draw of the run's generator.  The full mode
+    amplifies a ``2**r`` register with ``oracle``.  The compact mode is
+    only called for an inexact segment (the caller reads an exact one):
+    it charges ``ctx`` the row's ``reps`` queries and samples the row's
+    two masses.
     """
-    lo, hi = segment
-    width = hi - lo + 1
-    reps = optimal_iterations(1 << width)
     if ctx.mode == "compact":
-        p_hit, p_miss = segment_masses(width)
-        oracle.query_count += reps
-        hit = oracle.segment_value
-        if p_hit > _EXACT_THRESHOLD:
-            return hit, p_hit
+        ctx.queries += row.reps
+        hit = (target & row.mask) >> row.shift
+        p_hit, p_miss = row.p_hit, row.p_miss
         # Inverse CDF over values below the marked one, the marked one,
         # then the values above it: the draw the dense readout makes.  The
         # clamps keep a draw that rounds across a boundary in its range.
-        last = (1 << width) - 1
-        u = ctx.rng.random() * (p_hit + last * p_miss)
+        last = (1 << row.width) - 1
+        u = ctx.generator().random() * (p_hit + last * p_miss)
         below = hit * p_miss
         if u < below:
             return min(int(u / p_miss), hit - 1), p_miss
         if u < below + p_hit:
             return hit, p_hit
         return min(hit + 1 + int((u - below - p_hit) / p_miss), last), p_miss
+    lo, hi = segment
     register = _conditioned_uniform(ctx.r, found)
-    diffusion_mask = ((1 << ctx.r) - 1) ^ segment_mask(ctx.r, lo, hi)
-    for _ in range(reps):
+    diffusion_mask = ((1 << ctx.r) - 1) ^ row.mask
+    for _ in range(row.reps):
         register = grover_iteration(register, oracle, diffusion_mask)
     marginal = _segment_marginal(register, lo, hi)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
         return top, float(marginal[top])
-    value = int(_inverse_cdf(marginal / marginal.sum(), ctx.rng))
+    value = int(_inverse_cdf(marginal / marginal.sum(), ctx.generator()))
     return value, float(marginal[value])
 
 
@@ -273,49 +360,54 @@ def segment_partial_search(
 ) -> FoundBits:
     """Resolve one bit segment of the target and record it in ``found``.
 
-    Builds the segment-restricted oracle conditioned on every determined
-    bit, amplifies for ``optimal_iterations(2**width)`` rounds, and
+    Amplifies the segment-restricted oracle, conditioned on every
+    determined bit, for ``optimal_iterations(2**width)`` rounds and
     extracts the segment value.  A width-2 segment is exact, so the
     argmax is taken as-is.  Narrower residual segments are not exact:
-    the sampled value is confirmed with a classical oracle probe and, on
-    a miss, retried up to ``ctx.max_attempts`` times — a width-1 miss
-    leaves only one other candidate, so that case resolves
-    deterministically.
+    the sampled value is confirmed with a classical probe through
+    :meth:`OracleSpec.query_index` and, on a miss, retried up to
+    ``ctx.max_attempts`` times — a width-1 miss leaves only one other
+    candidate, so that case resolves deterministically.  A compact
+    search builds its :class:`OracleSpec` only for that probe.
     """
     lo, hi = segment
-    width = hi - lo + 1
-    if width > ctx.k:
+    row = segment_row(ctx.r, lo, hi)
+    if row.width > ctx.k:
         raise ValueError(f"segment [{lo}, {hi}] wider than {ctx.k} bits")
-    if segment_mask(ctx.r, lo, hi) & found.mask:
+    if row.mask & found.mask:
         raise ValueError(
             f"segment [{lo}, {hi}] overlaps determined bits (driver scheduling bug)"
         )
 
-    oracle = OracleSpec(ctx.r, target, (lo, hi), found.mask, found.value)
-    ctx.oracles.append(oracle)
-
-    value, prob = _amplify_and_extract(ctx, oracle, segment, found)
-    if prob > _EXACT_THRESHOLD:
-        accepted_prob = prob
+    oracle = None
+    if ctx.mode == "compact" and row.p_hit > _EXACT_THRESHOLD:
+        # An exact compact segment reads the marked value off the target.
+        ctx.queries += row.reps
+        value, prob = (target & row.mask) >> row.shift, row.p_hit
     else:
-        verified = False
+        if ctx.mode != "compact":
+            oracle = OracleSpec(ctx.r, target, segment, found.mask, found.value)
+        value, prob = _amplify_and_extract(ctx, row, segment, target, found, oracle)
+    if prob <= _EXACT_THRESHOLD:
+        if oracle is None:
+            oracle = OracleSpec(ctx.r, target, segment, found.mask, found.value)
         for _ in range(ctx.max_attempts):
-            probe = found.value | place_segment(ctx.r, value, lo, hi)
-            if oracle.query_index(probe):
-                verified = True
+            if oracle.query_index(found.value | value << row.shift):
                 break
-            if width == 1:
+            if row.width == 1:
                 value = 1 - value
             else:
-                value, prob = _amplify_and_extract(ctx, oracle, segment, found)
-        if not verified:
+                value, prob = _amplify_and_extract(ctx, row, segment, target, found, oracle)
+        else:
             raise SegmentSearchError(
                 f"segment [{lo}, {hi}] not confirmed in {ctx.max_attempts} attempts"
             )
-        accepted_prob = 1.0  # oracle-confirmed
+        prob = 1.0  # oracle-confirmed
+    if oracle is not None:
+        ctx.queries += oracle.query_count
 
-    found.record(ctx.r, (lo, hi), value)
-    ctx.certainty *= min(accepted_prob, 1.0)
+    found.record(ctx.r, segment, value)
+    ctx.certainty *= min(prob, 1.0)
     return found
 
 
@@ -445,6 +537,8 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
     partition = BlockPartition(config.r, config.b)
+    block_mask = partition.block_mask
+    id_shift = config.r - partition.k  # block_of(index) is index >> id_shift
     t_global, t_local = _grk_schedule(config.r, config.b)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
@@ -453,23 +547,24 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     for _ in range(t_global):
         state = grover_iteration(state, oracle)
     for _ in range(t_local):
-        state = grover_iteration(state, oracle, partition.block_mask)
+        state = grover_iteration(state, oracle, block_mask)
     state = grover_iteration(state, oracle)  # global cleanup
     histogram = sample(state, config.shots, _derive_seed(rng))
     wall = time.perf_counter() - start
 
-    target_block = partition.block_of(config.target)
+    target_block = config.target >> id_shift
     block_votes: dict[int, int] = {}
     block_hits = 0
     for index, count in histogram.counts.items():
-        blk = partition.block_of(index)
+        blk = index >> id_shift
         block_votes[blk] = block_votes.get(blk, 0) + count
         if blk == target_block:
             block_hits += count
     resolved = min(block_votes, key=lambda blk: (-block_votes[blk], blk))
 
-    mask = partition.block_mask
-    block_probability = probability(state, BasisPredicate(mask, config.target & mask))
+    block_probability = probability(
+        state, BasisPredicate(block_mask, config.target & block_mask)
+    )
     outcome = SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=block_hits / config.shots,
@@ -482,29 +577,26 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     return resolved, outcome
 
 
-def _run_layered(
-    config: SearchConfig, rounds: list[list[tuple[int, int]]], mode: str
-) -> SearchOutcome:
-    """Resolve ``rounds`` of segment searches in order; each round is one layer."""
+def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:
+    """Resolve the rounds of ``config``'s cached plan in order; each round is one layer."""
     if mode not in ("compact", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(config.seed)
+    rounds = layered_plan(config.algorithm, config.r, config.k)
     start = time.perf_counter()
-    ctx = SearchContext(config.r, config.k, rng, mode=mode)
+    ctx = SearchContext(config.r, config.k, mode=mode, seed=config.seed)
     found = FoundBits()
+    target = config.target
     for segments in rounds:
         for segment in segments:
-            segment_partial_search(ctx, segment, config.target, found)
+            segment_partial_search(ctx, segment, target, found)
     wall = time.perf_counter() - start
-    if not found.complete(config.r):
-        raise SegmentSearchError("segment plan terminated without covering all bits")
-    # The final register is a computational basis state, so every shot
-    # lands on the reconstructed index.
+    # The plan covers every bit, and the final register is a computational
+    # basis state, so every shot lands on the reconstructed index.
     return SearchOutcome(
         measured_index=found.value,
         success_fraction=1.0 if found.value == config.target else 0.0,
         layers=len(rounds),
-        oracle_calls=sum(oracle.query_count for oracle in ctx.oracles),
+        oracle_calls=ctx.queries,
         wall_time=wall,
         trial_seed=config.seed,
         certainty=ctx.certainty,
@@ -515,8 +607,7 @@ def run_dfgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
     """Depth-first layered search: resolve every segment MSB to LSB."""
     if config.algorithm is not Algorithm.DFGS:
         raise ValueError(f"config requests {config.algorithm}, not DFGS")
-    rounds = [[segment] for segment in dfgs_segments(config.r, config.k)]
-    return _run_layered(config, rounds, mode)
+    return _run_layered(config, mode)
 
 
 def run_bdgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
@@ -530,11 +621,7 @@ def run_bdgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
     """
     if config.algorithm is not Algorithm.BDGS:
         raise ValueError(f"config requests {config.algorithm}, not BDGS")
-    pairs = zip_longest(
-        forward_segments(config.r, config.k), backward_segments(config.r, config.k)
-    )
-    rounds = [[segment for segment in pair if segment is not None] for pair in pairs]
-    return _run_layered(config, rounds, mode)
+    return _run_layered(config, mode)
 
 
 def run_search(config: SearchConfig) -> SearchOutcome:

@@ -218,16 +218,14 @@ def predicates(draw, r: int, multi: bool = False) -> gb.BasisPredicate:
 
 @st.composite
 def class_histories(draw):
-    """Iterations from the equal superposition, then readouts.
+    """Iterations on the full register from the equal superposition, then readouts.
 
-    The register is the full one, or a compact one of a segment's width
-    whose oracle is that segment's, conditioned on any other bits.  On
-    the full register each step's oracle marks one of a few targets, or
-    is a segment oracle whose determined bits are any subset of the rest,
-    so it marks one amplitude or a whole sub-block.  Each step has its
-    own diffusion mask: global, within the top-k blocks, within the
-    blocks of the segment's complement, or any mask, so the steps switch
-    masks.  Some histories end with a flip of several amplitudes.
+    Each step's oracle marks one of a few targets, or is a segment oracle
+    whose determined bits are any subset of the rest, so it marks one
+    amplitude or a whole sub-block.  Each step has its own diffusion
+    mask: global, within the top-k blocks, within the blocks of the
+    segment's complement, or any mask, so the steps switch masks.  Some
+    histories end with a flip of several amplitudes.
     """
     r = draw(st.integers(min_value=2, max_value=6))
     index = st.integers(min_value=0, max_value=(1 << r) - 1)
@@ -235,21 +233,18 @@ def class_histories(draw):
     hi = draw(st.integers(min_value=lo, max_value=r - 1))
     seg = gb.segment_mask(r, lo, hi)
     det_mask = draw(index) & ~seg
-    segment_oracle = gb.OracleSpec(r, draw(index), (lo, hi), det_mask, draw(index) & det_mask)
+    oracles = [gb.OracleSpec(r, t) for t in draw(st.lists(index, min_size=1, max_size=3))]
     if draw(st.booleans()):
-        n, oracles, masks = hi - lo + 1, [segment_oracle], []
-    else:
-        n, masks = r, [((1 << r) - 1) ^ seg]
-        oracles = [gb.OracleSpec(r, t) for t in draw(st.lists(index, min_size=1, max_size=3))]
-        if draw(st.booleans()):
-            oracles.append(segment_oracle)
-    top_k = gb.segment_mask(n, 0, draw(st.integers(min_value=0, max_value=n - 1)))
-    masks = st.sampled_from([0, top_k, *masks]) | st.integers(min_value=0, max_value=(1 << n) - 1)
+        oracles.append(gb.OracleSpec(r, draw(index), (lo, hi), det_mask, draw(index) & det_mask))
+    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
+    masks = st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg]) | st.integers(
+        min_value=0, max_value=(1 << r) - 1
+    )
     steps = draw(st.lists(st.tuples(st.sampled_from(oracles), masks), min_size=1, max_size=8))
-    flip = predicates(draw, n, multi=True) if draw(st.booleans()) else None
-    preds = [predicates(draw, n) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    flip = predicates(draw, r, multi=True) if draw(st.booleans()) else None
+    preds = [predicates(draw, r) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
     read_masks = draw(st.lists(masks, min_size=1, max_size=3))
-    return n, steps, flip, preds, read_masks
+    return r, steps, flip, preds, read_masks
 
 
 @settings(max_examples=600, deadline=None)
@@ -266,7 +261,7 @@ def test_property_unbuffered_readouts_match_the_written_out_register(history):
     plain = gb.uniform_state(n)
     single = flip is None
     for oracle, mask in steps:
-        single &= n < oracle.r or oracle.flip_predicate().fixed_mask == (1 << n) - 1
+        single &= oracle.flip_predicate().fixed_mask == (1 << n) - 1
         deferred = gb.grover_iteration(deferred, oracle, mask)
         plain = gb.grover_iteration(plain, oracle, mask)
         np.testing.assert_allclose(
@@ -354,12 +349,11 @@ def test_oracle_segment_conditioning():
     assert oracle.segment_value == 0b01
 
 
-def test_oracle_compact_register_application():
+def test_oracle_rejects_a_register_of_another_width():
     oracle = gb.OracleSpec(6, 0b101101, (2, 3), determined_mask=0b110000, determined_value=0b100000)
-    compact = oracle.apply(gb.uniform_state(2))
-    # Segment bits of the target at positions 2..3 are '11' = index 3.
-    np.testing.assert_allclose(compact.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
-    assert oracle.query_count == 1
+    with pytest.raises(ValueError, match="2 qubits, oracle on 6"):
+        oracle.apply(gb.uniform_state(2))
+    assert oracle.query_count == 0
 
 
 def test_oracle_classical_probe_counts_queries():

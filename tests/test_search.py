@@ -1,6 +1,7 @@
 """Driver-level tests: segment scheduling, exactness, query accounting,
 cross-validation of the compact and full register modes."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -57,6 +58,92 @@ def test_segment_plans_are_disjoint_and_complete():
                 assert mask & bits == 0
                 mask |= bits
             assert mask == (1 << r) - 1
+
+
+def test_layered_plan_pairs_the_passes_by_round():
+    assert gb.layered_plan("DFGS", 5, 2) == (((0, 1),), ((2, 3),), ((4, 4),))
+    assert gb.layered_plan("BDGS", 5, 2) == (((0, 1), (3, 4)), ((2, 2),))
+    assert gb.layered_plan("BDGS", 8, 2) == (((0, 1), (6, 7)), ((2, 3), (4, 5)))
+    with pytest.raises(ValueError, match="no segment plan"):
+        gb.layered_plan("GRK", 4, 2)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [([(0, 1), (1, 2), (3, 3)], "overlaps"), ([(0, 1), (2, 2)], "unresolved")],
+)
+def test_a_bad_plan_is_rejected_before_any_query(monkeypatch, segments, message):
+    import groverbench.search as search
+
+    searched = []
+    monkeypatch.setattr(search, "dfgs_segments", lambda r, k: segments)
+    monkeypatch.setattr(search, "segment_partial_search", lambda *args: searched.append(args))
+    config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=1)
+    search.layered_plan.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"{message}.*scheduling"):
+            gb.run_dfgs(config)
+    finally:
+        search.layered_plan.cache_clear()
+    assert searched == []
+
+
+def _count_generators(monkeypatch) -> list:
+    built = []
+    real = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return built
+
+
+def test_an_all_exact_layered_run_builds_no_generator(monkeypatch):
+    config = gb.SearchConfig(r=20, target=987654, algorithm="DFGS", b=4, shots=16, seed=5)
+    built = _count_generators(monkeypatch)
+    outcome = gb.run_dfgs(config)
+    assert built == []
+    assert (outcome.measured_index, outcome.oracle_calls) == (987654, 10)
+
+
+def test_one_inexact_segment_builds_one_generator_from_the_seed(monkeypatch):
+    # Widths 2, 2, 1: only the width-1 residual draws.
+    config = gb.SearchConfig(r=5, target=0b10110, algorithm="DFGS", b=4, shots=16, seed=5)
+    built = _count_generators(monkeypatch)
+    outcome = gb.run_dfgs(config)
+    assert built == [(5,)]
+    assert outcome.measured_index == 0b10110
+
+
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_compact_probes_go_through_query_index(monkeypatch, algorithm):
+    # Both modes confirm every drawn value, retries included, with one
+    # OracleSpec.query_index call; the width-3 segments of r = 9 draw.
+    import groverbench.ops as ops
+
+    probes = []
+    real = ops.OracleSpec.query_index
+
+    def counted(self, index):
+        probes.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(ops.OracleSpec, "query_index", counted)
+    runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
+    seen = set()
+    for seed in range(12):
+        config = gb.SearchConfig(r=9, target=301, algorithm=algorithm, b=8, shots=1, seed=seed)
+        counts = []
+        for mode in ("compact", "full"):
+            probes.clear()
+            outcome = runner(config, mode=mode)
+            counts.append((len(probes), outcome.oracle_calls))
+        assert counts[0] == counts[1]
+        assert counts[0][0] >= 1
+        seen.add(counts[0][0])
+    assert len(seen) > 1  # some seeds retried
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +700,7 @@ def test_segment_search_width1_resolves_with_probes():
         gb.segment_partial_search(ctx, (0, 0), target_bit << 2, found)
         assert found.history == [((0, 0), target_bit)]
         # One amplification query plus at least one verification probe.
-        assert ctx.oracles[0].query_count >= 2
+        assert ctx.queries >= 2
         assert ctx.certainty == 1.0
 
 
@@ -677,6 +764,66 @@ def test_compact_and_full_modes_agree_at_r16(algorithm, b):
     assert compact.oracle_calls == full.oracle_calls
     assert compact.layers == full.layers
     assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [2, 4, 8])
+def test_compact_and_full_modes_agree_up_to_r10(b):
+    for r in range(2, 11):
+        if b <= 1 << r:
+            _assert_modes_agree(r, b, np.random.default_rng(70 * r + b), configs=2)
+
+
+def test_layered_outputs_match_the_pinned_digest():
+    # Index, queries, layers and the certainty's bits of 890 compact cells
+    # (r = 2-24, b = 2-16, retries included), as the uncached per-segment
+    # implementation produced them.  Any change to a draw, a query or a
+    # rounding shows here.
+    digest = hashlib.sha256()
+    cells = 0
+    for algorithm in ("DFGS", "BDGS"):
+        for r in range(2, 25):
+            for b in (2, 4, 8, 16):
+                if b > 1 << r:
+                    continue
+                for seed in (0, 1, 7, 123, 2**40 + 5):
+                    target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
+                    config = gb.SearchConfig(
+                        r=r, target=target, algorithm=algorithm, b=b, shots=1, seed=seed
+                    )
+                    out = gb.run_search(config)
+                    digest.update(repr((
+                        algorithm, r, b, seed, out.measured_index, out.oracle_calls,
+                        out.layers, out.certainty.hex(),
+                    )).encode())
+                    cells += 1
+    assert (digest.hexdigest(), cells) == (
+        "84a1d3a150b3c8d5573ab5622085a8e55f09c530b606fe434b8bec12950982a5", 890
+    )
+
+
+def test_grk_outputs_match_the_pinned_digest():
+    # The resolved block and every outcome field but wall time, for 114
+    # GRK cells (r = 2-12, b = 2-16), pinned like the layered digest.
+    digest = hashlib.sha256()
+    cells = 0
+    for r in range(2, 13):
+        for b in (2, 4, 8, 16):
+            if b > 1 << (r - 1):
+                continue
+            for seed in (0, 1, 7):
+                target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
+                config = gb.SearchConfig(
+                    r=r, target=target, algorithm="GRK", b=b, shots=64, seed=seed
+                )
+                block, out = gb.run_grk_partial(config)
+                digest.update(repr((
+                    r, b, seed, block, out.measured_index, out.success_fraction,
+                    out.oracle_calls, out.layers, out.certainty.hex(),
+                )).encode())
+                cells += 1
+    assert (digest.hexdigest(), cells) == (
+        "a73c5699841127355501dd26b92d3ddc84459627b2a5f446d41f47a06d5debb5", 114
+    )
 
 
 def test_unknown_mode_rejected():
@@ -777,9 +924,11 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     """A kernel that loses the norm is caught by the readout, with or without -O.
 
     The compact layered mode runs no kernel: the drift goes into its
-    two-class recurrence, whose cached masses are cleared around the run.
+    two-class recurrence, whose cached masses (in ``segment_masses`` and
+    in the segment rows that hold them) are cleared around the run.
     """
     import groverbench.ops as ops
+    import groverbench.search as search
 
     if mode == "compact":
         real_step = ops._grk_local_step
@@ -800,6 +949,7 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
     drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
     ops.segment_masses.cache_clear()
+    search.segment_row.cache_clear()
     try:
         with pytest.raises(ValueError, match="norm"):
             if mode is None:
@@ -808,3 +958,4 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
                 drivers[algorithm](config, mode=mode)
     finally:
         ops.segment_masses.cache_clear()
+        search.segment_row.cache_clear()
