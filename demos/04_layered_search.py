@@ -8,8 +8,6 @@ count is half as long.  Either way the total oracle work is r/2 queries
 at k=2 instead of the 804 iterations the full search needs at 20 qubits.
 """
 
-import numpy as np
-
 import groverbench as gb
 
 r, k = 20, 2
@@ -30,22 +28,16 @@ print(f"depth-first   : {outcome.layers} layers, {outcome.oracle_calls} oracle c
       f"accuracy {outcome.success_fraction * 100:.1f}%, "
       f"{outcome.wall_time * 1e3:.3f} ms")
 
-# Watch the bits arrive from both ends.  Each record is (segment, value):
-# forward segments fill the top of the index, backward ones the bottom,
-# and the masks never overlap.
-ctx = gb.SearchContext(r, k, np.random.default_rng(17))
-found = gb.FoundBits()
-forward = gb.forward_segments(r, k)
-backward = gb.backward_segments(r, k)
+# Watch the bits arrive from both ends.  A SearchContext is the whole
+# state of a run: forward segments fill the top of the index, backward
+# ones the bottom, and the masks never overlap.
+ctx = gb.SearchContext(r, k, target, seed=17)
 print("\nlayer-by-layer resolution:")
-for layer in range(max(len(forward), len(backward))):
-    if layer < len(forward):
-        gb.segment_partial_search(ctx, forward[layer], target, found)
-    if layer < len(backward):
-        gb.segment_partial_search(ctx, backward[layer], target, found)
-    print(f"  layer {layer + 1}: known bits {found.value:0{r}b} "
-          f"(mask {found.mask:0{r}b})")
-assert found.value == target
+for layer, segments in enumerate(gb.layered_plan("BDGS", r, k), start=1):
+    for segment in segments:
+        gb.segment_partial_search(ctx, segment)
+    print(f"  layer {layer}: known bits {ctx.value:0{r}b} (mask {ctx.mask:0{r}b})")
+assert ctx.value == target and ctx.queries == outcome.oracle_calls
 
 # Odd register sizes leave a width-1 segment at the meeting point.  A
 # single-bit search is a coin flip, so the driver confirms the sampled

@@ -33,7 +33,6 @@ from .ops import (
     predicted_layers,
 )
 from .search import (
-    FoundBits,
     SearchConfig,
     SearchContext,
     SearchOutcome,
@@ -59,11 +58,9 @@ from .statevector import (
     StateVector,
     basis_state,
     block_sums,
-    extract_segment,
     invert_about_mean,
     operator_matrix,
     phase_flip,
-    place_segment,
     probability,
     sample,
     segment_mask,

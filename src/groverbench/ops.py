@@ -21,10 +21,8 @@ from .statevector import (
     Register,
     _check_norm,
     _check_qubits,
-    extract_segment,
     invert_about_mean,
     phase_flip,
-    place_segment,
     segment_mask,
 )
 
@@ -77,12 +75,6 @@ class OracleSpec:
         self._flip_mask = seg | self.determined_mask
         self._flip_value = (self.target & seg) | self.determined_value
         self._flip: BasisPredicate | None = None
-
-    @property
-    def segment_value(self) -> int:
-        """Bits of the target on the active segment, right-aligned."""
-        lo, hi = self.active_segment
-        return extract_segment(self.r, self.target, lo, hi)
 
     def flip_predicate(self) -> BasisPredicate:
         """Full-register predicate for the states that get their sign flipped."""

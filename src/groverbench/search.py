@@ -23,19 +23,19 @@ search starts from the uniform superposition over the indices still
 consistent with the bits measured so far.  The rounds depend only on
 ``(algorithm, r, k)``: :func:`layered_plan` builds and checks them once
 per triple, and :func:`segment_row` caches each segment's mask, shift,
-round count and readout masses once per ``(r, lo, hi)``.  By default the
-search is compact: every already-determined bit is folded into the
-oracle condition, and the ``2**width`` segment subspace is read in
-closed form.  A single-target search over it keeps two amplitude
-classes, so :func:`~groverbench.ops.segment_masses` gives the readout.
-Per cell a compact run builds one :class:`SearchContext` and walks the
-cached plan; per segment it adds the row's ``reps`` queries to
-``SearchContext.queries`` and reads the marked value as
-``(target & mask) >> shift``.  Only an inexact segment draws (from a
-generator built from the seed at the first draw) and builds an
-:class:`~groverbench.ops.OracleSpec`, whose
-:meth:`~groverbench.ops.OracleSpec.query_index` confirms the drawn value
-with one classical probe, so every retry still shows there.  The
+round count and readout masses once per ``(r, lo, hi)``.  A run's whole
+state is one :class:`SearchContext`: the target, the bits found so far,
+the queries spent and the certainty.  Per segment,
+:func:`segment_partial_search` reads a value through the run's mode and,
+when that value is not certain, confirms it with one classical probe
+through :meth:`~groverbench.ops.OracleSpec.query_index`, so every retry
+shows there.  By default the search is compact: every already-determined
+bit is folded into the oracle condition, and a single-target search over
+the ``2**width`` segment subspace keeps two amplitude classes, so
+:func:`~groverbench.ops.segment_masses` gives the readout in closed form
+and no register is built.  A certain compact segment is read as
+``(target & mask) >> shift``; an uncertain one takes one draw from the
+run's generator, which is built from the seed at the first draw.  The
 full-register mode (``mode="full"``) starts from that conditioned
 superposition on the entire ``2**r`` state and diffuses within each
 block of the other bits, up to ``MAX_QUBITS``; it is the dense reference
@@ -115,36 +115,6 @@ class SearchConfig:
 
 
 @dataclass
-class FoundBits:
-    """Record of index bits already determined by completed segment searches.
-
-    The mask only ever grows; overlapping segments are rejected because
-    they indicate a driver scheduling bug.
-    """
-
-    mask: int = 0
-    value: int = 0
-    history: list[tuple[tuple[int, int], int]] = field(default_factory=list)
-
-    def record(self, r: int, segment: tuple[int, int], seg_value: int) -> None:
-        lo, hi = segment
-        row = segment_row(r, lo, hi)
-        if row.mask & self.mask:
-            raise ValueError(
-                f"segment [{lo}, {hi}] overlaps bits already determined "
-                "(driver scheduling bug)"
-            )
-        if seg_value >> row.width:
-            raise ValueError(f"value {seg_value} does not fit in {row.width} bits")
-        self.mask |= row.mask
-        self.value |= seg_value << row.shift
-        self.history.append(((lo, hi), seg_value))
-
-    def complete(self, r: int) -> bool:
-        return self.mask == (1 << r) - 1
-
-
-@dataclass
 class SearchOutcome:
     """Result of one driver run.
 
@@ -166,27 +136,38 @@ class SearchOutcome:
 
 @dataclass
 class SearchContext:
-    """Working state shared by the segment searches of one layered run.
+    """The whole state of one layered run: the bits of ``target`` found so far.
 
-    ``rng`` is the run's generator; when it is None, :meth:`generator`
-    builds it from ``seed`` at the first draw, so a run whose segments
-    are all exact builds none.  ``queries`` counts every oracle query the
-    run's segment searches made.
+    ``mask`` and ``value`` hold the determined bits, ``history`` each
+    resolved ``((lo, hi), value)`` in order, ``queries`` every oracle query
+    the run made and ``certainty`` the product of the segments' readout
+    probabilities.  :meth:`generator` builds the run's generator from
+    ``seed`` at the first draw, so a run whose segments are all exact
+    builds none.
     """
 
     r: int
     k: int
-    rng: np.random.Generator | None = None
-    mode: str = "compact"
-    max_attempts: int = MAX_SEGMENT_ATTEMPTS
+    target: int
     seed: int = 0
-    queries: int = 0
-    certainty: float = 1.0
+    mode: str = "compact"
+    mask: int = field(default=0, init=False)
+    value: int = field(default=0, init=False)
+    history: list[tuple[tuple[int, int], int]] = field(default_factory=list, init=False)
+    queries: int = field(default=0, init=False)
+    certainty: float = field(default=1.0, init=False)
+    _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.mode not in _READOUTS:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 <= self.target < (1 << self.r):
+            raise ValueError(f"target {self.target} out of range for {self.r} qubits")
 
     def generator(self) -> np.random.Generator:
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
-        return self.rng
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +266,11 @@ def layered_plan(
 # Segment search
 
 
-def _conditioned_uniform(r: int, found: FoundBits) -> StateVector:
-    """Uniform superposition over every index consistent with ``found``."""
-    support = 1 << (r - found.mask.bit_count())
+def _conditioned_uniform(r: int, mask: int, value: int) -> StateVector:
+    """Uniform superposition over every index that agrees with ``value`` on ``mask``."""
+    support = 1 << (r - mask.bit_count())
     amps = np.zeros(1 << r)
-    amps.reshape((2,) * r)[_axis_selector(r, found.mask, found.value)] = (
-        1.0 / math.sqrt(support)
-    )
+    amps.reshape((2,) * r)[_axis_selector(r, mask, value)] = 1.0 / math.sqrt(support)
     return StateVector(r, amps)
 
 
@@ -305,46 +284,39 @@ def _segment_marginal(state: StateVector, lo: int, hi: int) -> np.ndarray:
     return probs.reshape(-1)
 
 
-def _amplify_and_extract(
-    ctx: SearchContext,
-    row: SegmentRow,
-    segment: tuple[int, int],
-    target: int,
-    found: FoundBits,
-    oracle: OracleSpec | None,
+def _compact_readout(
+    ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
 ) -> tuple[int, float]:
-    """Run the segment's amplification rounds and pick a value.
+    """Read a segment search from its two amplitude classes, with no register."""
+    ctx.queries += row.reps
+    hit = (ctx.target & row.mask) >> row.shift
+    p_hit, p_miss = row.p_hit, row.p_miss
+    if p_hit > _EXACT_THRESHOLD:
+        return hit, p_hit
+    # Inverse CDF over values below the marked one, the marked one, then
+    # the values above it: the draw the dense readout makes.  The clamps
+    # keep a draw that rounds across a boundary in its range.
+    last = (1 << row.width) - 1
+    u = ctx.generator().random() * (p_hit + last * p_miss)
+    below = hit * p_miss
+    if u < below:
+        return min(int(u / p_miss), hit - 1), p_miss
+    if u < below + p_hit:
+        return hit, p_hit
+    return min(hit + 1 + int((u - below - p_hit) / p_miss), last), p_miss
 
-    Returns ``(value, probability)`` where the probability is the mass
-    the post-amplification marginal puts on the chosen value.  The
-    argmax is read directly when it is certain; otherwise the value is
-    sampled with one draw of the run's generator.  The full mode
-    amplifies a ``2**r`` register with ``oracle``.  The compact mode is
-    only called for an inexact segment (the caller reads an exact one):
-    it charges ``ctx`` the row's ``reps`` queries and samples the row's
-    two masses.
-    """
-    if ctx.mode == "compact":
-        ctx.queries += row.reps
-        hit = (target & row.mask) >> row.shift
-        p_hit, p_miss = row.p_hit, row.p_miss
-        # Inverse CDF over values below the marked one, the marked one,
-        # then the values above it: the draw the dense readout makes.  The
-        # clamps keep a draw that rounds across a boundary in its range.
-        last = (1 << row.width) - 1
-        u = ctx.generator().random() * (p_hit + last * p_miss)
-        below = hit * p_miss
-        if u < below:
-            return min(int(u / p_miss), hit - 1), p_miss
-        if u < below + p_hit:
-            return hit, p_hit
-        return min(hit + 1 + int((u - below - p_hit) / p_miss), last), p_miss
-    lo, hi = segment
-    register = _conditioned_uniform(ctx.r, found)
+
+def _full_readout(
+    ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
+) -> tuple[int, float]:
+    """Amplify the segment on the whole ``2**r`` register and read its marginal."""
+    oracle = OracleSpec(ctx.r, ctx.target, segment, ctx.mask, ctx.value)
+    register = _conditioned_uniform(ctx.r, ctx.mask, ctx.value)
     diffusion_mask = ((1 << ctx.r) - 1) ^ row.mask
     for _ in range(row.reps):
         register = grover_iteration(register, oracle, diffusion_mask)
-    marginal = _segment_marginal(register, lo, hi)
+    ctx.queries += oracle.query_count
+    marginal = _segment_marginal(register, *segment)
     top = int(np.argmax(marginal))
     if marginal[top] > _EXACT_THRESHOLD:
         return top, float(marginal[top])
@@ -352,63 +324,52 @@ def _amplify_and_extract(
     return value, float(marginal[value])
 
 
-def segment_partial_search(
-    ctx: SearchContext,
-    segment: tuple[int, int],
-    target: int,
-    found: FoundBits,
-) -> FoundBits:
-    """Resolve one bit segment of the target and record it in ``found``.
+# Each readout charges its own queries and returns ``(value, probability)``:
+# the argmax when it is certain, else one draw of the run's generator.
+_READOUTS = {"compact": _compact_readout, "full": _full_readout}
+
+
+def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None:
+    """Resolve one bit segment of ``ctx.target`` and record it in ``ctx``.
 
     Amplifies the segment-restricted oracle, conditioned on every
-    determined bit, for ``optimal_iterations(2**width)`` rounds and
-    extracts the segment value.  A width-2 segment is exact, so the
-    argmax is taken as-is.  Narrower residual segments are not exact:
-    the sampled value is confirmed with a classical probe through
-    :meth:`OracleSpec.query_index` and, on a miss, retried up to
-    ``ctx.max_attempts`` times — a width-1 miss leaves only one other
-    candidate, so that case resolves deterministically.  A compact
-    search builds its :class:`OracleSpec` only for that probe.
+    determined bit, for ``optimal_iterations(2**width)`` rounds and reads
+    the segment value through the run's mode.  A width-2 segment is exact,
+    so the argmax is taken as-is.  Narrower residual segments are not
+    exact: the value read is confirmed with a classical probe through
+    :meth:`OracleSpec.query_index` and, on a miss, read again up to
+    ``MAX_SEGMENT_ATTEMPTS`` times; a width-1 miss leaves only one other
+    candidate, so that case resolves deterministically.
     """
     lo, hi = segment
     row = segment_row(ctx.r, lo, hi)
     if row.width > ctx.k:
         raise ValueError(f"segment [{lo}, {hi}] wider than {ctx.k} bits")
-    if row.mask & found.mask:
+    if row.mask & ctx.mask:
         raise ValueError(
             f"segment [{lo}, {hi}] overlaps determined bits (driver scheduling bug)"
         )
-
-    oracle = None
-    if ctx.mode == "compact" and row.p_hit > _EXACT_THRESHOLD:
-        # An exact compact segment reads the marked value off the target.
-        ctx.queries += row.reps
-        value, prob = (target & row.mask) >> row.shift, row.p_hit
-    else:
-        if ctx.mode != "compact":
-            oracle = OracleSpec(ctx.r, target, segment, found.mask, found.value)
-        value, prob = _amplify_and_extract(ctx, row, segment, target, found, oracle)
+    readout = _READOUTS[ctx.mode]
+    value, prob = readout(ctx, row, segment)
     if prob <= _EXACT_THRESHOLD:
-        if oracle is None:
-            oracle = OracleSpec(ctx.r, target, segment, found.mask, found.value)
-        for _ in range(ctx.max_attempts):
-            if oracle.query_index(found.value | value << row.shift):
+        probe = OracleSpec(ctx.r, ctx.target, segment, ctx.mask, ctx.value)
+        for _ in range(MAX_SEGMENT_ATTEMPTS):
+            if probe.query_index(ctx.value | value << row.shift):
                 break
             if row.width == 1:
                 value = 1 - value
             else:
-                value, prob = _amplify_and_extract(ctx, row, segment, target, found, oracle)
+                value, prob = readout(ctx, row, segment)
         else:
             raise SegmentSearchError(
-                f"segment [{lo}, {hi}] not confirmed in {ctx.max_attempts} attempts"
+                f"segment [{lo}, {hi}] not confirmed in {MAX_SEGMENT_ATTEMPTS} attempts"
             )
+        ctx.queries += probe.query_count
         prob = 1.0  # oracle-confirmed
-    if oracle is not None:
-        ctx.queries += oracle.query_count
-
-    found.record(ctx.r, segment, value)
+    ctx.mask |= row.mask
+    ctx.value |= value << row.shift
+    ctx.history.append((segment, value))
     ctx.certainty *= min(prob, 1.0)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +540,18 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
 
 def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:
     """Resolve the rounds of ``config``'s cached plan in order; each round is one layer."""
-    if mode not in ("compact", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
     rounds = layered_plan(config.algorithm, config.r, config.k)
     start = time.perf_counter()
-    ctx = SearchContext(config.r, config.k, mode=mode, seed=config.seed)
-    found = FoundBits()
-    target = config.target
+    ctx = SearchContext(config.r, config.k, config.target, config.seed, mode)
     for segments in rounds:
         for segment in segments:
-            segment_partial_search(ctx, segment, target, found)
+            segment_partial_search(ctx, segment)
     wall = time.perf_counter() - start
     # The plan covers every bit, and the final register is a computational
     # basis state, so every shot lands on the reconstructed index.
     return SearchOutcome(
-        measured_index=found.value,
-        success_fraction=1.0 if found.value == config.target else 0.0,
+        measured_index=ctx.value,
+        success_fraction=1.0 if ctx.value == config.target else 0.0,
         layers=len(rounds),
         oracle_calls=ctx.queries,
         wall_time=wall,

@@ -294,20 +294,6 @@ def segment_mask(r: int, lo: int, hi: int) -> int:
     return ((1 << width) - 1) << (r - 1 - hi)
 
 
-def extract_segment(r: int, index: int, lo: int, hi: int) -> int:
-    """Value of ``index`` on positions ``lo..hi``, right-aligned."""
-    width = hi - lo + 1
-    return (index >> (r - 1 - hi)) & ((1 << width) - 1)
-
-
-def place_segment(r: int, value: int, lo: int, hi: int) -> int:
-    """Inverse of :func:`extract_segment`: shift ``value`` into place."""
-    width = hi - lo + 1
-    if value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return value << (r - 1 - hi)
-
-
 def _compress(index: int, mask: int) -> int:
     """The bits of ``index`` on ``mask``, packed in order into the low bits."""
     packed, rest = 0, mask

@@ -346,7 +346,6 @@ def test_oracle_segment_conditioning():
     pred = oracle.flip_predicate()
     assert pred.fixed_mask == 0b1111
     assert pred.fixed_value == 0b1001
-    assert oracle.segment_value == 0b01
 
 
 def test_oracle_rejects_a_register_of_another_width():

@@ -571,14 +571,12 @@ def test_grk_deterministic():
 
 def test_dfgs_r4_history():
     config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=64, seed=0)
-    rng = np.random.default_rng(config.seed)
-    ctx = gb.SearchContext(config.r, config.k, rng)
-    found = gb.FoundBits()
+    ctx = gb.SearchContext(config.r, config.k, config.target, config.seed)
     for segment in gb.dfgs_segments(config.r, config.k):
-        gb.segment_partial_search(ctx, segment, config.target, found)
+        gb.segment_partial_search(ctx, segment)
     # 9 = 1001: MSB pair resolves to 10, then the LSB pair to 01.
-    assert found.history == [((0, 1), 0b10), ((2, 3), 0b01)]
-    assert found.value == 9
+    assert ctx.history == [((0, 1), 0b10), ((2, 3), 0b01)]
+    assert ctx.value == 9
 
     outcome = gb.run_dfgs(config)
     assert outcome.measured_index == 9
@@ -608,17 +606,15 @@ def test_dfgs_r20_layers():
 def test_bdgs_r8_resolves_from_both_ends():
     target = 0b01101111
     config = gb.SearchConfig(r=8, target=target, algorithm="BDGS", shots=64, seed=6)
-    rng = np.random.default_rng(config.seed)
-    ctx = gb.SearchContext(config.r, config.k, rng)
-    found = gb.FoundBits()
+    ctx = gb.SearchContext(config.r, config.k, target, config.seed)
     for segment in gb.forward_segments(8, 2):
-        gb.segment_partial_search(ctx, segment, target, found)
-    assert [value for _, value in found.history] == [0b01, 0b10]
+        gb.segment_partial_search(ctx, segment)
+    assert [value for _, value in ctx.history] == [0b01, 0b10]
     for segment in gb.backward_segments(8, 2):
-        gb.segment_partial_search(ctx, segment, target, found)
-    assert [value for _, value in found.history][2:] == [0b11, 0b11]
-    assert found.value == target
-    assert found.complete(8)
+        gb.segment_partial_search(ctx, segment)
+    assert [value for _, value in ctx.history][2:] == [0b11, 0b11]
+    assert ctx.value == target
+    assert ctx.mask == 0xFF
 
 
 def test_bdgs_r4_parallel_accounting():
@@ -680,44 +676,47 @@ def test_layered_drivers_deterministic():
 
 
 def test_segment_search_rejects_overlap():
-    ctx = gb.SearchContext(4, 2, np.random.default_rng(0))
-    found = gb.FoundBits()
-    gb.segment_partial_search(ctx, (0, 1), 5, found)
+    ctx = gb.SearchContext(4, 2, 5)
+    gb.segment_partial_search(ctx, (0, 1))
     with pytest.raises(ValueError, match="scheduling"):
-        gb.segment_partial_search(ctx, (1, 2), 5, found)
+        gb.segment_partial_search(ctx, (1, 2))
+    assert (ctx.mask, ctx.value, ctx.history) == (0b1100, 0b0100, [((0, 1), 0b01)])
 
 
 def test_segment_search_rejects_wide_segment():
-    ctx = gb.SearchContext(6, 2, np.random.default_rng(0))
+    ctx = gb.SearchContext(6, 2, 5)
     with pytest.raises(ValueError, match="wider"):
-        gb.segment_partial_search(ctx, (0, 2), 5, gb.FoundBits())
+        gb.segment_partial_search(ctx, (0, 2))
 
 
 def test_segment_search_width1_resolves_with_probes():
     for target_bit in (0, 1):
-        ctx = gb.SearchContext(3, 2, np.random.default_rng(3))
-        found = gb.FoundBits()
-        gb.segment_partial_search(ctx, (0, 0), target_bit << 2, found)
-        assert found.history == [((0, 0), target_bit)]
+        ctx = gb.SearchContext(3, 2, target_bit << 2, seed=3)
+        gb.segment_partial_search(ctx, (0, 0))
+        assert ctx.history == [((0, 0), target_bit)]
         # One amplification query plus at least one verification probe.
         assert ctx.queries >= 2
         assert ctx.certainty == 1.0
 
 
-def test_segment_search_attempt_budget_exhaustion():
-    ctx = gb.SearchContext(3, 2, np.random.default_rng(3), max_attempts=0)
-    with pytest.raises(gb.SegmentSearchError):
-        gb.segment_partial_search(ctx, (0, 0), 4, gb.FoundBits())
+def test_segment_search_attempt_budget_exhaustion(monkeypatch):
+    import groverbench.search as search
+
+    monkeypatch.setattr(search, "MAX_SEGMENT_ATTEMPTS", 0)
+    ctx = gb.SearchContext(3, 2, 4, seed=3)
+    with pytest.raises(gb.SegmentSearchError, match="0 attempts"):
+        gb.segment_partial_search(ctx, (0, 0))
 
 
-def test_found_bits_monotonic_and_complete():
-    found = gb.FoundBits()
-    found.record(4, (0, 1), 0b10)
-    found.record(4, (2, 3), 0b01)
-    assert found.value == 0b1001
-    assert found.complete(4)
-    with pytest.raises(ValueError):
-        found.record(4, (3, 3), 1)
+def test_search_context_rejects_a_target_out_of_range():
+    for target in (16, 99, -1):
+        with pytest.raises(ValueError, match="out of range for 4 qubits"):
+            gb.SearchContext(4, 2, target)
+
+
+def test_search_context_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'dense'"):
+        gb.SearchContext(4, 2, 5, mode="dense")
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +770,33 @@ def test_compact_and_full_modes_agree_up_to_r10(b):
     for r in range(2, 11):
         if b <= 1 << r:
             _assert_modes_agree(r, b, np.random.default_rng(70 * r + b), configs=2)
+
+
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
+    # Same history, queries and certainty after every segment, so a
+    # difference shows at the segment that makes it, retries and width-1
+    # complements included.
+    widths = set()
+    for r in range(2, 11):
+        for b in (2, 4, 8, 16):
+            if b > 1 << r:
+                continue
+            k = b.bit_length() - 1
+            for seed in range(3):
+                target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
+                compact = gb.SearchContext(r, k, target, seed)
+                full = gb.SearchContext(r, k, target, seed, mode="full")
+                for segments in gb.layered_plan(algorithm, r, k):
+                    for segment in segments:
+                        gb.segment_partial_search(compact, segment)
+                        gb.segment_partial_search(full, segment)
+                        assert compact.history == full.history
+                        assert compact.queries == full.queries
+                        assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
+                        widths.add(segment[1] - segment[0] + 1)
+                assert compact.value == full.value == target
+    assert widths == {1, 2, 3, 4}
 
 
 def test_layered_outputs_match_the_pinned_digest():
@@ -841,12 +867,11 @@ def test_segment_order_independence():
     orders = [fwd + bwd, bwd + fwd, [fwd[0], bwd[0], fwd[1], bwd[1]]]
     values = []
     for order in orders:
-        ctx = gb.SearchContext(r, k, np.random.default_rng(4))
-        found = gb.FoundBits()
+        ctx = gb.SearchContext(r, k, target, seed=4)
         for segment in order:
-            gb.segment_partial_search(ctx, segment, target, found)
-        assert found.complete(r)
-        values.append(found.value)
+            gb.segment_partial_search(ctx, segment)
+        assert ctx.mask == (1 << r) - 1
+        values.append(ctx.value)
     assert values == [target, target, target]
 
 

@@ -578,15 +578,6 @@ def test_segment_mask_positions():
         gb.segment_mask(4, 0, 4)
 
 
-def test_segment_extract_place_roundtrip():
-    index = 0b10110100
-    for lo, hi in [(0, 1), (2, 4), (6, 7), (0, 7)]:
-        value = gb.extract_segment(8, index, lo, hi)
-        assert gb.place_segment(8, value, lo, hi) == index & gb.segment_mask(8, lo, hi)
-    with pytest.raises(ValueError):
-        gb.place_segment(8, 4, 0, 1)
-
-
 def test_basis_state_bounds():
     with pytest.raises(ValueError):
         gb.basis_state(2, 4)
