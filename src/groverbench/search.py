@@ -12,7 +12,11 @@ Four drivers share the kernel layer:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
-GS and GRK flip one amplitude per query, so they run on a
+GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
+list of ``(iterations, diffusion_mask)`` steps with one single-target
+oracle, then ``shots`` draws that vote for the index bits the search
+resolves (all of them for GS, the block bits for GRK).  Their oracle flips
+one amplitude per query, so the run holds a
 :meth:`~groverbench.statevector.DeferredState.uniform` register, which
 makes each step O(1) work and is never written out: :func:`sample` and
 :func:`probability` read the measurement and the certainty from its few
@@ -56,7 +60,6 @@ import numpy as np
 from .ops import (
     _EXACT_THRESHOLD,
     Algorithm,
-    BlockPartition,
     OracleSpec,
     _check_block_size,
     _grk_local_step,
@@ -159,6 +162,7 @@ class SearchContext:
     _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_qubits(self.r)
         if self.mode not in _READOUTS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.target < (1 << self.r):
@@ -376,33 +380,51 @@ def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None
 # Drivers
 
 
-def _derive_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
+def _amplify_and_sample(
+    config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolve_mask: int
+) -> tuple[int, SearchOutcome]:
+    """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
+
+    Each ``(iterations, diffusion_mask)`` step of ``schedule`` runs that many
+    :func:`grover_iteration` calls; mask 0 diffuses over the whole register.
+    Returns the majority of the shots' ``index & resolve_mask`` (ties go to
+    the smallest) beside the outcome.  ``success_fraction`` is the share of
+    shots that agree with the target on ``resolve_mask`` and ``certainty``
+    the final state's mass there; ``layers`` counts oracle queries.
+    """
+    seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
+    start = time.perf_counter()
+    oracle = OracleSpec(config.r, config.target)
+    state = DeferredState.uniform(config.r)
+    for iterations, diffusion_mask in schedule:
+        for _ in range(iterations):
+            state = grover_iteration(state, oracle, diffusion_mask)
+    histogram = sample(state, config.shots, seed)
+    wall = time.perf_counter() - start
+
+    votes: dict[int, int] = {}
+    for index, count in histogram.counts.items():
+        bits = index & resolve_mask
+        votes[bits] = votes.get(bits, 0) + count
+    hit = config.target & resolve_mask
+    outcome = SearchOutcome(
+        measured_index=histogram.mode(),
+        success_fraction=votes.get(hit, 0) / config.shots,
+        layers=oracle.query_count,
+        oracle_calls=oracle.query_count,
+        wall_time=wall,
+        trial_seed=config.seed,
+        certainty=probability(state, BasisPredicate(resolve_mask, hit)),
+    )
+    return min(votes, key=lambda bits: (-votes[bits], bits)), outcome
 
 
 def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     """Full-register search: optimal iteration count, then ``shots`` draws."""
     if config.algorithm is not Algorithm.GS:
         raise ValueError(f"config requests {config.algorithm}, not GS")
-    rng = np.random.default_rng(config.seed)
-    start = time.perf_counter()
-    oracle = OracleSpec(config.r, config.target)
-    state = DeferredState.uniform(config.r)
-    reps = optimal_iterations(1 << config.r)
-    for _ in range(reps):
-        state = grover_iteration(state, oracle)
-    histogram = sample(state, config.shots, _derive_seed(rng))
-    wall = time.perf_counter() - start
-    certainty = probability(state, oracle.flip_predicate())
-    return SearchOutcome(
-        measured_index=histogram.mode(),
-        success_fraction=histogram.fraction(config.target),
-        layers=reps,
-        oracle_calls=oracle.query_count,
-        wall_time=wall,
-        trial_seed=config.seed,
-        certainty=certainty,
-    )
+    schedule = ((optimal_iterations(1 << config.r), 0),)
+    return _amplify_and_sample(config, schedule, (1 << config.r) - 1)[1]
 
 
 def _grk_global_step(
@@ -467,8 +489,8 @@ def _grk_schedule(r: int, b: int) -> tuple[int, int]:
             angles = phase + 2.0 * omega_local * steps
             a2 = radius * np.sin(angles)
             b2 = radius * np.cos(angles) / root
-            mu = ((n - block) * g + (block - 1) * b2 - a2) / n
-            p_block = (2.0 * mu + a2) ** 2 + (block - 1) * (2.0 * mu - b2) ** 2
+            a3, b3, _ = _grk_global_step(a2, b2, g, n, block)  # the cleanup
+            p_block = a3**2 + (block - 1) * b3**2
             queries = t1 + steps + 1
             top = int(np.argmax(p_block))
             cand = (-float(p_block[top]), int(queries[top]), t1, int(steps[top]))
@@ -490,52 +512,19 @@ def _grk_schedule(r: int, b: int) -> tuple[int, int]:
 def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     """Block-partial search: returns the resolved block id and the outcome.
 
-    ``success_fraction`` counts shots that landed anywhere in the target
-    block (the block is what this search resolves); ``certainty`` is the
-    block's total probability in the final state.  Oracle calls stay
-    within ``ceil(grk_query_count(N, b)) + 1``.
+    The schedule is ``t_global`` global iterations, ``t_local`` block-local
+    ones and one global cleanup.  ``success_fraction`` counts shots that
+    landed anywhere in the target block (the block is what this search
+    resolves); ``certainty`` is the block's total probability in the final
+    state.  Oracle calls stay within ``ceil(grk_query_count(N, b)) + 1``.
     """
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
-    partition = BlockPartition(config.r, config.b)
-    block_mask = partition.block_mask
-    id_shift = config.r - partition.k  # block_of(index) is index >> id_shift
+    block_mask = segment_mask(config.r, 0, config.k - 1)  # the block-id bits
     t_global, t_local = _grk_schedule(config.r, config.b)
-    rng = np.random.default_rng(config.seed)
-    start = time.perf_counter()
-    oracle = OracleSpec(config.r, config.target)
-    state = DeferredState.uniform(config.r)
-    for _ in range(t_global):
-        state = grover_iteration(state, oracle)
-    for _ in range(t_local):
-        state = grover_iteration(state, oracle, block_mask)
-    state = grover_iteration(state, oracle)  # global cleanup
-    histogram = sample(state, config.shots, _derive_seed(rng))
-    wall = time.perf_counter() - start
-
-    target_block = config.target >> id_shift
-    block_votes: dict[int, int] = {}
-    block_hits = 0
-    for index, count in histogram.counts.items():
-        blk = index >> id_shift
-        block_votes[blk] = block_votes.get(blk, 0) + count
-        if blk == target_block:
-            block_hits += count
-    resolved = min(block_votes, key=lambda blk: (-block_votes[blk], blk))
-
-    block_probability = probability(
-        state, BasisPredicate(block_mask, config.target & block_mask)
-    )
-    outcome = SearchOutcome(
-        measured_index=histogram.mode(),
-        success_fraction=block_hits / config.shots,
-        layers=oracle.query_count,
-        oracle_calls=oracle.query_count,
-        wall_time=wall,
-        trial_seed=config.seed,
-        certainty=block_probability,
-    )
-    return resolved, outcome
+    schedule = ((t_global, 0), (t_local, block_mask), (1, 0))
+    bits, outcome = _amplify_and_sample(config, schedule, block_mask)
+    return bits >> (config.r - config.k), outcome
 
 
 def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:

@@ -278,9 +278,6 @@ class ShotHistogram:
         """Most frequent index; ties broken toward the smallest index."""
         return min(self.counts, key=lambda i: (-self.counts[i], i))
 
-    def fraction(self, index: int) -> float:
-        return self.counts.get(index, 0) / self.total_shots
-
 
 # ---------------------------------------------------------------------------
 # Bit-position helpers (position 0 = MSB)

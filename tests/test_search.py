@@ -714,6 +714,15 @@ def test_search_context_rejects_a_target_out_of_range():
             gb.SearchContext(4, 2, target)
 
 
+@pytest.mark.parametrize("mode", ["compact", "full"])
+@pytest.mark.parametrize("r", [0, 25])
+def test_search_context_rejects_a_qubit_count(r, mode):
+    # Rejected at construction, before a full-mode readout could allocate
+    # a 2**r register.
+    with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
+        gb.SearchContext(r, 2, 0, mode=mode)
+
+
 def test_search_context_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'dense'"):
         gb.SearchContext(4, 2, 5, mode="dense")
@@ -849,6 +858,47 @@ def test_grk_outputs_match_the_pinned_digest():
                 cells += 1
     assert (digest.hexdigest(), cells) == (
         "a73c5699841127355501dd26b92d3ddc84459627b2a5f446d41f47a06d5debb5", 114
+    )
+
+
+def test_gs_outputs_match_the_pinned_digest():
+    # Every outcome field but wall time, for 168 GS cells (r = 1-14, four
+    # seeds, 1, 64 and 1024 shots), pinned like the layered digest.
+    digest = hashlib.sha256()
+    cells = 0
+    for r in range(1, 15):
+        for seed in (0, 1, 7, 2**40 + 5):
+            for shots in (1, 64, 1024):
+                target = (seed * 2654435761 + r * 40503 + shots) % (1 << r)
+                config = gb.SearchConfig(
+                    r=r, target=target, algorithm="GS", b=2, shots=shots, seed=seed
+                )
+                out = gb.run_standard_grover(config)
+                digest.update(repr((
+                    r, seed, shots, out.measured_index, out.success_fraction,
+                    out.layers, out.oracle_calls, out.trial_seed, out.certainty.hex(),
+                )).encode())
+                cells += 1
+    assert (digest.hexdigest(), cells) == (
+        "4b0ef30d3628da94534e57ac4a1dc1f6cb437c95c71ed1507b44e4e1eb57f791", 168
+    )
+
+
+def test_grk_schedule_matches_the_pinned_digest():
+    # (r, b, t_global, t_local) for every valid pair with r <= 16, as the
+    # scan produced them before its cleanup step went through
+    # _grk_global_step.  The scan is cached, so clear it to rerun it.
+    _grk_schedule.cache_clear()
+    digest = hashlib.sha256()
+    pairs = 0
+    for r in range(2, 17):
+        b = 2
+        while b <= 1 << (r - 1):
+            digest.update(repr((r, b, *_grk_schedule(r, b))).encode())
+            pairs += 1
+            b *= 2
+    assert (digest.hexdigest(), pairs) == (
+        "4773dc4105fc60c5e68dc705f1c34f35e23c05028b1372133bd18ddd7f098ce0", 120
     )
 
 
