@@ -53,7 +53,6 @@ from .search import (
 from .statevector import (
     MAX_QUBITS,
     BasisPredicate,
-    DeferredState,
     ShotHistogram,
     StateVector,
     basis_state,

@@ -143,19 +143,23 @@ def cell_seed(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> 
     return _cell_seeds(base_seed, qubits, algorithm, trial)[0]
 
 
+def _draw_target(target_seed: int, qubits: int) -> int:
+    return int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
+
+
 def cell_target(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> int:
     """Random target index of one cell, drawn from the cell's target seed."""
-    target_seed = _cell_seeds(base_seed, qubits, algorithm, trial)[1]
-    return int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
+    return _draw_target(_cell_seeds(base_seed, qubits, algorithm, trial)[1], qubits)
 
 
 def _run_cell(
     plan: ExperimentPlan, qubits: int, algorithm: Algorithm, trial: int
 ) -> TrialRow:
-    seed = cell_seed(plan.base_seed, qubits, algorithm, trial)
+    # One seed derivation serves the search and, when drawn, the target.
+    seed, target_seed = _cell_seeds(plan.base_seed, qubits, algorithm, trial)
     target = plan.target
     if target is None:
-        target = cell_target(plan.base_seed, qubits, algorithm, trial)
+        target = _draw_target(target_seed, qubits)
     config = SearchConfig(
         r=qubits,
         target=target,

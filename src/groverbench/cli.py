@@ -199,6 +199,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 "k": b.bit_length() - 1,
                 "layers": cost.layers,
                 "oracle_calls_bound": cost.oracle_calls,
+                "oracle_model": cost.oracle_model,
             },
             indent=2,
         )

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .statevector import (
     BasisPredicate,
-    Register,
+    StateVector,
     _check_norm,
     _check_qubits,
     invert_about_mean,
@@ -82,9 +82,9 @@ class OracleSpec:
             self._flip = BasisPredicate(self._flip_mask, self._flip_value)
         return self._flip
 
-    def apply(self, state: Register) -> Register:
+    def apply(self, state: StateVector) -> StateVector:
         """One oracle query: sign-flip the marked amplitudes of the full
-        ``r``-qubit register ``state``, dense or deferred."""
+        ``r``-qubit register ``state``."""
         if state.num_qubits != self.r:
             raise ValueError(f"state on {state.num_qubits} qubits, oracle on {self.r}")
         self.query_count += 1
@@ -147,12 +147,20 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class PredictedCost:
-    """Closed-form cost prediction for one algorithm at one size."""
+    """Closed-form cost prediction for one algorithm at one size.
+
+    ``oracle_model`` names the oracle ``oracle_calls`` counts queries of:
+    ``"segment"`` for DFGS, whose oracle marks every index that matches
+    the target on one segment and the bits already found, so one search
+    resolves a whole segment; ``"single-target"`` for GS, GRK and BDGS,
+    whose bounds assume the oracle that marks the target alone.
+    """
 
     algorithm: Algorithm
     iterations: float
     oracle_calls: float
     layers: int | None
+    oracle_model: str
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +223,18 @@ def segment_masses(width: int) -> tuple[float, float]:
 
 
 def grover_iteration(
-    state: Register, oracle: OracleSpec, diffusion_mask: int = 0
-) -> Register:
+    state: StateVector, oracle: OracleSpec, diffusion_mask: int = 0
+) -> StateVector:
     """One amplification step: oracle sign flip, then blockwise inversion
     about the mean restricted by ``diffusion_mask``.
 
     The composed map equals the product of the two textbook reflections
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
-    query counter by one.  On a :class:`~groverbench.statevector.DeferredState`
-    and an oracle that marks a single amplitude, the step updates the
-    register's few amplitude classes; an oracle that marks more returns a
-    dense register, which the step goes on with.
+    query counter by one.  Works in place on the dense register.  The
+    full layered mode runs it; GS and GRK run the same step on their
+    three amplitude classes (``search._class_step``), and the tests
+    check the two against each other.
     """
     flipped = oracle.apply(state)
     return invert_about_mean(flipped, diffusion_mask)
@@ -333,11 +341,11 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     k = b.bit_length() - 1
     if algorithm is Algorithm.GRK:
         bound = grk_query_count(n, b)
-        return PredictedCost(algorithm, bound, bound + 1.0, None)
+        return PredictedCost(algorithm, bound, bound + 1.0, None, "single-target")
     layers = predicted_layers(algorithm, r, k)
     if algorithm is Algorithm.GS:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
-        return PredictedCost(algorithm, exact, float(layers), layers)
+        return PredictedCost(algorithm, exact, float(layers), layers, "single-target")
     if algorithm is Algorithm.DFGS:
         iterations = queries = 0
         for lo in range(0, r, k):
@@ -345,6 +353,6 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
             reps = optimal_iterations(1 << width)
             iterations += reps
             queries += reps + (segment_masses(width)[0] <= _EXACT_THRESHOLD)
-        return PredictedCost(algorithm, float(iterations), float(queries), layers)
+        return PredictedCost(algorithm, float(iterations), float(queries), layers, "segment")
     bound = bdgs_total_queries(n, b, r, k)
-    return PredictedCost(algorithm, bound, bound, layers)
+    return PredictedCost(algorithm, bound, bound, layers, "single-target")

@@ -15,12 +15,14 @@ Four drivers share the kernel layer:
 GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
 list of ``(iterations, diffusion_mask)`` steps with one single-target
 oracle, then ``shots`` draws that vote for the index bits the search
-resolves (all of them for GS, the block bits for GRK).  Their oracle flips
-one amplitude per query, so the run holds a
-:meth:`~groverbench.statevector.DeferredState.uniform` register, which
-makes each step O(1) work and is never written out: :func:`sample` and
-:func:`probability` read the measurement and the certainty from its few
-amplitude classes, so neither driver allocates a ``2**r`` array.
+resolves (all of them for GS, the block bits for GRK).  From the uniform
+state a single-target run keeps three amplitude classes: the target, the
+rest of its block and every other block.  So the run holds those
+amplitudes and the block sums as a few floats (:class:`_Classes`), each
+step is O(1) work (:func:`_class_step`), and the shots and the certainty
+are read from the classes: neither driver allocates a ``2**r`` array.
+The dense kernels are the reference the tests check the class run
+against.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
@@ -70,16 +72,15 @@ from .ops import (
     segment_masses,
 )
 from .statevector import (
-    BasisPredicate,
-    DeferredState,
+    ShotHistogram,
     StateVector,
     _axis_selector,
+    _check_norm,
     _check_qubits,
     _inverse_cdf,
-    probability,
-    sample,
+    sample,  # no driver calls it; kept bound for tracers that wrap it here
     segment_mask,
-    uniform_state,  # no driver calls it; kept bound for tracers that wrap it here
+    uniform_state,  # likewise
 )
 
 MAX_SEGMENT_ATTEMPTS = 8
@@ -380,26 +381,119 @@ def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None
 # Drivers
 
 
+@dataclass(slots=True)
+class _Classes:
+    """The amplitude classes of a single-target run from the uniform state.
+
+    A single-target search keeps three amplitude classes (Boyer, Brassard,
+    Hoyer & Tapp, quant-ph/9605034; Korepin & Grover): ``a``, the target's
+    amplitude; ``m``, the one the rest of the target's block shares; and
+    ``m_other``, the one every member of the other blocks shares.  ``s`` and
+    ``s_other`` are the amplitude sums of the target's block and of each
+    other block.  The classes follow ``blocks`` equal blocks of the top index
+    bits: 1 until the first block-local step splits them, and ``m_other``
+    and ``s_other`` are read only after that.
+    """
+
+    n: int
+    target: int
+    a: float = field(init=False)
+    m: float = field(init=False)
+    m_other: float = field(init=False)
+    s: float = field(init=False)
+    s_other: float = field(init=False)
+    blocks: int = field(default=1, init=False)
+
+    def __post_init__(self) -> None:
+        self.a = self.m = self.m_other = 1.0 / math.sqrt(self.n)
+        self.s = self.s_other = self.m * self.n
+
+
+def _class_step(c: _Classes, blocks: int) -> None:
+    """One iteration on ``c``: flip the target, then invert within ``blocks`` blocks.
+
+    ``blocks`` is 1 for the global diffuser.  Each block sum is carried,
+    not recomputed: the flip moves the target's, the inversion keeps every
+    sum it inverts within, and a global step on split classes adds the
+    block sums up in block order and maps each sum ``S`` of ``size``
+    amplitudes to ``2*mean*size - S``.
+    """
+    c.s -= 2 * c.a  # the oracle: one amplitude and one block sum move
+    c.a = -c.a
+    if c.blocks == 1 < blocks:  # the first block-local step splits the classes
+        size = c.n // blocks
+        c.s, c.s_other, c.m_other, c.blocks = c.m * size + (c.a - c.m), c.m * size, c.m, blocks
+    if blocks == c.blocks:
+        scale = 2.0 * blocks / c.n
+        twice_mean, twice_other = c.s * scale, c.s_other * scale
+    elif blocks == 1:
+        # numpy adds the sums up in block order, pairwise: the pinned GS and
+        # GRK outputs hold that rounding to the last bit.
+        size = c.n // c.blocks
+        sums = np.full(c.blocks, c.s_other)
+        sums[c.target // size] = c.s
+        twice_mean = twice_other = float(sums.sum()) * (2.0 / c.n)
+        c.s, c.s_other = twice_mean * size - c.s, twice_mean * size - c.s_other
+    else:
+        raise ValueError("the classes follow one block mask at a time")
+    c.a, c.m, c.m_other = twice_mean - c.a, twice_mean - c.m, twice_other - c.m_other
+
+
+def _sample_classes(c: _Classes, shots: int, seed: int) -> ShotHistogram:
+    """``shots`` indices drawn from the classes ``c``, deterministic for ``seed``.
+
+    Each shot picks a class by inverse CDF over ``1 + blocks`` weights: the
+    target, then the members of each block but the target, in block order.
+    A shot on a block then picks one of those members uniformly, skipping
+    the target.  O(shots + blocks) work, and no ``2**r`` array.  Rejects an
+    unnormalized state as :meth:`StateVector.probabilities` does.
+    """
+    size = c.n // c.blocks
+    block, offset = divmod(c.target, size)
+    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
+    weights[0] = c.a * c.a
+    weights[1 + block] = c.m * c.m * (size - 1)
+    _check_norm(float(weights.sum()))
+    rng = np.random.default_rng(seed)
+    classes = _inverse_cdf(weights, rng, shots)
+    draws = np.full(shots, c.target, dtype=np.int64)
+    per_class = np.bincount(classes, minlength=weights.size)
+    for cell in np.flatnonzero(per_class[1:]).tolist():
+        members = rng.integers(0, size - (cell == block), size=per_class[1 + cell])
+        if cell == block:
+            members += members >= offset
+        draws[classes == 1 + cell] = cell * size + members
+    values, counts = np.unique(draws, return_counts=True)
+    return ShotHistogram(dict(zip(values.tolist(), counts.tolist())), shots)
+
+
 def _amplify_and_sample(
     config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolve_mask: int
 ) -> tuple[int, SearchOutcome]:
     """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
 
     Each ``(iterations, diffusion_mask)`` step of ``schedule`` runs that many
-    :func:`grover_iteration` calls; mask 0 diffuses over the whole register.
-    Returns the majority of the shots' ``index & resolve_mask`` (ties go to
-    the smallest) beside the outcome.  ``success_fraction`` is the share of
-    shots that agree with the target on ``resolve_mask`` and ``certainty``
-    the final state's mass there; ``layers`` counts oracle queries.
+    :func:`_class_step` iterations, one oracle query each; mask 0 diffuses
+    over the whole register, and one block mask of the top index bits may
+    diffuse within its blocks.  Returns the majority of the shots' ``index &
+    resolve_mask`` (ties go to the smallest) beside the outcome.
+    ``success_fraction`` is the share of shots that agree with the target on
+    ``resolve_mask`` and ``certainty`` the final state's mass there; ``layers``
+    counts oracle queries.
     """
     seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
-    oracle = OracleSpec(config.r, config.target)
-    state = DeferredState.uniform(config.r)
+    n = 1 << config.r
+    classes = _Classes(n, config.target)
+    queries = 0
     for iterations, diffusion_mask in schedule:
+        blocks = 1 << diffusion_mask.bit_count()
+        if diffusion_mask != n - n // blocks or blocks == n:
+            raise ValueError(f"diffusion mask {diffusion_mask:#x} is not a block of top bits")
         for _ in range(iterations):
-            state = grover_iteration(state, oracle, diffusion_mask)
-    histogram = sample(state, config.shots, seed)
+            _class_step(classes, blocks)
+        queries += iterations
+    histogram = _sample_classes(classes, config.shots, seed)
     wall = time.perf_counter() - start
 
     votes: dict[int, int] = {}
@@ -407,14 +501,19 @@ def _amplify_and_sample(
         bits = index & resolve_mask
         votes[bits] = votes.get(bits, 0) + count
     hit = config.target & resolve_mask
+    # The mass of the members of the target's block that agree with it on
+    # resolve_mask, with the target's own mass swapped in; the pinned
+    # outputs hold this order of operations to the last bit.
+    m_mass = classes.m * classes.m
+    certainty = m_mass * (n >> resolve_mask.bit_count()) + (classes.a * classes.a - m_mass)
     outcome = SearchOutcome(
         measured_index=histogram.mode(),
         success_fraction=votes.get(hit, 0) / config.shots,
-        layers=oracle.query_count,
-        oracle_calls=oracle.query_count,
+        layers=queries,
+        oracle_calls=queries,
         wall_time=wall,
         trial_seed=config.seed,
-        certainty=probability(state, BasisPredicate(resolve_mask, hit)),
+        certainty=certainty,
     )
     return min(votes, key=lambda bits: (-votes[bits], bits)), outcome
 

@@ -1,0 +1,43 @@
+"""A GS/GRK schedule run two ways: on the amplitude classes the drivers
+hold, and on a dense register through the kernels.
+
+A schedule is the drivers' list of ``(iterations, diffusion_mask)``
+steps with one single-target oracle.
+"""
+
+import numpy as np
+
+import groverbench as gb
+from groverbench.search import _Classes, _class_step
+
+
+def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
+    """GRK's schedule: a burn-in, block-local steps, one global cleanup."""
+    return ((t_global, 0), (t_local, gb.BlockPartition(r, b).block_mask), (1, 0))
+
+
+def run_classes(r: int, target: int, steps) -> _Classes:
+    classes = _Classes(1 << r, target)
+    for iterations, mask in steps:
+        for _ in range(iterations):
+            _class_step(classes, 1 << mask.bit_count())
+    return classes
+
+
+def run_dense(r: int, target: int, steps) -> gb.StateVector:
+    oracle = gb.OracleSpec(r, target)
+    state = gb.uniform_state(r)
+    for iterations, mask in steps:
+        for _ in range(iterations):
+            state = gb.grover_iteration(state, oracle, mask)
+    return state
+
+
+def write_out(classes: _Classes) -> gb.StateVector:
+    """Every amplitude the classes stand for, as a dense register."""
+    size = classes.n // classes.blocks
+    start = classes.target - classes.target % size
+    amplitudes = np.full(classes.n, classes.m_other)
+    amplitudes[start : start + size] = classes.m
+    amplitudes[classes.target] = classes.a
+    return gb.StateVector(classes.n.bit_length() - 1, amplitudes)

@@ -128,6 +128,35 @@ def test_run_plan_runs_cells_in_plan_order_on_the_calling_thread(monkeypatch):
     assert [(row.qubits, row.algorithm, row.trial) for row in table.rows] == cells
 
 
+@pytest.mark.parametrize("target", [None, 3])
+def test_a_plan_cell_derives_its_seeds_once(monkeypatch, target):
+    # One SeedSequence per cell gives its search seed and, when the plan
+    # draws targets, its target seed: the values cell_seed and cell_target
+    # give, each from a derivation of its own.
+    import groverbench.bench as bench
+
+    real_sequence, real_search = np.random.SeedSequence, bench.run_search
+    builds, configs = [], []
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs["spawn_key"])
+        return real_sequence(*args, **kwargs)
+
+    def recording(config):
+        configs.append(config)
+        return real_search(config)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(bench, "run_search", recording)
+    table = gb.run_plan(small_plan(target=target, algorithms=["GS", "GRK", "DFGS", "BDGS"]))
+    assert len(builds) == len(set(builds)) == len(configs) == 2 * 4 * 2
+    assert not table.errors
+    for config, row in zip(configs, table.rows):
+        cell = (7, row.qubits, row.algorithm, row.trial)
+        assert config.seed == gb.cell_seed(*cell)
+        assert config.target == (bench.cell_target(*cell) if target is None else target)
+
+
 def test_run_plan_fixed_target(monkeypatch):
     import groverbench.bench as bench
 

@@ -40,6 +40,22 @@ def test_predict_grk_layers_null(capsys):
     assert payload["oracle_calls_bound"] > 0
 
 
+@pytest.mark.parametrize(
+    "algo, model, bound",
+    [("GS", "single-target", 804), ("GRK", "single-target", 697.5),
+     ("BDGS", "single-target", 550.9), ("DFGS", "segment", 10)],
+)
+def test_predict_names_its_oracle_model(capsys, algo, model, bound):
+    # BDGS's bound is the paper's single-target sum; DFGS's count is the
+    # segment oracle's.  The JSON says which beside each number.
+    code, out, _ = run_cli(capsys, ["predict", "--qubits", "20", "--algo", algo])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle_model"] == model
+    assert payload["oracle_calls_bound"] == pytest.approx(bound, abs=0.1)
+    assert gb.predict_cost(algo, 20, 4).oracle_model == model
+
+
 def test_predict_invalid_block_size(capsys):
     code, _, err = run_cli(capsys, ["predict", "--qubits", "8", "--algo", "BDGS", "--block-size", "3"])
     assert code == 2

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
+from class_runs import grk_steps, run_classes, run_dense, write_out
 from groverbench.ops import segment_masses
+from groverbench.search import _class_step
 
 
 def dense_iteration_matrix(r: int, pred: gb.BasisPredicate, block_mask: int) -> np.ndarray:
@@ -148,26 +150,26 @@ def test_global_iteration_allocates_no_register():
 
 
 def test_deferred_iteration_touches_one_entry_and_allocates_no_register():
-    # One class-register iteration at r = 20, after a first one: under
-    # 64 KiB traced, and at most one written entry added, for the
-    # block-local mask and for the coarser global one.
+    # One class iteration at r = 20, block-local and then global: under
+    # 64 KiB traced.  The local one moves the target block's classes and
+    # sum only; the other blocks' amplitude just reflects about their
+    # unchanged mean.
     r = 20
-    local = gb.segment_mask(r, 0, 1)
-    state = gb.grover_iteration(gb.DeferredState.uniform(r), gb.OracleSpec(r, 700_001), local)
-    oracle = gb.OracleSpec(r, 123_456)
-    for mask in (local, 0):
-        before = len(state.written)
+    classes = run_classes(r, 700_001, grk_steps(r, 4, 3, 1)[:2])
+    for blocks in (4, 1):
+        other, other_sum = classes.m_other, classes.s_other
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            state = gb.grover_iteration(state, oracle, mask)
+            _class_step(classes, blocks)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert isinstance(state, gb.DeferredState)
-        assert len(state.written) - before <= 1 and state.member.size == 4
-    assert sorted(state.written) == [123_456, 700_001]
+        if blocks > 1:
+            assert classes.s_other == other_sum
+            assert classes.m_other == other_sum * (2.0 * blocks / (1 << r)) - other
+    assert classes.blocks == 4
 
 
 def test_query_accounting_matches_invocations():
@@ -208,113 +210,40 @@ def test_dense_equivalence_segment_conditioned_oracle():
         np.testing.assert_allclose(actual, expected, atol=1e-10)
 
 
-def predicates(draw, r: int, multi: bool = False) -> gb.BasisPredicate:
-    """Any predicate on ``r`` qubits; with ``multi``, one marking two or more states."""
-    mask = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
-    if multi:
-        mask &= ~(1 << draw(st.integers(min_value=0, max_value=r - 1)))
-    return gb.BasisPredicate(mask, draw(st.integers(min_value=0, max_value=(1 << r) - 1)) & mask)
-
-
 @st.composite
-def class_histories(draw):
-    """Iterations on the full register from the equal superposition, then readouts.
-
-    Each step's oracle marks one of a few targets, or is a segment oracle
-    whose determined bits are any subset of the rest, so it marks one
-    amplitude or a whole sub-block.  Each step has its own diffusion
-    mask: global, within the top-k blocks, within the blocks of the
-    segment's complement, or any mask, so the steps switch masks.  Some
-    histories end with a flip of several amplitudes.
-    """
-    r = draw(st.integers(min_value=2, max_value=6))
-    index = st.integers(min_value=0, max_value=(1 << r) - 1)
-    lo = draw(st.integers(min_value=0, max_value=r - 1))
-    hi = draw(st.integers(min_value=lo, max_value=r - 1))
-    seg = gb.segment_mask(r, lo, hi)
-    det_mask = draw(index) & ~seg
-    oracles = [gb.OracleSpec(r, t) for t in draw(st.lists(index, min_size=1, max_size=3))]
-    if draw(st.booleans()):
-        oracles.append(gb.OracleSpec(r, draw(index), (lo, hi), det_mask, draw(index) & det_mask))
-    top_k = gb.segment_mask(r, 0, draw(st.integers(min_value=0, max_value=r - 1)))
-    masks = st.sampled_from([0, top_k, ((1 << r) - 1) ^ seg]) | st.integers(
-        min_value=0, max_value=(1 << r) - 1
-    )
-    steps = draw(st.lists(st.tuples(st.sampled_from(oracles), masks), min_size=1, max_size=8))
-    flip = predicates(draw, r, multi=True) if draw(st.booleans()) else None
-    preds = [predicates(draw, r) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
-    read_masks = draw(st.lists(masks, min_size=1, max_size=3))
-    return r, steps, flip, preds, read_masks
+def grk_runs(draw):
+    """A GRK-shaped schedule at any valid ``(r, b)``, with any target."""
+    r = draw(st.integers(min_value=2, max_value=10))
+    b = 1 << draw(st.integers(min_value=1, max_value=r - 1))
+    t_global = draw(st.integers(min_value=0, max_value=12))
+    t_local = draw(st.integers(min_value=0, max_value=12))
+    target = draw(st.integers(min_value=0, max_value=(1 << r) - 1))
+    return r, b, t_global, t_local, target
 
 
-@settings(max_examples=600, deadline=None)
-@given(class_histories())
-def test_property_unbuffered_readouts_match_the_written_out_register(history):
-    # The same history on a class register and on a dense one: the block
-    # sums after every step, then probability, the block sums and the
-    # amplitude classes.  A flip of several amplitudes hands back a dense
-    # register, which the history goes on with.
-    from groverbench.statevector import _compress
+@settings(max_examples=300, deadline=None)
+@given(grk_runs())
+def test_property_unbuffered_readouts_match_the_written_out_register(run):
+    # The same schedule on the amplitude classes and on a dense register:
+    # the classes write out to the dense amplitudes, the carried sum of the
+    # target's block is the dense one, and the run's certainty is the dense
+    # mass of the target's block.
+    from groverbench.search import _amplify_and_sample
 
-    n, steps, flip, preds, read_masks = history
-    deferred = gb.DeferredState.uniform(n)
-    plain = gb.uniform_state(n)
-    single = flip is None
-    for oracle, mask in steps:
-        single &= oracle.flip_predicate().fixed_mask == (1 << n) - 1
-        deferred = gb.grover_iteration(deferred, oracle, mask)
-        plain = gb.grover_iteration(plain, oracle, mask)
-        np.testing.assert_allclose(
-            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
-        )
-    if flip is not None:
-        deferred = gb.phase_flip(deferred, flip)
-        plain = gb.phase_flip(plain, flip)
-    assert isinstance(deferred, gb.DeferredState) == single
-    probs = plain.probabilities()
-    for mask in read_masks:
-        np.testing.assert_allclose(
-            gb.block_sums(deferred, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-12
-        )
-        for pred in preds:
-            expected = sum(probs[i] for i in range(1 << n) if pred.matches(i))
-            assert gb.probability(deferred, pred) == pytest.approx(expected, abs=1e-12)
-        if single:
-            indices, masses, member_mass, untouched = deferred._classes()
-            np.testing.assert_allclose(masses, probs[indices], rtol=0, atol=1e-12)
-            for cell in range(untouched.size):
-                members = [
-                    i for i in range(1 << n)
-                    if _compress(i, deferred.mask) == cell and i not in deferred.written
-                ]
-                assert untouched.flat[cell] == len(members)
-                np.testing.assert_allclose(
-                    member_mass.flat[cell], probs[members], rtol=0, atol=1e-12
-                )
-    written_out = deferred.write_out() if single else deferred
-    np.testing.assert_allclose(written_out.amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
-
-
-def test_carried_sums_reject_a_multi_amplitude_oracle():
-    # A segment oracle on the full register marks a sub-block, which a
-    # class register cannot hold: the iteration goes on with a dense
-    # register written out from it, equal to the dense iteration, and the
-    # class register it was given keeps its classes and sums.
-    single = gb.OracleSpec(4, 0b0110)
-    plain = gb.uniform_state(4)
-    state = gb.DeferredState.uniform(4)
-    for mask in (0, 0b1100, 0):
-        plain = gb.grover_iteration(plain, single, mask)
-        state = gb.grover_iteration(state, single, mask)
-    kept = state.copy()
-    oracle = gb.OracleSpec(4, 0b0110, (0, 1))
-    plain = gb.grover_iteration(plain, oracle, 0b0011)
-    dense = gb.grover_iteration(state, oracle, 0b0011)
-    assert isinstance(dense, gb.StateVector)
-    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-13)
-    assert (state.mask, state.written) == (kept.mask, kept.written)
-    np.testing.assert_array_equal(state.member, kept.member)
-    np.testing.assert_array_equal(state.sums, kept.sums)
+    r, b, t_global, t_local, target = run
+    steps = grk_steps(r, b, t_global, t_local)
+    classes = run_classes(r, target, steps)
+    plain = run_dense(r, target, steps)
+    np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
+    held = gb.BlockPartition(r, b).block_mask if t_local else 0
+    sums = gb.block_sums(plain, held).ravel()
+    assert classes.s == pytest.approx(sums[target * sums.size >> r], abs=1e-12)
+    mask = gb.BlockPartition(r, b).block_mask
+    config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=8)
+    outcome = _amplify_and_sample(config, steps, mask)[1]
+    expected = gb.probability(plain, gb.BasisPredicate(mask, target & mask))
+    assert outcome.certainty == pytest.approx(expected, abs=1e-12)
+    assert outcome.oracle_calls == t_global + t_local + 1
 
 
 def test_first_iteration_marked_amplitude_closed_form():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import groverbench as gb
+from class_runs import grk_steps, run_classes, run_dense, write_out
 from groverbench.search import (
     _grk_local_step,
     _grk_schedule,
@@ -253,17 +254,17 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
 
 
 def sampled_state(monkeypatch) -> list:
-    """Record, written out, the state each driver samples, with the sampling left as it is."""
+    """Record, written out, the classes each driver samples, with the sampling left as it is."""
     import groverbench.search as search
 
     seen = []
-    real = search.sample
+    real = search._sample_classes
 
-    def recording(state, shots, seed):
-        seen.append(state.write_out())
-        return real(state, shots, seed)
+    def recording(classes, shots, seed):
+        seen.append(write_out(classes))
+        return real(classes, shots, seed)
 
-    monkeypatch.setattr(search, "sample", recording)
+    monkeypatch.setattr(search, "_sample_classes", recording)
     return seen
 
 
@@ -300,9 +301,9 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
 
 @pytest.mark.parametrize("algorithm, reads", [("GS", 0), ("GRK", 0)])
 def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
-    # The drivers run on class registers: GS's global sum and GRK's
-    # block sums come from the amplitude classes, and GRK's cleanup adds
-    # the block sums up.  No register is read.
+    # The drivers run on amplitude classes: GS's global sum and GRK's
+    # block sums are carried as floats, and GRK's cleanup adds the block
+    # sums up.  No register is read.
     import groverbench.statevector as statevector
 
     calls = []
@@ -393,50 +394,89 @@ def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
 
 
 def test_dense_and_deferred_iterations_agree_at_r22():
-    # The dense kernels stay the checked code at r = 22: a few global and
-    # block-local iterations from the equal superposition, both ways, with
-    # two targets in one block.
-    r = 22
-    plain = gb.uniform_state(r)
-    deferred = gb.DeferredState.uniform(r)
-    local = gb.segment_mask(r, 0, 1)
-    steps = [(1_234_567, 0), (1_234_567, 0), (1_100_000, local), (1_234_567, local), (1_100_000, 0)]
-    for target, mask in steps:
-        oracle = gb.OracleSpec(r, target)
-        plain = gb.grover_iteration(plain, oracle, mask)
-        deferred = gb.grover_iteration(deferred, oracle, mask)
+    # The dense kernels stay the checked code at r = 22: a few global,
+    # block-local and cleanup iterations from the equal superposition, on
+    # the dense register and on the amplitude classes.
+    r, target = 22, 1_234_567
+    steps = grk_steps(r, 4, 2, 3)
     np.testing.assert_allclose(
-        deferred.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+        write_out(run_classes(r, target, steps)).amplitudes,
+        run_dense(r, target, steps).amplitudes,
+        rtol=0,
+        atol=1e-12,
     )
 
 
-def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
-    # perfbench/tracing.py times these three lookups; each must see every iteration.
-    import groverbench.ops as ops
-    import groverbench.search as search
-
-    calls = {}
-
-    def counter(owner, name):
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    counter(search, "grover_iteration")
-    counter(ops, "phase_flip")
-    counter(ops, "invert_about_mean")
-    gb.run_standard_grover(gb.SearchConfig(r=8, target=200, shots=16))
-    reps = gb.optimal_iterations(256)
-    assert calls == {"grover_iteration": reps, "phase_flip": reps, "invert_about_mean": reps}
+def _schedule(r: int, b: int | None) -> tuple[tuple[int, int], ...]:
+    """GS's schedule when ``b`` is None, else GRK's at ``(r, b)``."""
+    if b is None:
+        return ((gb.optimal_iterations(1 << r), 0),)
+    return grk_steps(r, b, *_grk_schedule(r, b))
 
 
-def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
-    # perfbench/tracing.py times these lookups: one call of each per oracle
-    # query, and one sampling per run.  The driver builds no dense register.
+def test_class_runs_match_the_dense_kernels_up_to_r12():
+    # GS and GRK at every valid (r, b) with r <= 12, for targets at both
+    # ends and inside a block: the classes write out to the dense register
+    # the kernels build, and the driver's certainty is the dense mass it
+    # names.
+    cells = 0
+    for r in range(1, 13):
+        for b in [None] + [1 << k for k in range(1, r)]:
+            k = 0 if b is None else b.bit_length() - 1
+            mask = (1 << r) - 1 if b is None else gb.BlockPartition(r, b).block_mask
+            size = 1 << (r - k)
+            steps = _schedule(r, b)
+            for target in {0, size - 1, (1 << r) - size, (1 << r) - 1, (1 << r) // 3}:
+                plain = run_dense(r, target, steps)
+                np.testing.assert_allclose(
+                    write_out(run_classes(r, target, steps)).amplitudes,
+                    plain.amplitudes,
+                    rtol=0,
+                    atol=1e-12,
+                )
+                algorithm = "GS" if b is None else "GRK"
+                config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b or 2, shots=4)
+                expected = gb.probability(plain, gb.BasisPredicate(mask, target & mask))
+                assert gb.run_search(config).certainty == pytest.approx(expected, abs=1e-12)
+                cells += 1
+    assert cells > 300
+
+
+@pytest.mark.parametrize("r, b", [(1, None), (2, 2), (3, 2)])
+def test_class_sampler_edge_cells(r, b):
+    # GS at r = 1, GRK with blocks of two (r = 2, b = 2) and GRK with no
+    # local step (r = 3, b = 2), for a target at either end of each block:
+    # the class-sampled shots follow the dense probabilities, and a zero
+    # probability draws nothing.
+    from groverbench.search import _sample_classes
+
+    shots = 20_000
+    steps = _schedule(r, b)
+    size = (1 << r) // (b or 1)
+    if b == 2 and r == 3:
+        assert steps[1][0] == 0
+    for target in sorted({start + end for start in range(0, 1 << r, size) for end in (0, size - 1)}):
+        probs = run_dense(r, target, steps).probabilities()
+        hist = _sample_classes(run_classes(r, target, steps), shots, target)
+        for index, p in enumerate(probs):
+            band = 5 * math.sqrt(shots * p * (1 - p))
+            assert abs(hist.counts.get(index, 0) - shots * p) <= band, (target, index)
+
+
+def test_class_run_rejects_a_mask_it_cannot_hold():
+    # Three classes hold a run with one block mask of the top bits.  A mask
+    # of other bits, blocks of one item, or a second block mask would need
+    # more classes, and the run refuses them.
+    from groverbench.search import _amplify_and_sample
+
+    config = gb.SearchConfig(r=4, target=6, shots=8)
+    for steps in [((1, 0b0011),), ((1, 0b1111),), ((1, 0b1100), (1, 0b1000))]:
+        with pytest.raises(ValueError, match="mask"):
+            _amplify_and_sample(config, steps, 0b1111)
+
+
+def _count_kernel_lookups(monkeypatch, run) -> dict:
+    # perfbench/tracing.py times these lookups in ``search`` and ``ops``.
     import groverbench.ops as ops
     import groverbench.search as search
 
@@ -447,7 +487,7 @@ def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
         calls[name] = 0
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -456,12 +496,28 @@ def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
         counter(search, name)
     counter(ops, "phase_flip")
     counter(ops, "invert_about_mean")
-    _, outcome = gb.run_grk_partial(gb.SearchConfig(r=8, target=200, algorithm="GRK", shots=16))
-    queries = outcome.oracle_calls
-    assert calls == {
-        "grover_iteration": queries, "phase_flip": queries, "invert_about_mean": queries,
-        "uniform_state": 0, "sample": 1,
-    }
+    run()
+    return calls
+
+
+NO_KERNEL_CALLS = {
+    "grover_iteration": 0, "uniform_state": 0, "sample": 0,
+    "phase_flip": 0, "invert_about_mean": 0,
+}
+
+
+def test_gs_run_keeps_the_traced_kernel_boundaries(monkeypatch):
+    # GS runs on its amplitude classes: no traced kernel is called.
+    config = gb.SearchConfig(r=8, target=200, shots=16)
+    calls = _count_kernel_lookups(monkeypatch, lambda: gb.run_standard_grover(config))
+    assert calls == NO_KERNEL_CALLS
+
+
+def test_grk_run_keeps_the_traced_kernel_boundaries(monkeypatch):
+    # GRK runs on its amplitude classes: no traced kernel is called.
+    config = gb.SearchConfig(r=8, target=200, algorithm="GRK", shots=16)
+    calls = _count_kernel_lookups(monkeypatch, lambda: gb.run_grk_partial(config))
+    assert calls == NO_KERNEL_CALLS
 
 
 def _count_layered_lookups(monkeypatch, run) -> dict:
@@ -508,20 +564,19 @@ def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
-    import groverbench.ops as ops
+    # Every amplitude and block sum of the run stays a real float.
+    import groverbench.search as search
 
-    real = ops.invert_about_mean
-    dtypes = set()
+    real = search._class_step
+    types = set()
 
-    def recording(state, block_mask=0, *args):
-        dtypes.add(state.amplitudes.dtype)
-        out = real(state, block_mask, *args)
-        dtypes.add(out.amplitudes.dtype)
-        return out
+    def recording(c, blocks):
+        real(c, blocks)
+        types.update(map(type, (c.a, c.m, c.m_other, c.s, c.s_other)))
 
-    monkeypatch.setattr(ops, "invert_about_mean", recording)
+    monkeypatch.setattr(search, "_class_step", recording)
     gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
-    assert dtypes == {np.dtype(np.float64)}
+    assert types == {float}
 
 
 def test_grk_local_rotation_closed_form():
@@ -998,14 +1053,25 @@ def test_search_config_validation():
 def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     """A kernel that loses the norm is caught by the readout, with or without -O.
 
-    The compact layered mode runs no kernel: the drift goes into its
+    GS and GRK run no kernel: the drift goes into their class step.  The
+    compact layered mode runs none either: the drift goes into its
     two-class recurrence, whose cached masses (in ``segment_masses`` and
     in the segment rows that hold them) are cleared around the run.
     """
     import groverbench.ops as ops
     import groverbench.search as search
 
-    if mode == "compact":
+    if mode is None:
+        real_class_step = search._class_step
+
+        def drifting_class_step(classes, blocks):
+            real_class_step(classes, blocks)
+            classes.a *= 1.001
+            classes.m *= 1.001
+            classes.m_other *= 1.001
+
+        monkeypatch.setattr(search, "_class_step", drifting_class_step)
+    elif mode == "compact":
         real_step = ops._grk_local_step
 
         def drifting_step(a, b_amp, block):

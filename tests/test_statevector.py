@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
+from class_runs import grk_steps, run_classes, run_dense, write_out
+from groverbench.search import _Classes, _sample_classes
 
 
 def random_state(r: int, seed: int) -> gb.StateVector:
@@ -167,12 +169,10 @@ def test_invert_matches_brute_force(block_mask):
 def test_invert_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.invert_about_mean(gb.uniform_state(2), 0b100)
-    with pytest.raises(ValueError):
-        gb.invert_about_mean(gb.DeferredState.uniform(2), 0b100)
 
 
 # ---------------------------------------------------------------------------
-# block_sums and the deferred register
+# block_sums, and the amplitude classes of GS and GRK runs
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
@@ -190,8 +190,6 @@ def test_block_sums_match_brute_force(block_mask):
 def test_block_sums_rejects_wide_mask():
     with pytest.raises(ValueError):
         gb.block_sums(gb.uniform_state(2), 0b100)
-    with pytest.raises(ValueError):
-        gb.block_sums(gb.DeferredState.uniform(2), 0b100)
 
 
 def run_history(register, steps):
@@ -201,65 +199,33 @@ def run_history(register, steps):
     return register
 
 
-# Four classes on 4 qubits: two written entries, in the blocks of 0b1100.
+# Four amplitude values on 4 qubits: two targets written, in the blocks of 0b1100.
 HISTORY_4 = [(3, 0), (12, 0b1100), (3, 0b1100)]
 
-
-def assert_same_classes(state: gb.DeferredState, kept: gb.DeferredState) -> None:
-    assert (state.mask, state.written) == (kept.mask, kept.written)
-    np.testing.assert_array_equal(state.member, kept.member)
-    np.testing.assert_array_equal(state.sums, kept.sums)
-
-
-def fresh_sums(state: gb.DeferredState, block_mask: int) -> np.ndarray:
-    """Block sums read from the written-out register, leaving ``state`` as it is."""
-    return gb.block_sums(state.write_out(), block_mask)
+# A GRK schedule on 4 qubits whose classes follow the blocks of 0b1100.
+STEPS_4 = grk_steps(4, 4, 1, 1)
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1, 0b1010, 0b1100, 0b1111])
 def test_kernels_keep_given_sums_current(block_mask):
-    # Every single-amplitude flip on a 4-qubit class register, written or
-    # untouched, between two inversions: the flip updates the register's
-    # sums, the inversion leaves them as they are, and both match a fresh
-    # read.
-    start = run_history(gb.DeferredState.uniform(4), HISTORY_4)
-    plain = start.write_out()
+    # Every single-amplitude flip on a 4-qubit register between two
+    # inversions: the kernels update the register they are given in place,
+    # so its block sums, read after each kernel, match a brute-force run.
+    start = run_history(gb.uniform_state(4), HISTORY_4)
     for value in range(16):
         state = start.copy()
-        expected = brute_invert(plain, block_mask)
-        gb.invert_about_mean(state, block_mask)
+        expected = brute_invert(state, block_mask)
+        assert gb.invert_about_mean(state, block_mask) is state
         expected[value] *= -1
-        gb.phase_flip(state, gb.BasisPredicate(0b1111, value))
+        assert gb.phase_flip(state, gb.BasisPredicate(0b1111, value)) is state
         np.testing.assert_allclose(
-            gb.block_sums(state, block_mask), fresh_sums(state, block_mask), atol=1e-14
+            gb.block_sums(state, block_mask),
+            gb.block_sums(gb.StateVector(4, expected), block_mask),
+            atol=1e-14,
         )
         expected = brute_invert(gb.StateVector(4, expected), block_mask)
         gb.invert_about_mean(state, block_mask)
-        np.testing.assert_allclose(
-            gb.block_sums(state, block_mask), fresh_sums(state, block_mask), atol=1e-14
-        )
-        np.testing.assert_allclose(state.write_out().amplitudes, expected, atol=1e-13)
-
-
-@pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b1110])
-def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
-    # A class register does not hold a flip of more than one amplitude:
-    # the flip returns a new dense register, equal to the dense kernel's
-    # result, and leaves the class register and its sums as they were.
-    state = run_history(gb.DeferredState.uniform(4), HISTORY_4)
-    plain = state.write_out()
-    pred = gb.BasisPredicate(mask, 0)
-    for register in (plain, state):
-        gb.invert_about_mean(register, 0b1100)
-    kept = state.copy()
-    dense = gb.phase_flip(state, pred)
-    plain = gb.phase_flip(plain, pred)
-    assert isinstance(dense, gb.StateVector) and dense is not plain
-    assert_same_classes(state, kept)
-    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-15)
-    for register in (plain, dense):
-        gb.invert_about_mean(register, 0)
-    np.testing.assert_allclose(dense.amplitudes, plain.amplitudes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -267,108 +233,67 @@ def test_phase_flip_rejects_sums_for_a_wider_predicate(mask):
     [(4, 0, 0b1100), (4, 0b1100, 0), (4, 0b1100, 0b0011), (4, 0b1000, 0b0001), (3, 0, 0)],
 )
 def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, block_mask):
-    # A class register holding the sums of ``sums_mask`` never inverts
-    # about ``block_mask`` with them: a coarser mask adds them up, and any
-    # other splits the classes and computes the sums from them, with no
-    # register read.  The last case keeps its mask.
+    # A register last inverted about ``sums_mask`` is inverted about
+    # ``block_mask`` from sums read afresh: one read of the register, and
+    # the brute-force result.
     import groverbench.statevector as statevector
 
-    steps = [(5, sums_mask), (2, sums_mask)]
-    plain = run_history(gb.uniform_state(sums_r), steps)
-    state = run_history(gb.DeferredState.uniform(sums_r), steps)
+    state = run_history(gb.uniform_state(sums_r), [(5, sums_mask), (2, sums_mask)])
+    expected = brute_invert(state, block_mask)
     reads = []
     real = statevector._sum_blocks
 
-    def counting(*args):
+    def counting(amplitudes, *args):
         reads.append(args)
-        return real(*args)
+        return real(amplitudes, *args)
 
     monkeypatch.setattr(statevector, "_sum_blocks", counting)
-    for register in (plain, state):
-        gb.invert_about_mean(register, block_mask)
-    assert len(reads) == 1  # the dense read
-    assert state.mask == sums_mask | block_mask
-    for mask in (sums_mask, block_mask):
-        np.testing.assert_allclose(
-            gb.block_sums(state, mask), gb.block_sums(plain, mask), rtol=0, atol=1e-14
-        )
-    np.testing.assert_allclose(
-        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-13
-    )
-
-
-def test_deferred_register_reads_out_only_written_amplitudes():
-    # The readouts go through write_out, which leaves the classes as they
-    # are; the amplitudes stand-in holds no values.
-    steps = [(5, 0b100), (5, 0)]
-    plain = run_history(gb.uniform_state(3), steps)
-    state = run_history(gb.DeferredState.uniform(3), steps)
-    kept = state.copy()
-    assert state.amplitudes.nbytes == plain.amplitudes.nbytes
-    assert state.amplitudes.dtype == plain.amplitudes.dtype
-    assert np.isnan(state.amplitudes).all()
-    written_out = state.write_out()
-    np.testing.assert_allclose(written_out.probabilities(), plain.probabilities(), atol=1e-15)
-    np.testing.assert_allclose(written_out.amplitudes, plain.amplitudes, atol=1e-15)
-    assert gb.sample(written_out, 64, 3).counts == gb.sample(plain, 64, 3).counts
-    assert_same_classes(state, kept)
+    gb.invert_about_mean(state, block_mask)
+    assert reads == [(sums_r, block_mask)]
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
 
 
 def test_readouts_leave_the_class_register_unchanged():
-    # Every readout of a class register, then the same history again: it
-    # still matches the dense run.
-    steps = [(9, 0), (9, 0b11000), (22, 0b11000), (11, 0)]
-    plain = run_history(gb.uniform_state(5), steps)
-    state = run_history(gb.DeferredState.uniform(5), steps)
-    kept = state.copy()
-    readouts = [
-        state.write_out,
-        lambda: gb.probability(state, gb.BasisPredicate(0b11000, 0b01000)),
-        lambda: gb.block_sums(state, 0b11000),
-        lambda: gb.sample(state, 256, 1),
-    ]
-    for readout in readouts:
-        readout()
-        assert_same_classes(state, kept)
-    plain = run_history(plain, steps)
-    state = run_history(state, steps)
-    np.testing.assert_allclose(
-        state.write_out().amplitudes, plain.amplitudes, rtol=0, atol=1e-12
-    )
+    # Sampling the classes of a GRK run leaves them as they are: the same
+    # schedule run on afterwards still matches the dense run.
+    import dataclasses
 
-
-# ---------------------------------------------------------------------------
-# sample
+    r, target = 5, 11
+    steps = grk_steps(r, 4, 2, 3)
+    classes = run_classes(r, target, steps)
+    kept = dataclasses.astuple(classes)
+    first = _sample_classes(classes, 256, 1)
+    assert dataclasses.astuple(classes) == kept
+    assert _sample_classes(classes, 256, 1).counts == first.counts
+    plain = run_dense(r, target, steps + steps)
+    again = run_classes(r, target, steps + steps)
+    np.testing.assert_allclose(write_out(again).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_class_register_holds_its_classes_1d_in_block_order():
-    # After a GS -> GRK-local -> cleanup history, member and sums hold one
-    # entry per block of the held mask, in block order: member at an
-    # untouched index's block is that index's amplitude.
-    from groverbench.statevector import _compress
-
+    # After a GS -> GRK-local -> cleanup history the classes follow the four
+    # blocks: the carried sums are the dense block sums, 1-D in block order
+    # (the target's block, the others all alike), and the classes write out
+    # to the dense register.
     r, target = 8, 0b10110101
-    local = gb.segment_mask(r, 0, 1)
-    state = run_history(
-        gb.DeferredState.uniform(r), [(target, 0)] * 3 + [(target, local)] * 2 + [(target, 0)]
-    )
-    assert state.mask == local and sorted(state.written) == [target]
-    assert state.member.shape == state.sums.shape == (1 << local.bit_count(),)
-    amplitudes = state.write_out().amplitudes
-    for index in range(1 << r):
-        if index not in state.written:
-            assert state.member[_compress(index, state.mask)] == amplitudes[index]
-    np.testing.assert_allclose(state.sums, fresh_sums(state, local).ravel(), rtol=0, atol=1e-14)
+    steps = grk_steps(r, 4, 3, 2)
+    classes = run_classes(r, target, steps)
+    plain = run_dense(r, target, steps)
+    assert classes.blocks == 4
+    sums = gb.block_sums(plain, gb.segment_mask(r, 0, 1)).ravel()
+    expected = np.full(4, classes.s_other)
+    expected[target >> 6] = classes.s
+    np.testing.assert_allclose(expected, sums, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1000, 0b1100, 0b1110, 0b0011])
 def test_block_sums_keep_the_keepdims_shape_on_either_register(block_mask):
-    # HISTORY_4 holds the mask 0b1100: a coarser, the same and a finer mask
-    # read the same shape and values from the class register as from the
-    # dense one.
-    state = run_history(gb.DeferredState.uniform(4), HISTORY_4)
-    plain = run_history(gb.uniform_state(4), HISTORY_4)
-    assert state.mask == 0b1100
+    # A GRK run on 4 qubits, on the dense register and written out from its
+    # classes: a coarser, the same and a finer mask than the run's 0b1100,
+    # and one across it, read the same keepdims shape and values from both.
+    state = write_out(run_classes(4, 6, STEPS_4))
+    plain = run_dense(4, 6, STEPS_4)
     sums = gb.block_sums(state, block_mask)
     expected = gb.block_sums(plain, block_mask)
     assert sums.shape == expected.shape
@@ -452,46 +377,50 @@ def test_sample_rejects_a_nan_amplitude(dtype):
         gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
-def class_history() -> gb.DeferredState:
-    """A 5-qubit class register with three written entries, two in one block."""
-    local = gb.segment_mask(5, 0, 1)
-    steps = [(9, 0), (9, local), (11, local), (9, 0), (22, local), (11, 0)]
-    return run_history(gb.DeferredState.uniform(5), steps)
+# Class runs whose mass is spread over many indices: GS short of its
+# optimum, GRK mid-schedule, GRK with no local step, and blocks of two at
+# r = 12.
+SPREAD_RUNS = [
+    (6, 45, ((2, 0),)),
+    (5, 11, grk_steps(5, 4, 1, 2)),
+    (3, 4, grk_steps(3, 2, 1, 0)),
+    (12, 3001, grk_steps(12, 2048, 3, 1)),
+]
 
 
 def test_unbuffered_sample_follows_the_register_distribution():
-    # 200k class-sampled shots against the written-out register: every
-    # index's count within 5 sigma of its binomial mean.
+    # 200k class-sampled shots against the dense run's probabilities:
+    # every index's count within 5 sigma of its binomial mean.
     shots = 200_000
-    state = class_history()
-    probs = state.write_out().probabilities()
-    hist = gb.sample(state, shots=shots, seed=2024)
-    assert sorted(state.written) == [9, 11, 22]
-    for index, p in enumerate(probs):
-        band = 5 * math.sqrt(shots * p * (1 - p))
-        assert abs(hist.counts.get(index, 0) - shots * p) <= band, index
-    assert gb.sample(state, shots=500, seed=7).counts == gb.sample(state, shots=500, seed=7).counts
+    for r, target, steps in SPREAD_RUNS:
+        classes = run_classes(r, target, steps)
+        probs = run_dense(r, target, steps).probabilities()
+        hist = _sample_classes(classes, shots, 2024)
+        for index, p in enumerate(probs):
+            band = 5 * math.sqrt(shots * p * (1 - p))
+            assert abs(hist.counts.get(index, 0) - shots * p) <= band, (r, index)
+    assert _sample_classes(classes, 500, 7).counts == _sample_classes(classes, 500, 7).counts
 
 
 def test_unbuffered_sample_skips_written_entries():
-    # Index 5 is written with amplitude 0, in the one block with the seven
-    # other states: a shot on that block's class never lands on it.
-    state = gb.DeferredState.uniform(3)
-    state.member[...] = 1 / math.sqrt(7)
-    state.written[5] = 0.0
-    hist = gb.sample(state, shots=4096, seed=11)
-    assert sorted(hist.counts) == [0, 1, 2, 3, 4, 6, 7]
-    assert gb.probability(state, gb.BasisPredicate(0b111, 5)) == 0.0
-    assert gb.probability(state, gb.BasisPredicate(0b100, 0)) == pytest.approx(4 / 7, abs=1e-15)
+    # A target of amplitude 0 is never drawn, wherever it sits in its block:
+    # the member draw skips it.  Seven states share the mass, in one block
+    # or in two blocks of four.
+    for blocks in (1, 2):
+        for target in (0, 3, 4, 5, 7):
+            classes = _Classes(8, target)
+            classes.a, classes.blocks = 0.0, blocks
+            classes.m = classes.m_other = 1 / math.sqrt(7)
+            hist = _sample_classes(classes, 4096, 11)
+            assert sorted(hist.counts) == [i for i in range(8) if i != target]
 
 
 def test_unbuffered_sample_holds_no_register():
     # 1024 shots at r = 24, whose register would be 128 MiB.
-    state = gb.DeferredState.uniform(24)
-    gb.grover_iteration(state, gb.OracleSpec(24, 12_345_678))
+    classes = run_classes(24, 12_345_678, ((1, 0),))
     tracemalloc.start()
     try:
-        gb.sample(state, shots=1024, seed=3)
+        _sample_classes(classes, 1024, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,12 +429,10 @@ def test_unbuffered_sample_holds_no_register():
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])
 def test_class_readouts_reject_an_unnormalized_register(scale):
-    state = class_history()
-    state.member *= scale
+    classes = run_classes(5, 9, grk_steps(5, 4, 1, 2))
+    classes.m_other *= scale
     with pytest.raises(ValueError, match="norm"):
-        gb.sample(state, shots=10, seed=0)
-    with pytest.raises(ValueError, match="norm"):
-        gb.probability(state, gb.BasisPredicate(0b11111, 9))
+        _sample_classes(classes, 10, 0)
 
 
 def test_probability_on_a_dense_register():
