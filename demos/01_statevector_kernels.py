@@ -34,8 +34,9 @@ print("one iteration:      ", np.round(one_round.amplitudes, 4))
 print("oracle queries used:", oracle.query_count)
 
 # Sampling is an ordinary seeded multinomial draw over |amplitude|^2.
-histogram = gb.sample(one_round, shots=1024, seed=7)
-print("1024 shots:         ", histogram.counts)
+# It returns the drawn indices; np.bincount counts them per index.
+draws = gb.sample(one_round, shots=1024, seed=7)
+print("1024 shots per index:", np.bincount(draws, minlength=one_round.dim))
 
 # Block masks restrict the inversion: with the top bit as block id, the
 # two halves of the register never mix.  Applying the same mask twice

@@ -25,10 +25,10 @@ t_global, t_local = _grk_schedule(r, b)
 print(f"chosen schedule: {t_global} global + {t_local} local + 1 cleanup "
       f"= {t_global + t_local + 1} queries")
 
-block, outcome = gb.run_grk_partial(
-    gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=1024, seed=21)
-)
-print(f"resolved block {block} (true block {target >> (r - 2)})")
+config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=1024, seed=21)
+block, outcome = gb.run_grk_partial(config)
+print(f"resolved block {outcome.resolved_block} (true block {target >> (r - 2)}), "
+      f"verified {gb.verify_outcome(outcome, config)}")
 print(f"oracle calls {outcome.oracle_calls}, "
       f"shots in target block {outcome.success_fraction * 100:.2f}%, "
       f"block probability {outcome.certainty:.9f}")

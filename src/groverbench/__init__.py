@@ -53,7 +53,6 @@ from .search import (
 from .statevector import (
     MAX_QUBITS,
     BasisPredicate,
-    ShotHistogram,
     StateVector,
     basis_state,
     block_sums,

@@ -10,8 +10,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bench import ExperimentPlan, cell_target, emit_scaling_series, emit_table, run_plan
-from .ops import Algorithm, BlockPartition, predict_cost
-from .search import SearchConfig, run_grk_partial, run_search, verify_outcome
+from .ops import Algorithm, predict_cost
+from .search import SearchConfig, run_search, verify_outcome
 from .statevector import _check_qubits
 
 _FORMAT_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
@@ -168,17 +168,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"invalid search config: {exc}", file=sys.stderr)
         return 2
 
-    report = {"algorithm": config.algorithm.value, "r": config.r, "target": config.target}
-    if config.algorithm is Algorithm.GRK:
-        # GRK resolves the target's block, which is what a plan row counts.
-        block, outcome = run_grk_partial(config)
-        report["resolved_block"] = block
-        verified = block == BlockPartition(config.r, config.b).block_of(config.target)
-    else:
-        outcome = run_search(config)
-        verified = verify_outcome(outcome, config)
-    report["outcome"] = asdict(outcome)
-    report["verified"] = verified
+    outcome = run_search(config)
+    report = {
+        "algorithm": config.algorithm.value,
+        "r": config.r,
+        "target": config.target,
+        "outcome": asdict(outcome),
+        "verified": verify_outcome(outcome, config),
+    }
     print(json.dumps(report, indent=2))
     return 0
 

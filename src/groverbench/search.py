@@ -15,14 +15,15 @@ Four drivers share the kernel layer:
 GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
 list of ``(iterations, diffusion_mask)`` steps with one single-target
 oracle, then ``shots`` draws that vote for the index bits the search
-resolves (all of them for GS, the block bits for GRK).  From the uniform
-state a single-target run keeps three amplitude classes: the target, the
-rest of its block and every other block.  So the run holds those
-amplitudes and the block sums as a few floats (:class:`_Classes`), each
-step is O(1) work (:func:`_class_step`), and the shots and the certainty
-are read from the classes: neither driver allocates a ``2**r`` array.
-The dense kernels are the reference the tests check the class run
-against.
+resolves (all of them for GS, the block bits for GRK, which reports the
+block as ``resolved_block``).  From the uniform state a single-target run
+keeps three amplitude classes: the target, the rest of its block and
+every other block.  So the run holds those amplitudes and the block sums
+as a few floats (:class:`_Classes`), and each step is O(1) work
+(:func:`_class_step`).  The shots are drawn from the classes into one
+int64 array (:func:`_sample_classes`), and the votes are counted with
+``np.unique``: neither driver allocates a ``2**r`` array.  The dense
+kernels are the reference the tests check the class run against.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
@@ -72,7 +73,6 @@ from .ops import (
     segment_masses,
 )
 from .statevector import (
-    ShotHistogram,
     StateVector,
     _axis_selector,
     _check_norm,
@@ -124,9 +124,10 @@ class SearchOutcome:
 
     ``certainty`` is the probability mass the final pre-measurement state
     puts on ``measured_index`` (for the block-partial driver: on the
-    resolved block).  ``wall_time`` covers state preparation through
-    final measurement and is the one field excluded from determinism
-    guarantees.
+    resolved block).  ``resolved_block`` is the block the block-partial
+    driver resolves and ``None`` for every other driver.  ``wall_time``
+    covers state preparation through final measurement and is the one
+    field excluded from determinism guarantees.
     """
 
     measured_index: int
@@ -136,6 +137,7 @@ class SearchOutcome:
     wall_time: float
     trial_seed: int
     certainty: float
+    resolved_block: int | None = None
 
 
 @dataclass
@@ -439,14 +441,16 @@ def _class_step(c: _Classes, blocks: int) -> None:
     c.a, c.m, c.m_other = twice_mean - c.a, twice_mean - c.m, twice_other - c.m_other
 
 
-def _sample_classes(c: _Classes, shots: int, seed: int) -> ShotHistogram:
+def _sample_classes(c: _Classes, shots: int, seed: int) -> np.ndarray:
     """``shots`` indices drawn from the classes ``c``, deterministic for ``seed``.
 
     Each shot picks a class by inverse CDF over ``1 + blocks`` weights: the
     target, then the members of each block but the target, in block order.
-    A shot on a block then picks one of those members uniformly, skipping
-    the target.  O(shots + blocks) work, and no ``2**r`` array.  Rejects an
-    unnormalized state as :meth:`StateVector.probabilities` does.
+    The shots are then grouped by class, and one draw picks every off-target
+    shot's member of its block uniformly, skipping the target.  Returns the
+    indices as one int64 array in that class order.  O(shots log shots +
+    blocks) work, and no ``2**r`` array.  Rejects an unnormalized state as
+    :meth:`StateVector.probabilities` does.
     """
     size = c.n // c.blocks
     block, offset = divmod(c.target, size)
@@ -455,31 +459,32 @@ def _sample_classes(c: _Classes, shots: int, seed: int) -> ShotHistogram:
     weights[1 + block] = c.m * c.m * (size - 1)
     _check_norm(float(weights.sum()))
     rng = np.random.default_rng(seed)
-    classes = _inverse_cdf(weights, rng, shots)
-    draws = np.full(shots, c.target, dtype=np.int64)
-    per_class = np.bincount(classes, minlength=weights.size)
-    for cell in np.flatnonzero(per_class[1:]).tolist():
-        members = rng.integers(0, size - (cell == block), size=per_class[1 + cell])
-        if cell == block:
-            members += members >= offset
-        draws[classes == 1 + cell] = cell * size + members
-    values, counts = np.unique(draws, return_counts=True)
-    return ShotHistogram(dict(zip(values.tolist(), counts.tolist())), shots)
+    classes = np.sort(_inverse_cdf(weights, rng, shots))
+    n_target = int(classes.searchsorted(1))
+    cells = classes[n_target:] - 1
+    in_block = cells == block
+    # One call over every member draw takes the values that one call per
+    # block, in block order, would: the draws the tests pin.
+    members = rng.integers(0, size - in_block)
+    members += in_block & (members >= offset)
+    return np.concatenate([np.full(n_target, c.target, dtype=np.int64), cells * size + members])
 
 
 def _amplify_and_sample(
     config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolve_mask: int
-) -> tuple[int, SearchOutcome]:
+) -> SearchOutcome:
     """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
 
     Each ``(iterations, diffusion_mask)`` step of ``schedule`` runs that many
     :func:`_class_step` iterations, one oracle query each; mask 0 diffuses
     over the whole register, and one block mask of the top index bits may
-    diffuse within its blocks.  Returns the majority of the shots' ``index &
-    resolve_mask`` (ties go to the smallest) beside the outcome.
-    ``success_fraction`` is the share of shots that agree with the target on
-    ``resolve_mask`` and ``certainty`` the final state's mass there; ``layers``
-    counts oracle queries.
+    diffuse within its blocks.  ``measured_index`` is the most frequent shot
+    and ``success_fraction`` the share of shots that agree with the target on
+    ``resolve_mask``; ``certainty`` is the final state's mass there, and
+    ``layers`` counts oracle queries.  When ``resolve_mask`` leaves more than
+    one index per value (GRK's block bits), ``resolved_block`` is the block
+    most shots fall in; else it is ``None``.  Ties go to the smallest index
+    or block.
     """
     seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
@@ -493,29 +498,28 @@ def _amplify_and_sample(
         for _ in range(iterations):
             _class_step(classes, blocks)
         queries += iterations
-    histogram = _sample_classes(classes, config.shots, seed)
+    draws = _sample_classes(classes, config.shots, seed)
+    indices, counts = np.unique(draws, return_counts=True)
+    bits, votes = np.unique(draws & resolve_mask, return_counts=True)
     wall = time.perf_counter() - start
 
-    votes: dict[int, int] = {}
-    for index, count in histogram.counts.items():
-        bits = index & resolve_mask
-        votes[bits] = votes.get(bits, 0) + count
-    hit = config.target & resolve_mask
-    # The mass of the members of the target's block that agree with it on
-    # resolve_mask, with the target's own mass swapped in; the pinned
-    # outputs hold this order of operations to the last bit.
+    # ``size`` indices share each value of the resolved bits: one for GS, a
+    # block for GRK.  The certainty is the mass of the ``size`` members of the
+    # target's block that agree with it on resolve_mask, with the target's
+    # own mass swapped in; the pinned outputs hold this order of operations
+    # to the last bit.
+    size = n >> resolve_mask.bit_count()
     m_mass = classes.m * classes.m
-    certainty = m_mass * (n >> resolve_mask.bit_count()) + (classes.a * classes.a - m_mass)
-    outcome = SearchOutcome(
-        measured_index=histogram.mode(),
-        success_fraction=votes.get(hit, 0) / config.shots,
+    return SearchOutcome(
+        measured_index=int(indices[counts.argmax()]),
+        success_fraction=int(votes[bits == (config.target & resolve_mask)].sum()) / config.shots,
         layers=queries,
         oracle_calls=queries,
         wall_time=wall,
         trial_seed=config.seed,
-        certainty=certainty,
+        certainty=m_mass * size + (classes.a * classes.a - m_mass),
+        resolved_block=None if size == 1 else int(bits[votes.argmax()]) // size,
     )
-    return min(votes, key=lambda bits: (-votes[bits], bits)), outcome
 
 
 def run_standard_grover(config: SearchConfig) -> SearchOutcome:
@@ -523,7 +527,7 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     if config.algorithm is not Algorithm.GS:
         raise ValueError(f"config requests {config.algorithm}, not GS")
     schedule = ((optimal_iterations(1 << config.r), 0),)
-    return _amplify_and_sample(config, schedule, (1 << config.r) - 1)[1]
+    return _amplify_and_sample(config, schedule, (1 << config.r) - 1)
 
 
 def _grk_global_step(
@@ -580,27 +584,27 @@ def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     best_any: tuple[float, int, int, int] | None = None  # (-p, queries, t1, t2)
     a = b_amp = g = 1.0 / math.sqrt(n)
     for t1 in range(t1_cap + 1):
+        # t1 <= budget - 1 and t2_cap >= 1, so t2_hi >= 0.
         t2_hi = min(t2_cap, budget - 1 - t1)
-        if t2_hi >= 0:
-            radius = math.hypot(a, root * b_amp)
-            phase = math.atan2(a, root * b_amp)
-            steps = np.arange(t2_hi + 1)
-            angles = phase + 2.0 * omega_local * steps
-            a2 = radius * np.sin(angles)
-            b2 = radius * np.cos(angles) / root
-            a3, b3, _ = _grk_global_step(a2, b2, g, n, block)  # the cleanup
-            p_block = a3**2 + (block - 1) * b3**2
-            queries = t1 + steps + 1
-            top = int(np.argmax(p_block))
-            cand = (-float(p_block[top]), int(queries[top]), t1, int(steps[top]))
-            if best_any is None or cand < best_any:
-                best_any = cand
-            feasible = np.nonzero(p_block >= p_full)[0]
-            if feasible.size:
-                j = int(feasible[0])
-                cand = (int(queries[j]), -float(p_block[j]), t1, int(steps[j]))
-                if best is None or cand < best:
-                    best = cand
+        radius = math.hypot(a, root * b_amp)
+        phase = math.atan2(a, root * b_amp)
+        steps = np.arange(t2_hi + 1)
+        angles = phase + 2.0 * omega_local * steps
+        a2 = radius * np.sin(angles)
+        b2 = radius * np.cos(angles) / root
+        a3, b3, _ = _grk_global_step(a2, b2, g, n, block)  # the cleanup
+        p_block = a3**2 + (block - 1) * b3**2
+        queries = t1 + steps + 1
+        top = int(np.argmax(p_block))
+        cand = (-float(p_block[top]), int(queries[top]), t1, int(steps[top]))
+        if best_any is None or cand < best_any:
+            best_any = cand
+        feasible = np.nonzero(p_block >= p_full)[0]
+        if feasible.size:
+            j = int(feasible[0])
+            cand = (int(queries[j]), -float(p_block[j]), t1, int(steps[j]))
+            if best is None or cand < best:
+                best = cand
         a, b_amp, g = _grk_global_step(a, b_amp, g, n, block)
 
     if best is not None:
@@ -612,18 +616,20 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     """Block-partial search: returns the resolved block id and the outcome.
 
     The schedule is ``t_global`` global iterations, ``t_local`` block-local
-    ones and one global cleanup.  ``success_fraction`` counts shots that
-    landed anywhere in the target block (the block is what this search
-    resolves); ``certainty`` is the block's total probability in the final
-    state.  Oracle calls stay within ``ceil(grk_query_count(N, b)) + 1``.
+    ones and one global cleanup.  ``resolved_block`` is the block most shots
+    landed in, and ``success_fraction`` counts shots that landed anywhere
+    in the target block (the block is what this search resolves);
+    ``certainty`` is the block's total probability in the final state.
+    Oracle calls stay within ``ceil(grk_query_count(N, b)) + 1``.  The block
+    is returned beside the outcome as well, for callers that unpack it.
     """
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
     block_mask = segment_mask(config.r, 0, config.k - 1)  # the block-id bits
     t_global, t_local = _grk_schedule(config.r, config.b)
     schedule = ((t_global, 0), (t_local, block_mask), (1, 0))
-    bits, outcome = _amplify_and_sample(config, schedule, block_mask)
-    return bits >> (config.r - config.k), outcome
+    outcome = _amplify_and_sample(config, schedule, block_mask)
+    return outcome.resolved_block, outcome
 
 
 def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:
@@ -681,14 +687,11 @@ def run_search(config: SearchConfig) -> SearchOutcome:
 
 
 def verify_outcome(outcome: SearchOutcome, config: SearchConfig) -> bool:
-    """True iff the run recovered the configured target index.
+    """True iff the run recovered what it resolves of the configured target.
 
-    GRK resolves the target's block, not its index, and its outcome does
-    not carry the block, so a GRK config raises ``ValueError``.
+    GRK resolves the target's block, the top ``k`` bits of its index; every
+    other driver resolves the index itself.
     """
     if config.algorithm is Algorithm.GRK:
-        raise ValueError(
-            "GRK resolves a block, not an index: compare the block run_grk_partial "
-            "returns with BlockPartition(r, b).block_of(target)"
-        )
+        return outcome.resolved_block == config.target >> (config.r - config.k)
     return outcome.measured_index == config.target

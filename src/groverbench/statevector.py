@@ -120,27 +120,6 @@ class BasisPredicate:
                 f"value {self.fixed_value:#x} has bits outside mask {self.fixed_mask:#x}"
             )
 
-    def matches(self, index: int) -> bool:
-        return (index & self.fixed_mask) == self.fixed_value
-
-
-@dataclass
-class ShotHistogram:
-    """Counts of sampled basis-state indices; values sum to ``total_shots``."""
-
-    counts: dict[int, int]
-    total_shots: int
-
-    def __post_init__(self) -> None:
-        if self.total_shots < 1:
-            raise ValueError("total_shots must be positive")
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("histogram counts do not sum to total_shots")
-
-    def mode(self) -> int:
-        """Most frequent index; ties broken toward the smallest index."""
-        return min(self.counts, key=lambda i: (-self.counts[i], i))
-
 
 # ---------------------------------------------------------------------------
 # Bit-position helpers (position 0 = MSB)
@@ -271,23 +250,20 @@ def _inverse_cdf(
     return p.searchsorted(rng.random(size), side="right")
 
 
-def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
+def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Draw ``shots`` independent basis-state indices with probability ``a**2``.
 
-    Deterministic for a fixed ``seed``, and the same draws as
-    ``Generator.choice(dim, shots, p=probs / probs.sum())``: the CDF is
-    built in place in the probabilities array, so no second register-sized
-    array is held.  An unnormalized state is rejected, as
+    Returns the indices in draw order, deterministic for a fixed ``seed``:
+    the draws of ``Generator.choice(dim, shots, p=probs / probs.sum())``.
+    The CDF is built in place in the probabilities array, so no second
+    register-sized array is held.  An unnormalized state is rejected, as
     :meth:`StateVector.probabilities` does.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     cdf = state.probabilities()
     cdf /= cdf.sum()
-    draws = _inverse_cdf(cdf, np.random.default_rng(seed), shots)
-    del cdf  # the histogram is built without the register-sized CDF held
-    values, counts = np.unique(draws, return_counts=True)
-    return ShotHistogram(dict(zip(values.tolist(), counts.tolist())), shots)
+    return _inverse_cdf(cdf, np.random.default_rng(seed), shots)
 
 
 def operator_matrix(r: int, operation: Callable[[StateVector], StateVector]) -> np.ndarray:

@@ -16,6 +16,17 @@ def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, i
     return ((t_global, 0), (t_local, gb.BlockPartition(r, b).block_mask), (1, 0))
 
 
+# Class runs whose mass is spread over many indices: GS short of its
+# optimum, GRK mid-schedule, GRK with no local step, and blocks of two at
+# r = 12.
+SPREAD_RUNS = [
+    (6, 45, ((2, 0),)),
+    (5, 11, grk_steps(5, 4, 1, 2)),
+    (3, 4, grk_steps(3, 2, 1, 0)),
+    (12, 3001, grk_steps(12, 2048, 3, 1)),
+]
+
+
 def run_classes(r: int, target: int, steps) -> _Classes:
     classes = _Classes(1 << r, target)
     for iterations, mask in steps:
@@ -41,3 +52,9 @@ def write_out(classes: _Classes) -> gb.StateVector:
     amplitudes[start : start + size] = classes.m
     amplitudes[classes.target] = classes.a
     return gb.StateVector(classes.n.bit_length() - 1, amplitudes)
+
+
+def shot_counts(draws: np.ndarray) -> dict[int, int]:
+    """How often each index occurs among ``draws``."""
+    values, counts = np.unique(draws, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))

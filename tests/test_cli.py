@@ -102,6 +102,7 @@ def test_search_bdgs(capsys):
     payload = json.loads(out)
     assert payload["target"] == 44
     assert payload["outcome"]["measured_index"] == 44
+    assert payload["outcome"]["resolved_block"] is None
     assert payload["verified"] is True
 
 
@@ -112,7 +113,7 @@ def test_search_grk_reports_block(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["resolved_block"] == 200 >> 6
+    assert payload["outcome"]["resolved_block"] == 200 >> 6
 
 
 def test_search_grk_verifies_the_resolved_block(capsys):
@@ -122,7 +123,7 @@ def test_search_grk_verifies_the_resolved_block(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["target"] == 1
-    assert payload["resolved_block"] == gb.BlockPartition(4, 8).block_of(1) == 0
+    assert payload["outcome"]["resolved_block"] == gb.BlockPartition(4, 8).block_of(1) == 0
     assert payload["outcome"]["measured_index"] != payload["target"]
     assert payload["verified"] is True
 

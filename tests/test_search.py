@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import groverbench as gb
-from class_runs import grk_steps, run_classes, run_dense, write_out
+from class_runs import SPREAD_RUNS, grk_steps, run_classes, run_dense, shot_counts, write_out
 from groverbench.search import (
     _grk_local_step,
     _grk_schedule,
@@ -26,6 +26,7 @@ def outcome_key(outcome: gb.SearchOutcome) -> tuple:
         outcome.oracle_calls,
         outcome.trial_seed,
         outcome.certainty,
+        outcome.resolved_block,
     )
 
 
@@ -299,25 +300,6 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
     assert outcome.certainty == pytest.approx(a**2 + (size - 1) * b_amp**2, abs=1e-9)
 
 
-@pytest.mark.parametrize("algorithm, reads", [("GS", 0), ("GRK", 0)])
-def test_dense_drivers_read_block_sums_once_per_mask_phase(monkeypatch, algorithm, reads):
-    # The drivers run on amplitude classes: GS's global sum and GRK's
-    # block sums are carried as floats, and GRK's cleanup adds the block
-    # sums up.  No register is read.
-    import groverbench.statevector as statevector
-
-    calls = []
-    real = statevector._sum_blocks
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(statevector, "_sum_blocks", counting)
-    gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
-    assert len(calls) == reads
-
-
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_deferred_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
     # The state each driver samples, against Grover's two-class law (GS) or
@@ -442,25 +424,73 @@ def test_class_runs_match_the_dense_kernels_up_to_r12():
     assert cells > 300
 
 
-@pytest.mark.parametrize("r, b", [(1, None), (2, 2), (3, 2)])
+# GS at r = 1, GRK with blocks of two (r = 2, b = 2) and GRK with no local
+# step (r = 3, b = 2).
+EDGE_CELLS = [(1, None), (2, 2), (3, 2)]
+
+
+def _edge_targets(r: int, b: int | None) -> list[int]:
+    """A target at either end of each block."""
+    size = (1 << r) // (b or 1)
+    return sorted({start + end for start in range(0, 1 << r, size) for end in (0, size - 1)})
+
+
+@pytest.mark.parametrize("r, b", EDGE_CELLS)
 def test_class_sampler_edge_cells(r, b):
-    # GS at r = 1, GRK with blocks of two (r = 2, b = 2) and GRK with no
-    # local step (r = 3, b = 2), for a target at either end of each block:
-    # the class-sampled shots follow the dense probabilities, and a zero
-    # probability draws nothing.
+    # For a target at either end of each block, the class-sampled shots
+    # follow the dense probabilities, and a zero probability draws nothing.
     from groverbench.search import _sample_classes
 
     shots = 20_000
     steps = _schedule(r, b)
-    size = (1 << r) // (b or 1)
     if b == 2 and r == 3:
         assert steps[1][0] == 0
-    for target in sorted({start + end for start in range(0, 1 << r, size) for end in (0, size - 1)}):
+    for target in _edge_targets(r, b):
         probs = run_dense(r, target, steps).probabilities()
-        hist = _sample_classes(run_classes(r, target, steps), shots, target)
+        counts = shot_counts(_sample_classes(run_classes(r, target, steps), shots, target))
         for index, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
-            assert abs(hist.counts.get(index, 0) - shots * p) <= band, (target, index)
+            assert abs(counts.get(index, 0) - shots * p) <= band, (target, index)
+
+
+def _sample_classes_per_block(c, shots: int, seed: int) -> np.ndarray:
+    """The class sampler drawn one block at a time, grouped by class like the driver's."""
+    from groverbench.statevector import _inverse_cdf
+
+    size = c.n // c.blocks
+    block, offset = divmod(c.target, size)
+    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
+    weights[0] = c.a * c.a
+    weights[1 + block] = c.m * c.m * (size - 1)
+    rng = np.random.default_rng(seed)
+    per_class = np.bincount(_inverse_cdf(weights, rng, shots), minlength=weights.size)
+    draws = [np.full(per_class[0], c.target, dtype=np.int64)]
+    for cell in np.flatnonzero(per_class[1:]).tolist():
+        members = rng.integers(0, size - (cell == block), size=per_class[1 + cell])
+        if cell == block:
+            members += members >= offset
+        draws.append(cell * size + members)
+    return np.concatenate(draws)
+
+
+def test_class_sampler_draws_every_member_in_one_call():
+    # One rng.integers call with an array of highs takes the values that one
+    # call per occupied block takes, in block order: the same shots, to the
+    # last index, on the spread runs (2048 blocks at r = 12) and the edge
+    # cells, for odd and even shot counts.
+    from groverbench.search import _sample_classes
+
+    runs = list(SPREAD_RUNS) + [
+        (r, target, _schedule(r, b)) for r, b in EDGE_CELLS for target in _edge_targets(r, b)
+    ]
+    for r, target, steps in runs:
+        classes = run_classes(r, target, steps)
+        for shots in (1, 7, 1024, 20_001):
+            for seed in (0, 5, 2**40 + 5):
+                expected = _sample_classes_per_block(classes, shots, seed)
+                actual = _sample_classes(classes, shots, seed)
+                assert actual.dtype == np.int64
+                np.testing.assert_array_equal(actual, expected, err_msg=f"{r} {target} {shots}")
 
 
 def test_class_run_rejects_a_mask_it_cannot_hold():
@@ -611,6 +641,24 @@ def test_grk_schedule_feasible_within_budget(r):
 def test_grk_rejects_single_item_blocks():
     with pytest.raises(ValueError, match="two items per block"):
         gb.SearchConfig(r=2, target=1, algorithm="GRK", b=4)
+
+
+def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
+    # Indices 5 and 13 tie at two shots each; blocks 0 and 3 of four tie at
+    # four votes each, ahead of block 1, where the most frequent index sits.
+    # Each tie goes to the smallest value, wherever it falls in the draws.
+    import groverbench.search as search
+
+    draws = np.array([13, 15, 13, 5, 3, 14, 2, 5, 1, 0], dtype=np.int64)
+    monkeypatch.setattr(search, "_sample_classes", lambda classes, shots, seed: draws)
+    config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=draws.size)
+    block, outcome = gb.run_grk_partial(config)
+    assert (outcome.measured_index, block, outcome.resolved_block) == (5, 0, 0)
+    assert outcome.success_fraction == 0.4
+    assert not gb.verify_outcome(outcome, config)
+    outcome = gb.run_standard_grover(gb.SearchConfig(r=4, target=13, shots=draws.size))
+    assert (outcome.measured_index, outcome.resolved_block) == (5, None)
+    assert outcome.success_fraction == 0.2
 
 
 def test_grk_deterministic():
@@ -999,14 +1047,16 @@ def test_verify_outcome():
     assert not gb.verify_outcome(outcome, other)
 
 
-def test_verify_outcome_rejects_a_grk_config():
-    # GRK resolves a block, which its outcome does not carry: verify_outcome
-    # refuses the config instead of comparing the sampled index.
+def test_verify_outcome_checks_a_grk_block():
+    # GRK resolves a block: verify_outcome compares the outcome's block, not
+    # the sampled index, with the target's.  Of the eight blocks of two,
+    # target 1 shares block 0 with target 0; target 9 is in block 4.
     config = gb.SearchConfig(r=4, target=1, algorithm="GRK", b=8, shots=64, seed=0)
     block, outcome = gb.run_grk_partial(config)
-    assert block == gb.BlockPartition(4, 8).block_of(config.target)
-    with pytest.raises(ValueError, match="block_of"):
-        gb.verify_outcome(outcome, config)
+    assert block == outcome.resolved_block == gb.BlockPartition(4, 8).block_of(config.target)
+    assert gb.verify_outcome(outcome, config)
+    assert gb.verify_outcome(outcome, gb.SearchConfig(r=4, target=0, algorithm="GRK", b=8))
+    assert not gb.verify_outcome(outcome, gb.SearchConfig(r=4, target=9, algorithm="GRK", b=8))
     for algorithm in ("GS", "DFGS", "BDGS"):
         config = gb.SearchConfig(r=6, target=45, algorithm=algorithm, shots=64, seed=3)
         outcome = gb.run_search(config)

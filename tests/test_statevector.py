@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
-from class_runs import grk_steps, run_classes, run_dense, write_out
+from class_runs import SPREAD_RUNS, grk_steps, run_classes, run_dense, shot_counts, write_out
 from groverbench.search import _Classes, _sample_classes
 
 
@@ -264,7 +264,7 @@ def test_readouts_leave_the_class_register_unchanged():
     kept = dataclasses.astuple(classes)
     first = _sample_classes(classes, 256, 1)
     assert dataclasses.astuple(classes) == kept
-    assert _sample_classes(classes, 256, 1).counts == first.counts
+    np.testing.assert_array_equal(_sample_classes(classes, 256, 1), first)
     plain = run_dense(r, target, steps + steps)
     again = run_classes(r, target, steps + steps)
     np.testing.assert_allclose(write_out(again).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
@@ -301,36 +301,34 @@ def test_block_sums_keep_the_keepdims_shape_on_either_register(block_mask):
 
 
 def test_sample_point_mass():
-    hist = gb.sample(gb.basis_state(4, 3), shots=1024, seed=1)
-    assert hist.counts == {3: 1024}
-    assert hist.total_shots == 1024
+    draws = gb.sample(gb.basis_state(4, 3), shots=1024, seed=1)
+    assert draws.dtype == np.int64
+    assert shot_counts(draws) == {3: 1024}
 
 
 def test_sample_uniform_r1_within_binomial_band():
     # 1024 fair coin flips: 5 sigma around 512 is +/- 5*sqrt(1024*0.25) = 80.
-    hist = gb.sample(gb.uniform_state(1), shots=1024, seed=99)
-    assert 432 <= hist.counts.get(0, 0) <= 592
+    draws = gb.sample(gb.uniform_state(1), shots=1024, seed=99)
+    assert 432 <= shot_counts(draws).get(0, 0) <= 592
 
 
 def test_sample_deterministic_for_seed():
     state = gb.uniform_state(3)
     first = gb.sample(state, shots=500, seed=7)
     second = gb.sample(state, shots=500, seed=7)
-    assert first.counts == second.counts
+    np.testing.assert_array_equal(first, second)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("r", [1, 5, 11])
 def test_sample_draws_match_generator_choice(r, seed):
-    # The in-place CDF gives exactly the draws of Generator.choice.
+    # The in-place CDF gives exactly the draws of Generator.choice, in order.
     state = random_state(r, seed)
     if seed % 2:
         state = gb.StateVector(r, np.abs(state.amplitudes))
     probs = state.probabilities()
     draws = np.random.default_rng(seed).choice(probs.size, size=333, p=probs / probs.sum())
-    values, counts = np.unique(draws, return_counts=True)
-    hist = gb.sample(state, shots=333, seed=seed)
-    assert hist.counts == {int(v): int(c) for v, c in zip(values, counts)}
+    np.testing.assert_array_equal(gb.sample(state, shots=333, seed=seed), draws)
 
 
 @pytest.mark.parametrize("size", [2, 4, 8])
@@ -377,17 +375,6 @@ def test_sample_rejects_a_nan_amplitude(dtype):
         gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
-# Class runs whose mass is spread over many indices: GS short of its
-# optimum, GRK mid-schedule, GRK with no local step, and blocks of two at
-# r = 12.
-SPREAD_RUNS = [
-    (6, 45, ((2, 0),)),
-    (5, 11, grk_steps(5, 4, 1, 2)),
-    (3, 4, grk_steps(3, 2, 1, 0)),
-    (12, 3001, grk_steps(12, 2048, 3, 1)),
-]
-
-
 def test_unbuffered_sample_follows_the_register_distribution():
     # 200k class-sampled shots against the dense run's probabilities:
     # every index's count within 5 sigma of its binomial mean.
@@ -395,11 +382,11 @@ def test_unbuffered_sample_follows_the_register_distribution():
     for r, target, steps in SPREAD_RUNS:
         classes = run_classes(r, target, steps)
         probs = run_dense(r, target, steps).probabilities()
-        hist = _sample_classes(classes, shots, 2024)
+        counts = shot_counts(_sample_classes(classes, shots, 2024))
         for index, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
-            assert abs(hist.counts.get(index, 0) - shots * p) <= band, (r, index)
-    assert _sample_classes(classes, 500, 7).counts == _sample_classes(classes, 500, 7).counts
+            assert abs(counts.get(index, 0) - shots * p) <= band, (r, index)
+    np.testing.assert_array_equal(_sample_classes(classes, 500, 7), _sample_classes(classes, 500, 7))
 
 
 def test_unbuffered_sample_skips_written_entries():
@@ -411,8 +398,8 @@ def test_unbuffered_sample_skips_written_entries():
             classes = _Classes(8, target)
             classes.a, classes.blocks = 0.0, blocks
             classes.m = classes.m_other = 1 / math.sqrt(7)
-            hist = _sample_classes(classes, 4096, 11)
-            assert sorted(hist.counts) == [i for i in range(8) if i != target]
+            draws = _sample_classes(classes, 4096, 11)
+            assert sorted(shot_counts(draws)) == [i for i in range(8) if i != target]
 
 
 def test_unbuffered_sample_holds_no_register():
@@ -451,16 +438,6 @@ def test_probability_on_a_dense_register():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         gb.sample(gb.uniform_state(1), shots=0, seed=0)
-
-
-def test_histogram_validates_totals():
-    with pytest.raises(ValueError):
-        gb.ShotHistogram({0: 3, 1: 4}, total_shots=8)
-
-
-def test_histogram_mode_tie_breaks_low():
-    hist = gb.ShotHistogram({5: 10, 2: 10, 7: 3}, total_shots=23)
-    assert hist.mode() == 2
 
 
 # ---------------------------------------------------------------------------
