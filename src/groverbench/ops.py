@@ -232,9 +232,9 @@ def grover_iteration(
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
     query counter by one.  Works in place on the dense register.  The
-    full layered mode runs it; GS and GRK run the same step on their
-    three amplitude classes (``search._class_step``), and the tests
-    check the two against each other.
+    full layered mode runs it; GS and GRK rotate their three amplitude
+    classes through a whole step of it at once (``search._class_run``),
+    and the tests check the two against each other.
     """
     flipped = oracle.apply(state)
     return invert_about_mean(flipped, diffusion_mask)

@@ -18,12 +18,12 @@ oracle, then ``shots`` draws that vote for the index bits the search
 resolves (all of them for GS, the block bits for GRK, which reports the
 block as ``resolved_block``).  From the uniform state a single-target run
 keeps three amplitude classes: the target, the rest of its block and
-every other block.  So the run holds those amplitudes and the block sums
-as a few floats (:class:`_Classes`), and each step is O(1) work
-(:func:`_class_step`).  The shots are drawn from the classes into one
-int64 array (:func:`_sample_classes`), and the votes are counted with
-``np.unique``: neither driver allocates a ``2**r`` array.  The dense
-kernels are the reference the tests check the class run against.
+every other block.  So the run holds those amplitudes as three floats
+(:class:`_Classes`), and a whole step, whatever its iteration count, is
+one closed-form rotation (:func:`_class_run`).  The shots are drawn from
+the classes into one int64 array (:func:`_sample_classes`), and the votes
+are counted with ``np.unique``: neither driver allocates a ``2**r`` array.
+The dense kernels are the reference the tests check the class run against.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
@@ -390,11 +390,10 @@ class _Classes:
     A single-target search keeps three amplitude classes (Boyer, Brassard,
     Hoyer & Tapp, quant-ph/9605034; Korepin & Grover): ``a``, the target's
     amplitude; ``m``, the one the rest of the target's block shares; and
-    ``m_other``, the one every member of the other blocks shares.  ``s`` and
-    ``s_other`` are the amplitude sums of the target's block and of each
-    other block.  The classes follow ``blocks`` equal blocks of the top index
-    bits: 1 until the first block-local step splits them, and ``m_other``
-    and ``s_other`` are read only after that.
+    ``m_other``, the one every member of the other blocks shares.  The
+    classes follow ``blocks`` equal blocks of the top index bits: 1 until
+    the first block-local step splits them, and ``m_other`` is read only
+    after that.
     """
 
     n: int
@@ -402,43 +401,45 @@ class _Classes:
     a: float = field(init=False)
     m: float = field(init=False)
     m_other: float = field(init=False)
-    s: float = field(init=False)
-    s_other: float = field(init=False)
     blocks: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
         self.a = self.m = self.m_other = 1.0 / math.sqrt(self.n)
-        self.s = self.s_other = self.m * self.n
 
 
-def _class_step(c: _Classes, blocks: int) -> None:
-    """One iteration on ``c``: flip the target, then invert within ``blocks`` blocks.
+def _rotate(a: float, rest: float, size: int, t: int) -> tuple[float, float]:
+    """``t`` iterations over ``size`` states, the target's ``a`` and the others' ``rest``:
+    one turn of their plane by ``2*t*grover_angle(size)``."""
+    root = math.sqrt(size - 1)
+    angle = math.atan2(a, root * rest) + 2 * t * grover_angle(size)
+    radius = math.hypot(a, root * rest)
+    return radius * math.sin(angle), radius * math.cos(angle) / root
 
-    ``blocks`` is 1 for the global diffuser.  Each block sum is carried,
-    not recomputed: the flip moves the target's, the inversion keeps every
-    sum it inverts within, and a global step on split classes adds the
-    block sums up in block order and maps each sum ``S`` of ``size``
-    amplitudes to ``2*mean*size - S``.
+
+def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
+    """``iterations`` iterations on ``c`` in O(1), inverting within ``blocks`` blocks.
+
+    ``blocks`` is 1 for the global diffuser.  A global step on unsplit
+    classes, or a block-local one, rotates ``(a, m)`` over the diffused
+    block; a local step leaves every other block frozen.  A global step on
+    split classes rotates ``a`` with the mean of the other ``n - 1``
+    amplitudes, and the iterate is -1 on what is left of ``m`` and
+    ``m_other``, which is orthogonal to the target and the uniform state.
     """
-    c.s -= 2 * c.a  # the oracle: one amplitude and one block sum move
-    c.a = -c.a
+    if iterations == 0:
+        return
     if c.blocks == 1 < blocks:  # the first block-local step splits the classes
-        size = c.n // blocks
-        c.s, c.s_other, c.m_other, c.blocks = c.m * size + (c.a - c.m), c.m * size, c.m, blocks
+        c.m_other, c.blocks = c.m, blocks
     if blocks == c.blocks:
-        scale = 2.0 * blocks / c.n
-        twice_mean, twice_other = c.s * scale, c.s_other * scale
+        c.a, c.m = _rotate(c.a, c.m, c.n // blocks, iterations)
     elif blocks == 1:
-        # numpy adds the sums up in block order, pairwise: the pinned GS and
-        # GRK outputs hold that rounding to the last bit.
         size = c.n // c.blocks
-        sums = np.full(c.blocks, c.s_other)
-        sums[c.target // size] = c.s
-        twice_mean = twice_other = float(sums.sum()) * (2.0 / c.n)
-        c.s, c.s_other = twice_mean * size - c.s, twice_mean * size - c.s_other
+        rest = ((size - 1) * c.m + (c.n - size) * c.m_other) / (c.n - 1)
+        c.a, turned = _rotate(c.a, rest, c.n, iterations)
+        sign = -1.0 if iterations % 2 else 1.0
+        c.m, c.m_other = turned + sign * (c.m - rest), turned + sign * (c.m_other - rest)
     else:
         raise ValueError("the classes follow one block mask at a time")
-    c.a, c.m, c.m_other = twice_mean - c.a, twice_mean - c.m, twice_other - c.m_other
 
 
 def _sample_classes(c: _Classes, shots: int, seed: int) -> np.ndarray:
@@ -475,16 +476,16 @@ def _amplify_and_sample(
 ) -> SearchOutcome:
     """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
 
-    Each ``(iterations, diffusion_mask)`` step of ``schedule`` runs that many
-    :func:`_class_step` iterations, one oracle query each; mask 0 diffuses
-    over the whole register, and one block mask of the top index bits may
-    diffuse within its blocks.  ``measured_index`` is the most frequent shot
-    and ``success_fraction`` the share of shots that agree with the target on
-    ``resolve_mask``; ``certainty`` is the final state's mass there, and
-    ``layers`` counts oracle queries.  When ``resolve_mask`` leaves more than
-    one index per value (GRK's block bits), ``resolved_block`` is the block
-    most shots fall in; else it is ``None``.  Ties go to the smallest index
-    or block.
+    Each ``(iterations, diffusion_mask)`` step of ``schedule`` is one
+    :func:`_class_run` of that many iterations, one oracle query each; mask
+    0 diffuses over the whole register, and one block mask of the top index
+    bits may diffuse within its blocks.  ``measured_index`` is the most
+    frequent shot and ``success_fraction`` the share of shots that agree
+    with the target on ``resolve_mask``; ``certainty`` is the final state's
+    mass there, and ``layers`` counts oracle queries.  When ``resolve_mask``
+    leaves more than one index per value (GRK's block bits),
+    ``resolved_block`` is the block most shots fall in; else it is ``None``.
+    Ties go to the smallest index or block.
     """
     seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
@@ -495,8 +496,7 @@ def _amplify_and_sample(
         blocks = 1 << diffusion_mask.bit_count()
         if diffusion_mask != n - n // blocks or blocks == n:
             raise ValueError(f"diffusion mask {diffusion_mask:#x} is not a block of top bits")
-        for _ in range(iterations):
-            _class_step(classes, blocks)
+        _class_run(classes, iterations, blocks)
         queries += iterations
     draws = _sample_classes(classes, config.shots, seed)
     indices, counts = np.unique(draws, return_counts=True)

@@ -8,7 +8,7 @@ steps with one single-target oracle.
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _Classes, _class_step
+from groverbench.search import _Classes, _class_run
 
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
@@ -30,8 +30,7 @@ SPREAD_RUNS = [
 def run_classes(r: int, target: int, steps) -> _Classes:
     classes = _Classes(1 << r, target)
     for iterations, mask in steps:
-        for _ in range(iterations):
-            _class_step(classes, 1 << mask.bit_count())
+        _class_run(classes, iterations, 1 << mask.bit_count())
     return classes
 
 

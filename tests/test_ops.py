@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import groverbench as gb
 from class_runs import grk_steps, run_classes, run_dense, write_out
 from groverbench.ops import segment_masses
-from groverbench.search import _class_step
+from groverbench.search import _class_run
 
 
 def dense_iteration_matrix(r: int, pred: gb.BasisPredicate, block_mask: int) -> np.ndarray:
@@ -149,26 +149,24 @@ def test_global_iteration_allocates_no_register():
     assert peak < 64 * 1024
 
 
-def test_deferred_iteration_touches_one_entry_and_allocates_no_register():
+def test_class_run_allocates_no_register():
     # One class iteration at r = 20, block-local and then global: under
-    # 64 KiB traced.  The local one moves the target block's classes and
-    # sum only; the other blocks' amplitude just reflects about their
-    # unchanged mean.
+    # 64 KiB traced.  The local one moves the target block's classes only;
+    # the other blocks' amplitude stays as it was.
     r = 20
     classes = run_classes(r, 700_001, grk_steps(r, 4, 3, 1)[:2])
     for blocks in (4, 1):
-        other, other_sum = classes.m_other, classes.s_other
+        other = classes.m_other
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _class_step(classes, blocks)
+            _class_run(classes, 1, blocks)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
         if blocks > 1:
-            assert classes.s_other == other_sum
-            assert classes.m_other == other_sum * (2.0 * blocks / (1 << r)) - other
+            assert classes.m_other == other
     assert classes.blocks == 4
 
 
@@ -223,11 +221,11 @@ def grk_runs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(grk_runs())
-def test_property_unbuffered_readouts_match_the_written_out_register(run):
+def test_property_class_readouts_match_the_written_out_register(run):
     # The same schedule on the amplitude classes and on a dense register:
-    # the classes write out to the dense amplitudes, the carried sum of the
-    # target's block is the dense one, and the run's certainty is the dense
-    # mass of the target's block.
+    # the classes write out to the dense amplitudes, the classes' sum over
+    # the target's block is the dense one, and the run's certainty is the
+    # dense mass of the target's block.
     from groverbench.search import _amplify_and_sample
 
     r, b, t_global, t_local, target = run
@@ -237,7 +235,9 @@ def test_property_unbuffered_readouts_match_the_written_out_register(run):
     np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
     held = gb.BlockPartition(r, b).block_mask if t_local else 0
     sums = gb.block_sums(plain, held).ravel()
-    assert classes.s == pytest.approx(sums[target * sums.size >> r], abs=1e-12)
+    size = (1 << r) // sums.size
+    held_sum = classes.a + (size - 1) * classes.m
+    assert held_sum == pytest.approx(sums[target * sums.size >> r], abs=1e-12)
     mask = gb.BlockPartition(r, b).block_mask
     config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=8)
     outcome = _amplify_and_sample(config, steps, mask)

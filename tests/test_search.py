@@ -270,7 +270,7 @@ def sampled_state(monkeypatch) -> list:
 
 
 def test_gs_driver_follows_closed_form_at_r20(monkeypatch):
-    # Grover's two-class law through the driver's carried block sums.
+    # Grover's two-class law through the driver's rotation.
     r, target = 20, 314_159
     n = 1 << r
     seen = sampled_state(monkeypatch)
@@ -301,7 +301,7 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
-def test_deferred_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
+def test_class_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
     # The state each driver samples, against Grover's two-class law (GS) or
     # the three-class block-partial recurrence (GRK).
     r, b, target = 22, 4, 3_141_592
@@ -375,7 +375,7 @@ def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
     assert outcome.oracle_calls >= reps + 1  # amplification, then one probe
 
 
-def test_dense_and_deferred_iterations_agree_at_r22():
+def test_dense_and_class_runs_agree_at_r22():
     # The dense kernels stay the checked code at r = 22: a few global,
     # block-local and cleanup iterations from the equal superposition, on
     # the dense register and on the amplitude classes.
@@ -422,6 +422,60 @@ def test_class_runs_match_the_dense_kernels_up_to_r12():
                 assert gb.run_search(config).certainty == pytest.approx(expected, abs=1e-12)
                 cells += 1
     assert cells > 300
+
+
+def test_multi_step_schedules_on_split_classes_match_the_dense_kernels():
+    # Schedules that go global after local (odd and even counts, so the
+    # complement's (-1)**t shows), local again after a split global step,
+    # and run several cleanups, at every (r, b) with r <= 10 and targets at
+    # the ends of the first and last blocks: the rotated classes write out
+    # to the register the dense kernels iterate to.
+    worst, cells = 0.0, 0
+    for r in range(2, 11):
+        for k in range(1, r):
+            mask = gb.BlockPartition(r, 1 << k).block_mask
+            size = 1 << (r - k)
+            schedules = [
+                ((1, 0), (2, mask), (2, 0)),
+                ((2, mask), (3, 0), (1, mask), (2, 0)),
+                ((0, 0), (3, mask), (1, 0), (1, 0), (4, 0)),
+            ]
+            for steps in schedules:
+                for target in {0, size - 1, (1 << r) - size, (1 << r) - 1}:
+                    classes = run_classes(r, target, steps)
+                    assert classes.blocks == 1 << k
+                    gap = write_out(classes).amplitudes - run_dense(r, target, steps).amplitudes
+                    worst = max(worst, float(np.abs(gap).max()))
+                    cells += 1
+            assert run_classes(r, 0, ((0, mask),)).blocks == 1  # no iteration, no split
+    assert worst < 1e-14
+    assert cells == 45 * 12
+
+
+def test_one_step_of_a_trillion_iterations_runs_in_closed_form():
+    # 10**12 iterations per step would never finish one at a time: the
+    # rotation takes each step, global, block-local and global on the split
+    # classes, in O(1) and charges every iteration as a query, and the
+    # sampler's norm check (_check_norm) passes on the state it leaves.
+    from groverbench.search import _amplify_and_sample
+
+    r, t = 24, 10**12
+    mask = gb.BlockPartition(r, 4).block_mask
+    config = gb.SearchConfig(r=r, target=12_345_678, shots=64, seed=1)
+    outcome = _amplify_and_sample(config, ((t, 0), (t, mask), (t + 1, 0)), mask)
+    assert outcome.oracle_calls == outcome.layers == 3 * t + 1
+    assert 0.0 <= outcome.certainty <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("r", [20, 22, 24])
+def test_gs_certainty_is_the_closed_form_to_1e14(r):
+    # Grover's law sin^2((2t+1)theta) at the optimal t, to 1e-14.
+    n = 1 << r
+    angle = (2 * gb.optimal_iterations(n) + 1) * gb.grover_angle(n)
+    config = gb.SearchConfig(r=r, target=n // 3, shots=1, seed=2)
+    assert gb.run_standard_grover(config).certainty == pytest.approx(
+        math.sin(angle) ** 2, abs=1e-14
+    )
 
 
 # GS at r = 1, GRK with blocks of two (r = 2, b = 2) and GRK with no local
@@ -593,18 +647,18 @@ def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
-def test_dense_drivers_keep_a_real_register(monkeypatch, algorithm):
-    # Every amplitude and block sum of the run stays a real float.
+def test_class_drivers_keep_real_amplitudes(monkeypatch, algorithm):
+    # Every amplitude class of the run stays a real float.
     import groverbench.search as search
 
-    real = search._class_step
+    real = search._class_run
     types = set()
 
-    def recording(c, blocks):
-        real(c, blocks)
-        types.update(map(type, (c.a, c.m, c.m_other, c.s, c.s_other)))
+    def recording(c, iterations, blocks):
+        real(c, iterations, blocks)
+        types.update(map(type, (c.a, c.m, c.m_other)))
 
-    monkeypatch.setattr(search, "_class_step", recording)
+    monkeypatch.setattr(search, "_class_run", recording)
     gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
     assert types == {float}
 
@@ -941,35 +995,50 @@ def test_layered_outputs_match_the_pinned_digest():
 
 def test_grk_outputs_match_the_pinned_digest():
     # The resolved block and every outcome field but wall time, for 114
-    # GRK cells (r = 2-12, b = 2-16), pinned like the layered digest.
-    digest = hashlib.sha256()
+    # GRK cells (r = 2-12, b = 2-16), pinned like the layered digest.  The
+    # fields but certainty are pinned as the iterated class run gave them;
+    # each certainty is within 1e-13 of the iterated recurrence, and the
+    # full digest holds the rotation's last bits.
+    digest, fields = hashlib.sha256(), hashlib.sha256()
     cells = 0
     for r in range(2, 13):
         for b in (2, 4, 8, 16):
             if b > 1 << (r - 1):
                 continue
+            a, b_amp, _ = grk_reference_amplitudes(1 << r, b, *_grk_schedule(r, b))
             for seed in (0, 1, 7):
                 target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
                 config = gb.SearchConfig(
                     r=r, target=target, algorithm="GRK", b=b, shots=64, seed=seed
                 )
                 block, out = gb.run_grk_partial(config)
-                digest.update(repr((
+                key = (
                     r, b, seed, block, out.measured_index, out.success_fraction,
-                    out.oracle_calls, out.layers, out.certainty.hex(),
-                )).encode())
+                    out.oracle_calls, out.layers,
+                )
+                fields.update(repr(key).encode())
+                digest.update(repr((*key, out.certainty.hex())).encode())
+                reference = a * a + ((1 << r) // b - 1) * b_amp * b_amp
+                assert out.certainty == pytest.approx(reference, abs=1e-13)
                 cells += 1
-    assert (digest.hexdigest(), cells) == (
-        "a73c5699841127355501dd26b92d3ddc84459627b2a5f446d41f47a06d5debb5", 114
+    assert (fields.hexdigest(), cells) == (
+        "061b0036328f8d9363c6a75b06b47283f2ca989b10df93909f96cd1e0d242ba4", 114
+    )
+    assert digest.hexdigest() == (
+        "46bef2ccdd270065531c1973aff61642056143843ee7231f9156f8ec3917a05a"
     )
 
 
 def test_gs_outputs_match_the_pinned_digest():
     # Every outcome field but wall time, for 168 GS cells (r = 1-14, four
-    # seeds, 1, 64 and 1024 shots), pinned like the layered digest.
-    digest = hashlib.sha256()
+    # seeds, 1, 64 and 1024 shots), pinned like the GRK digest: the fields
+    # but certainty as the iterated class run gave them, each certainty
+    # within 1e-13 of the iterated recurrence, and the full digest.
+    digest, fields = hashlib.sha256(), hashlib.sha256()
     cells = 0
     for r in range(1, 15):
+        n = 1 << r
+        a, _, _ = grk_reference_amplitudes(n, 2, gb.optimal_iterations(n), 0, cleanup=False)
         for seed in (0, 1, 7, 2**40 + 5):
             for shots in (1, 64, 1024):
                 target = (seed * 2654435761 + r * 40503 + shots) % (1 << r)
@@ -977,13 +1046,19 @@ def test_gs_outputs_match_the_pinned_digest():
                     r=r, target=target, algorithm="GS", b=2, shots=shots, seed=seed
                 )
                 out = gb.run_standard_grover(config)
-                digest.update(repr((
+                key = (
                     r, seed, shots, out.measured_index, out.success_fraction,
-                    out.layers, out.oracle_calls, out.trial_seed, out.certainty.hex(),
-                )).encode())
+                    out.layers, out.oracle_calls, out.trial_seed,
+                )
+                fields.update(repr(key).encode())
+                digest.update(repr((*key, out.certainty.hex())).encode())
+                assert out.certainty == pytest.approx(a * a, abs=1e-13)
                 cells += 1
-    assert (digest.hexdigest(), cells) == (
-        "4b0ef30d3628da94534e57ac4a1dc1f6cb437c95c71ed1507b44e4e1eb57f791", 168
+    assert (fields.hexdigest(), cells) == (
+        "c427c3b7803d566b039a021fc68b4147db6adbdd3999d946b0fbe489563623e1", 168
+    )
+    assert digest.hexdigest() == (
+        "b7e4e0083b49867a9ace3863700295e3c53dfbf2b2c41b9db0a68068c5476793"
     )
 
 
@@ -1103,7 +1178,7 @@ def test_search_config_validation():
 def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     """A kernel that loses the norm is caught by the readout, with or without -O.
 
-    GS and GRK run no kernel: the drift goes into their class step.  The
+    GS and GRK run no kernel: the drift goes into their class run.  The
     compact layered mode runs none either: the drift goes into its
     two-class recurrence, whose cached masses (in ``segment_masses`` and
     in the segment rows that hold them) are cleared around the run.
@@ -1112,15 +1187,15 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     import groverbench.search as search
 
     if mode is None:
-        real_class_step = search._class_step
+        real_class_run = search._class_run
 
-        def drifting_class_step(classes, blocks):
-            real_class_step(classes, blocks)
+        def drifting_class_run(classes, iterations, blocks):
+            real_class_run(classes, iterations, blocks)
             classes.a *= 1.001
             classes.m *= 1.001
             classes.m_other *= 1.001
 
-        monkeypatch.setattr(search, "_class_step", drifting_class_step)
+        monkeypatch.setattr(search, "_class_run", drifting_class_run)
     elif mode == "compact":
         real_step = ops._grk_local_step
 

@@ -272,17 +272,17 @@ def test_readouts_leave_the_class_register_unchanged():
 
 def test_class_register_holds_its_classes_1d_in_block_order():
     # After a GS -> GRK-local -> cleanup history the classes follow the four
-    # blocks: the carried sums are the dense block sums, 1-D in block order
-    # (the target's block, the others all alike), and the classes write out
-    # to the dense register.
+    # blocks: their block sums are the dense ones, 1-D in block order (the
+    # target's block, the others all alike), and the classes write out to
+    # the dense register.
     r, target = 8, 0b10110101
     steps = grk_steps(r, 4, 3, 2)
     classes = run_classes(r, target, steps)
     plain = run_dense(r, target, steps)
     assert classes.blocks == 4
     sums = gb.block_sums(plain, gb.segment_mask(r, 0, 1)).ravel()
-    expected = np.full(4, classes.s_other)
-    expected[target >> 6] = classes.s
+    expected = np.full(4, 64 * classes.m_other)
+    expected[target >> 6] = classes.a + 63 * classes.m
     np.testing.assert_allclose(expected, sums, rtol=0, atol=1e-14)
     np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-14)
 
@@ -375,7 +375,7 @@ def test_sample_rejects_a_nan_amplitude(dtype):
         gb.sample(gb.StateVector(2, amps), shots=10, seed=0)
 
 
-def test_unbuffered_sample_follows_the_register_distribution():
+def test_class_sample_follows_the_register_distribution():
     # 200k class-sampled shots against the dense run's probabilities:
     # every index's count within 5 sigma of its binomial mean.
     shots = 200_000
@@ -389,7 +389,7 @@ def test_unbuffered_sample_follows_the_register_distribution():
     np.testing.assert_array_equal(_sample_classes(classes, 500, 7), _sample_classes(classes, 500, 7))
 
 
-def test_unbuffered_sample_skips_written_entries():
+def test_class_sample_skips_a_zero_target():
     # A target of amplitude 0 is never drawn, wherever it sits in its block:
     # the member draw skips it.  Seven states share the mass, in one block
     # or in two blocks of four.
@@ -402,7 +402,7 @@ def test_unbuffered_sample_skips_written_entries():
             assert sorted(shot_counts(draws)) == [i for i in range(8) if i != target]
 
 
-def test_unbuffered_sample_holds_no_register():
+def test_class_sample_holds_no_register():
     # 1024 shots at r = 24, whose register would be 128 MiB.
     classes = run_classes(24, 12_345_678, ((1, 0),))
     tracemalloc.start()
