@@ -20,9 +20,10 @@ block as ``resolved_block``).  From the uniform state a single-target run
 keeps three amplitude classes: the target, the rest of its block and
 every other block.  So the run holds those amplitudes as three floats
 (:class:`_Classes`), and a whole step, whatever its iteration count, is
-one closed-form rotation (:func:`_class_run`).  The shots are drawn from
-the classes into one int64 array (:func:`_sample_classes`), and the votes
-are counted with ``np.unique``: neither driver allocates a ``2**r`` array.
+one closed-form rotation (:func:`_class_run`).  Each shot draws a class id
+(:func:`_draw_classes`), and a class holding over half the shots settles
+its vote; only an open vote draws the shots' members (:func:`_draw_members`)
+for ``np.unique`` to count.  Neither driver allocates a ``2**r`` array.
 The dense kernels are the reference the tests check the class run against.
 
 Both layered drivers run rounds of segment searches, and every segment
@@ -442,33 +443,38 @@ def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
         raise ValueError("the classes follow one block mask at a time")
 
 
-def _sample_classes(c: _Classes, shots: int, seed: int) -> np.ndarray:
-    """``shots`` indices drawn from the classes ``c``, deterministic for ``seed``.
+def _draw_classes(c: _Classes, shots: int, seed: int) -> tuple[np.random.Generator, np.ndarray]:
+    """The sorted class ids of ``shots`` draws from ``c``, and the generator that drew them.
 
-    Each shot picks a class by inverse CDF over ``1 + blocks`` weights: the
-    target, then the members of each block but the target, in block order.
-    The shots are then grouped by class, and one draw picks every off-target
-    shot's member of its block uniformly, skipping the target.  Returns the
-    indices as one int64 array in that class order.  O(shots log shots +
-    blocks) work, and no ``2**r`` array.  Rejects an unnormalized state as
-    :meth:`StateVector.probabilities` does.
+    Each shot picks a class by inverse CDF over ``1 + blocks`` weights: id 0
+    for the target, then ``1 + j`` for the members of block ``j`` but the
+    target.  O(shots log shots + blocks) work, and no ``2**r`` array.
+    Rejects an unnormalized state as :meth:`StateVector.probabilities` does.
+    """
+    size = c.n // c.blocks
+    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
+    weights[0] = c.a * c.a
+    weights[1 + c.target // size] = c.m * c.m * (size - 1)
+    _check_norm(float(weights.sum()))
+    rng = np.random.default_rng(seed)
+    return rng, np.sort(_inverse_cdf(weights, rng, shots))
+
+
+def _draw_members(c: _Classes, rng: np.random.Generator, ids: np.ndarray) -> np.ndarray:
+    """The int64 indices of off-target shots with the sorted class ids ``ids``.
+
+    One draw of ``rng`` picks every shot's member of its block uniformly,
+    skipping the target; the indices come out in the order of ``ids``.
     """
     size = c.n // c.blocks
     block, offset = divmod(c.target, size)
-    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
-    weights[0] = c.a * c.a
-    weights[1 + block] = c.m * c.m * (size - 1)
-    _check_norm(float(weights.sum()))
-    rng = np.random.default_rng(seed)
-    classes = np.sort(_inverse_cdf(weights, rng, shots))
-    n_target = int(classes.searchsorted(1))
-    cells = classes[n_target:] - 1
+    cells = ids - 1
     in_block = cells == block
     # One call over every member draw takes the values that one call per
     # block, in block order, would: the draws the tests pin.
     members = rng.integers(0, size - in_block)
     members += in_block & (members >= offset)
-    return np.concatenate([np.full(n_target, c.target, dtype=np.int64), cells * size + members])
+    return cells * size + members
 
 
 def _amplify_and_sample(
@@ -485,7 +491,9 @@ def _amplify_and_sample(
     mass there, and ``layers`` counts oracle queries.  When ``resolve_mask``
     leaves more than one index per value (GRK's block bits),
     ``resolved_block`` is the block most shots fall in; else it is ``None``.
-    Ties go to the smallest index or block.
+    Ties go to the smallest index or block.  A class count over half the
+    shots settles its field; the off-target members are drawn and counted
+    with ``np.unique`` only for a field left open, as the generator's last use.
     """
     seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
@@ -498,27 +506,47 @@ def _amplify_and_sample(
             raise ValueError(f"diffusion mask {diffusion_mask:#x} is not a block of top bits")
         _class_run(classes, iterations, blocks)
         queries += iterations
-    draws = _sample_classes(classes, config.shots, seed)
-    indices, counts = np.unique(draws, return_counts=True)
-    bits, votes = np.unique(draws & resolve_mask, return_counts=True)
+    rng, ids = _draw_classes(classes, config.shots, seed)
+    # ``size`` indices share each value of the resolved bits: one for GS, a
+    # block for GRK.  ``votes`` counts the shots that agree with the target
+    # there, read off the class ids when each class lies in one block.
+    shots, target, size = config.shots, config.target, n >> resolve_mask.bit_count()
+    n_target = votes = int(ids.searchsorted(1))
+    if size > 1 and resolve_mask == n - n // classes.blocks:
+        cell = 1 + target // size
+        votes += int(ids.searchsorted(cell + 1) - ids.searchsorted(cell))
+    elif size > 1:
+        votes = 0  # unsplit classes: only the members tell the blocks apart
+    index, block = target, target // size
+    index_open, block_open = 2 * n_target <= shots, size > 1 and 2 * votes <= shots
+    if index_open or block_open:
+        off = np.sort(_draw_members(classes, rng, ids[n_target:]))
+        draws = np.concatenate([np.full(n_target, target, dtype=np.int64), off])
+        # Another index ties or beats the target only with a run of ``k``
+        # equal values among the sorted off-target shots.
+        k = n_target
+        if index_open and (k == 0 or (off[k - 1 :] == off[: off.size - k + 1]).any()):
+            indices, counts = np.unique(draws, return_counts=True)
+            index = int(indices[counts.argmax()])
+        if block_open:
+            bits, counts = np.unique(draws & resolve_mask, return_counts=True)
+            votes = int(counts[bits == (target & resolve_mask)].sum())
+            block = int(bits[counts.argmax()]) // size
     wall = time.perf_counter() - start
 
-    # ``size`` indices share each value of the resolved bits: one for GS, a
-    # block for GRK.  The certainty is the mass of the ``size`` members of the
-    # target's block that agree with it on resolve_mask, with the target's
-    # own mass swapped in; the pinned outputs hold this order of operations
-    # to the last bit.
-    size = n >> resolve_mask.bit_count()
+    # The certainty is the mass of the ``size`` members of the target's block
+    # that agree with it on resolve_mask, with the target's own mass swapped
+    # in; the pinned outputs hold this order of operations to the last bit.
     m_mass = classes.m * classes.m
     return SearchOutcome(
-        measured_index=int(indices[counts.argmax()]),
-        success_fraction=int(votes[bits == (config.target & resolve_mask)].sum()) / config.shots,
+        measured_index=index,
+        success_fraction=votes / shots,
         layers=queries,
         oracle_calls=queries,
         wall_time=wall,
         trial_seed=config.seed,
         certainty=m_mass * size + (classes.a * classes.a - m_mass),
-        resolved_block=None if size == 1 else int(bits[votes.argmax()]) // size,
+        resolved_block=None if size == 1 else block,
     )
 
 

@@ -8,7 +8,7 @@ steps with one single-target oracle.
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _Classes, _class_run
+from groverbench.search import _Classes, _class_run, _draw_classes, _draw_members
 
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
@@ -32,6 +32,16 @@ def run_classes(r: int, target: int, steps) -> _Classes:
     for iterations, mask in steps:
         _class_run(classes, iterations, 1 << mask.bit_count())
     return classes
+
+
+def sample_classes(classes: _Classes, shots: int, seed: int) -> np.ndarray:
+    """Every shot's index, deterministic for ``seed``: the target's shots,
+    then the others in class order.  The drivers' two draws, the class ids
+    and then every member, on one generator."""
+    rng, ids = _draw_classes(classes, shots, seed)
+    n_target = int(ids.searchsorted(1))
+    members = _draw_members(classes, rng, ids[n_target:])
+    return np.concatenate([np.full(n_target, classes.target, dtype=np.int64), members])
 
 
 def run_dense(r: int, target: int, steps) -> gb.StateVector:

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import groverbench as gb
-from class_runs import SPREAD_RUNS, grk_steps, run_classes, run_dense, shot_counts, write_out
+from class_runs import (
+    SPREAD_RUNS,
+    grk_steps,
+    run_classes,
+    run_dense,
+    sample_classes,
+    shot_counts,
+    write_out,
+)
 from groverbench.search import (
     _grk_local_step,
     _grk_schedule,
@@ -259,13 +267,13 @@ def sampled_state(monkeypatch) -> list:
     import groverbench.search as search
 
     seen = []
-    real = search._sample_classes
+    real = search._draw_classes
 
     def recording(classes, shots, seed):
         seen.append(write_out(classes))
         return real(classes, shots, seed)
 
-    monkeypatch.setattr(search, "_sample_classes", recording)
+    monkeypatch.setattr(search, "_draw_classes", recording)
     return seen
 
 
@@ -493,15 +501,13 @@ def _edge_targets(r: int, b: int | None) -> list[int]:
 def test_class_sampler_edge_cells(r, b):
     # For a target at either end of each block, the class-sampled shots
     # follow the dense probabilities, and a zero probability draws nothing.
-    from groverbench.search import _sample_classes
-
     shots = 20_000
     steps = _schedule(r, b)
     if b == 2 and r == 3:
         assert steps[1][0] == 0
     for target in _edge_targets(r, b):
         probs = run_dense(r, target, steps).probabilities()
-        counts = shot_counts(_sample_classes(run_classes(r, target, steps), shots, target))
+        counts = shot_counts(sample_classes(run_classes(r, target, steps), shots, target))
         for index, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
             assert abs(counts.get(index, 0) - shots * p) <= band, (target, index)
@@ -532,8 +538,6 @@ def test_class_sampler_draws_every_member_in_one_call():
     # call per occupied block takes, in block order: the same shots, to the
     # last index, on the spread runs (2048 blocks at r = 12) and the edge
     # cells, for odd and even shot counts.
-    from groverbench.search import _sample_classes
-
     runs = list(SPREAD_RUNS) + [
         (r, target, _schedule(r, b)) for r, b in EDGE_CELLS for target in _edge_targets(r, b)
     ]
@@ -542,9 +546,94 @@ def test_class_sampler_draws_every_member_in_one_call():
         for shots in (1, 7, 1024, 20_001):
             for seed in (0, 5, 2**40 + 5):
                 expected = _sample_classes_per_block(classes, shots, seed)
-                actual = _sample_classes(classes, shots, seed)
+                actual = sample_classes(classes, shots, seed)
                 assert actual.dtype == np.int64
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{r} {target} {shots}")
+
+
+def reference_readout(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
+    """The driver's readout fields from every shot's index: two ``np.unique`` counts."""
+    seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
+    draws = sample_classes(run_classes(config.r, config.target, steps), config.shots, seed)
+    indices, counts = np.unique(draws, return_counts=True)
+    bits, votes = np.unique(draws & resolve_mask, return_counts=True)
+    size = (1 << config.r) >> resolve_mask.bit_count()
+    return (
+        int(indices[counts.argmax()]),
+        int(votes[bits == (config.target & resolve_mask)].sum()) / config.shots,
+        None if size == 1 else int(bits[votes.argmax()]) // size,
+    )
+
+
+def readout_fields(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
+    from groverbench.search import _amplify_and_sample
+
+    outcome = _amplify_and_sample(config, steps, resolve_mask)
+    return outcome.measured_index, outcome.success_fraction, outcome.resolved_block
+
+
+def test_class_counts_read_out_what_every_shot_reads_out():
+    # The driver reads its fields off the class counts and draws the members
+    # only for a field they leave open.  Against the readout over every
+    # shot's index: spread runs, the edge cells (r = 3, b = 2 has unsplit
+    # classes), GRK at r = 4, b = 8 (where an off-target index beats the
+    # target) and zero-iteration schedules, each read on all its bits and,
+    # for a block schedule, on its block bits.
+    runs = list(SPREAD_RUNS) + [
+        (r, target, _schedule(r, b))
+        for r, b in EDGE_CELLS + [(4, 8)]
+        for target in _edge_targets(r, b)
+    ]
+    runs += [(4, 9, ((0, 0),)), (5, 30, grk_steps(5, 4, 0, 0)), (6, 1, ((0, 0b110000),))]
+    cells = beaten = 0
+    for r, target, steps in runs:
+        masks = {(1 << r) - 1} | {mask for _, mask in steps if mask}
+        for resolve_mask in masks:
+            for shots in (1, 2, 3, 7, 1024, 20_001):
+                for seed in (0, 7, 2**40 + 5):
+                    config = gb.SearchConfig(r=r, target=target, b=2, shots=shots, seed=seed)
+                    expected = reference_readout(config, steps, resolve_mask)
+                    assert readout_fields(config, steps, resolve_mask) == expected, (
+                        r, target, steps, resolve_mask, shots, seed
+                    )
+                    cells += 1
+                    beaten += expected[0] != target
+    assert cells == 1116 and beaten > 0
+
+
+def test_a_smaller_index_and_block_win_a_tie_with_the_target():
+    # r = 3, target 6: one local step on blocks of four leaves half the mass
+    # on the target and half on block 0.  Two shots that split between them
+    # tie the target with a smaller index and its block with block 0, and
+    # both ties go to the smaller value.
+    steps, resolve_mask = ((1, 0b100),), 0b100
+    ties = 0
+    for seed in range(40):
+        config = gb.SearchConfig(r=3, target=6, b=2, shots=2, seed=seed)
+        expected = reference_readout(config, steps, resolve_mask)
+        assert readout_fields(config, steps, resolve_mask) == expected
+        if expected[1] == 0.5:  # one shot on the target, one in block 0
+            assert expected[0] < 4 and expected[2] == 0
+            ties += 1
+    assert ties > 0
+
+
+def test_grk_readout_with_a_million_blocks_stays_small():
+    # GRK at r = 24 with 2**20 blocks of 16: the class draw's 1 + 2**20
+    # weights are the one blocks-sized array, 8 MiB; a count over every class
+    # would hold a second.
+    r, b = 24, 1 << 20
+    config = gb.SearchConfig(r=r, target=12_345_678, algorithm="GRK", b=b, shots=1024, seed=5)
+    _grk_schedule(r, b)  # cached; its scan is not the run's memory
+    gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="GRK", b=4, shots=16))
+    tracemalloc.start()
+    try:
+        outcome = gb.run_search(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+    assert outcome.resolved_block == config.target >> 4
 
 
 def test_class_run_rejects_a_mask_it_cannot_hold():
@@ -704,7 +793,21 @@ def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
     import groverbench.search as search
 
     draws = np.array([13, 15, 13, 5, 3, 14, 2, 5, 1, 0], dtype=np.int64)
-    monkeypatch.setattr(search, "_sample_classes", lambda classes, shots, seed: draws)
+    member_draws = []
+
+    def fixed_classes(classes, shots, seed):
+        # The class ids of ``draws`` (0 for the target, else 1 + its block),
+        # sorted; the generator's slot carries the draws in that order.
+        ids = np.where(draws == classes.target, 0, 1 + draws // (classes.n // classes.blocks))
+        order = np.argsort(ids, kind="stable")
+        return draws[order], ids[order]
+
+    def fixed_members(classes, ordered, ids):
+        member_draws.append(ids.size)
+        return ordered[ordered.size - ids.size :]
+
+    monkeypatch.setattr(search, "_draw_classes", fixed_classes)
+    monkeypatch.setattr(search, "_draw_members", fixed_members)
     config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=draws.size)
     block, outcome = gb.run_grk_partial(config)
     assert (outcome.measured_index, block, outcome.resolved_block) == (5, 0, 0)
@@ -713,6 +816,9 @@ def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
     outcome = gb.run_standard_grover(gb.SearchConfig(r=4, target=13, shots=draws.size))
     assert (outcome.measured_index, outcome.resolved_block) == (5, None)
     assert outcome.success_fraction == 0.2
+    # Neither the target nor its block holds half the shots, so both runs
+    # read the ties off the drawn members.
+    assert member_draws == [9, 8]
 
 
 def test_grk_deterministic():

@@ -10,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
-from class_runs import SPREAD_RUNS, grk_steps, run_classes, run_dense, shot_counts, write_out
-from groverbench.search import _Classes, _sample_classes
+from class_runs import (
+    SPREAD_RUNS,
+    grk_steps,
+    run_classes,
+    run_dense,
+    sample_classes,
+    shot_counts,
+    write_out,
+)
+from groverbench.search import _Classes
 
 
 def random_state(r: int, seed: int) -> gb.StateVector:
@@ -262,9 +270,9 @@ def test_readouts_leave_the_class_register_unchanged():
     steps = grk_steps(r, 4, 2, 3)
     classes = run_classes(r, target, steps)
     kept = dataclasses.astuple(classes)
-    first = _sample_classes(classes, 256, 1)
+    first = sample_classes(classes, 256, 1)
     assert dataclasses.astuple(classes) == kept
-    np.testing.assert_array_equal(_sample_classes(classes, 256, 1), first)
+    np.testing.assert_array_equal(sample_classes(classes, 256, 1), first)
     plain = run_dense(r, target, steps + steps)
     again = run_classes(r, target, steps + steps)
     np.testing.assert_allclose(write_out(again).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
@@ -382,11 +390,11 @@ def test_class_sample_follows_the_register_distribution():
     for r, target, steps in SPREAD_RUNS:
         classes = run_classes(r, target, steps)
         probs = run_dense(r, target, steps).probabilities()
-        counts = shot_counts(_sample_classes(classes, shots, 2024))
+        counts = shot_counts(sample_classes(classes, shots, 2024))
         for index, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
             assert abs(counts.get(index, 0) - shots * p) <= band, (r, index)
-    np.testing.assert_array_equal(_sample_classes(classes, 500, 7), _sample_classes(classes, 500, 7))
+    np.testing.assert_array_equal(sample_classes(classes, 500, 7), sample_classes(classes, 500, 7))
 
 
 def test_class_sample_skips_a_zero_target():
@@ -398,7 +406,7 @@ def test_class_sample_skips_a_zero_target():
             classes = _Classes(8, target)
             classes.a, classes.blocks = 0.0, blocks
             classes.m = classes.m_other = 1 / math.sqrt(7)
-            draws = _sample_classes(classes, 4096, 11)
+            draws = sample_classes(classes, 4096, 11)
             assert sorted(shot_counts(draws)) == [i for i in range(8) if i != target]
 
 
@@ -407,7 +415,7 @@ def test_class_sample_holds_no_register():
     classes = run_classes(24, 12_345_678, ((1, 0),))
     tracemalloc.start()
     try:
-        _sample_classes(classes, 1024, 3)
+        sample_classes(classes, 1024, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,7 +427,7 @@ def test_class_readouts_reject_an_unnormalized_register(scale):
     classes = run_classes(5, 9, grk_steps(5, 4, 1, 2))
     classes.m_other *= scale
     with pytest.raises(ValueError, match="norm"):
-        _sample_classes(classes, 10, 0)
+        sample_classes(classes, 10, 0)
 
 
 def test_probability_on_a_dense_register():
