@@ -35,8 +35,9 @@ print(f"oracle calls {outcome.oracle_calls}, "
 
 # The statevector has only three distinct amplitudes throughout the run:
 # the target, its block-mates, and everything else.  The scalar
-# recurrence below tracks them exactly and is what the schedule search
-# scans; compare it with the full simulation.
+# recurrence below tracks them one iteration at a time, the reference for
+# the closed-form rotations the schedule search and the driver take;
+# compare it with the full simulation.
 a, b_amp, g = grk_reference_amplitudes(n, b, t_global, t_local)
 print("\nthree-class reference vs simulated final state:")
 print(f"  target amplitude     {a:+.9f}")

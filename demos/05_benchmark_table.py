@@ -5,9 +5,10 @@ seed from the base seed and the cell id, never from execution order, so
 reruns reproduce the same table bit for bit.  The same run feeds the
 markdown/CSV tables and the per-algorithm scaling series.
 
-The 20-qubit full-search column takes a few seconds per trial; this demo
-keeps the grid at 4-12 qubits so it finishes quickly.  The full-size
-protocol (5 trials, 1024 shots, 4-20 qubits) is one CLI call:
+This demo keeps the grid at 4-12 qubits so its table stays short; a
+20-qubit full-search trial takes well under a millisecond too, since GS
+turns its amplitude classes in closed form.  The full-size protocol
+(5 trials, 1024 shots, 4-20 qubits) is one CLI call:
 
     groverbench run --qubits 4,8,16,20 --algo GS,DFGS,BDGS \
         --trials 5 --shots 1024 --seed 7 --format markdown --out results/

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .statevector import (
     BasisPredicate,
@@ -174,6 +173,15 @@ def grover_angle(search_dim: int) -> float:
     return math.asin(1.0 / math.sqrt(search_dim))
 
 
+def _rotate(a: float, rest: float, size: int, t: int) -> tuple[float, float]:
+    """``t`` iterations over ``size`` states, the target's ``a`` and the others' ``rest``:
+    one turn of their plane by ``2*t*grover_angle(size)``."""
+    root = math.sqrt(size - 1)
+    angle = math.atan2(a, root * rest) + 2 * t * grover_angle(size)
+    radius = math.hypot(a, root * rest)
+    return radius * math.sin(angle), radius * math.cos(angle) / root
+
+
 def optimal_iterations(search_dim: int) -> int:
     """Iteration count maximizing the target amplitude over M states.
 
@@ -189,35 +197,21 @@ def optimal_iterations(search_dim: int) -> int:
 _EXACT_THRESHOLD = 1.0 - 1e-9
 
 
-def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
-    """One iteration inside a block of ``block`` items holding the target.
-
-    ``a`` is the target's amplitude and ``b_amp`` the one every other
-    item of the block shares: the oracle negates ``a``, and the
-    inversion maps both about the block mean.
-    """
-    mu = ((block - 1) * b_amp - a) / block
-    return 2.0 * mu + a, 2.0 * mu - b_amp
-
-
-@lru_cache(maxsize=None)
 def segment_masses(width: int) -> tuple[float, float]:
     """Readout masses ``(p_hit, p_miss)`` of one compact segment search.
 
     A single-target search over a uniform ``2**width`` register keeps two
     amplitude classes (Boyer, Brassard, Høyer & Tapp, quant-ph/9605034):
-    the marked value and the rest.  Runs their recurrence for
-    ``optimal_iterations(2**width)`` rounds and returns the probability
-    of the marked value and of each other value.  The total mass passes
-    the readout norm check.  Cached per width, so it holds at most
-    ``MAX_QUBITS`` entries.
+    the marked value and the rest.  Turns them through
+    ``optimal_iterations(2**width)`` iterations in one :func:`_rotate` and
+    returns the probability of the marked value and of each other value.
+    The total mass passes the readout norm check.
     """
     _check_qubits(width)
     n = 1 << width
-    a = b_amp = 1.0 / math.sqrt(n)
-    for _ in range(optimal_iterations(n)):
-        a, b_amp = _grk_local_step(a, b_amp, n)
-    p_hit, p_miss = a * a, b_amp * b_amp
+    amp = 1.0 / math.sqrt(n)
+    a, rest = _rotate(amp, amp, n, optimal_iterations(n))
+    p_hit, p_miss = a * a, rest * rest
     _check_norm(p_hit + (n - 1) * p_miss)
     return p_hit, p_miss
 

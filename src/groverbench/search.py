@@ -1,6 +1,6 @@
 """End-to-end search drivers with full query accounting.
 
-Four drivers share the kernel layer:
+Four drivers:
 
 * :func:`run_standard_grover` amplifies over the whole register.
 * :func:`run_grk_partial` locates the block holding the target: a burn-in
@@ -13,14 +13,16 @@ Four drivers share the kernel layer:
   counts one round of the two concurrent segment searches.
 
 GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
-list of ``(iterations, diffusion_mask)`` steps with one single-target
-oracle, then ``shots`` draws that vote for the index bits the search
-resolves (all of them for GS, the block bits for GRK, which reports the
-block as ``resolved_block``).  From the uniform state a single-target run
+list of ``(iterations, blocks)`` steps with one single-target oracle, each
+inverting within ``blocks`` equal blocks of the top index bits, then
+``shots`` draws that vote for the resolved block holding the target (an
+index of one for GS, one of the ``b`` blocks for GRK, which reports it as
+``resolved_block``).  From the uniform state a single-target run
 keeps three amplitude classes: the target, the rest of its block and
 every other block.  So the run holds those amplitudes as three floats
 (:class:`_Classes`), and a whole step, whatever its iteration count, is
-one closed-form rotation (:func:`_class_run`).  Each shot draws a class id
+one closed-form rotation (:func:`~groverbench.ops._rotate`, through
+:func:`_class_run`).  Each shot draws a class id
 (:func:`_draw_classes`), and a class holding over half the shots settles
 its vote; only an open vote draws the shots' members (:func:`_draw_members`)
 for ``np.unique`` to count.  Neither driver allocates a ``2**r`` array.
@@ -66,7 +68,7 @@ from .ops import (
     Algorithm,
     OracleSpec,
     _check_block_size,
-    _grk_local_step,
+    _rotate,
     grk_query_count,
     grover_angle,
     grover_iteration,
@@ -408,15 +410,6 @@ class _Classes:
         self.a = self.m = self.m_other = 1.0 / math.sqrt(self.n)
 
 
-def _rotate(a: float, rest: float, size: int, t: int) -> tuple[float, float]:
-    """``t`` iterations over ``size`` states, the target's ``a`` and the others' ``rest``:
-    one turn of their plane by ``2*t*grover_angle(size)``."""
-    root = math.sqrt(size - 1)
-    angle = math.atan2(a, root * rest) + 2 * t * grover_angle(size)
-    radius = math.hypot(a, root * rest)
-    return radius * math.sin(angle), radius * math.cos(angle) / root
-
-
 def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
     """``iterations`` iterations on ``c`` in O(1), inverting within ``blocks`` blocks.
 
@@ -440,7 +433,7 @@ def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
         sign = -1.0 if iterations % 2 else 1.0
         c.m, c.m_other = turned + sign * (c.m - rest), turned + sign * (c.m_other - rest)
     else:
-        raise ValueError("the classes follow one block mask at a time")
+        raise ValueError("the classes follow one block partition at a time")
 
 
 def _draw_classes(c: _Classes, shots: int, seed: int) -> tuple[np.random.Generator, np.ndarray]:
@@ -478,41 +471,40 @@ def _draw_members(c: _Classes, rng: np.random.Generator, ids: np.ndarray) -> np.
 
 
 def _amplify_and_sample(
-    config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolve_mask: int
+    config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolved: int
 ) -> SearchOutcome:
     """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
 
-    Each ``(iterations, diffusion_mask)`` step of ``schedule`` is one
-    :func:`_class_run` of that many iterations, one oracle query each; mask
-    0 diffuses over the whole register, and one block mask of the top index
-    bits may diffuse within its blocks.  ``measured_index`` is the most
-    frequent shot and ``success_fraction`` the share of shots that agree
-    with the target on ``resolve_mask``; ``certainty`` is the final state's
-    mass there, and ``layers`` counts oracle queries.  When ``resolve_mask``
-    leaves more than one index per value (GRK's block bits),
-    ``resolved_block`` is the block most shots fall in; else it is ``None``.
-    Ties go to the smallest index or block.  A class count over half the
-    shots settles its field; the off-target members are drawn and counted
-    with ``np.unique`` only for a field left open, as the generator's last use.
+    Each ``(iterations, blocks)`` step of ``schedule`` is one
+    :func:`_class_run` of that many iterations, one oracle query each,
+    inverting about the mean of each of ``blocks`` equal blocks of the top
+    index bits: 1 is the global diffuser.  The run resolves which of
+    ``resolved`` such blocks holds the target: ``n`` blocks of one index for
+    GS, ``config.b`` for GRK.  ``measured_index`` is the most frequent shot
+    and ``success_fraction`` the share of shots in the target's resolved
+    block; ``certainty`` is the final state's mass there, and ``layers``
+    counts oracle queries.  When a resolved block holds more than one index
+    (GRK), ``resolved_block`` is the block most shots fall in; else it is
+    ``None``.  Ties go to the smallest index or block.  A class count over
+    half the shots settles its field; the off-target members are drawn and
+    counted with ``np.unique`` only for a field left open, as the
+    generator's last use.
     """
     seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
     n = 1 << config.r
     classes = _Classes(n, config.target)
     queries = 0
-    for iterations, diffusion_mask in schedule:
-        blocks = 1 << diffusion_mask.bit_count()
-        if diffusion_mask != n - n // blocks or blocks == n:
-            raise ValueError(f"diffusion mask {diffusion_mask:#x} is not a block of top bits")
+    for iterations, blocks in schedule:
         _class_run(classes, iterations, blocks)
         queries += iterations
     rng, ids = _draw_classes(classes, config.shots, seed)
-    # ``size`` indices share each value of the resolved bits: one for GS, a
-    # block for GRK.  ``votes`` counts the shots that agree with the target
-    # there, read off the class ids when each class lies in one block.
-    shots, target, size = config.shots, config.target, n >> resolve_mask.bit_count()
+    # ``size`` indices share each resolved block: one for GS, a block for
+    # GRK.  ``votes`` counts the shots in the target's, read off the class
+    # ids when each class lies in one resolved block.
+    shots, target, size = config.shots, config.target, n // resolved
     n_target = votes = int(ids.searchsorted(1))
-    if size > 1 and resolve_mask == n - n // classes.blocks:
+    if size > 1 and resolved == classes.blocks:
         cell = 1 + target // size
         votes += int(ids.searchsorted(cell + 1) - ids.searchsorted(cell))
     elif size > 1:
@@ -529,14 +521,14 @@ def _amplify_and_sample(
             indices, counts = np.unique(draws, return_counts=True)
             index = int(indices[counts.argmax()])
         if block_open:
-            bits, counts = np.unique(draws & resolve_mask, return_counts=True)
-            votes = int(counts[bits == (target & resolve_mask)].sum())
-            block = int(bits[counts.argmax()]) // size
+            cells, counts = np.unique(draws // size, return_counts=True)
+            votes = int(counts[cells == block].sum())
+            block = int(cells[counts.argmax()])
     wall = time.perf_counter() - start
 
-    # The certainty is the mass of the ``size`` members of the target's block
-    # that agree with it on resolve_mask, with the target's own mass swapped
-    # in; the pinned outputs hold this order of operations to the last bit.
+    # The certainty is the mass of the ``size`` members of the target's
+    # resolved block, with the target's own mass swapped in; the pinned
+    # outputs hold this order of operations to the last bit.
     m_mass = classes.m * classes.m
     return SearchOutcome(
         measured_index=index,
@@ -554,8 +546,8 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     """Full-register search: optimal iteration count, then ``shots`` draws."""
     if config.algorithm is not Algorithm.GS:
         raise ValueError(f"config requests {config.algorithm}, not GS")
-    schedule = ((optimal_iterations(1 << config.r), 0),)
-    return _amplify_and_sample(config, schedule, (1 << config.r) - 1)
+    n = 1 << config.r
+    return _amplify_and_sample(config, ((optimal_iterations(n), 1),), n)
 
 
 def _grk_global_step(
@@ -565,6 +557,17 @@ def _grk_global_step(
     return 2.0 * mu + a, 2.0 * mu - b_amp, 2.0 * mu - g
 
 
+def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
+    """One iteration inside a block of ``block`` items holding the target.
+
+    ``a`` is the target's amplitude and ``b_amp`` the one every other
+    item of the block shares: the oracle negates ``a``, and the
+    inversion maps both about the block mean.
+    """
+    mu = ((block - 1) * b_amp - a) / block
+    return 2.0 * mu + a, 2.0 * mu - b_amp
+
+
 def grk_reference_amplitudes(
     n_states: int, b: int, t_global: int, t_local: int, cleanup: bool = True
 ) -> tuple[float, float, float]:
@@ -572,8 +575,9 @@ def grk_reference_amplitudes(
 
     By symmetry the state has only three amplitude classes: the target,
     the other items of the target block, and the items of every other
-    block.  This closed recurrence is the independent reference the
-    statevector driver is checked against.
+    block.  This recurrence, run one iteration at a time, is the
+    independent reference the class run (:func:`_class_run`) and
+    :func:`_grk_schedule` are checked against.
     """
     block = n_states // b
     a = b_amp = g = 1.0 / math.sqrt(n_states)
@@ -590,54 +594,40 @@ def grk_reference_amplitudes(
 def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     """Pick (global, local) iteration counts for the block-partial driver.
 
-    Scans the three-class recurrence for the cheapest schedule whose
-    block-success probability matches or beats full search at the same
-    size, subject to the query budget ``ceil(grk_query_count) + 1``
-    (burn-in + locals + one cleanup).  The local sweep is evaluated in
-    closed form: one local iteration rotates the in-block component by
-    exactly ``2*arcsin(1/sqrt(B))`` while the other blocks stay frozen.
+    The cheapest schedule whose block-success probability matches or beats
+    full search at the same size, within the query budget
+    ``ceil(grk_query_count) + 1`` (burn-in + locals + one cleanup); the
+    most likely one when none does.  Each burn-in of ``t1`` global
+    iterations is one :func:`_rotate` of the unsplit classes, and ``t2``
+    local iterations turn the in-block pair by ``2*t2*arcsin(1/sqrt(B))``
+    while the other blocks stay frozen.
     """
     n = 1 << r
     block = n // b
     budget = math.ceil(grk_query_count(n, b)) + 1
     t_opt = optimal_iterations(n)
     p_full = math.sin((2 * t_opt + 1) * grover_angle(n)) ** 2
-
-    omega_local = grover_angle(block)
     root = math.sqrt(block - 1)
-    t1_cap = min(budget - 1, t_opt + 1)
     t2_cap = min(budget - 1, optimal_iterations(block) + 1)
-
-    best: tuple[int, float, int, int] | None = None      # (queries, -p, t1, t2)
-    best_any: tuple[float, int, int, int] | None = None  # (-p, queries, t1, t2)
-    a = b_amp = g = 1.0 / math.sqrt(n)
-    for t1 in range(t1_cap + 1):
-        # t1 <= budget - 1 and t2_cap >= 1, so t2_hi >= 0.
-        t2_hi = min(t2_cap, budget - 1 - t1)
-        radius = math.hypot(a, root * b_amp)
-        phase = math.atan2(a, root * b_amp)
-        steps = np.arange(t2_hi + 1)
-        angles = phase + 2.0 * omega_local * steps
-        a2 = radius * np.sin(angles)
-        b2 = radius * np.cos(angles) / root
-        a3, b3, _ = _grk_global_step(a2, b2, g, n, block)  # the cleanup
+    turns = 2.0 * grover_angle(block) * np.arange(t2_cap + 1)
+    amp = 1.0 / math.sqrt(n)
+    feasible, fallback = [], []  # (queries, -p, t1, t2) and (-p, queries, t1, t2)
+    for t1 in range(min(budget - 1, t_opt + 1) + 1):
+        a, g = _rotate(amp, amp, n, t1)  # unsplit: the target's block shares g
+        # t1 <= budget - 1, so the slice keeps at least t2 = 0.
+        angles = math.atan2(a, root * g) + turns[: budget - t1]
+        radius = math.hypot(a, root * g)
+        a3, b3, _ = _grk_global_step(  # the cleanup
+            radius * np.sin(angles), radius * np.cos(angles) / root, g, n, block
+        )
         p_block = a3**2 + (block - 1) * b3**2
-        queries = t1 + steps + 1
         top = int(np.argmax(p_block))
-        cand = (-float(p_block[top]), int(queries[top]), t1, int(steps[top]))
-        if best_any is None or cand < best_any:
-            best_any = cand
-        feasible = np.nonzero(p_block >= p_full)[0]
-        if feasible.size:
-            j = int(feasible[0])
-            cand = (int(queries[j]), -float(p_block[j]), t1, int(steps[j]))
-            if best is None or cand < best:
-                best = cand
-        a, b_amp, g = _grk_global_step(a, b_amp, g, n, block)
-
-    if best is not None:
-        return best[2], best[3]
-    return best_any[2], best_any[3]
+        fallback.append((-float(p_block[top]), t1 + top + 1, t1, top))
+        hits = np.flatnonzero(p_block >= p_full)
+        if hits.size:
+            t2 = int(hits[0])
+            feasible.append((t1 + t2 + 1, -float(p_block[t2]), t1, t2))
+    return min(feasible or fallback)[2:]
 
 
 def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
@@ -653,10 +643,9 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     """
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
-    block_mask = segment_mask(config.r, 0, config.k - 1)  # the block-id bits
     t_global, t_local = _grk_schedule(config.r, config.b)
-    schedule = ((t_global, 0), (t_local, block_mask), (1, 0))
-    outcome = _amplify_and_sample(config, schedule, block_mask)
+    schedule = ((t_global, 1), (t_local, config.b), (1, 1))
+    outcome = _amplify_and_sample(config, schedule, config.b)
     return outcome.resolved_block, outcome
 
 

@@ -1,8 +1,9 @@
 """A GS/GRK schedule run two ways: on the amplitude classes the drivers
 hold, and on a dense register through the kernels.
 
-A schedule is the drivers' list of ``(iterations, diffusion_mask)``
-steps with one single-target oracle.
+A schedule here is a list of ``(iterations, diffusion_mask)`` steps with
+one single-target oracle, the form the dense kernels take; the drivers
+take each step's mask as its count of top-bit blocks (:func:`in_blocks`).
 """
 
 import numpy as np
@@ -27,10 +28,15 @@ SPREAD_RUNS = [
 ]
 
 
+def in_blocks(steps) -> tuple[tuple[int, int], ...]:
+    """``steps`` as the drivers take them: each mask of top bits as its block count."""
+    return tuple((iterations, 1 << mask.bit_count()) for iterations, mask in steps)
+
+
 def run_classes(r: int, target: int, steps) -> _Classes:
     classes = _Classes(1 << r, target)
-    for iterations, mask in steps:
-        _class_run(classes, iterations, 1 << mask.bit_count())
+    for iterations, blocks in in_blocks(steps):
+        _class_run(classes, iterations, blocks)
     return classes
 
 

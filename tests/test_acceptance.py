@@ -223,11 +223,15 @@ def test_criterion_8_scaling_shape(gs_measured_series):
         assert elapsed < 60.0
 
 
-def test_timing_sanity_layered_beats_full_search(gs_measured_series):
+def test_timing_sanity_layered_beats_full_search():
     # Harness invariant, ordinal only: the layered search at r=20 finishes
-    # faster than the full search at r=20 on the same host.
-    outcomes, _ = gs_measured_series
-    bdgs = gb.run_bdgs(
-        gb.SearchConfig(r=20, target=123456, algorithm="BDGS", shots=8, seed=5)
-    )
-    assert bdgs.wall_time < outcomes[20].wall_time
+    # faster than the full search at r=20 on the same host.  Both are timed
+    # warm, fastest of five, so neither pays a first run's cache fills.
+    configs = [
+        gb.SearchConfig(r=20, target=(1 << 20) - 2, algorithm="GS", shots=4, seed=123),
+        gb.SearchConfig(r=20, target=123456, algorithm="BDGS", shots=8, seed=5),
+    ]
+    for config in configs:
+        gb.run_search(config)
+    gs, bdgs = (min(gb.run_search(config).wall_time for _ in range(5)) for config in configs)
+    assert bdgs < gs

@@ -268,6 +268,37 @@ def test_emit_markdown_has_average_rows():
     assert "GS Acc." in text and "BDGS Time(s)" in text
 
 
+def test_emit_markdown_marks_failed_cells_and_groups(monkeypatch):
+    # A failed trial reads "err" in its own row, and a group whose trials all
+    # failed reads "err" in its Avg. row; every other cell keeps its figures.
+    import groverbench.bench as bench
+
+    real = bench.run_search
+    failing_seed = gb.cell_seed(7, 4, gb.Algorithm.GS, 2)
+
+    def flaky(config):
+        every_dfgs_at_8 = config.algorithm is gb.Algorithm.DFGS and config.r == 8
+        if config.seed == failing_seed or every_dfgs_at_8:
+            raise RuntimeError("induced failure")
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", flaky)
+    table = gb.run_plan(small_plan(algorithms=["GS", "DFGS"]))
+    assert len(table.errors) == 3
+    lines = gb.emit_table(table, "markdown").decode().splitlines()
+    assert lines[0] == "| Qubits | Trial | GS Acc. | GS Time(s) | DFGS Acc. | DFGS Time(s) |"
+    cells = {}
+    for line in lines[2:]:
+        qubits, trial, *figures = (cell.strip() for cell in line.strip("|").split("|"))
+        cells[qubits, trial] = (figures[:2], figures[2:])
+    err = ["err", "err"]
+    assert cells["4", "2"][0] == err and "err" not in cells["4", "2"][1]
+    assert cells["4", "Avg."][0] == cells["4", "1"][0]  # the one GS trial left
+    for trial in ("1", "2", "Avg."):
+        assert cells["8", trial][1] == err and "err" not in cells["8", trial][0]
+    assert sum(figures.count("err") for pair in cells.values() for figures in pair) == 8
+
+
 def test_emit_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         gb.emit_table(gb.ResultTable(), "xml")

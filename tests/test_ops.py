@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
-from class_runs import grk_steps, run_classes, run_dense, write_out
+from class_runs import grk_steps, in_blocks, run_classes, run_dense, write_out
 from groverbench.ops import segment_masses
 from groverbench.search import _class_run
 
@@ -240,7 +240,7 @@ def test_property_class_readouts_match_the_written_out_register(run):
     assert held_sum == pytest.approx(sums[target * sums.size >> r], abs=1e-12)
     mask = gb.BlockPartition(r, b).block_mask
     config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=8)
-    outcome = _amplify_and_sample(config, steps, mask)
+    outcome = _amplify_and_sample(config, in_blocks(steps), b)
     expected = gb.probability(plain, gb.BasisPredicate(mask, target & mask))
     assert outcome.certainty == pytest.approx(expected, abs=1e-12)
     assert outcome.oracle_calls == t_global + t_local + 1
@@ -427,6 +427,16 @@ def test_segment_masses_match_a_dense_segment_search(width):
         expected = np.full(n, p_miss)
         expected[value] = p_hit
         np.testing.assert_allclose(state.probabilities(), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "width, exact",
+    [(3, 0.9453125), (22, 0.99999999997959785717), (24, 0.99999994255802002177)],
+)
+def test_segment_hit_mass_is_the_rotation_law_to_1e15(width, exact):
+    # sin^2((2t+1)theta) at t = optimal_iterations(2**width), to 40 digits.
+    # An iterated recurrence drifts past 1e-15 by width 22.
+    assert abs(segment_masses(width)[0] - exact) < 1e-15
 
 
 def test_predicted_dfgs_queries_bound_every_run():

@@ -12,6 +12,7 @@ import groverbench as gb
 from class_runs import (
     SPREAD_RUNS,
     grk_steps,
+    in_blocks,
     run_classes,
     run_dense,
     sample_classes,
@@ -364,13 +365,13 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
 
 def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
     # One segment of width 24: the compact readout takes the two class
-    # masses, never the 128 MiB register, and runs the recurrence cold.
-    from groverbench.ops import segment_masses
+    # masses, never the 128 MiB register, and computes them cold.
+    from groverbench import search
 
     r = 24
     config = gb.SearchConfig(r=r, target=12_345_678, algorithm="DFGS", b=1 << r, seed=5)
     gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="DFGS", b=16, seed=5))
-    segment_masses.cache_clear()
+    search.segment_row.cache_clear()
     tracemalloc.start()
     try:
         outcome = gb.run_search(config)
@@ -470,7 +471,8 @@ def test_one_step_of_a_trillion_iterations_runs_in_closed_form():
     r, t = 24, 10**12
     mask = gb.BlockPartition(r, 4).block_mask
     config = gb.SearchConfig(r=r, target=12_345_678, shots=64, seed=1)
-    outcome = _amplify_and_sample(config, ((t, 0), (t, mask), (t + 1, 0)), mask)
+    steps = in_blocks(((t, 0), (t, mask), (t + 1, 0)))
+    outcome = _amplify_and_sample(config, steps, 4)
     assert outcome.oracle_calls == outcome.layers == 3 * t + 1
     assert 0.0 <= outcome.certainty <= 1.0 + 1e-12
 
@@ -568,7 +570,7 @@ def reference_readout(config: gb.SearchConfig, steps, resolve_mask: int) -> tupl
 def readout_fields(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
     from groverbench.search import _amplify_and_sample
 
-    outcome = _amplify_and_sample(config, steps, resolve_mask)
+    outcome = _amplify_and_sample(config, in_blocks(steps), 1 << resolve_mask.bit_count())
     return outcome.measured_index, outcome.success_fraction, outcome.resolved_block
 
 
@@ -636,16 +638,16 @@ def test_grk_readout_with_a_million_blocks_stays_small():
     assert outcome.resolved_block == config.target >> 4
 
 
-def test_class_run_rejects_a_mask_it_cannot_hold():
-    # Three classes hold a run with one block mask of the top bits.  A mask
-    # of other bits, blocks of one item, or a second block mask would need
-    # more classes, and the run refuses them.
+def test_class_run_rejects_a_schedule_it_cannot_hold():
+    # Three classes hold a run with one partition into blocks of the top
+    # bits.  Blocks of one item, or a second block count, would need more
+    # classes, and the run refuses them.
     from groverbench.search import _amplify_and_sample
 
     config = gb.SearchConfig(r=4, target=6, shots=8)
-    for steps in [((1, 0b0011),), ((1, 0b1111),), ((1, 0b1100), (1, 0b1000))]:
-        with pytest.raises(ValueError, match="mask"):
-            _amplify_and_sample(config, steps, 0b1111)
+    for steps in [((1, 0b1111),), ((1, 0b1100), (1, 0b1000))]:
+        with pytest.raises(ValueError, match="dimension|partition"):
+            _amplify_and_sample(config, in_blocks(steps), 16)
 
 
 def _count_kernel_lookups(monkeypatch, run) -> dict:
@@ -1186,6 +1188,24 @@ def test_grk_schedule_matches_the_pinned_digest():
     )
 
 
+@pytest.mark.parametrize(
+    "r, b, schedule",
+    [
+        (11, 2, (11, 14)),
+        (14, 2, (23, 48)),
+        (22, 1 << 20, (1607, 0)),
+        (22, 1 << 21, (1607, 0)),
+        (20, 4, (314, 315)),
+        (24, 4, (1260, 1260)),
+        (24, 1 << 23, (3215, 0)),
+    ],
+)
+def test_grk_schedule_pins(r, b, schedule):
+    # The first four pairs reach no feasible schedule within the budget and
+    # take the most likely one.
+    assert _grk_schedule(r, b) == schedule
+
+
 def test_unknown_mode_rejected():
     config = gb.SearchConfig(r=4, target=1, algorithm="DFGS", shots=8, seed=0)
     with pytest.raises(ValueError, match="mode"):
@@ -1286,8 +1306,8 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
 
     GS and GRK run no kernel: the drift goes into their class run.  The
     compact layered mode runs none either: the drift goes into its
-    two-class recurrence, whose cached masses (in ``segment_masses`` and
-    in the segment rows that hold them) are cleared around the run.
+    two-class rotation, whose masses the cached segment rows hold, so the
+    rows are cleared around the run.
     """
     import groverbench.ops as ops
     import groverbench.search as search
@@ -1303,13 +1323,13 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
 
         monkeypatch.setattr(search, "_class_run", drifting_class_run)
     elif mode == "compact":
-        real_step = ops._grk_local_step
+        real_rotate = ops._rotate
 
-        def drifting_step(a, b_amp, block):
-            a, b_amp = real_step(a, b_amp, block)
-            return a * 1.001, b_amp * 1.001
+        def drifting_rotate(a, rest, size, t):
+            a, rest = real_rotate(a, rest, size, t)
+            return a * 1.001, rest * 1.001
 
-        monkeypatch.setattr(ops, "_grk_local_step", drifting_step)
+        monkeypatch.setattr(ops, "_rotate", drifting_rotate)
     else:
         real = ops.phase_flip
 
@@ -1320,7 +1340,6 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
         monkeypatch.setattr(ops, "phase_flip", drifting)
     config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
     drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
-    ops.segment_masses.cache_clear()
     search.segment_row.cache_clear()
     try:
         with pytest.raises(ValueError, match="norm"):
@@ -1329,5 +1348,4 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
             else:
                 drivers[algorithm](config, mode=mode)
     finally:
-        ops.segment_masses.cache_clear()
         search.segment_row.cache_clear()

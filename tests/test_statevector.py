@@ -359,6 +359,8 @@ def test_inverse_cdf_draws_match_generator_choice(size):
 
 def test_sample_holds_one_register_sized_array():
     state = gb.uniform_state(16)
+    # numpy.random's first use allocates; a small draw makes it before the window.
+    gb.sample(gb.uniform_state(2), shots=4, seed=3)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -413,6 +415,8 @@ def test_class_sample_skips_a_zero_target():
 def test_class_sample_holds_no_register():
     # 1024 shots at r = 24, whose register would be 128 MiB.
     classes = run_classes(24, 12_345_678, ((1, 0),))
+    # numpy.random's first use allocates; a small draw makes it before the window.
+    sample_classes(run_classes(2, 1, ((1, 0),)), 4, 3)
     tracemalloc.start()
     try:
         sample_classes(classes, 1024, 3)
