@@ -44,24 +44,26 @@ print(f"  target amplitude     {a:+.9f}")
 print(f"  in-block amplitude   {b_amp:+.9f}")
 print(f"  out-of-block         {g:+.9f}")
 
+# The b blocks are the values of the top log2(b) index bits: block-local
+# inversions take their mask, and index i lies in block i // size.
 oracle = gb.OracleSpec(r, target)
-partition = gb.BlockPartition(r, b)
+block_mask = gb.segment_mask(r, 0, b.bit_length() - 2)
+size = n // b
 state = gb.uniform_state(r)
 for _ in range(t_global):
     state = gb.grover_iteration(state, oracle)
 for _ in range(t_local):
-    state = gb.grover_iteration(state, oracle, partition.block_mask)
+    state = gb.grover_iteration(state, oracle, block_mask)
 state = gb.grover_iteration(state, oracle)
 amps = state.amplitudes
-others = [i for i in range(n) if partition.block_of(i) == block and i != target]
-outside = [i for i in range(n) if partition.block_of(i) != block]
+others = [i for i in range(n) if i // size == block and i != target]
+outside = [i for i in range(n) if i // size != block]
 print(f"  simulated target     {amps[target]:+.9f}")
 print(f"  simulated in-block   {amps[others[0]]:+.9f}")
 print(f"  simulated outside    {amps[outside[0]]:+.9f} "
       f"(max |outside| = {np.abs(amps[outside]).max():.2e})")
 
 print("\nper-block probability after cleanup:")
-size = partition.block_size
 probs = state.probabilities()
 for blk in range(b):
     mass = probs[blk * size : (blk + 1) * size].sum()

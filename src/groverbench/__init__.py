@@ -19,7 +19,6 @@ from .bench import (
 )
 from .ops import (
     Algorithm,
-    BlockPartition,
     OracleSpec,
     PredictedCost,
     bdgs_level_iterations,
@@ -59,7 +58,6 @@ from .statevector import (
     invert_about_mean,
     operator_matrix,
     phase_flip,
-    probability,
     sample,
     segment_mask,
     uniform_state,

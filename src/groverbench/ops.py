@@ -47,8 +47,7 @@ class OracleSpec:
     classical index probe.  A compact segment search never applies it: it
     reads its outcome in closed form (:func:`segment_masses`), counts its
     ``optimal_iterations(2**width)`` amplification rounds itself, and
-    builds an oracle only to probe a drawn value.  The flip predicate is
-    built once, at its first use, not per query.
+    builds an oracle only to probe a drawn value.
     """
 
     r: int
@@ -73,13 +72,10 @@ class OracleSpec:
         # the predicate.
         self._flip_mask = seg | self.determined_mask
         self._flip_value = (self.target & seg) | self.determined_value
-        self._flip: BasisPredicate | None = None
 
     def flip_predicate(self) -> BasisPredicate:
         """Full-register predicate for the states that get their sign flipped."""
-        if self._flip is None:
-            self._flip = BasisPredicate(self._flip_mask, self._flip_value)
-        return self._flip
+        return BasisPredicate(self._flip_mask, self._flip_value)
 
     def apply(self, state: StateVector) -> StateVector:
         """One oracle query: sign-flip the marked amplitudes of the full
@@ -98,12 +94,12 @@ class OracleSpec:
         return index & self._flip_mask == self._flip_value
 
 
-def _check_block_size(r: int, b: int, algorithm: Algorithm | None = None) -> None:
+def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
     """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
 
-    ``b`` must be a power of two >= 2 that fits the index space, which is
-    all a :class:`BlockPartition` needs; the block-partial search also
-    needs at least two items per block, so ``b <= 2**(r-1)``.
+    ``b`` must be a power of two >= 2 that fits the index space; the
+    block-partial search also needs at least two items per block, so
+    ``b <= 2**(r-1)``.
     """
     if b < 2 or b & (b - 1):
         raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
@@ -114,34 +110,6 @@ def _check_block_size(r: int, b: int, algorithm: Algorithm | None = None) -> Non
             f"block-partial search needs at least two items per block: "
             f"b = {b} exceeds 2**{r - 1} at r = {r}"
         )
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Split of a ``2**r`` index space into ``b`` equal blocks by top bits."""
-
-    r: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _check_block_size(self.r, self.b)
-
-    @property
-    def k(self) -> int:
-        """Bits resolved per layer: log2(b)."""
-        return self.b.bit_length() - 1
-
-    @property
-    def block_size(self) -> int:
-        return (1 << self.r) // self.b
-
-    @property
-    def block_mask(self) -> int:
-        """Mask of the block-id bits (the top ``k`` positions)."""
-        return segment_mask(self.r, 0, self.k - 1)
-
-    def block_of(self, index: int) -> int:
-        return index >> (self.r - self.k)
 
 
 @dataclass(frozen=True)

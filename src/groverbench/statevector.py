@@ -188,18 +188,14 @@ def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
     return tuple(ax for ax in range(r) if not (block_mask >> (r - 1 - ax)) & 1)
 
 
-def _sum_blocks(amplitudes: np.ndarray, r: int, block_mask: int) -> np.ndarray:
-    """One read of ``amplitudes``: the keepdims-shaped sum of every block."""
-    return amplitudes.reshape((2,) * r).sum(axis=_free_axes(r, block_mask), keepdims=True)
-
-
 def block_sums(state: StateVector, block_mask: int = 0) -> np.ndarray:
     """Amplitude sum of every block of ``block_mask``, in one read of ``state``.
 
     Keepdims-shaped against the ``(2,)*r`` view: size 1 on the axes a
     block spans, size 2 on the masked axes.
     """
-    return _sum_blocks(state.amplitudes, state.num_qubits, block_mask)
+    r = state.num_qubits
+    return state.amplitudes.reshape((2,) * r).sum(axis=_free_axes(r, block_mask), keepdims=True)
 
 
 def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
@@ -216,24 +212,11 @@ def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
     r = state.num_qubits
     if not _free_axes(r, block_mask):
         return state
-    sums = _sum_blocks(state.amplitudes, r, block_mask)
+    sums = block_sums(state, block_mask)
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
     arr = state.amplitudes.reshape((2,) * r)
     np.subtract(sums * (2.0 * sums.size / state.dim), arr, out=arr)
     return state
-
-
-def probability(state: StateVector, pred: BasisPredicate) -> float:
-    """Probability that measuring ``state`` gives a basis state matching ``pred``.
-
-    Read out through :meth:`StateVector.probabilities`, so an
-    unnormalized state is rejected.
-    """
-    r = state.num_qubits
-    if pred.fixed_mask >> r:
-        raise ValueError(f"predicate mask {pred.fixed_mask:#x} wider than {r} qubits")
-    probs = state.probabilities().reshape((2,) * r)
-    return float(probs[_axis_selector(r, pred.fixed_mask, pred.fixed_value)].sum())
 
 
 def _inverse_cdf(

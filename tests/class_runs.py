@@ -14,7 +14,7 @@ from groverbench.search import _Classes, _class_run, _draw_classes, _draw_member
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
     """GRK's schedule: a burn-in, block-local steps, one global cleanup."""
-    return ((t_global, 0), (t_local, gb.BlockPartition(r, b).block_mask), (1, 0))
+    return ((t_global, 0), (t_local, gb.segment_mask(r, 0, b.bit_length() - 2)), (1, 0))
 
 
 # Class runs whose mass is spread over many indices: GS short of its

@@ -19,6 +19,7 @@ from class_runs import (
     shot_counts,
     write_out,
 )
+from groverbench.ops import segment_masses
 from groverbench.search import (
     _grk_local_step,
     _grk_schedule,
@@ -220,24 +221,24 @@ def test_grk_statevector_matches_reference_recurrence():
     r, b, target = 8, 4, 141
     n = 1 << r
     t_global, t_local = _grk_schedule(r, b)
-    partition = gb.BlockPartition(r, b)
+    mask = gb.segment_mask(r, 0, 1)
     oracle = gb.OracleSpec(r, target)
     state = gb.uniform_state(r)
     for _ in range(t_global):
         state = gb.grover_iteration(state, oracle)
     for _ in range(t_local):
-        state = gb.grover_iteration(state, oracle, partition.block_mask)
+        state = gb.grover_iteration(state, oracle, mask)
     state = gb.grover_iteration(state, oracle)
     a, b_amp, g = grk_reference_amplitudes(n, b, t_global, t_local)
 
-    block = partition.block_of(target)
-    size = partition.block_size
+    size = n // b
+    block = target // size
     amps = state.amplitudes
     assert amps[target] == pytest.approx(a, abs=1e-12)
     for i in range(block * size, (block + 1) * size):
         if i != target:
             assert amps[i] == pytest.approx(b_amp, abs=1e-12)
-    outside = [i for i in range(n) if partition.block_of(i) != block]
+    outside = [i for i in range(n) if i // size != block]
     np.testing.assert_allclose(amps[outside], g, atol=1e-12)
 
 
@@ -245,18 +246,18 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
     r, b, target = 18, 4, 200_000
     n = 1 << r
     t_global, t_local = _grk_schedule(r, b)
-    partition = gb.BlockPartition(r, b)
+    mask = gb.segment_mask(r, 0, 1)
     oracle = gb.OracleSpec(r, target)
     state = gb.uniform_state(r)
     for _ in range(t_global):
         state = gb.grover_iteration(state, oracle)
     for _ in range(t_local):
-        state = gb.grover_iteration(state, oracle, partition.block_mask)
+        state = gb.grover_iteration(state, oracle, mask)
     state = gb.grover_iteration(state, oracle)
     a, b_amp, g = grk_reference_amplitudes(n, b, t_global, t_local)
 
-    block = partition.block_of(target)
-    size = partition.block_size
+    size = n // b
+    block = target // size
     expected = np.full(n, g)
     expected[block * size : (block + 1) * size] = b_amp
     expected[target] = a
@@ -299,12 +300,11 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
     block, outcome = gb.run_grk_partial(config)
     a, b_amp, g = grk_reference_amplitudes(n, b, *_grk_schedule(r, b))
 
-    partition = gb.BlockPartition(r, b)
-    size = partition.block_size
+    size = n // b
     expected = np.full(n, g)
     expected[block * size : (block + 1) * size] = b_amp
     expected[target] = a
-    assert block == partition.block_of(target)
+    assert block == target // size
     np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
     assert outcome.certainty == pytest.approx(a**2 + (size - 1) * b_amp**2, abs=1e-9)
 
@@ -325,9 +325,8 @@ def test_class_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
         certainty = math.sin(angle) ** 2
     else:
         a, b_amp, g = grk_reference_amplitudes(n, b, *_grk_schedule(r, b))
-        partition = gb.BlockPartition(r, b)
-        size = partition.block_size
-        block = partition.block_of(target)
+        size = n // b
+        block = target // size
         expected = np.full(n, g)
         expected[block * size : (block + 1) * size] = b_amp
         expected[target] = a
@@ -414,7 +413,6 @@ def test_class_runs_match_the_dense_kernels_up_to_r12():
     for r in range(1, 13):
         for b in [None] + [1 << k for k in range(1, r)]:
             k = 0 if b is None else b.bit_length() - 1
-            mask = (1 << r) - 1 if b is None else gb.BlockPartition(r, b).block_mask
             size = 1 << (r - k)
             steps = _schedule(r, b)
             for target in {0, size - 1, (1 << r) - size, (1 << r) - 1, (1 << r) // 3}:
@@ -427,7 +425,9 @@ def test_class_runs_match_the_dense_kernels_up_to_r12():
                 )
                 algorithm = "GS" if b is None else "GRK"
                 config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b or 2, shots=4)
-                expected = gb.probability(plain, gb.BasisPredicate(mask, target & mask))
+                held = 1 if b is None else size  # the target alone, or its block
+                start = target // held * held
+                expected = plain.probabilities()[start : start + held].sum()
                 assert gb.run_search(config).certainty == pytest.approx(expected, abs=1e-12)
                 cells += 1
     assert cells > 300
@@ -442,7 +442,7 @@ def test_multi_step_schedules_on_split_classes_match_the_dense_kernels():
     worst, cells = 0.0, 0
     for r in range(2, 11):
         for k in range(1, r):
-            mask = gb.BlockPartition(r, 1 << k).block_mask
+            mask = gb.segment_mask(r, 0, k - 1)
             size = 1 << (r - k)
             schedules = [
                 ((1, 0), (2, mask), (2, 0)),
@@ -469,7 +469,7 @@ def test_one_step_of_a_trillion_iterations_runs_in_closed_form():
     from groverbench.search import _amplify_and_sample
 
     r, t = 24, 10**12
-    mask = gb.BlockPartition(r, 4).block_mask
+    mask = gb.segment_mask(r, 0, 1)
     config = gb.SearchConfig(r=r, target=12_345_678, shots=64, seed=1)
     steps = in_blocks(((t, 0), (t, mask), (t + 1, 0)))
     outcome = _amplify_and_sample(config, steps, 4)
@@ -1230,6 +1230,50 @@ def test_segment_order_independence():
 
 
 # ---------------------------------------------------------------------------
+# Reported accuracy against the amplitudes
+
+
+@pytest.mark.parametrize(
+    "algorithm, r, b",
+    [("GS", 1, 2), ("GS", 3, 2), ("GS", 5, 2),
+     ("GRK", 3, 2), ("GRK", 4, 2), ("GRK", 5, 4), ("GRK", 6, 8)],
+)
+def test_shot_accuracy_agrees_with_the_certainty(algorithm, r, b):
+    # Each run's shots land on what it resolves with probability
+    # ``certainty``: pooled over 300 seeded runs of 64 shots, the hits lie
+    # within 5 sigma of the summed certainties (a sum of binomials).
+    shots, hits, expected, variance = 64, 0, 0.0, 0.0
+    for seed in range(300):
+        target = seed * 7919 % (1 << r)
+        config = gb.SearchConfig(r, target, algorithm, b=b, shots=shots, seed=seed)
+        outcome = gb.run_search(config)
+        hits += round(outcome.success_fraction * shots)
+        expected += shots * outcome.certainty
+        variance += shots * outcome.certainty * (1 - outcome.certainty)
+    assert 0 < variance
+    assert abs(hits - expected) <= 5 * math.sqrt(variance)
+
+
+def test_segment_retries_follow_the_segment_hit_mass():
+    # DFGS at r = 6, b = 8 runs two inexact width-3 segments.  Each draw
+    # hits with p_hit, so a segment retries a geometric number of times,
+    # (1 - p_hit) / p_hit on average, and each retry costs reps + 1 queries
+    # over predict_cost's count.
+    runs, segments = 2000, 2
+    least = gb.predict_cost("DFGS", 6, 8).oracle_calls
+    retry_cost = gb.optimal_iterations(8) + 1
+    retries = 0.0
+    for seed in range(runs):
+        config = gb.SearchConfig(6, seed * 7919 % 64, "DFGS", b=8, seed=seed)
+        retries += (gb.run_search(config).oracle_calls - least) / retry_cost
+    p_hit = segment_masses(3)[0]
+    mean = (1 - p_hit) / p_hit
+    sigma = math.sqrt((1 - p_hit) / p_hit**2 / (runs * segments))
+    assert mean == pytest.approx(0.05785, abs=1e-5)
+    assert abs(retries / (runs * segments) - mean) <= 5 * sigma
+
+
+# ---------------------------------------------------------------------------
 # Dispatch, verification, config validation
 
 
@@ -1254,7 +1298,7 @@ def test_verify_outcome_checks_a_grk_block():
     # target 1 shares block 0 with target 0; target 9 is in block 4.
     config = gb.SearchConfig(r=4, target=1, algorithm="GRK", b=8, shots=64, seed=0)
     block, outcome = gb.run_grk_partial(config)
-    assert block == outcome.resolved_block == gb.BlockPartition(4, 8).block_of(config.target)
+    assert block == outcome.resolved_block == config.target >> 1
     assert gb.verify_outcome(outcome, config)
     assert gb.verify_outcome(outcome, gb.SearchConfig(r=4, target=0, algorithm="GRK", b=8))
     assert not gb.verify_outcome(outcome, gb.SearchConfig(r=4, target=9, algorithm="GRK", b=8))

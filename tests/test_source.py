@@ -17,3 +17,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+# The drivers and their config, the predictors, the plan runner and its
+# exports, and the dense kernels with the references the tests compare
+# against.  A name added or dropped here is a change of the public API.
+PUBLIC_API = {
+    "AggregateRow", "Algorithm", "BasisPredicate", "ErrorRow", "ExperimentPlan",
+    "MAX_QUBITS", "OracleSpec", "PredictedCost", "ResultTable", "SearchConfig",
+    "SearchContext", "SearchOutcome", "SegmentSearchError", "StateVector", "TrialRow",
+    "backward_segments", "basis_state", "bdgs_level_iterations",
+    "bdgs_terminal_iterations", "bdgs_total_queries", "block_sums", "cell_seed",
+    "dfgs_segments", "emit_scaling_series", "emit_table", "forward_segments",
+    "grk_query_count", "grk_reference_amplitudes", "grover_angle", "grover_iteration",
+    "invert_about_mean", "layered_plan", "operator_matrix", "optimal_iterations",
+    "phase_flip", "predict_cost", "predicted_layers", "run_bdgs", "run_dfgs",
+    "run_grk_partial", "run_plan", "run_search", "run_standard_grover", "sample",
+    "segment_mask", "segment_partial_search", "uniform_state", "verify_outcome",
+}
+
+
+def test_package_exports_exactly_the_public_api():
+    import types
+
+    import groverbench
+
+    exported = {
+        name
+        for name, value in vars(groverbench).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_API) == 48
+    assert exported == PUBLIC_API

@@ -249,13 +249,13 @@ def test_invert_rejects_sums_of_another_mask(monkeypatch, sums_r, sums_mask, blo
     state = run_history(gb.uniform_state(sums_r), [(5, sums_mask), (2, sums_mask)])
     expected = brute_invert(state, block_mask)
     reads = []
-    real = statevector._sum_blocks
+    real = statevector.block_sums
 
-    def counting(amplitudes, *args):
-        reads.append(args)
-        return real(amplitudes, *args)
+    def counting(state, mask):
+        reads.append((state.num_qubits, mask))
+        return real(state, mask)
 
-    monkeypatch.setattr(statevector, "_sum_blocks", counting)
+    monkeypatch.setattr(statevector, "block_sums", counting)
     gb.invert_about_mean(state, block_mask)
     assert reads == [(sums_r, block_mask)]
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
@@ -432,19 +432,6 @@ def test_class_readouts_reject_an_unnormalized_register(scale):
     classes.m_other *= scale
     with pytest.raises(ValueError, match="norm"):
         sample_classes(classes, 10, 0)
-
-
-def test_probability_on_a_dense_register():
-    state = random_state(4, 8)
-    probs = np.abs(state.amplitudes) ** 2
-    assert gb.probability(state, gb.BasisPredicate(0b1010, 0b1000)) == pytest.approx(
-        probs[[0b1000, 0b1001, 0b1100, 0b1101]].sum(), abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        gb.probability(state, gb.BasisPredicate(0b10000, 0))
-    bad = gb.StateVector(2, np.array([0.5, 0.5, 0.5, 0.4]))
-    with pytest.raises(ValueError, match="norm"):
-        gb.probability(bad, gb.BasisPredicate(0, 0))
 
 
 def test_sample_rejects_zero_shots():
