@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .ops import Algorithm, _check_block_size, predicted_layers
+from .ops import Algorithm, predicted_layers
 from .search import SearchConfig, SearchOutcome, run_search
-from .statevector import MAX_QUBITS
 
 
 @dataclass
@@ -40,8 +39,6 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.qubit_list:
             raise ValueError("plan needs at least one qubit count")
-        if any(not 2 <= r <= MAX_QUBITS for r in self.qubit_list):
-            raise ValueError(f"qubit counts must lie in [2, {MAX_QUBITS}]")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         self.algorithms = [Algorithm(a) for a in self.algorithms]
@@ -49,20 +46,15 @@ class ExperimentPlan:
             raise ValueError(f"qubit counts must be distinct, got {self.qubit_list}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError("algorithms must be distinct")
-        for qubits in self.qubit_list:
-            for algorithm in self.algorithms:
-                _check_block_size(qubits, self.block_size, algorithm)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base seed must be >= 0")
-        if self.target is not None:
-            smallest = min(self.qubit_list)
-            if not 0 <= self.target < (1 << smallest):
-                raise ValueError(
-                    f"fixed target {self.target} out of range for {smallest} qubits"
+        # A cell's config differs from this one only in a target and a seed,
+        # and the cell draws both in range.
+        target = 0 if self.target is None else self.target
+        for qubits in self.qubit_list:
+            for algorithm in self.algorithms:
+                SearchConfig(
+                    qubits, target, algorithm, self.block_size, self.shots, self.base_seed
                 )
 
 

@@ -6,13 +6,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bench import ExperimentPlan, cell_target, emit_scaling_series, emit_table, run_plan
 from .ops import Algorithm, predict_cost
 from .search import SearchConfig, run_search, verify_outcome
-from .statevector import _check_qubits
 
 _FORMAT_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
@@ -66,29 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "of a plan run with the same seed)")
     search_cmd.add_argument("--shots", type=int, default=1024)
     search_cmd.add_argument("--seed", type=int, default=0)
-    search_cmd.add_argument("--block-size", type=int, default=None,
-                            help="branching factor b (default 4; GS does not use b)")
+    search_cmd.add_argument("--block-size", type=int, default=4)
 
     predict_cmd = sub.add_parser("predict", help="print closed-form cost predictions")
     predict_cmd.add_argument("--qubits", type=int, required=True)
     predict_cmd.add_argument("--algo", type=_algorithm, required=True)
-    predict_cmd.add_argument("--block-size", type=int, default=None,
-                             help="branching factor b (default 4; GS does not use b)")
+    predict_cmd.add_argument("--block-size", type=int, default=4)
 
     return parser
-
-
-def _block_size(args: argparse.Namespace) -> int:
-    """The ``--block-size`` given, else 4.
-
-    GS never uses ``b``, so its default shrinks to fit a register of
-    fewer than 4 states instead of failing the index-space check.
-    """
-    if args.block_size is not None:
-        return args.block_size
-    if args.algo is Algorithm.GS:
-        return min(4, 1 << max(args.qubits, 1))
-    return 4
 
 
 def _output_dir(arg: str | None) -> Path:
@@ -150,20 +134,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     try:
-        if args.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
-        target = args.target
-        if target is None:
-            _check_qubits(args.qubits)
-            target = cell_target(args.seed, args.qubits, args.algo, trial=1)
         config = SearchConfig(
             r=args.qubits,
-            target=target,
+            target=0 if args.target is None else args.target,
             algorithm=args.algo,
-            b=_block_size(args),
+            b=args.block_size,
             shots=args.shots,
             seed=args.seed,
         )
+        if args.target is None:
+            config = replace(config, target=cell_target(args.seed, args.qubits, args.algo, 1))
     except ValueError as exc:
         print(f"invalid search config: {exc}", file=sys.stderr)
         return 2
@@ -181,7 +161,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    b = _block_size(args)
+    b = args.block_size
     try:
         cost = predict_cost(args.algo, args.qubits, b)
     except ValueError as exc:

@@ -55,7 +55,7 @@ class OracleSpec:
     active_segment: tuple[int, int] | None = None
     determined_mask: int = 0
     determined_value: int = 0
-    query_count: int = field(default=0, compare=False)
+    query_count: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.target < (1 << self.r):
@@ -97,12 +97,14 @@ class OracleSpec:
 def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
     """Reject a branching factor ``b`` that ``algorithm`` cannot use on ``r`` qubits.
 
-    ``b`` must be a power of two >= 2 that fits the index space; the
-    block-partial search also needs at least two items per block, so
-    ``b <= 2**(r-1)``.
+    ``b`` must be a power of two >= 2.  GS never reads it; every other
+    algorithm needs it to fit the index space, and the block-partial
+    search needs at least two items per block, so ``b <= 2**(r-1)``.
     """
     if b < 2 or b & (b - 1):
         raise ValueError(f"branching factor must be a power of two >= 2, got {b}")
+    if algorithm is Algorithm.GS:
+        return
     if b > (1 << r):
         raise ValueError(f"branching factor {b} exceeds the index space of {r} qubits")
     if algorithm is Algorithm.GRK and b > (1 << (r - 1)):
@@ -231,7 +233,11 @@ def bdgs_level_iterations(n_states: int, b: int, level: int) -> float:
     return math.pi / 4.0 * (math.sqrt(half / b**level) - math.sqrt(half / b ** (level + 1)))
 
 
-def _bdgs_depth(r: int, k: int) -> float:
+def _bdgs_depth(n_states: int, b: int, r: int, k: int) -> float:
+    if n_states != 1 << r:
+        raise ValueError(f"n_states {n_states} is not 2^{r}")
+    if b != 1 << k:
+        raise ValueError(f"branching factor {b} is not 2^{k}")
     return r / (2.0 * k)
 
 
@@ -242,7 +248,7 @@ def bdgs_terminal_iterations(n_states: int, b: int, r: int, k: int) -> float:
     level from depth ``floor(r/2k)`` down to ``r/2k``.  Together with the
     full levels this telescopes exactly to :func:`bdgs_total_queries`.
     """
-    depth = _bdgs_depth(r, k)
+    depth = _bdgs_depth(n_states, b, r, k)
     full = math.floor(depth)
     half = n_states / 2.0
     return math.pi / 4.0 * (math.sqrt(half / b**full) - math.sqrt(half / b**depth))
@@ -255,11 +261,7 @@ def bdgs_total_queries(n_states: int, b: int, r: int, k: int) -> float:
     and b = 2**k.  This bounds total oracle work; it is not the
     wall-clock layer count, which is ``ceil(r/(2k))``.
     """
-    if n_states != 1 << r:
-        raise ValueError(f"n_states {n_states} is not 2^{r}")
-    if b != 1 << k:
-        raise ValueError(f"branching factor {b} is not 2^{k}")
-    depth = _bdgs_depth(r, k)
+    depth = _bdgs_depth(n_states, b, r, k)
     return (
         math.pi
         / (4.0 * math.sqrt(2.0))

@@ -173,6 +173,8 @@ class SearchContext:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.target < (1 << self.r):
             raise ValueError(f"target {self.target} out of range for {self.r} qubits")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         if self._rng is None:

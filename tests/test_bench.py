@@ -198,9 +198,11 @@ def test_plan_validation():
 
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[], algorithms=["GS"])
-    for qubits in (1, MAX_QUBITS + 1):
-        with pytest.raises(ValueError, match=rf"\[2, {MAX_QUBITS}\]"):
+    # The plan takes its qubit range from SearchConfig, so GS runs at r = 1.
+    for qubits in (0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=rf"qubit count must be in \[1, {MAX_QUBITS}\]"):
             gb.ExperimentPlan(qubit_list=[qubits], algorithms=["GS"])
+    gb.ExperimentPlan(qubit_list=[1], algorithms=["GS"])
     gb.ExperimentPlan(qubit_list=[2, MAX_QUBITS], algorithms=["GS"])
     with pytest.raises(ValueError):
         gb.ExperimentPlan(qubit_list=[4], algorithms=[])

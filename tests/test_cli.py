@@ -79,18 +79,24 @@ def test_predict_rejects_what_search_rejects(capsys, argv):
 
 @pytest.mark.parametrize("algo", ["GS", "DFGS"])
 @pytest.mark.parametrize("qubits", ["0", "-3", "25"])
-def test_predict_and_search_reject_a_qubit_count_alike(capsys, qubits, algo):
+def test_predict_and_search_reject_a_qubit_count_alike(tmp_path, capsys, qubits, algo):
     # predict checks the qubit count first, so it gives search's message,
-    # not a bound (GS) or a shift error (a negative count).
+    # not a bound (GS) or a shift error (a negative count); a plan checks
+    # it through SearchConfig, before it makes its output directory.
+    out_dir = tmp_path / "out"
     messages = []
-    for command, prefix in (("predict", "invalid prediction request: "),
-                            ("search", "invalid search config: ")):
-        code, out, err = run_cli(capsys, [command, "--qubits", qubits, "--algo", algo])
+    for command, prefix, extra in (
+        ("predict", "invalid prediction request: ", []),
+        ("search", "invalid search config: ", []),
+        ("run", "invalid plan: ", ["--out", str(out_dir)]),
+    ):
+        code, out, err = run_cli(capsys, [command, "--qubits", qubits, "--algo", algo, *extra])
         assert code == 2
         assert out == ""
         assert err.startswith(prefix) and err.count("\n") == 1
         messages.append(err[len(prefix):])
-    assert messages[0] == messages[1] == f"qubit count must be in [1, 24], got {qubits}\n"
+    assert set(messages) == {f"qubit count must be in [1, 24], got {qubits}\n"}
+    assert not out_dir.exists()
 
 
 def test_search_bdgs(capsys):
@@ -322,7 +328,8 @@ def test_gs_on_one_qubit_needs_no_block_size(capsys, command):
         assert payload["outcome"]["oracle_calls"] == 1
         assert payload["outcome"]["certainty"] == pytest.approx(0.5, abs=1e-12)
     else:
-        assert payload["layers"] == 1 and payload["b"] == 2
+        # The GS bound does not depend on b, so the default b = 4 stands.
+        assert payload["layers"] == 1 and payload["b"] == 4
 
 
 def test_search_rejects_infeasible_grk_block_size(capsys):

@@ -299,6 +299,9 @@ def test_oracle_validation():
         gb.OracleSpec(4, 3, (0, 1), determined_mask=0b1100, determined_value=0b0100)
     with pytest.raises(ValueError):
         gb.OracleSpec(4, 3, (0, 1), determined_mask=0b0001, determined_value=0b0010)
+    # The counter counts this oracle's queries only; a caller cannot preset it.
+    with pytest.raises(TypeError, match="query_count"):
+        gb.OracleSpec(4, 3, query_count=7)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +364,11 @@ def test_bdgs_total_queries_bounded_and_monotonic():
 
 
 def test_bdgs_total_queries_validates_inputs():
-    with pytest.raises(ValueError):
-        gb.bdgs_total_queries(100, 4, 6, 2)
-    with pytest.raises(ValueError):
-        gb.bdgs_total_queries(64, 5, 6, 2)
+    for bound in (gb.bdgs_total_queries, gb.bdgs_terminal_iterations):
+        with pytest.raises(ValueError, match="is not 2\\^6"):
+            bound(100, 4, 6, 2)
+        with pytest.raises(ValueError, match="is not 2\\^2"):
+            bound(64, 5, 6, 2)
 
 
 def test_predicted_layers():

@@ -979,6 +979,13 @@ def test_search_context_rejects_a_target_out_of_range():
             gb.SearchContext(4, 2, target)
 
 
+def test_search_context_rejects_a_negative_seed():
+    # Rejected at construction, as SearchConfig does, not at the first
+    # draw inside np.random.default_rng (an all-exact run makes none).
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        gb.SearchContext(4, 2, 5, seed=-1)
+
+
 @pytest.mark.parametrize("mode", ["compact", "full"])
 @pytest.mark.parametrize("r", [0, 25])
 def test_search_context_rejects_a_qubit_count(r, mode):
@@ -1327,7 +1334,9 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         gb.SearchConfig(r=30, target=3)
     with pytest.raises(ValueError, match="index space"):
-        gb.SearchConfig(r=4, target=3, b=32)
+        gb.SearchConfig(r=4, target=3, algorithm="DFGS", b=32)
+    # GS never reads b, so the default b = 4 does not reject a 2-state register.
+    assert gb.SearchConfig(r=1, target=0).b == 4
     with pytest.raises(ValueError, match="two items per block"):
         gb.SearchConfig(r=3, target=3, algorithm="GRK", b=8)
     assert gb.SearchConfig(r=4, target=3, algorithm="GRK", b=8).k == 3
