@@ -22,11 +22,12 @@ keeps three amplitude classes: the target, the rest of its block and
 every other block.  So the run holds those amplitudes as three floats
 (:class:`_Classes`), and a whole step, whatever its iteration count, is
 one closed-form rotation (:func:`~groverbench.ops._rotate`, through
-:func:`_class_run`).  Each shot draws a class id
-(:func:`_draw_classes`), and a class holding over half the shots settles
-its vote; only an open vote draws the shots' members (:func:`_draw_members`)
-for ``np.unique`` to count.  Neither driver allocates a ``2**r`` array.
-The dense kernels are the reference the tests check the class run against.
+:func:`_class_run`).  One generator built from the run's seed puts the
+shots on the classes in one multinomial draw (:func:`_draw_counts`), and
+a count over half the shots settles its vote; only an open vote draws the
+off-target members (:func:`_draw_members`) for ``np.unique`` to count.
+Neither driver allocates a ``2**r``- or ``b``-sized array.  The dense
+kernels are the reference the tests check the class run against.
 
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
@@ -397,8 +398,8 @@ class _Classes:
     amplitude; ``m``, the one the rest of the target's block shares; and
     ``m_other``, the one every member of the other blocks shares.  The
     classes follow ``blocks`` equal blocks of the top index bits: 1 until
-    the first block-local step splits them, and ``m_other`` is read only
-    after that.
+    the first block-local step, or the readout, splits them, and ``m_other``
+    is read only after that.
     """
 
     n: int
@@ -438,38 +439,38 @@ def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
         raise ValueError("the classes follow one block partition at a time")
 
 
-def _draw_classes(c: _Classes, shots: int, seed: int) -> tuple[np.random.Generator, np.ndarray]:
-    """The sorted class ids of ``shots`` draws from ``c``, and the generator that drew them.
+def _draw_counts(c: _Classes, shots: int, rng: np.random.Generator) -> list[int]:
+    """The shots one multinomial draw of ``rng`` puts on each of ``c``'s classes.
 
-    Each shot picks a class by inverse CDF over ``1 + blocks`` weights: id 0
-    for the target, then ``1 + j`` for the members of block ``j`` but the
-    target.  O(shots log shots + blocks) work, and no ``2**r`` array.
-    Rejects an unnormalized state as :meth:`StateVector.probabilities` does.
+    The target, the rest of its block, then the other blocks.  Rejects an
+    unnormalized state as :meth:`StateVector.probabilities` does.
     """
     size = c.n // c.blocks
-    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
-    weights[0] = c.a * c.a
-    weights[1 + c.target // size] = c.m * c.m * (size - 1)
-    _check_norm(float(weights.sum()))
-    rng = np.random.default_rng(seed)
-    return rng, np.sort(_inverse_cdf(weights, rng, shots))
+    masses = np.array([c.a * c.a, c.m * c.m * (size - 1), c.m_other * c.m_other * (c.n - size)])
+    total = float(masses.sum())
+    _check_norm(total)
+    return rng.multinomial(shots, masses / total).tolist()
 
 
-def _draw_members(c: _Classes, rng: np.random.Generator, ids: np.ndarray) -> np.ndarray:
-    """The int64 indices of off-target shots with the sorted class ids ``ids``.
+def _draw_members(c: _Classes, rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
+    """The int64 indices of ``n_in`` shots in the target's block, then ``n_out`` off it.
 
-    One draw of ``rng`` picks every shot's member of its block uniformly,
-    skipping the target; the indices come out in the order of ``ids``.
+    Each member is uniform over its class: at most two ``integers`` calls
+    of ``rng`` with a scalar bound, none for a count of 0, in-block members
+    skipping the target and the others skipping the target's block.
     """
     size = c.n // c.blocks
-    block, offset = divmod(c.target, size)
-    cells = ids - 1
-    in_block = cells == block
-    # One call over every member draw takes the values that one call per
-    # block, in block order, would: the draws the tests pin.
-    members = rng.integers(0, size - in_block)
-    members += in_block & (members >= offset)
-    return cells * size + members
+    start = c.target - c.target % size
+    draws = []
+    if n_in:
+        members = rng.integers(0, size - 1, n_in)
+        members += start + (members >= c.target - start)
+        draws.append(members)
+    if n_out:
+        members = rng.integers(0, c.n - size, n_out)
+        members += size * (members >= start)
+        draws.append(members)
+    return np.concatenate(draws)
 
 
 def _amplify_and_sample(
@@ -487,12 +488,12 @@ def _amplify_and_sample(
     block; ``certainty`` is the final state's mass there, and ``layers``
     counts oracle queries.  When a resolved block holds more than one index
     (GRK), ``resolved_block`` is the block most shots fall in; else it is
-    ``None``.  Ties go to the smallest index or block.  A class count over
-    half the shots settles its field; the off-target members are drawn and
-    counted with ``np.unique`` only for a field left open, as the
-    generator's last use.
+    ``None``.  Ties go to the smallest index or block.  One generator, built
+    from ``config.seed``, draws the class counts (:func:`_draw_counts`).  A
+    count over half the shots settles its field; only a field left open
+    draws the off-target members (:func:`_draw_members`), the generator's
+    last use, for ``np.unique`` to count.
     """
-    seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
     start = time.perf_counter()
     n = 1 << config.r
     classes = _Classes(n, config.target)
@@ -500,21 +501,21 @@ def _amplify_and_sample(
     for iterations, blocks in schedule:
         _class_run(classes, iterations, blocks)
         queries += iterations
-    rng, ids = _draw_classes(classes, config.shots, seed)
     # ``size`` indices share each resolved block: one for GS, a block for
-    # GRK.  ``votes`` counts the shots in the target's, read off the class
-    # ids when each class lies in one resolved block.
+    # GRK.  Unsplit classes give every index off the target one amplitude,
+    # so they read as classes split at the resolved blocks.
     shots, target, size = config.shots, config.target, n // resolved
-    n_target = votes = int(ids.searchsorted(1))
-    if size > 1 and resolved == classes.blocks:
-        cell = 1 + target // size
-        votes += int(ids.searchsorted(cell + 1) - ids.searchsorted(cell))
-    elif size > 1:
-        votes = 0  # unsplit classes: only the members tell the blocks apart
+    if classes.blocks == 1:
+        classes.m_other, classes.blocks = classes.m, resolved
+    if size > 1 and resolved != classes.blocks:
+        raise ValueError("the classes follow one block partition at a time")
+    rng = np.random.default_rng(config.seed)
+    n_target, n_in, n_out = _draw_counts(classes, shots, rng)
+    votes = n_target + n_in if size > 1 else n_target
     index, block = target, target // size
     index_open, block_open = 2 * n_target <= shots, size > 1 and 2 * votes <= shots
     if index_open or block_open:
-        off = np.sort(_draw_members(classes, rng, ids[n_target:]))
+        off = np.sort(_draw_members(classes, rng, n_in, n_out))
         draws = np.concatenate([np.full(n_target, target, dtype=np.int64), off])
         # Another index ties or beats the target only with a run of ``k``
         # equal values among the sorted off-target shots.
@@ -524,7 +525,6 @@ def _amplify_and_sample(
             index = int(indices[counts.argmax()])
         if block_open:
             cells, counts = np.unique(draws // size, return_counts=True)
-            votes = int(counts[cells == block].sum())
             block = int(cells[counts.argmax()])
     wall = time.perf_counter() - start
 

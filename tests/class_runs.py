@@ -9,7 +9,7 @@ take each step's mask as its count of top-bit blocks (:func:`in_blocks`).
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _Classes, _class_run, _draw_classes, _draw_members
+from groverbench.search import _Classes, _class_run, _draw_counts, _draw_members
 
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
@@ -42,12 +42,14 @@ def run_classes(r: int, target: int, steps) -> _Classes:
 
 def sample_classes(classes: _Classes, shots: int, seed: int) -> np.ndarray:
     """Every shot's index, deterministic for ``seed``: the target's shots,
-    then the others in class order.  The drivers' two draws, the class ids
-    and then every member, on one generator."""
-    rng, ids = _draw_classes(classes, shots, seed)
-    n_target = int(ids.searchsorted(1))
-    members = _draw_members(classes, rng, ids[n_target:])
-    return np.concatenate([np.full(n_target, classes.target, dtype=np.int64), members])
+    then the others in class order.  The drivers' two draws, the class
+    counts and then every member, on one generator built from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n_target, n_in, n_out = _draw_counts(classes, shots, rng)
+    on_target = np.full(n_target, classes.target, dtype=np.int64)
+    if n_in + n_out == 0:
+        return on_target
+    return np.concatenate([on_target, _draw_members(classes, rng, n_in, n_out)])
 
 
 def run_dense(r: int, target: int, steps) -> gb.StateVector:

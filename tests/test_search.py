@@ -112,6 +112,36 @@ def _count_generators(monkeypatch) -> list:
     return built
 
 
+@pytest.mark.parametrize("algorithm", ["GS", "GRK"])
+def test_a_gs_or_grk_run_builds_one_generator_from_the_seed(monkeypatch, algorithm):
+    # The class counts and any member draws share one generator, seeded
+    # with the run's own seed; r = 20, b = 4 leaves GRK's index vote open,
+    # so its members are drawn too.
+    config = gb.SearchConfig(r=20, target=700_001, algorithm=algorithm, b=4, seed=2**40 + 5)
+    built = _count_generators(monkeypatch)
+    outcome = gb.run_search(config)
+    assert built == [(2**40 + 5,)]
+    assert gb.verify_outcome(outcome, config)
+
+
+def test_a_settled_gs_run_draws_no_member(monkeypatch):
+    # Over half the shots on the target settle the index vote, so no
+    # off-target member is drawn: at r = 20, where nearly every shot hits,
+    # and at r = 3, where about 5% of them miss.
+    import groverbench.search as search
+
+    member_draws, missed = [], 0
+    monkeypatch.setattr(search, "_draw_members", lambda *args: member_draws.append(args))
+    for r in (3, 20):
+        for seed in range(20):
+            target = (314_159 + seed) % (1 << r)
+            outcome = gb.run_standard_grover(gb.SearchConfig(r=r, target=target, seed=seed))
+            assert outcome.measured_index == target
+            missed += outcome.success_fraction < 1
+    assert member_draws == []
+    assert missed >= 20
+
+
 def test_an_all_exact_layered_run_builds_no_generator(monkeypatch):
     config = gb.SearchConfig(r=20, target=987654, algorithm="DFGS", b=4, shots=16, seed=5)
     built = _count_generators(monkeypatch)
@@ -269,13 +299,13 @@ def sampled_state(monkeypatch) -> list:
     import groverbench.search as search
 
     seen = []
-    real = search._draw_classes
+    real = search._draw_counts
 
-    def recording(classes, shots, seed):
+    def recording(classes, shots, rng):
         seen.append(write_out(classes))
-        return real(classes, shots, seed)
+        return real(classes, shots, rng)
 
-    monkeypatch.setattr(search, "_draw_classes", recording)
+    monkeypatch.setattr(search, "_draw_counts", recording)
     return seen
 
 
@@ -515,29 +545,26 @@ def test_class_sampler_edge_cells(r, b):
             assert abs(counts.get(index, 0) - shots * p) <= band, (target, index)
 
 
-def _sample_classes_per_block(c, shots: int, seed: int) -> np.ndarray:
-    """The class sampler drawn one block at a time, grouped by class like the driver's."""
-    from groverbench.statevector import _inverse_cdf
-
+def _sample_classes_from_member_lists(c, shots: int, seed: int) -> np.ndarray:
+    """The class sampler over each class's written-out member list, in class order."""
     size = c.n // c.blocks
-    block, offset = divmod(c.target, size)
-    weights = np.full(1 + c.blocks, c.m_other * c.m_other * size)
-    weights[0] = c.a * c.a
-    weights[1 + block] = c.m * c.m * (size - 1)
+    start = c.target - c.target % size
+    block = np.arange(start, start + size)
+    members = [block[block != c.target], np.setdiff1d(np.arange(c.n), block)]
+    masses = np.array([c.a * c.a, c.m * c.m * (size - 1), c.m_other * c.m_other * (c.n - size)])
     rng = np.random.default_rng(seed)
-    per_class = np.bincount(_inverse_cdf(weights, rng, shots), minlength=weights.size)
-    draws = [np.full(per_class[0], c.target, dtype=np.int64)]
-    for cell in np.flatnonzero(per_class[1:]).tolist():
-        members = rng.integers(0, size - (cell == block), size=per_class[1 + cell])
-        if cell == block:
-            members += members >= offset
-        draws.append(cell * size + members)
+    counts = rng.multinomial(shots, masses / masses.sum())
+    draws = [np.full(counts[0], c.target, dtype=np.int64)]
+    for listed, count in zip(members, counts[1:]):
+        if count:
+            draws.append(listed[rng.integers(0, listed.size, count)])
     return np.concatenate(draws)
 
 
-def test_class_sampler_draws_every_member_in_one_call():
-    # One rng.integers call with an array of highs takes the values that one
-    # call per occupied block takes, in block order: the same shots, to the
+def test_class_sampler_draws_each_class_in_one_call():
+    # One rng.integers call per class with a scalar bound, skipping the
+    # target or its block by arithmetic, takes the members that indexing
+    # each class's written-out member list takes: the same shots, to the
     # last index, on the spread runs (2048 blocks at r = 12) and the edge
     # cells, for odd and even shot counts.
     runs = list(SPREAD_RUNS) + [
@@ -547,7 +574,7 @@ def test_class_sampler_draws_every_member_in_one_call():
         classes = run_classes(r, target, steps)
         for shots in (1, 7, 1024, 20_001):
             for seed in (0, 5, 2**40 + 5):
-                expected = _sample_classes_per_block(classes, shots, seed)
+                expected = _sample_classes_from_member_lists(classes, shots, seed)
                 actual = sample_classes(classes, shots, seed)
                 assert actual.dtype == np.int64
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{r} {target} {shots}")
@@ -555,8 +582,10 @@ def test_class_sampler_draws_every_member_in_one_call():
 
 def reference_readout(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
     """The driver's readout fields from every shot's index: two ``np.unique`` counts."""
-    seed = int(np.random.default_rng(config.seed).integers(0, 2**63))
-    draws = sample_classes(run_classes(config.r, config.target, steps), config.shots, seed)
+    classes = run_classes(config.r, config.target, steps)
+    if classes.blocks == 1:  # the driver reads unsplit classes at the resolved blocks
+        classes.m_other, classes.blocks = classes.m, 1 << resolve_mask.bit_count()
+    draws = sample_classes(classes, config.shots, config.seed)
     indices, counts = np.unique(draws, return_counts=True)
     bits, votes = np.unique(draws & resolve_mask, return_counts=True)
     size = (1 << config.r) >> resolve_mask.bit_count()
@@ -621,21 +650,24 @@ def test_a_smaller_index_and_block_win_a_tie_with_the_target():
 
 
 def test_grk_readout_with_a_million_blocks_stays_small():
-    # GRK at r = 24 with 2**20 blocks of 16: the class draw's 1 + 2**20
-    # weights are the one blocks-sized array, 8 MiB; a count over every class
-    # would hold a second.
-    r, b = 24, 1 << 20
-    config = gb.SearchConfig(r=r, target=12_345_678, algorithm="GRK", b=b, shots=1024, seed=5)
-    _grk_schedule(r, b)  # cached; its scan is not the run's memory
+    # GRK at r = 24 with 2**20 blocks of 16 and 2**22 blocks of 4: the
+    # readout draws three class counts, so nothing it holds grows with b
+    # (a weight per block would be 8 and 32 MiB).
     gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="GRK", b=4, shots=16))
-    tracemalloc.start()
-    try:
-        outcome = gb.run_search(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 << 20
-    assert outcome.resolved_block == config.target >> 4
+    for b in (1 << 20, 1 << 22):
+        r = 24
+        config = gb.SearchConfig(
+            r=r, target=12_345_678, algorithm="GRK", b=b, shots=1024, seed=5
+        )
+        _grk_schedule(r, b)  # cached; its scan is not the run's memory
+        tracemalloc.start()
+        try:
+            outcome = gb.run_search(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, b
+        assert outcome.resolved_block == config.target >> (r - b.bit_length() + 1)
 
 
 def test_class_run_rejects_a_schedule_it_cannot_hold():
@@ -648,6 +680,8 @@ def test_class_run_rejects_a_schedule_it_cannot_hold():
     for steps in [((1, 0b1111),), ((1, 0b1100), (1, 0b1000))]:
         with pytest.raises(ValueError, match="dimension|partition"):
             _amplify_and_sample(config, in_blocks(steps), 16)
+    with pytest.raises(ValueError, match="partition"):  # split at four blocks, read at two
+        _amplify_and_sample(config, ((1, 4),), 2)
 
 
 def _count_kernel_lookups(monkeypatch, run) -> dict:
@@ -797,18 +831,22 @@ def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
     draws = np.array([13, 15, 13, 5, 3, 14, 2, 5, 1, 0], dtype=np.int64)
     member_draws = []
 
-    def fixed_classes(classes, shots, seed):
-        # The class ids of ``draws`` (0 for the target, else 1 + its block),
-        # sorted; the generator's slot carries the draws in that order.
-        ids = np.where(draws == classes.target, 0, 1 + draws // (classes.n // classes.blocks))
-        order = np.argsort(ids, kind="stable")
-        return draws[order], ids[order]
+    def classes_of(classes):
+        # Each draw's class: the target, the rest of its block, the others.
+        size = classes.n // classes.blocks
+        on_target = draws == classes.target
+        in_block = ~on_target & (draws // size == classes.target // size)
+        return on_target, in_block, ~on_target & ~in_block
 
-    def fixed_members(classes, ordered, ids):
-        member_draws.append(ids.size)
-        return ordered[ordered.size - ids.size :]
+    def fixed_counts(classes, shots, rng):
+        return [int(mask.sum()) for mask in classes_of(classes)]
 
-    monkeypatch.setattr(search, "_draw_classes", fixed_classes)
+    def fixed_members(classes, rng, n_in, n_out):
+        member_draws.append(n_in + n_out)
+        _, in_block, out = classes_of(classes)
+        return np.concatenate([draws[in_block], draws[out]])
+
+    monkeypatch.setattr(search, "_draw_counts", fixed_counts)
     monkeypatch.setattr(search, "_draw_members", fixed_members)
     config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=draws.size)
     block, outcome = gb.run_grk_partial(config)
@@ -1108,72 +1146,100 @@ def test_layered_outputs_match_the_pinned_digest():
     )
 
 
-def test_grk_outputs_match_the_pinned_digest():
-    # The resolved block and every outcome field but wall time, for 114
-    # GRK cells (r = 2-12, b = 2-16), pinned like the layered digest.  The
-    # fields but certainty are pinned as the iterated class run gave them;
-    # each certainty is within 1e-13 of the iterated recurrence, and the
-    # full digest holds the rotation's last bits.
-    digest, fields = hashlib.sha256(), hashlib.sha256()
-    cells = 0
+def _grk_digest_cells():
+    """The 114 GRK cells of the digests: r = 2-12, b = 2-16, three seeds."""
     for r in range(2, 13):
         for b in (2, 4, 8, 16):
             if b > 1 << (r - 1):
                 continue
-            a, b_amp, _ = grk_reference_amplitudes(1 << r, b, *_grk_schedule(r, b))
             for seed in (0, 1, 7):
                 target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
-                config = gb.SearchConfig(
+                yield gb.SearchConfig(
                     r=r, target=target, algorithm="GRK", b=b, shots=64, seed=seed
                 )
-                block, out = gb.run_grk_partial(config)
-                key = (
-                    r, b, seed, block, out.measured_index, out.success_fraction,
-                    out.oracle_calls, out.layers,
+
+
+def _gs_digest_cells():
+    """The 168 GS cells of the digests: r = 1-14, four seeds, 1, 64 and 1024 shots."""
+    for r in range(1, 15):
+        for seed in (0, 1, 7, 2**40 + 5):
+            for shots in (1, 64, 1024):
+                target = (seed * 2654435761 + r * 40503 + shots) % (1 << r)
+                yield gb.SearchConfig(
+                    r=r, target=target, algorithm="GS", b=2, shots=shots, seed=seed
                 )
-                fields.update(repr(key).encode())
-                digest.update(repr((*key, out.certainty.hex())).encode())
-                reference = a * a + ((1 << r) // b - 1) * b_amp * b_amp
-                assert out.certainty == pytest.approx(reference, abs=1e-13)
-                cells += 1
+
+
+def test_grk_outputs_match_the_pinned_digest():
+    # The resolved block and every outcome field but wall time, for the
+    # GRK digest cells, pinned like the layered digest.  The fields but
+    # certainty are pinned as the three-class count readout drew them; each
+    # certainty is within 1e-13 of the iterated recurrence, and the full
+    # digest holds the rotation's last bits.
+    digest, fields = hashlib.sha256(), hashlib.sha256()
+    cells = 0
+    for config in _grk_digest_cells():
+        r, b = config.r, config.b
+        a, b_amp, _ = grk_reference_amplitudes(1 << r, b, *_grk_schedule(r, b))
+        block, out = gb.run_grk_partial(config)
+        key = (
+            r, b, config.seed, block, out.measured_index, out.success_fraction,
+            out.oracle_calls, out.layers,
+        )
+        fields.update(repr(key).encode())
+        digest.update(repr((*key, out.certainty.hex())).encode())
+        reference = a * a + ((1 << r) // b - 1) * b_amp * b_amp
+        assert out.certainty == pytest.approx(reference, abs=1e-13)
+        cells += 1
     assert (fields.hexdigest(), cells) == (
-        "061b0036328f8d9363c6a75b06b47283f2ca989b10df93909f96cd1e0d242ba4", 114
+        "2dca6dd3d90e8ad0e997be9c785e0b8be108dca06e27bc62cc78061120612b87", 114
     )
     assert digest.hexdigest() == (
-        "46bef2ccdd270065531c1973aff61642056143843ee7231f9156f8ec3917a05a"
+        "0ab79f4c4137212f38875bdfd5eb6a98227463cfaaf1df32bd4204a371d04c23"
     )
 
 
 def test_gs_outputs_match_the_pinned_digest():
-    # Every outcome field but wall time, for 168 GS cells (r = 1-14, four
-    # seeds, 1, 64 and 1024 shots), pinned like the GRK digest: the fields
-    # but certainty as the iterated class run gave them, each certainty
-    # within 1e-13 of the iterated recurrence, and the full digest.
+    # Every outcome field but wall time, for the GS digest cells, pinned
+    # like the GRK digest: the fields but certainty as the three-class count
+    # readout drew them, each certainty within 1e-13 of the iterated
+    # recurrence, and the full digest.
     digest, fields = hashlib.sha256(), hashlib.sha256()
     cells = 0
-    for r in range(1, 15):
-        n = 1 << r
+    for config in _gs_digest_cells():
+        n = 1 << config.r
         a, _, _ = grk_reference_amplitudes(n, 2, gb.optimal_iterations(n), 0, cleanup=False)
-        for seed in (0, 1, 7, 2**40 + 5):
-            for shots in (1, 64, 1024):
-                target = (seed * 2654435761 + r * 40503 + shots) % (1 << r)
-                config = gb.SearchConfig(
-                    r=r, target=target, algorithm="GS", b=2, shots=shots, seed=seed
-                )
-                out = gb.run_standard_grover(config)
-                key = (
-                    r, seed, shots, out.measured_index, out.success_fraction,
-                    out.layers, out.oracle_calls, out.trial_seed,
-                )
-                fields.update(repr(key).encode())
-                digest.update(repr((*key, out.certainty.hex())).encode())
-                assert out.certainty == pytest.approx(a * a, abs=1e-13)
-                cells += 1
+        out = gb.run_standard_grover(config)
+        key = (
+            config.r, config.seed, config.shots, out.measured_index, out.success_fraction,
+            out.layers, out.oracle_calls, out.trial_seed,
+        )
+        fields.update(repr(key).encode())
+        digest.update(repr((*key, out.certainty.hex())).encode())
+        assert out.certainty == pytest.approx(a * a, abs=1e-13)
+        cells += 1
     assert (fields.hexdigest(), cells) == (
-        "c427c3b7803d566b039a021fc68b4147db6adbdd3999d946b0fbe489563623e1", 168
+        "2ef021382aed8f97392e2eae1007779ff0b27afc1ebdceac65ab29cdd858325b", 168
     )
     assert digest.hexdigest() == (
-        "b7e4e0083b49867a9ace3863700295e3c53dfbf2b2c41b9db0a68068c5476793"
+        "333556d8cf78419250b5562c89a68ac595d15a6dccc7e8c5fd66f3410f491ed3"
+    )
+
+
+def test_gs_and_grk_unsampled_fields_match_the_pinned_digest():
+    # oracle_calls, layers, trial_seed and the certainty's bits of the GRK
+    # and GS digest cells, pinned before the readout drew class counts from
+    # one generator.  The readout runs after the rotations, so no change to
+    # its draws may move these.
+    digest, cells = hashlib.sha256(), 0
+    for config in [*_grk_digest_cells(), *_gs_digest_cells()]:
+        out = gb.run_search(config)
+        digest.update(repr((
+            out.oracle_calls, out.layers, out.trial_seed, out.certainty.hex()
+        )).encode())
+        cells += 1
+    assert (digest.hexdigest(), cells) == (
+        "dac2d39be0e677cb03dd92fbf37335d45c11fa502b70afa8d282778395c2055a", 282
     )
 
 
