@@ -23,7 +23,10 @@ from .ops import (
     PredictedCost,
     bdgs_level_iterations,
     bdgs_terminal_iterations,
+    backward_segments,
     bdgs_total_queries,
+    dfgs_segments,
+    forward_segments,
     grk_query_count,
     grover_angle,
     grover_iteration,
@@ -36,9 +39,6 @@ from .search import (
     SearchContext,
     SearchOutcome,
     SegmentSearchError,
-    backward_segments,
-    dfgs_segments,
-    forward_segments,
     grk_reference_amplitudes,
     layered_plan,
     run_bdgs,

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -220,11 +221,11 @@ def _table_markdown(table: ResultTable) -> str:
         "| " + " | ".join(header) + " |",
         "|" + "|".join(["---"] * len(header)) + "|",
     ]
+    # Each trial row under its trial number, each group's aggregate under "Avg.".
     by_cell = {(row.qubits, row.algorithm, row.trial): row for row in table.rows}
-    by_agg = {(agg.qubits, agg.algorithm): agg for agg in table.aggregates}
-    qubit_counts = sorted({row.qubits for row in table.rows})
-    trials = sorted({row.trial for row in table.rows})
-    for qubits in qubit_counts:
+    by_cell.update({(agg.qubits, agg.algorithm, "Avg."): agg for agg in table.aggregates})
+    trials = [*sorted({row.trial for row in table.rows}), "Avg."]
+    for qubits in sorted({row.qubits for row in table.rows}):
         for trial in trials:
             cells = [str(qubits), str(trial)]
             for algorithm in algorithms:
@@ -234,14 +235,6 @@ def _table_markdown(table: ResultTable) -> str:
                 else:
                     cells += [f"{row.accuracy_pct:.2f}", f"{row.time_s:.5f}"]
             lines.append("| " + " | ".join(cells) + " |")
-        cells = [str(qubits), "Avg."]
-        for algorithm in algorithms:
-            agg = by_agg.get((qubits, algorithm))
-            if agg is None:
-                cells += ["err", "err"]
-            else:
-                cells += [f"{agg.accuracy_pct:.2f}", f"{agg.time_s:.5f}"]
-        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -256,39 +249,35 @@ def emit_table(table: ResultTable, format: str) -> bytes:
     raise ValueError(f"unknown table format {format!r}")
 
 
-def emit_scaling_series(table: ResultTable, block_size: int = 4) -> dict[str, bytes]:
+def emit_scaling_series(table: ResultTable, block_size: int) -> dict[str, bytes]:
     """Per-algorithm scaling series: runtime and layer counts versus qubits.
 
     Returns a mapping of file name to JSON bytes, two files per
-    algorithm.  The layer file carries the closed-form prediction next
-    to the measured counters so external plots can overlay them.
-    Needs at least two distinct qubit counts — a single point has no
-    scaling shape.
+    algorithm, read from the table's aggregates; a group's layer count is
+    its first row's.  The layer file carries the closed-form prediction
+    at the plan's ``block_size`` next to the measured counters so
+    external plots can overlay them.  Needs at least two distinct qubit
+    counts — a single point has no scaling shape.
     """
-    qubit_counts = sorted({row.qubits for row in table.rows})
-    if len(qubit_counts) < 2:
+    if len({agg.qubits for agg in table.aggregates}) < 2:
         raise ValueError("scaling series need results for at least two qubit counts")
     k = block_size.bit_length() - 1
+    # Read in reverse, so the first row of each group writes last.
+    first_layers = {(row.qubits, row.algorithm): row.layers for row in reversed(table.rows)}
     files: dict[str, bytes] = {}
-    algorithms = sorted({row.algorithm for row in table.rows}, key=lambda a: a.value)
-    for algorithm in algorithms:
-        rows = [row for row in table.rows if row.algorithm == algorithm]
-        counts = sorted({row.qubits for row in rows})
-        runtime = []
-        layers = []
-        for qubits in counts:
-            members = [row for row in rows if row.qubits == qubits]
-            runtime.append([qubits, sum(row.time_s for row in members) / len(members)])
-            layers.append([qubits, members[0].layers])
+    aggregates = sorted(table.aggregates, key=lambda agg: (agg.algorithm.value, agg.qubits))
+    for algorithm, members in groupby(aggregates, key=lambda agg: agg.algorithm):
+        groups = list(members)
         layer_payload: dict = {
             "algorithm": algorithm.value,
             "unit": "layers",
-            "measured": layers,
+            "measured": [[agg.qubits, first_layers[agg.qubits, algorithm]] for agg in groups],
         }
         if algorithm is not Algorithm.GRK:
             layer_payload["predicted"] = [
-                [qubits, predicted_layers(algorithm, qubits, k)] for qubits in counts
+                [agg.qubits, predicted_layers(algorithm, agg.qubits, k)] for agg in groups
             ]
+        runtime = [[agg.qubits, agg.time_s] for agg in groups]
         files[f"layers_vs_qubits_{algorithm.value}.json"] = json.dumps(
             layer_payload, indent=2
         ).encode()

@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(arg: str | None) -> Path:
-    path = Path(arg or os.environ.get("GROVERBENCH_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = ExperimentPlan(
@@ -97,30 +91,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out or os.environ.get("GROVERBENCH_OUT") or ".")
     try:
-        out_dir = _output_dir(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"invalid output directory: {exc}", file=sys.stderr)
         return 2
 
     table = run_plan(plan)  # a failing cell becomes an error row
-    table_path = out_dir / f"results.{_FORMAT_EXT[args.format]}"
-    table_path.write_bytes(emit_table(table, args.format))
-    written = [table_path]
+    outputs = {f"results.{_FORMAT_EXT[args.format]}": emit_table(table, args.format)}
     # Cells that failed leave no row, so the series follow the rows, not the plan.
     if len({row.qubits for row in table.rows}) >= 2:
-        for name, payload in emit_scaling_series(table, plan.block_size).items():
-            path = out_dir / name
-            path.write_bytes(payload)
-            written.append(path)
+        outputs.update(emit_scaling_series(table, plan.block_size))
+    try:
+        for name, payload in outputs.items():
+            (out_dir / name).write_bytes(payload)
+    except OSError as exc:
+        print(f"invalid output directory: {exc}", file=sys.stderr)
+        return 2
 
     for agg in table.aggregates:
         print(
             f"{agg.qubits:>2} qubits {agg.algorithm.value:<4} "
             f"accuracy {agg.accuracy_pct:6.2f}%  mean time {agg.time_s:.5f}s"
         )
-    for path in written:
-        print(f"wrote {path}")
+    for name in outputs:
+        print(f"wrote {out_dir / name}")
     if table.errors:
         for err in table.errors:
             print(

@@ -1,5 +1,6 @@
-"""Oracles with query accounting, the composed search iteration, and
-closed-form iteration/query predictors.
+"""Oracles with query accounting, the composed search iteration, the one
+segment planner of the layered searches with its cached segment rows, and
+closed-form iteration/query predictors, which read the same rows.
 
 One search iteration is: flip the sign of the amplitudes the oracle
 marks (one query), then invert every amplitude about its block mean.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .statevector import (
     BasisPredicate,
@@ -205,6 +207,52 @@ def grover_iteration(
 
 
 # ---------------------------------------------------------------------------
+# Segment plans
+
+
+def dfgs_segments(r: int, k: int) -> list[tuple[int, int]]:
+    """MSB-to-LSB segment plan covering all ``r`` positions, ``k`` at a time."""
+    return [(lo, min(lo + k - 1, r - 1)) for lo in range(0, r, k)]
+
+
+def forward_segments(r: int, k: int) -> list[tuple[int, int]]:
+    """BDGS's forward pass: the DFGS plan of positions ``0 .. floor(r/2)-1``."""
+    return dfgs_segments(r // 2, k)
+
+
+def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
+    """BDGS's backward pass: the DFGS plan of the other positions, read from the LSB up."""
+    return [(r - 1 - hi, r - 1 - lo) for lo, hi in dfgs_segments(r - r // 2, k)]
+
+
+@dataclass(frozen=True, slots=True)
+class SegmentRow:
+    """What a segment search over positions ``lo..hi`` of ``r`` needs.
+
+    ``mask`` covers the segment's bits and ``shift`` right-aligns them;
+    ``reps`` is ``optimal_iterations(2**width)`` and ``(p_hit, p_miss)``
+    the compact readout masses of :func:`segment_masses`.
+    """
+
+    width: int
+    mask: int
+    shift: int
+    reps: int
+    p_hit: float
+    p_miss: float
+
+
+@lru_cache(maxsize=None)
+def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
+    """The :class:`SegmentRow` of one segment; cached, ``r(r+1)/2`` rows at most per ``r``."""
+    width = hi - lo + 1
+    mask = segment_mask(r, lo, hi)
+    return SegmentRow(
+        width, mask, r - 1 - hi, optimal_iterations(1 << width), *segment_masses(width)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Closed-form query counts
 
 
@@ -292,11 +340,11 @@ def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     """Bundle the closed-form predictions for one (algorithm, size) cell.
 
-    The DFGS count is the least any run makes: each segment's
-    ``reps = optimal_iterations(2**width)`` amplification rounds, plus the
-    one confirming probe of every inexact segment (``segment_masses``
-    tells which widths are).  A retry adds ``reps + 1`` more, or one
-    probe at width 1.  Rejects the same ``(r, b)`` the drivers reject.
+    The DFGS count is the least any run makes, read from the driver's own
+    :func:`segment_row` of each segment of :func:`dfgs_segments`: its
+    ``reps`` amplification rounds, plus one confirming probe if it is
+    inexact.  A retry adds ``reps + 1`` more, or one probe at width 1.
+    Rejects the same ``(r, b)`` the drivers reject.
     """
     _check_qubits(r)
     algorithm = Algorithm(algorithm)
@@ -311,12 +359,9 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
         return PredictedCost(algorithm, exact, float(layers), layers, "single-target")
     if algorithm is Algorithm.DFGS:
-        iterations = queries = 0
-        for lo in range(0, r, k):
-            width = min(lo + k - 1, r - 1) - lo + 1
-            reps = optimal_iterations(1 << width)
-            iterations += reps
-            queries += reps + (segment_masses(width)[0] <= _EXACT_THRESHOLD)
+        rows = [segment_row(r, lo, hi) for lo, hi in dfgs_segments(r, k)]
+        iterations = sum(row.reps for row in rows)
+        queries = iterations + sum(row.p_hit <= _EXACT_THRESHOLD for row in rows)
         return PredictedCost(algorithm, float(iterations), float(queries), layers, "segment")
     bound = bdgs_total_queries(n, b, r, k)
     return PredictedCost(algorithm, bound, bound, layers, "single-target")

@@ -32,9 +32,10 @@ kernels are the reference the tests check the class run against.
 Both layered drivers run rounds of segment searches, and every segment
 search starts from the uniform superposition over the indices still
 consistent with the bits measured so far.  The rounds depend only on
-``(algorithm, r, k)``: :func:`layered_plan` builds and checks them once
-per triple, and :func:`segment_row` caches each segment's mask, shift,
-round count and readout masses once per ``(r, lo, hi)``.  A run's whole
+``(algorithm, r, k)``: :func:`layered_plan` builds them from the planner
+in ``ops`` and checks them once per triple, and ``ops.segment_row`` caches
+each segment's mask, shift, round count and readout masses once per
+``(r, lo, hi)``, for the drivers and ``predict_cost`` alike.  A run's whole
 state is one :class:`SearchContext`: the target, the bits found so far,
 the queries spent and the certainty.  Per segment,
 :func:`segment_partial_search` reads a value through the run's mode and,
@@ -68,13 +69,17 @@ from .ops import (
     _EXACT_THRESHOLD,
     Algorithm,
     OracleSpec,
+    SegmentRow,
     _check_block_size,
     _rotate,
+    backward_segments,
+    dfgs_segments,
+    forward_segments,
     grk_query_count,
     grover_angle,
     grover_iteration,
     optimal_iterations,
-    segment_masses,
+    segment_row,
 )
 from .statevector import (
     StateVector,
@@ -127,8 +132,10 @@ class SearchOutcome:
     """Result of one driver run.
 
     ``certainty`` is the probability mass the final pre-measurement state
-    puts on ``measured_index`` (for the block-partial driver: on the
-    resolved block).  ``resolved_block`` is the block the block-partial
+    puts on the target (for the block-partial driver: on the target's
+    block), whatever index or block the shots vote for; a layered run
+    multiplies its segments' readout probabilities, a probe-confirmed
+    segment counting 1.  ``resolved_block`` is the block the block-partial
     driver resolves and ``None`` for every other driver.  ``wall_time``
     covers state preparation through final measurement and is the one
     field excluded from determinism guarantees.
@@ -187,56 +194,6 @@ class SearchContext:
 # Segment scheduling
 
 
-def dfgs_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """MSB-to-LSB segment plan covering all ``r`` positions, ``k`` at a time."""
-    return [(lo, min(lo + k - 1, r - 1)) for lo in range(0, r, k)]
-
-
-def forward_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """Forward-pass plan: positions ``0 .. floor(r/2)-1`` from the MSB side."""
-    half = r // 2
-    return [(lo, min(lo + k - 1, half - 1)) for lo in range(0, half, k)]
-
-
-def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """Backward-pass plan: positions ``r-1`` down to ``floor(r/2)``."""
-    half = r // 2
-    plan = []
-    hi = r - 1
-    while hi >= half:
-        lo = max(hi - k + 1, half)
-        plan.append((lo, hi))
-        hi = lo - 1
-    return plan
-
-
-@dataclass(frozen=True, slots=True)
-class SegmentRow:
-    """What a segment search over positions ``lo..hi`` of ``r`` needs.
-
-    ``mask`` covers the segment's bits and ``shift`` right-aligns them;
-    ``reps`` is ``optimal_iterations(2**width)`` and ``(p_hit, p_miss)``
-    the compact readout masses of :func:`segment_masses`.
-    """
-
-    width: int
-    mask: int
-    shift: int
-    reps: int
-    p_hit: float
-    p_miss: float
-
-
-@lru_cache(maxsize=None)
-def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
-    """The :class:`SegmentRow` of one segment; cached, ``r(r+1)/2`` rows at most per ``r``."""
-    width = hi - lo + 1
-    mask = segment_mask(r, lo, hi)
-    return SegmentRow(
-        width, mask, r - 1 - hi, optimal_iterations(1 << width), *segment_masses(width)
-    )
-
-
 @lru_cache(maxsize=None)
 def layered_plan(
     algorithm: Algorithm | str, r: int, k: int
@@ -244,10 +201,10 @@ def layered_plan(
     """Rounds of segment searches of a DFGS or BDGS run; each round is one layer.
 
     A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
-    pairs a forward and a backward segment, the longer pass running on
-    alone.  Checked once per ``(algorithm, r, k)``: every segment is at
-    most ``k`` wide, no two overlap, and together they cover all ``r``
-    bits.
+    pairs a segment of each pass, the DFGS plans of the top half and of the
+    bottom half from the LSB, the longer pass running on alone.  Checked
+    once per ``(algorithm, r, k)``: every segment is at most ``k`` wide, no
+    two overlap, and together they cover all ``r`` bits.
     """
     algorithm = Algorithm(algorithm)
     if algorithm is Algorithm.DFGS:

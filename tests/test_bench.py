@@ -1,6 +1,7 @@
 """Plan execution, exact aggregation, exports, and cell isolation."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -340,4 +341,60 @@ def test_emit_scaling_series_grk_has_no_prediction():
 def test_emit_scaling_series_rejects_single_size():
     plan = gb.ExperimentPlan(qubit_list=[4], algorithms=["BDGS"], trials=1, shots=32)
     with pytest.raises(ValueError):
-        gb.emit_scaling_series(gb.run_plan(plan))
+        gb.emit_scaling_series(gb.run_plan(plan), plan.block_size)
+
+
+def test_emit_scaling_series_needs_the_block_size():
+    # The layer predictions depend on b, so a plan run at b = 8 must not be
+    # read against a default of 4.
+    plan = gb.ExperimentPlan(
+        qubit_list=[6, 9], algorithms=["DFGS"], trials=1, shots=8, block_size=8
+    )
+    table = gb.run_plan(plan)
+    with pytest.raises(TypeError):
+        gb.emit_scaling_series(table)
+    payload = json.loads(gb.emit_scaling_series(table, 8)["layers_vs_qubits_DFGS.json"])
+    assert payload["measured"] == payload["predicted"] == [[6, 2], [9, 3]]
+
+
+def _hand_built_table() -> gb.ResultTable:
+    """Rows in plan order over unsorted qubits and algorithms, fixed times.
+
+    (3, DFGS) misses trial 2, every (6, GRK) trial failed, and layer counts
+    differ between trials, so each export shows which row it reads.
+    """
+    algorithms = [gb.Algorithm(name) for name in ("BDGS", "GS", "GRK", "DFGS")]
+    rows, errors = [], []
+    for qubits in (9, 3, 6):
+        for index, algorithm in enumerate(algorithms):
+            for trial in (1, 2, 3):
+                if (qubits, algorithm.value, trial) == (3, "DFGS", 2) or (
+                    (qubits, algorithm.value) == (6, "GRK")
+                ):
+                    errors.append(
+                        gb.ErrorRow(qubits, algorithm, trial, "RuntimeError: induced failure")
+                    )
+                    continue
+                hits = (qubits * 31 + trial * 17 + index) % 65
+                rows.append(gb.TrialRow(
+                    qubits=qubits, algorithm=algorithm, trial=trial,
+                    accuracy_pct=100.0 * hits / 64, time_s=(qubits * 7 + index * 3 + trial) / 10,
+                    hits=hits, shots=64, layers=qubits + trial + index,
+                    oracle_calls=qubits * 5 + trial,
+                ))
+    return gb.ResultTable.from_rows(rows, errors)
+
+
+def test_exports_of_a_hand_built_table_match_the_pinned_digest():
+    # The csv, json and markdown tables and the b = 4 and b = 8 scaling
+    # series, as the exports that regrouped the rows themselves wrote them.
+    table = _hand_built_table()
+    digest = hashlib.sha256()
+    for fmt in ("csv", "json", "markdown"):
+        digest.update(gb.emit_table(table, fmt))
+    for block_size in (4, 8):
+        for name, payload in sorted(gb.emit_scaling_series(table, block_size).items()):
+            digest.update(name.encode() + payload)
+    assert digest.hexdigest() == (
+        "37381eba8c9b6b648b7c53853d3037c4bfc8de787cd0e096fe323a2a513fd4da"
+    )

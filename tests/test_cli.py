@@ -247,6 +247,21 @@ def test_run_out_naming_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeyp
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("blocked", ["results.csv", "layers_vs_qubits_GS.json"])
+def test_run_write_failure_exits_2_with_one_line(tmp_path, capsys, blocked):
+    # A directory where an output file goes fails the write after the plan
+    # has run: exit 2 and one line, as for a directory that cannot be made.
+    (tmp_path / blocked).mkdir()
+    code, out, err = run_cli(
+        capsys,
+        ["run", "--qubits", "4,6", "--algo", "GS", "--trials", "1", "--out", str(tmp_path)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid output directory:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_run_cell_failure_exits_1(tmp_path, capsys, monkeypatch):
     import groverbench.bench as bench
 

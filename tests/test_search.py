@@ -62,14 +62,25 @@ def test_forward_backward_segments_meet_in_the_middle():
 
 
 def test_segment_plans_are_disjoint_and_complete():
-    for r in range(2, 21):
-        for k in (1, 2, 3):
-            mask = 0
-            for lo, hi in gb.forward_segments(r, k) + gb.backward_segments(r, k):
-                bits = gb.segment_mask(r, lo, hi)
-                assert mask & bits == 0
-                mask |= bits
-            assert mask == (1 << r) - 1
+    # Every plan at most k wide, gap-free and covering all r bits; the
+    # forward pass ascends from the MSB and the backward pass descends from
+    # the LSB until the two meet.
+    for r in range(1, 25):
+        for k in range(1, r + 1):
+            forward, backward = gb.forward_segments(r, k), gb.backward_segments(r, k)
+            for plan in (gb.dfgs_segments(r, k), forward + backward):
+                mask = 0
+                for lo, hi in plan:
+                    assert 0 <= lo <= hi < r and hi - lo + 1 <= k
+                    bits = gb.segment_mask(r, lo, hi)
+                    assert mask & bits == 0
+                    mask |= bits
+                assert mask == (1 << r) - 1
+            for plan in (gb.dfgs_segments(r, k), forward):
+                assert [lo for lo, _ in plan] == [0, *(hi + 1 for _, hi in plan)][: len(plan)]
+            assert [hi for _, hi in backward] == [r - 1, *(lo - 1 for lo, _ in backward)][:-1]
+            if forward:
+                assert forward[-1][1] + 1 == backward[-1][0]
 
 
 def test_layered_plan_pairs_the_passes_by_round():
@@ -1243,6 +1254,34 @@ def test_gs_and_grk_unsampled_fields_match_the_pinned_digest():
     )
 
 
+def test_predictions_and_plans_match_the_pinned_digest():
+    # predict_cost's fields and the layered_plan of every algorithm at every
+    # r <= 24 and b = 2**k <= 2**r, each error by its type and message, as
+    # the driver's plan and the predictor's own segment walk gave them.
+    digest, cells = hashlib.sha256(), 0
+    for algorithm in gb.Algorithm:
+        for r in range(1, 25):
+            for k in range(1, r + 1):
+                key = [algorithm.value, r, k]
+                try:
+                    cost = gb.predict_cost(algorithm, r, 1 << k)
+                    key.append((
+                        cost.algorithm.value, cost.iterations.hex(), cost.oracle_calls.hex(),
+                        cost.layers, cost.oracle_model,
+                    ))
+                except ValueError as exc:
+                    key.append((type(exc).__name__, str(exc)))
+                try:
+                    key.append(gb.layered_plan(algorithm, r, k))
+                except ValueError as exc:
+                    key.append((type(exc).__name__, str(exc)))
+                digest.update(repr(key).encode())
+                cells += 1
+    assert (digest.hexdigest(), cells) == (
+        "dc14d06fb30deae27b90fe51f4daeb407cb8cb0e5705e27d2b1a5e474c500d37", 1200
+    )
+
+
 def test_grk_schedule_matches_the_pinned_digest():
     # (r, b, t_global, t_local) for every valid pair with r <= 16, as the
     # scan produced them before its cleanup step went through
@@ -1283,6 +1322,15 @@ def test_unknown_mode_rejected():
     config = gb.SearchConfig(r=4, target=1, algorithm="DFGS", shots=8, seed=0)
     with pytest.raises(ValueError, match="mode"):
         gb.run_dfgs(config, mode="dense")
+
+
+def test_certainty_is_the_targets_mass_not_the_measured_ones():
+    # GS at r = 3 puts 121/128 of the mass on the target; this one shot
+    # lands on index 1, which holds about 0.0078, and certainty still reads
+    # the target's mass.
+    outcome = gb.run_search(gb.SearchConfig(r=3, target=5, algorithm="GS", shots=1, seed=10))
+    assert outcome.measured_index == 1
+    assert outcome.certainty == pytest.approx(121 / 128, abs=1e-15)
 
 
 def test_segment_order_independence():
