@@ -16,8 +16,8 @@ print(f"{r} qubits, target {target:#022b} ({target})")
 print(f"forward segments : {gb.forward_segments(r, k)}")
 print(f"backward segments: {gb.backward_segments(r, k)}")
 
-config = gb.SearchConfig(r=r, target=target, algorithm="BDGS", b=4, shots=1024, seed=17)
-outcome = gb.run_bdgs(config)
+bdgs = gb.SearchConfig(r=r, target=target, algorithm="BDGS", b=4, shots=1024, seed=17)
+outcome = gb.run_bdgs(bdgs)
 print(f"\nbi-directional: {outcome.layers} layers, {outcome.oracle_calls} oracle calls, "
       f"accuracy {outcome.success_fraction * 100:.1f}%, "
       f"{outcome.wall_time * 1e3:.3f} ms")
@@ -29,15 +29,15 @@ print(f"depth-first   : {outcome.layers} layers, {outcome.oracle_calls} oracle c
       f"{outcome.wall_time * 1e3:.3f} ms")
 
 # Watch the bits arrive from both ends.  A SearchContext is the whole
-# state of a run: forward segments fill the top of the index, backward
-# ones the bottom, and the masks never overlap.
-ctx = gb.SearchContext(r, k, target, seed=17)
+# state of a run, built from the run's config: forward segments fill the
+# top of the index, backward ones the bottom, and the masks never overlap.
+ctx = gb.SearchContext(bdgs)
 print("\nlayer-by-layer resolution:")
 for layer, segments in enumerate(gb.layered_plan("BDGS", r, k), start=1):
     for segment in segments:
         gb.segment_partial_search(ctx, segment)
     print(f"  layer {layer}: known bits {ctx.value:0{r}b} (mask {ctx.mask:0{r}b})")
-assert ctx.value == target and ctx.queries == outcome.oracle_calls
+assert ctx.value == target and ctx.queries == gb.run_bdgs(bdgs).oracle_calls
 
 # Odd register sizes leave a width-1 segment at the meeting point.  A
 # single-bit search is a coin flip, so the driver confirms the sampled

@@ -34,8 +34,11 @@ for agg in sorted(table.aggregates, key=lambda a: (a.qubits, a.algorithm.value))
     print(f"  {agg.qubits:>2} qubits {agg.algorithm.value:<4} "
           f"accuracy {agg.accuracy_pct:6.2f}%  time {agg.time_s:.5f}s")
 
-series = gb.emit_scaling_series(table, block_size=plan.block_size)
+# The table holds its plan, so the series read b from it, and
+# results.json records the plan before the rows.
+series = gb.emit_scaling_series(table)
 print("\nscaling series files:", ", ".join(sorted(series)))
+print("plan in the JSON export:", json.loads(gb.emit_table(table, "json"))["plan"])
 layers = json.loads(series["layers_vs_qubits_GS.json"])
 print("GS layers measured :", layers["measured"])
 print("GS layers predicted:", layers["predicted"])

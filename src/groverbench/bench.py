@@ -4,7 +4,9 @@ A plan is a grid of (qubits, algorithm, trial) cells.  Every cell gets a
 seed derived from the base seed and the cell id alone, so plans are
 reproducible and seeds do not depend on execution order.  Cells run one
 after another in plan order.  Per-cell failures become error rows
-instead of aborting the batch.
+instead of aborting the batch.  A result table holds the plan it ran:
+its JSON export records the block size, shots, base seed and target,
+and its scaling series take the block size from there.
 """
 
 from __future__ import annotations
@@ -90,14 +92,17 @@ class ErrorRow:
 
 @dataclass
 class ResultTable:
-    """Trial rows with exact per-(qubits, algorithm) aggregates."""
+    """The plan a run executed, its trial rows and exact per-(qubits, algorithm) aggregates."""
 
+    plan: ExperimentPlan
     rows: list[TrialRow] = field(default_factory=list)
     aggregates: list[AggregateRow] = field(default_factory=list)
     errors: list[ErrorRow] = field(default_factory=list)
 
     @classmethod
-    def from_rows(cls, rows: list[TrialRow], errors: list[ErrorRow]) -> "ResultTable":
+    def from_rows(
+        cls, plan: ExperimentPlan, rows: list[TrialRow], errors: list[ErrorRow]
+    ) -> "ResultTable":
         groups: dict[tuple[int, Algorithm], list[TrialRow]] = {}
         for row in rows:
             groups.setdefault((row.qubits, row.algorithm), []).append(row)
@@ -114,7 +119,7 @@ class ResultTable:
                     time_s=sum(row.time_s for row in members) / len(members),
                 )
             )
-        return cls(rows=rows, aggregates=aggregates, errors=errors)
+        return cls(plan=plan, rows=rows, aggregates=aggregates, errors=errors)
 
 
 def _cell_seeds(
@@ -189,7 +194,7 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
                     errors.append(
                         ErrorRow(qubits, algorithm, trial, f"{type(exc).__name__}: {exc}")
                     )
-    return ResultTable.from_rows(rows, errors)
+    return ResultTable.from_rows(plan, rows, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +254,19 @@ def emit_table(table: ResultTable, format: str) -> bytes:
     raise ValueError(f"unknown table format {format!r}")
 
 
-def emit_scaling_series(table: ResultTable, block_size: int) -> dict[str, bytes]:
+def emit_scaling_series(table: ResultTable) -> dict[str, bytes]:
     """Per-algorithm scaling series: runtime and layer counts versus qubits.
 
     Returns a mapping of file name to JSON bytes, two files per
     algorithm, read from the table's aggregates; a group's layer count is
     its first row's.  The layer file carries the closed-form prediction
-    at the plan's ``block_size`` next to the measured counters so
-    external plots can overlay them.  Needs at least two distinct qubit
-    counts — a single point has no scaling shape.
+    at the block size of the table's plan next to the measured counters
+    so external plots can overlay them.  Aggregates of fewer than two
+    qubit counts give no files: a single point has no scaling shape.
     """
     if len({agg.qubits for agg in table.aggregates}) < 2:
-        raise ValueError("scaling series need results for at least two qubit counts")
-    k = block_size.bit_length() - 1
+        return {}
+    k = table.plan.block_size.bit_length() - 1
     # Read in reverse, so the first row of each group writes last.
     first_layers = {(row.qubits, row.algorithm): row.layers for row in reversed(table.rows)}
     files: dict[str, bytes] = {}

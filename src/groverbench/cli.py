@@ -100,23 +100,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     table = run_plan(plan)  # a failing cell becomes an error row
     outputs = {f"results.{_FORMAT_EXT[args.format]}": emit_table(table, args.format)}
-    # Cells that failed leave no row, so the series follow the rows, not the plan.
-    if len({row.qubits for row in table.rows}) >= 2:
-        outputs.update(emit_scaling_series(table, plan.block_size))
-    try:
-        for name, payload in outputs.items():
-            (out_dir / name).write_bytes(payload)
-    except OSError as exc:
-        print(f"invalid output directory: {exc}", file=sys.stderr)
-        return 2
-
+    outputs.update(emit_scaling_series(table))
     for agg in table.aggregates:
         print(
             f"{agg.qubits:>2} qubits {agg.algorithm.value:<4} "
             f"accuracy {agg.accuracy_pct:6.2f}%  mean time {agg.time_s:.5f}s"
         )
-    for name in outputs:
-        print(f"wrote {out_dir / name}")
+    # Each file is reported as it lands, so a failed write leaves on stdout
+    # exactly the files this run wrote.
+    try:
+        for name, payload in outputs.items():
+            (out_dir / name).write_bytes(payload)
+            print(f"wrote {out_dir / name}")
+    except OSError as exc:
+        print(f"invalid output directory: {exc}", file=sys.stderr)
+        return 2
     if table.errors:
         for err in table.errors:
             print(

@@ -36,8 +36,8 @@ consistent with the bits measured so far.  The rounds depend only on
 in ``ops`` and checks them once per triple, and ``ops.segment_row`` caches
 each segment's mask, shift, round count and readout masses once per
 ``(r, lo, hi)``, for the drivers and ``predict_cost`` alike.  A run's whole
-state is one :class:`SearchContext`: the target, the bits found so far,
-the queries spent and the certainty.  Per segment,
+state is one :class:`SearchContext`: the run's :class:`SearchConfig`,
+the bits found so far, the queries spent and the certainty.  Per segment,
 :func:`segment_partial_search` reads a value through the run's mode and,
 when that value is not certain, confirms it with one classical probe
 through :meth:`~groverbench.ops.OracleSpec.query_index`, so every retry
@@ -153,20 +153,18 @@ class SearchOutcome:
 
 @dataclass
 class SearchContext:
-    """The whole state of one layered run: the bits of ``target`` found so far.
+    """The whole state of one layered run: the bits of its config's target found so far.
 
-    ``mask`` and ``value`` hold the determined bits, ``history`` each
-    resolved ``((lo, hi), value)`` in order, ``queries`` every oracle query
-    the run made and ``certainty`` the product of the segments' readout
-    probabilities.  :meth:`generator` builds the run's generator from
-    ``seed`` at the first draw, so a run whose segments are all exact
-    builds none.
+    ``config`` gives the register size, segment width, target and seed,
+    and was checked when it was built.  ``mask`` and ``value`` hold the
+    determined bits, ``history`` each resolved ``((lo, hi), value)`` in
+    order, ``queries`` every oracle query the run made and ``certainty``
+    the product of the segments' readout probabilities.  :meth:`generator`
+    builds the run's generator from ``config.seed`` at the first draw, so a
+    run whose segments are all exact builds none.
     """
 
-    r: int
-    k: int
-    target: int
-    seed: int = 0
+    config: SearchConfig
     mode: str = "compact"
     mask: int = field(default=0, init=False)
     value: int = field(default=0, init=False)
@@ -176,17 +174,12 @@ class SearchContext:
     _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_qubits(self.r)
         if self.mode not in _READOUTS:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.target < (1 << self.r):
-            raise ValueError(f"target {self.target} out of range for {self.r} qubits")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
+            self._rng = np.random.default_rng(self.config.seed)
         return self._rng
 
 
@@ -259,7 +252,7 @@ def _compact_readout(
 ) -> tuple[int, float]:
     """Read a segment search from its two amplitude classes, with no register."""
     ctx.queries += row.reps
-    hit = (ctx.target & row.mask) >> row.shift
+    hit = (ctx.config.target & row.mask) >> row.shift
     p_hit, p_miss = row.p_hit, row.p_miss
     if p_hit > _EXACT_THRESHOLD:
         return hit, p_hit
@@ -280,9 +273,10 @@ def _full_readout(
     ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
 ) -> tuple[int, float]:
     """Amplify the segment on the whole ``2**r`` register and read its marginal."""
-    oracle = OracleSpec(ctx.r, ctx.target, segment, ctx.mask, ctx.value)
-    register = _conditioned_uniform(ctx.r, ctx.mask, ctx.value)
-    diffusion_mask = ((1 << ctx.r) - 1) ^ row.mask
+    r = ctx.config.r
+    oracle = OracleSpec(r, ctx.config.target, segment, ctx.mask, ctx.value)
+    register = _conditioned_uniform(r, ctx.mask, ctx.value)
+    diffusion_mask = ((1 << r) - 1) ^ row.mask
     for _ in range(row.reps):
         register = grover_iteration(register, oracle, diffusion_mask)
     ctx.queries += oracle.query_count
@@ -300,7 +294,7 @@ _READOUTS = {"compact": _compact_readout, "full": _full_readout}
 
 
 def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None:
-    """Resolve one bit segment of ``ctx.target`` and record it in ``ctx``.
+    """Resolve one bit segment of ``ctx.config.target`` and record it in ``ctx``.
 
     Amplifies the segment-restricted oracle, conditioned on every
     determined bit, for ``optimal_iterations(2**width)`` rounds and reads
@@ -312,9 +306,10 @@ def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None
     candidate, so that case resolves deterministically.
     """
     lo, hi = segment
-    row = segment_row(ctx.r, lo, hi)
-    if row.width > ctx.k:
-        raise ValueError(f"segment [{lo}, {hi}] wider than {ctx.k} bits")
+    config = ctx.config
+    row = segment_row(config.r, lo, hi)
+    if 1 << row.width > config.b:  # wider than k = log2(b) bits
+        raise ValueError(f"segment [{lo}, {hi}] wider than {config.k} bits")
     if row.mask & ctx.mask:
         raise ValueError(
             f"segment [{lo}, {hi}] overlaps determined bits (driver scheduling bug)"
@@ -322,7 +317,7 @@ def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None
     readout = _READOUTS[ctx.mode]
     value, prob = readout(ctx, row, segment)
     if prob <= _EXACT_THRESHOLD:
-        probe = OracleSpec(ctx.r, ctx.target, segment, ctx.mask, ctx.value)
+        probe = OracleSpec(config.r, config.target, segment, ctx.mask, ctx.value)
         for _ in range(MAX_SEGMENT_ATTEMPTS):
             if probe.query_index(ctx.value | value << row.shift):
                 break
@@ -612,7 +607,7 @@ def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:
     """Resolve the rounds of ``config``'s cached plan in order; each round is one layer."""
     rounds = layered_plan(config.algorithm, config.r, config.k)
     start = time.perf_counter()
-    ctx = SearchContext(config.r, config.k, config.target, config.seed, mode)
+    ctx = SearchContext(config, mode)
     for segments in rounds:
         for segment in segments:
             segment_partial_search(ctx, segment)

@@ -246,7 +246,7 @@ def test_emit_csv_columns_exact():
 
 
 def test_emit_csv_empty_table():
-    text = gb.emit_table(gb.ResultTable(), "csv").decode()
+    text = gb.emit_table(gb.ResultTable(small_plan()), "csv").decode()
     assert text.strip() == ",".join(CSV_COLUMNS)
 
 
@@ -304,7 +304,17 @@ def test_emit_markdown_marks_failed_cells_and_groups(monkeypatch):
 
 def test_emit_table_rejects_unknown_format():
     with pytest.raises(ValueError):
-        gb.emit_table(gb.ResultTable(), "xml")
+        gb.emit_table(gb.ResultTable(small_plan()), "xml")
+
+
+def test_emit_json_records_the_plan():
+    # The plan comes first and rebuilds into the plan the table ran, so a
+    # results.json names the b, shots, base seed and target behind it.
+    plan = small_plan(qubit_list=[4, 6], algorithms=["GRK", "BDGS"], target=5, block_size=2)
+    table = gb.run_plan(plan)
+    exported = json.loads(gb.emit_table(table, "json"))
+    assert list(exported) == ["plan", "rows", "aggregates", "errors"]
+    assert gb.ExperimentPlan(**exported["plan"]) == table.plan == plan
 
 
 def test_emit_scaling_series():
@@ -312,7 +322,7 @@ def test_emit_scaling_series():
         qubit_list=[4, 6, 8], algorithms=["GS", "BDGS"], trials=2, shots=64, base_seed=5
     )
     table = gb.run_plan(plan)
-    files = gb.emit_scaling_series(table, block_size=4)
+    files = gb.emit_scaling_series(table)
     assert set(files) == {
         "layers_vs_qubits_GS.json",
         "runtime_vs_qubits_GS.json",
@@ -333,39 +343,48 @@ def test_emit_scaling_series_grk_has_no_prediction():
     plan = gb.ExperimentPlan(
         qubit_list=[4, 6], algorithms=["GRK"], trials=1, shots=64, base_seed=5
     )
-    files = gb.emit_scaling_series(gb.run_plan(plan), block_size=4)
+    files = gb.emit_scaling_series(gb.run_plan(plan))
     payload = json.loads(files["layers_vs_qubits_GRK.json"])
     assert "predicted" not in payload
 
 
-def test_emit_scaling_series_rejects_single_size():
+def test_emit_scaling_series_of_one_qubit_count_is_empty(tmp_path):
+    # A single point has no scaling shape: no series, and `run` writes
+    # only its table.
+    from groverbench.cli import main
+
     plan = gb.ExperimentPlan(qubit_list=[4], algorithms=["BDGS"], trials=1, shots=32)
-    with pytest.raises(ValueError):
-        gb.emit_scaling_series(gb.run_plan(plan), plan.block_size)
+    assert gb.emit_scaling_series(gb.run_plan(plan)) == {}
+    for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
+        out = tmp_path / fmt
+        argv = ["run", "--qubits", "4", "--algo", "GS,BDGS", "--trials", "1",
+                "--shots", "16", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert [path.name for path in out.iterdir()] == [f"results.{ext}"]
 
 
-def test_emit_scaling_series_needs_the_block_size():
-    # The layer predictions depend on b, so a plan run at b = 8 must not be
-    # read against a default of 4.
+def test_emit_scaling_series_reads_the_block_size_from_the_plan():
+    # The layer predictions depend on b, so a plan run at b = 8 is read at
+    # b = 8, not at the default of 4.
     plan = gb.ExperimentPlan(
         qubit_list=[6, 9], algorithms=["DFGS"], trials=1, shots=8, block_size=8
     )
-    table = gb.run_plan(plan)
-    with pytest.raises(TypeError):
-        gb.emit_scaling_series(table)
-    payload = json.loads(gb.emit_scaling_series(table, 8)["layers_vs_qubits_DFGS.json"])
+    payload = json.loads(gb.emit_scaling_series(gb.run_plan(plan))["layers_vs_qubits_DFGS.json"])
     assert payload["measured"] == payload["predicted"] == [[6, 2], [9, 3]]
 
 
-def _hand_built_table() -> gb.ResultTable:
+def _hand_built_table(qubit_list=(9, 3, 6), block_size=4) -> gb.ResultTable:
     """Rows in plan order over unsorted qubits and algorithms, fixed times.
 
     (3, DFGS) misses trial 2, every (6, GRK) trial failed, and layer counts
     differ between trials, so each export shows which row it reads.
     """
     algorithms = [gb.Algorithm(name) for name in ("BDGS", "GS", "GRK", "DFGS")]
+    plan = gb.ExperimentPlan(
+        list(qubit_list), algorithms, trials=3, shots=64, block_size=block_size
+    )
     rows, errors = [], []
-    for qubits in (9, 3, 6):
+    for qubits in qubit_list:
         for index, algorithm in enumerate(algorithms):
             for trial in (1, 2, 3):
                 if (qubits, algorithm.value, trial) == (3, "DFGS", 2) or (
@@ -382,19 +401,49 @@ def _hand_built_table() -> gb.ResultTable:
                     hits=hits, shots=64, layers=qubits + trial + index,
                     oracle_calls=qubits * 5 + trial,
                 ))
-    return gb.ResultTable.from_rows(rows, errors)
+    return gb.ResultTable.from_rows(plan, rows, errors)
+
+
+def _series_digest(table: gb.ResultTable, digest=None):
+    """``digest`` (a new sha256 by default) updated with each series file of ``table``."""
+    digest = hashlib.sha256() if digest is None else digest
+    for name, payload in sorted(gb.emit_scaling_series(table).items()):
+        digest.update(name.encode() + payload)
+    return digest
+
+
+def test_each_export_of_a_hand_built_table_matches_its_pinned_digest():
+    # Taken before the table held its plan: the plan adds one key to the
+    # JSON export and moves no byte of any other export.  A b = 8 plan with
+    # GRK at r = 3 is invalid, so the b = 8 series covers qubits 9 and 6.
+    table = _hand_built_table()
+    exported = json.loads(gb.emit_table(table, "json"))
+    del exported["plan"]
+    digests = {
+        "csv": hashlib.sha256(gb.emit_table(table, "csv")).hexdigest(),
+        "markdown": hashlib.sha256(gb.emit_table(table, "markdown")).hexdigest(),
+        "json": hashlib.sha256(json.dumps(exported, indent=2).encode()).hexdigest(),
+        "series b=4": _series_digest(table).hexdigest(),
+        "series b=8": _series_digest(_hand_built_table((9, 6), 8)).hexdigest(),
+    }
+    assert digests == {
+        "csv": "5d6a028776b82c100818a6d439ded1c709a65b1e591b1e115a35520203ed6239",
+        "markdown": "a5504a2af36f63890406e501bbad9255984cb802dabbb5cc75081ec5a4e89485",
+        "json": "49d732f2100fead6ebb554168499a06f3c26477e4126513666bd90c503b901e5",
+        "series b=4": "419a6b64dabcc67a730ef197d6a749878b8efbb139343c38c75ed206b7525015",
+        "series b=8": "e32d7b07b3461bcc7c8bffd4c0e5e779a51af9d288e6df5bd5803d512488a82a",
+    }
 
 
 def test_exports_of_a_hand_built_table_match_the_pinned_digest():
-    # The csv, json and markdown tables and the b = 4 and b = 8 scaling
-    # series, as the exports that regrouped the rows themselves wrote them.
+    # The csv, json (plan included) and markdown tables and the b = 4 and
+    # b = 8 scaling series, each series at its own plan's block size.
     table = _hand_built_table()
     digest = hashlib.sha256()
     for fmt in ("csv", "json", "markdown"):
         digest.update(gb.emit_table(table, fmt))
-    for block_size in (4, 8):
-        for name, payload in sorted(gb.emit_scaling_series(table, block_size).items()):
-            digest.update(name.encode() + payload)
+    _series_digest(table, digest)
+    _series_digest(_hand_built_table((9, 6), 8), digest)
     assert digest.hexdigest() == (
-        "37381eba8c9b6b648b7c53853d3037c4bfc8de787cd0e096fe323a2a513fd4da"
+        "5806b2ac60a05bc08b26d3f2a359ea515e38d125f1916ecd6e8988dd1801702e"
     )

@@ -251,13 +251,20 @@ def test_run_out_naming_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeyp
 def test_run_write_failure_exits_2_with_one_line(tmp_path, capsys, blocked):
     # A directory where an output file goes fails the write after the plan
     # has run: exit 2 and one line, as for a directory that cannot be made.
+    # Stdout keeps the aggregates and names each file that did land.
     (tmp_path / blocked).mkdir()
     code, out, err = run_cli(
         capsys,
         ["run", "--qubits", "4,6", "--algo", "GS", "--trials", "1", "--out", str(tmp_path)],
     )
     assert code == 2
-    assert out == ""
+    written = sorted(path.name for path in tmp_path.iterdir() if path.is_file())
+    assert written == ([] if blocked == "results.csv" else ["results.csv"])
+    lines = out.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [
+        ["4", "qubits", "GS"], ["6", "qubits", "GS"]
+    ]
+    assert lines[2:] == [f"wrote {tmp_path / name}" for name in written]
     assert err.startswith("invalid output directory:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 

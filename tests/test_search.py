@@ -885,7 +885,7 @@ def test_grk_deterministic():
 
 def test_dfgs_r4_history():
     config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=64, seed=0)
-    ctx = gb.SearchContext(config.r, config.k, config.target, config.seed)
+    ctx = gb.SearchContext(config)
     for segment in gb.dfgs_segments(config.r, config.k):
         gb.segment_partial_search(ctx, segment)
     # 9 = 1001: MSB pair resolves to 10, then the LSB pair to 01.
@@ -920,7 +920,7 @@ def test_dfgs_r20_layers():
 def test_bdgs_r8_resolves_from_both_ends():
     target = 0b01101111
     config = gb.SearchConfig(r=8, target=target, algorithm="BDGS", shots=64, seed=6)
-    ctx = gb.SearchContext(config.r, config.k, target, config.seed)
+    ctx = gb.SearchContext(config)
     for segment in gb.forward_segments(8, 2):
         gb.segment_partial_search(ctx, segment)
     assert [value for _, value in ctx.history] == [0b01, 0b10]
@@ -990,7 +990,7 @@ def test_layered_drivers_deterministic():
 
 
 def test_segment_search_rejects_overlap():
-    ctx = gb.SearchContext(4, 2, 5)
+    ctx = gb.SearchContext(gb.SearchConfig(4, 5, "DFGS"))
     gb.segment_partial_search(ctx, (0, 1))
     with pytest.raises(ValueError, match="scheduling"):
         gb.segment_partial_search(ctx, (1, 2))
@@ -998,14 +998,14 @@ def test_segment_search_rejects_overlap():
 
 
 def test_segment_search_rejects_wide_segment():
-    ctx = gb.SearchContext(6, 2, 5)
+    ctx = gb.SearchContext(gb.SearchConfig(6, 5, "DFGS"))
     with pytest.raises(ValueError, match="wider"):
         gb.segment_partial_search(ctx, (0, 2))
 
 
 def test_segment_search_width1_resolves_with_probes():
     for target_bit in (0, 1):
-        ctx = gb.SearchContext(3, 2, target_bit << 2, seed=3)
+        ctx = gb.SearchContext(gb.SearchConfig(3, target_bit << 2, "DFGS", seed=3))
         gb.segment_partial_search(ctx, (0, 0))
         assert ctx.history == [((0, 0), target_bit)]
         # One amplification query plus at least one verification probe.
@@ -1017,22 +1017,26 @@ def test_segment_search_attempt_budget_exhaustion(monkeypatch):
     import groverbench.search as search
 
     monkeypatch.setattr(search, "MAX_SEGMENT_ATTEMPTS", 0)
-    ctx = gb.SearchContext(3, 2, 4, seed=3)
+    ctx = gb.SearchContext(gb.SearchConfig(3, 4, "DFGS", seed=3))
     with pytest.raises(gb.SegmentSearchError, match="0 attempts"):
         gb.segment_partial_search(ctx, (0, 0))
+
+
+# A context holds its SearchConfig, so the config's own checks reject a bad
+# input before any context exists; the context checks only its mode.
 
 
 def test_search_context_rejects_a_target_out_of_range():
     for target in (16, 99, -1):
         with pytest.raises(ValueError, match="out of range for 4 qubits"):
-            gb.SearchContext(4, 2, target)
+            gb.SearchContext(gb.SearchConfig(4, target, "DFGS"))
 
 
 def test_search_context_rejects_a_negative_seed():
-    # Rejected at construction, as SearchConfig does, not at the first
-    # draw inside np.random.default_rng (an all-exact run makes none).
+    # Rejected at construction, not at the first draw inside
+    # np.random.default_rng (an all-exact run makes none).
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        gb.SearchContext(4, 2, 5, seed=-1)
+        gb.SearchContext(gb.SearchConfig(4, 5, "DFGS", seed=-1))
 
 
 @pytest.mark.parametrize("mode", ["compact", "full"])
@@ -1041,12 +1045,12 @@ def test_search_context_rejects_a_qubit_count(r, mode):
     # Rejected at construction, before a full-mode readout could allocate
     # a 2**r register.
     with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
-        gb.SearchContext(r, 2, 0, mode=mode)
+        gb.SearchContext(gb.SearchConfig(r, 0, "DFGS"), mode=mode)
 
 
 def test_search_context_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'dense'"):
-        gb.SearchContext(4, 2, 5, mode="dense")
+        gb.SearchContext(gb.SearchConfig(4, 5, "DFGS"), mode="dense")
 
 
 # ---------------------------------------------------------------------------
@@ -1112,12 +1116,12 @@ def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
         for b in (2, 4, 8, 16):
             if b > 1 << r:
                 continue
-            k = b.bit_length() - 1
             for seed in range(3):
                 target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
-                compact = gb.SearchContext(r, k, target, seed)
-                full = gb.SearchContext(r, k, target, seed, mode="full")
-                for segments in gb.layered_plan(algorithm, r, k):
+                config = gb.SearchConfig(r, target, algorithm, b=b, seed=seed)
+                compact = gb.SearchContext(config)
+                full = gb.SearchContext(config, mode="full")
+                for segments in gb.layered_plan(algorithm, r, config.k):
                     for segment in segments:
                         gb.segment_partial_search(compact, segment)
                         gb.segment_partial_search(full, segment)
@@ -1342,7 +1346,7 @@ def test_segment_order_independence():
     orders = [fwd + bwd, bwd + fwd, [fwd[0], bwd[0], fwd[1], bwd[1]]]
     values = []
     for order in orders:
-        ctx = gb.SearchContext(r, k, target, seed=4)
+        ctx = gb.SearchContext(gb.SearchConfig(r, target, "BDGS", seed=4))
         for segment in order:
             gb.segment_partial_search(ctx, segment)
         assert ctx.mask == (1 << r) - 1
