@@ -15,17 +15,17 @@ Four drivers:
 GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
 list of ``(iterations, blocks)`` steps with one single-target oracle, each
 inverting within ``blocks`` equal blocks of the top index bits, then
-``shots`` draws that vote for the resolved block holding the target (an
-index of one for GS, one of the ``b`` blocks for GRK, which reports it as
-``resolved_block``).  From the uniform state a single-target run
+``shots`` draws that vote for the cell the run resolves: a single index
+for GS, one of the ``b`` blocks for GRK, which reports it as
+``resolved_block``.  From the uniform state a single-target run
 keeps three amplitude classes: the target, the rest of its block and
 every other block.  So the run holds those amplitudes as three floats
 (:class:`_Classes`), and a whole step, whatever its iteration count, is
 one closed-form rotation (:func:`~groverbench.ops._rotate`, through
 :func:`_class_run`).  One generator built from the run's seed puts the
-shots on the classes in one multinomial draw (:func:`_draw_counts`), and
-a count over half the shots settles its vote; only an open vote draws the
-off-target members (:func:`_draw_members`) for ``np.unique`` to count.
+target's cell's votes in one binomial draw (:func:`_draw_votes`), and
+over half the shots settle the vote; only an open vote draws the other
+shots' cells (:func:`_draw_cells`) for ``np.unique`` to count.
 Neither driver allocates a ``2**r``- or ``b``-sized array.  The dense
 kernels are the reference the tests check the class run against.
 
@@ -136,7 +136,9 @@ class SearchOutcome:
     block), whatever index or block the shots vote for; a layered run
     multiplies its segments' readout probabilities, a probe-confirmed
     segment counting 1.  ``resolved_block`` is the block the block-partial
-    driver resolves and ``None`` for every other driver.  ``wall_time``
+    driver resolves and ``None`` for every other driver.  That driver
+    measures only the top ``log2(b)`` bits, so its ``measured_index`` is
+    ``resolved_block << (r - log2(b))``, the unmeasured bits 0.  ``wall_time``
     covers state preparation through final measurement and is the one
     field excluded from determinism guarantees.
     """
@@ -355,7 +357,6 @@ class _Classes:
     """
 
     n: int
-    target: int
     a: float = field(init=False)
     m: float = field(init=False)
     m_other: float = field(init=False)
@@ -391,38 +392,30 @@ def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
         raise ValueError("the classes follow one block partition at a time")
 
 
-def _draw_counts(c: _Classes, shots: int, rng: np.random.Generator) -> list[int]:
-    """The shots one multinomial draw of ``rng`` puts on each of ``c``'s classes.
+def _draw_votes(c: _Classes, shots: int, resolved: int, rng: np.random.Generator) -> int:
+    """The shots one binomial draw of ``rng`` puts in the target's cell.
 
-    The target, the rest of its block, then the other blocks.  Rejects an
-    unnormalized state as :meth:`StateVector.probabilities` does.
+    The cells are ``resolved`` equal blocks of the top index bits.  Classes
+    that no block-local step split give every index off the target one
+    amplitude, so they read at any cells; split ones only at their blocks.
+    Rejects an unnormalized state as :meth:`StateVector.probabilities` does.
     """
-    size = c.n // c.blocks
-    masses = np.array([c.a * c.a, c.m * c.m * (size - 1), c.m_other * c.m_other * (c.n - size)])
-    total = float(masses.sum())
+    if c.blocks not in (1, resolved):
+        raise ValueError("the classes follow one block partition at a time")
+    size = c.n // resolved
+    m_other = c.m if c.blocks == 1 else c.m_other
+    cell = c.a * c.a + c.m * c.m * (size - 1)
+    total = cell + m_other * m_other * (c.n - size)
     _check_norm(total)
-    return rng.multinomial(shots, masses / total).tolist()
+    return int(rng.binomial(shots, cell / total))
 
 
-def _draw_members(c: _Classes, rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    """The int64 indices of ``n_in`` shots in the target's block, then ``n_out`` off it.
-
-    Each member is uniform over its class: at most two ``integers`` calls
-    of ``rng`` with a scalar bound, none for a count of 0, in-block members
-    skipping the target and the others skipping the target's block.
-    """
-    size = c.n // c.blocks
-    start = c.target - c.target % size
-    draws = []
-    if n_in:
-        members = rng.integers(0, size - 1, n_in)
-        members += start + (members >= c.target - start)
-        draws.append(members)
-    if n_out:
-        members = rng.integers(0, c.n - size, n_out)
-        members += size * (members >= start)
-        draws.append(members)
-    return np.concatenate(draws)
+def _draw_cells(rng: np.random.Generator, shots: int, cell: int, resolved: int) -> np.ndarray:
+    """The int64 cells of ``shots`` off-target shots: one ``integers`` call of
+    ``rng``, uniform over the ``resolved - 1`` cells but ``cell``."""
+    cells = rng.integers(0, resolved - 1, shots)
+    cells += cells >= cell
+    return cells
 
 
 def _amplify_and_sample(
@@ -434,65 +427,52 @@ def _amplify_and_sample(
     :func:`_class_run` of that many iterations, one oracle query each,
     inverting about the mean of each of ``blocks`` equal blocks of the top
     index bits: 1 is the global diffuser.  The run resolves which of
-    ``resolved`` such blocks holds the target: ``n`` blocks of one index for
-    GS, ``config.b`` for GRK.  ``measured_index`` is the most frequent shot
-    and ``success_fraction`` the share of shots in the target's resolved
-    block; ``certainty`` is the final state's mass there, and ``layers``
-    counts oracle queries.  When a resolved block holds more than one index
-    (GRK), ``resolved_block`` is the block most shots fall in; else it is
-    ``None``.  Ties go to the smallest index or block.  One generator, built
-    from ``config.seed``, draws the class counts (:func:`_draw_counts`).  A
-    count over half the shots settles its field; only a field left open
-    draws the off-target members (:func:`_draw_members`), the generator's
-    last use, for ``np.unique`` to count.
+    ``resolved`` such cells holds the target: ``n`` cells of one index for
+    GS, the ``config.b`` blocks for GRK.  The shots vote for a cell, ties
+    going to the smallest.  ``success_fraction`` is the share of shots in
+    the target's cell, ``certainty`` the final state's mass there, and
+    ``layers`` counts oracle queries.  ``measured_index`` is the winning
+    cell's first index: the index for GS, the measured block bits with the
+    unmeasured low bits 0 for GRK, which reports the block as
+    ``resolved_block`` (``None`` for GS).  One generator, built from
+    ``config.seed``, draws the target cell's votes (:func:`_draw_votes`).
+    Over half the shots settle the vote; only an open vote draws the other
+    shots' cells (:func:`_draw_cells`), the generator's last use, for
+    ``np.unique`` to count.
     """
     start = time.perf_counter()
     n = 1 << config.r
-    classes = _Classes(n, config.target)
+    classes = _Classes(n)
     queries = 0
     for iterations, blocks in schedule:
         _class_run(classes, iterations, blocks)
         queries += iterations
-    # ``size`` indices share each resolved block: one for GS, a block for
-    # GRK.  Unsplit classes give every index off the target one amplitude,
-    # so they read as classes split at the resolved blocks.
-    shots, target, size = config.shots, config.target, n // resolved
-    if classes.blocks == 1:
-        classes.m_other, classes.blocks = classes.m, resolved
-    if size > 1 and resolved != classes.blocks:
-        raise ValueError("the classes follow one block partition at a time")
+    shots, size = config.shots, n // resolved
+    cell = config.target // size
     rng = np.random.default_rng(config.seed)
-    n_target, n_in, n_out = _draw_counts(classes, shots, rng)
-    votes = n_target + n_in if size > 1 else n_target
-    index, block = target, target // size
-    index_open, block_open = 2 * n_target <= shots, size > 1 and 2 * votes <= shots
-    if index_open or block_open:
-        off = np.sort(_draw_members(classes, rng, n_in, n_out))
-        draws = np.concatenate([np.full(n_target, target, dtype=np.int64), off])
-        # Another index ties or beats the target only with a run of ``k``
-        # equal values among the sorted off-target shots.
-        k = n_target
-        if index_open and (k == 0 or (off[k - 1 :] == off[: off.size - k + 1]).any()):
-            indices, counts = np.unique(draws, return_counts=True)
-            index = int(indices[counts.argmax()])
-        if block_open:
-            cells, counts = np.unique(draws // size, return_counts=True)
-            block = int(cells[counts.argmax()])
+    votes = _draw_votes(classes, shots, resolved, rng)
+    if 2 * votes <= shots:
+        others = np.sort(_draw_cells(rng, shots - votes, cell, resolved))
+        # Another cell ties or beats the target's only with a run of
+        # ``votes`` equal values among the sorted off-target shots.
+        if votes == 0 or (others[votes - 1 :] == others[: others.size - votes + 1]).any():
+            cells, counts = np.unique(np.append(np.full(votes, cell), others), return_counts=True)
+            cell = int(cells[counts.argmax()])
     wall = time.perf_counter() - start
 
     # The certainty is the mass of the ``size`` members of the target's
-    # resolved block, with the target's own mass swapped in; the pinned
-    # outputs hold this order of operations to the last bit.
+    # cell, with the target's own mass swapped in; the pinned outputs hold
+    # this order of operations to the last bit.
     m_mass = classes.m * classes.m
     return SearchOutcome(
-        measured_index=index,
+        measured_index=cell * size,
         success_fraction=votes / shots,
         layers=queries,
         oracle_calls=queries,
         wall_time=wall,
         trial_seed=config.seed,
         certainty=m_mass * size + (classes.a * classes.a - m_mass),
-        resolved_block=None if size == 1 else block,
+        resolved_block=None if size == 1 else cell,
     )
 
 

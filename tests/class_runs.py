@@ -9,7 +9,7 @@ take each step's mask as its count of top-bit blocks (:func:`in_blocks`).
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _Classes, _class_run, _draw_counts, _draw_members
+from groverbench.search import _Classes, _class_run, _draw_cells, _draw_votes
 
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
@@ -33,23 +33,34 @@ def in_blocks(steps) -> tuple[tuple[int, int], ...]:
     return tuple((iterations, 1 << mask.bit_count()) for iterations, mask in steps)
 
 
-def run_classes(r: int, target: int, steps) -> _Classes:
-    classes = _Classes(1 << r, target)
+def run_classes(r: int, steps) -> _Classes:
+    classes = _Classes(1 << r)
     for iterations, blocks in in_blocks(steps):
         _class_run(classes, iterations, blocks)
     return classes
 
 
-def sample_classes(classes: _Classes, shots: int, seed: int) -> np.ndarray:
-    """Every shot's index, deterministic for ``seed``: the target's shots,
-    then the others in class order.  The drivers' two draws, the class
-    counts and then every member, on one generator built from ``seed``."""
+def sample_cells(
+    classes: _Classes, target: int, resolved: int, shots: int, seed: int
+) -> dict[int, int]:
+    """How many shots land in each of ``resolved`` cells, deterministic for
+    ``seed``: the driver's vote for the target's cell, then every other
+    shot's cell, drawn as an open vote draws them, on one generator built
+    from ``seed``.  A cell no shot lands in is left out."""
     rng = np.random.default_rng(seed)
-    n_target, n_in, n_out = _draw_counts(classes, shots, rng)
-    on_target = np.full(n_target, classes.target, dtype=np.int64)
-    if n_in + n_out == 0:
-        return on_target
-    return np.concatenate([on_target, _draw_members(classes, rng, n_in, n_out)])
+    votes = _draw_votes(classes, shots, resolved, rng)
+    cell = target // (classes.n // resolved)
+    counts = shot_counts(_draw_cells(rng, shots - votes, cell, resolved))
+    if votes:
+        counts[cell] = votes
+    return counts
+
+
+def cells_of(r: int, steps) -> int:
+    """The cells a schedule resolves: the blocks of its block-local steps, or
+    every index when it has none."""
+    masks = [mask for _, mask in steps if mask]
+    return 1 << (masks[0].bit_count() if masks else r)
 
 
 def run_dense(r: int, target: int, steps) -> gb.StateVector:
@@ -61,13 +72,13 @@ def run_dense(r: int, target: int, steps) -> gb.StateVector:
     return state
 
 
-def write_out(classes: _Classes) -> gb.StateVector:
-    """Every amplitude the classes stand for, as a dense register."""
+def write_out(classes: _Classes, target: int) -> gb.StateVector:
+    """Every amplitude the classes of a run for ``target`` stand for, as a dense register."""
     size = classes.n // classes.blocks
-    start = classes.target - classes.target % size
+    start = target - target % size
     amplitudes = np.full(classes.n, classes.m_other)
     amplitudes[start : start + size] = classes.m
-    amplitudes[classes.target] = classes.a
+    amplitudes[target] = classes.a
     return gb.StateVector(classes.n.bit_length() - 1, amplitudes)
 
 

@@ -124,13 +124,14 @@ def test_search_grk_reports_block(capsys):
 
 def test_search_grk_verifies_the_resolved_block(capsys):
     # GRK resolves the target's block: seed 0 draws target 1 on 4 qubits,
-    # whose block of 8 is 0, while the most frequent index need not be 1.
+    # whose block of 8 is 0.  The run measures only the block bits, so its
+    # index is the block's first, 0, and not the target.
     code, out, _ = run_cli(capsys, ["search", "--qubits", "4", "--algo", "GRK", "--block-size", "8"])
     assert code == 0
     payload = json.loads(out)
     assert payload["target"] == 1
     assert payload["outcome"]["resolved_block"] == payload["target"] >> 1 == 0
-    assert payload["outcome"]["measured_index"] != payload["target"]
+    assert payload["outcome"]["measured_index"] == 0 != payload["target"]
     assert payload["verified"] is True
 
 

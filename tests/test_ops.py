@@ -154,7 +154,7 @@ def test_class_run_allocates_no_register():
     # 64 KiB traced.  The local one moves the target block's classes only;
     # the other blocks' amplitude stays as it was.
     r = 20
-    classes = run_classes(r, 700_001, grk_steps(r, 4, 3, 1)[:2])
+    classes = run_classes(r, grk_steps(r, 4, 3, 1)[:2])
     for blocks in (4, 1):
         other = classes.m_other
         tracemalloc.start()
@@ -230,9 +230,11 @@ def test_property_class_readouts_match_the_written_out_register(run):
 
     r, b, t_global, t_local, target = run
     steps = grk_steps(r, b, t_global, t_local)
-    classes = run_classes(r, target, steps)
+    classes = run_classes(r, steps)
     plain = run_dense(r, target, steps)
-    np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        write_out(classes, target).amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
     held = gb.segment_mask(r, 0, b.bit_length() - 2) if t_local else 0
     sums = gb.block_sums(plain, held).ravel()
     size = (1 << r) // sums.size

@@ -15,8 +15,8 @@ from class_runs import (
     in_blocks,
     run_classes,
     run_dense,
-    sample_classes,
-    shot_counts,
+    cells_of,
+    sample_cells,
     write_out,
 )
 from groverbench.ops import segment_masses
@@ -125,9 +125,8 @@ def _count_generators(monkeypatch) -> list:
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_a_gs_or_grk_run_builds_one_generator_from_the_seed(monkeypatch, algorithm):
-    # The class counts and any member draws share one generator, seeded
-    # with the run's own seed; r = 20, b = 4 leaves GRK's index vote open,
-    # so its members are drawn too.
+    # The vote and any cell draws share one generator, seeded with the
+    # run's own seed.
     config = gb.SearchConfig(r=20, target=700_001, algorithm=algorithm, b=4, seed=2**40 + 5)
     built = _count_generators(monkeypatch)
     outcome = gb.run_search(config)
@@ -136,21 +135,37 @@ def test_a_gs_or_grk_run_builds_one_generator_from_the_seed(monkeypatch, algorit
 
 
 def test_a_settled_gs_run_draws_no_member(monkeypatch):
-    # Over half the shots on the target settle the index vote, so no
-    # off-target member is drawn: at r = 20, where nearly every shot hits,
-    # and at r = 3, where about 5% of them miss.
+    # Over half the shots on the target settle the vote, so no other
+    # shot's index is drawn: at r = 20, where nearly every shot hits, and
+    # at r = 3, where about 5% of them miss.
     import groverbench.search as search
 
-    member_draws, missed = [], 0
-    monkeypatch.setattr(search, "_draw_members", lambda *args: member_draws.append(args))
+    cell_draws, missed = [], 0
+    monkeypatch.setattr(search, "_draw_cells", lambda *args: cell_draws.append(args))
     for r in (3, 20):
         for seed in range(20):
             target = (314_159 + seed) % (1 << r)
             outcome = gb.run_standard_grover(gb.SearchConfig(r=r, target=target, seed=seed))
             assert outcome.measured_index == target
             missed += outcome.success_fraction < 1
-    assert member_draws == []
+    assert cell_draws == []
     assert missed >= 20
+
+
+def test_a_settled_grk_run_draws_no_cell(monkeypatch):
+    # At r = 20, b = 4 the target's block holds nearly every shot, so the
+    # block vote settles and no other shot's block is drawn, though fewer
+    # than half the shots fall on the target itself.
+    import groverbench.search as search
+
+    cell_draws = []
+    monkeypatch.setattr(search, "_draw_cells", lambda *args: cell_draws.append(args))
+    for seed in range(20):
+        config = gb.SearchConfig(r=20, target=700_001, algorithm="GRK", b=4, seed=seed)
+        outcome = gb.run_search(config)
+        assert outcome.resolved_block == 700_001 >> 18
+        assert outcome.measured_index == outcome.resolved_block << 18
+    assert cell_draws == []
 
 
 def test_an_all_exact_layered_run_builds_no_generator(monkeypatch):
@@ -306,17 +321,17 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
 
 
 def sampled_state(monkeypatch) -> list:
-    """Record, written out, the classes each driver samples, with the sampling left as it is."""
+    """Record the classes each driver samples, with the sampling left as it is."""
     import groverbench.search as search
 
     seen = []
-    real = search._draw_counts
+    real = search._draw_votes
 
-    def recording(classes, shots, rng):
-        seen.append(write_out(classes))
-        return real(classes, shots, rng)
+    def recording(classes, shots, resolved, rng):
+        seen.append(classes)
+        return real(classes, shots, resolved, rng)
 
-    monkeypatch.setattr(search, "_draw_counts", recording)
+    monkeypatch.setattr(search, "_draw_votes", recording)
     return seen
 
 
@@ -329,7 +344,7 @@ def test_gs_driver_follows_closed_form_at_r20(monkeypatch):
     angle = (2 * gb.optimal_iterations(n) + 1) * gb.grover_angle(n)
     expected = np.full(n, math.cos(angle) / math.sqrt(n - 1))
     expected[target] = math.sin(angle)
-    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(write_out(seen[0], target).amplitudes, expected, rtol=0, atol=1e-9)
     assert outcome.certainty == pytest.approx(math.sin(angle) ** 2, abs=1e-9)
 
 
@@ -346,7 +361,7 @@ def test_grk_driver_matches_reference_recurrence_at_r20(monkeypatch):
     expected[block * size : (block + 1) * size] = b_amp
     expected[target] = a
     assert block == target // size
-    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(write_out(seen[0], target).amplitudes, expected, rtol=0, atol=1e-9)
     assert outcome.certainty == pytest.approx(a**2 + (size - 1) * b_amp**2, abs=1e-9)
 
 
@@ -372,7 +387,7 @@ def test_class_drivers_follow_closed_form_at_r22(monkeypatch, algorithm):
         expected[block * size : (block + 1) * size] = b_amp
         expected[target] = a
         certainty = a**2 + (size - 1) * b_amp**2
-    np.testing.assert_allclose(seen[0].amplitudes, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(write_out(seen[0], target).amplitudes, expected, rtol=0, atol=1e-9)
     assert outcome.certainty == pytest.approx(certainty, abs=1e-9)
 
 
@@ -431,7 +446,7 @@ def test_dense_and_class_runs_agree_at_r22():
     r, target = 22, 1_234_567
     steps = grk_steps(r, 4, 2, 3)
     np.testing.assert_allclose(
-        write_out(run_classes(r, target, steps)).amplitudes,
+        write_out(run_classes(r, steps), target).amplitudes,
         run_dense(r, target, steps).amplitudes,
         rtol=0,
         atol=1e-12,
@@ -459,7 +474,7 @@ def test_class_runs_match_the_dense_kernels_up_to_r12():
             for target in {0, size - 1, (1 << r) - size, (1 << r) - 1, (1 << r) // 3}:
                 plain = run_dense(r, target, steps)
                 np.testing.assert_allclose(
-                    write_out(run_classes(r, target, steps)).amplitudes,
+                    write_out(run_classes(r, steps), target).amplitudes,
                     plain.amplitudes,
                     rtol=0,
                     atol=1e-12,
@@ -492,12 +507,13 @@ def test_multi_step_schedules_on_split_classes_match_the_dense_kernels():
             ]
             for steps in schedules:
                 for target in {0, size - 1, (1 << r) - size, (1 << r) - 1}:
-                    classes = run_classes(r, target, steps)
+                    classes = run_classes(r, steps)
                     assert classes.blocks == 1 << k
-                    gap = write_out(classes).amplitudes - run_dense(r, target, steps).amplitudes
+                    plain = run_dense(r, target, steps).amplitudes
+                    gap = write_out(classes, target).amplitudes - plain
                     worst = max(worst, float(np.abs(gap).max()))
                     cells += 1
-            assert run_classes(r, 0, ((0, mask),)).blocks == 1  # no iteration, no split
+            assert run_classes(r, ((0, mask),)).blocks == 1  # no iteration, no split
     assert worst < 1e-14
     assert cells == 45 * 12
 
@@ -540,87 +556,52 @@ def _edge_targets(r: int, b: int | None) -> list[int]:
     return sorted({start + end for start in range(0, 1 << r, size) for end in (0, size - 1)})
 
 
-@pytest.mark.parametrize("r, b", EDGE_CELLS)
-def test_class_sampler_edge_cells(r, b):
-    # For a target at either end of each block, the class-sampled shots
-    # follow the dense probabilities, and a zero probability draws nothing.
+def test_cell_sampler_follows_the_dense_cells():
+    # For a target at either end of each block, and on the spread runs,
+    # 20,000 shots' vote for the target's cell plus the other shots' drawn
+    # cells follow the dense run's mass on each cell the run resolves, and
+    # a cell of zero probability draws nothing.
     shots = 20_000
-    steps = _schedule(r, b)
-    if b == 2 and r == 3:
-        assert steps[1][0] == 0
-    for target in _edge_targets(r, b):
-        probs = run_dense(r, target, steps).probabilities()
-        counts = shot_counts(sample_classes(run_classes(r, target, steps), shots, target))
-        for index, p in enumerate(probs):
-            band = 5 * math.sqrt(shots * p * (1 - p))
-            assert abs(counts.get(index, 0) - shots * p) <= band, (target, index)
-
-
-def _sample_classes_from_member_lists(c, shots: int, seed: int) -> np.ndarray:
-    """The class sampler over each class's written-out member list, in class order."""
-    size = c.n // c.blocks
-    start = c.target - c.target % size
-    block = np.arange(start, start + size)
-    members = [block[block != c.target], np.setdiff1d(np.arange(c.n), block)]
-    masses = np.array([c.a * c.a, c.m * c.m * (size - 1), c.m_other * c.m_other * (c.n - size)])
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, masses / masses.sum())
-    draws = [np.full(counts[0], c.target, dtype=np.int64)]
-    for listed, count in zip(members, counts[1:]):
-        if count:
-            draws.append(listed[rng.integers(0, listed.size, count)])
-    return np.concatenate(draws)
-
-
-def test_class_sampler_draws_each_class_in_one_call():
-    # One rng.integers call per class with a scalar bound, skipping the
-    # target or its block by arithmetic, takes the members that indexing
-    # each class's written-out member list takes: the same shots, to the
-    # last index, on the spread runs (2048 blocks at r = 12) and the edge
-    # cells, for odd and even shot counts.
     runs = list(SPREAD_RUNS) + [
         (r, target, _schedule(r, b)) for r, b in EDGE_CELLS for target in _edge_targets(r, b)
     ]
+    assert _schedule(3, 2)[1][0] == 0
     for r, target, steps in runs:
-        classes = run_classes(r, target, steps)
-        for shots in (1, 7, 1024, 20_001):
-            for seed in (0, 5, 2**40 + 5):
-                expected = _sample_classes_from_member_lists(classes, shots, seed)
-                actual = sample_classes(classes, shots, seed)
-                assert actual.dtype == np.int64
-                np.testing.assert_array_equal(actual, expected, err_msg=f"{r} {target} {shots}")
+        cells = cells_of(r, steps)
+        probs = run_dense(r, target, steps).probabilities().reshape(cells, -1).sum(axis=1)
+        counts = sample_cells(run_classes(r, steps), target, cells, shots, target)
+        for cell, p in enumerate(probs):
+            band = 5 * math.sqrt(shots * p * (1 - p))
+            assert abs(counts.get(cell, 0) - shots * p) <= band, (r, target, cell)
 
 
-def reference_readout(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
-    """The driver's readout fields from every shot's index: two ``np.unique`` counts."""
-    classes = run_classes(config.r, config.target, steps)
-    if classes.blocks == 1:  # the driver reads unsplit classes at the resolved blocks
-        classes.m_other, classes.blocks = classes.m, 1 << resolve_mask.bit_count()
-    draws = sample_classes(classes, config.shots, config.seed)
-    indices, counts = np.unique(draws, return_counts=True)
-    bits, votes = np.unique(draws & resolve_mask, return_counts=True)
-    size = (1 << config.r) >> resolve_mask.bit_count()
+def reference_readout(config: gb.SearchConfig, steps, resolved: int) -> tuple:
+    """The driver's readout fields from every shot's cell, all of them drawn and counted."""
+    counts = sample_cells(
+        run_classes(config.r, steps), config.target, resolved, config.shots, config.seed
+    )
+    size = (1 << config.r) // resolved
+    cell = min(counts, key=lambda cell: (-counts[cell], cell))
     return (
-        int(indices[counts.argmax()]),
-        int(votes[bits == (config.target & resolve_mask)].sum()) / config.shots,
-        None if size == 1 else int(bits[votes.argmax()]) // size,
+        cell * size,
+        counts.get(config.target // size, 0) / config.shots,
+        None if size == 1 else cell,
     )
 
 
-def readout_fields(config: gb.SearchConfig, steps, resolve_mask: int) -> tuple:
+def readout_fields(config: gb.SearchConfig, steps, resolved: int) -> tuple:
     from groverbench.search import _amplify_and_sample
 
-    outcome = _amplify_and_sample(config, in_blocks(steps), 1 << resolve_mask.bit_count())
+    outcome = _amplify_and_sample(config, in_blocks(steps), resolved)
     return outcome.measured_index, outcome.success_fraction, outcome.resolved_block
 
 
 def test_class_counts_read_out_what_every_shot_reads_out():
-    # The driver reads its fields off the class counts and draws the members
-    # only for a field they leave open.  Against the readout over every
-    # shot's index: spread runs, the edge cells (r = 3, b = 2 has unsplit
-    # classes), GRK at r = 4, b = 8 (where an off-target index beats the
-    # target) and zero-iteration schedules, each read on all its bits and,
-    # for a block schedule, on its block bits.
+    # The driver reads its fields off the target cell's vote and draws the
+    # other cells only for a vote it leaves open.  Against the readout
+    # over every shot's cell: spread runs, the edge cells (r = 3, b = 2 has
+    # unsplit classes), GRK at r = 4, b = 8 and zero-iteration schedules,
+    # each read at its blocks and, for unsplit classes, on all its bits.
     runs = list(SPREAD_RUNS) + [
         (r, target, _schedule(r, b))
         for r, b in EDGE_CELLS + [(4, 8)]
@@ -629,33 +610,34 @@ def test_class_counts_read_out_what_every_shot_reads_out():
     runs += [(4, 9, ((0, 0),)), (5, 30, grk_steps(5, 4, 0, 0)), (6, 1, ((0, 0b110000),))]
     cells = beaten = 0
     for r, target, steps in runs:
-        masks = {(1 << r) - 1} | {mask for _, mask in steps if mask}
-        for resolve_mask in masks:
+        blocks = run_classes(r, steps).blocks
+        for resolved in {cells_of(r, steps), 1 << r} if blocks == 1 else {blocks}:
+            size = (1 << r) // resolved
             for shots in (1, 2, 3, 7, 1024, 20_001):
                 for seed in (0, 7, 2**40 + 5):
                     config = gb.SearchConfig(r=r, target=target, b=2, shots=shots, seed=seed)
-                    expected = reference_readout(config, steps, resolve_mask)
-                    assert readout_fields(config, steps, resolve_mask) == expected, (
-                        r, target, steps, resolve_mask, shots, seed
+                    expected = reference_readout(config, steps, resolved)
+                    assert readout_fields(config, steps, resolved) == expected, (
+                        r, target, steps, resolved, shots, seed
                     )
                     cells += 1
-                    beaten += expected[0] != target
-    assert cells == 1116 and beaten > 0
+                    beaten += expected[0] != target // size * size
+    assert cells == 792 and beaten > 0
 
 
 def test_a_smaller_index_and_block_win_a_tie_with_the_target():
     # r = 3, target 6: one local step on blocks of four leaves half the mass
     # on the target and half on block 0.  Two shots that split between them
-    # tie the target with a smaller index and its block with block 0, and
-    # both ties go to the smaller value.
-    steps, resolve_mask = ((1, 0b100),), 0b100
+    # tie the target's block with block 0, and the tie goes to block 0,
+    # whose first index, 0, is the measured index.
+    steps = ((1, 0b100),)
     ties = 0
     for seed in range(40):
         config = gb.SearchConfig(r=3, target=6, b=2, shots=2, seed=seed)
-        expected = reference_readout(config, steps, resolve_mask)
-        assert readout_fields(config, steps, resolve_mask) == expected
+        expected = reference_readout(config, steps, 2)
+        assert readout_fields(config, steps, 2) == expected
         if expected[1] == 0.5:  # one shot on the target, one in block 0
-            assert expected[0] < 4 and expected[2] == 0
+            assert expected[0] == expected[2] == 0
             ties += 1
     assert ties > 0
 
@@ -834,42 +816,31 @@ def test_grk_rejects_single_item_blocks():
 
 
 def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
-    # Indices 5 and 13 tie at two shots each; blocks 0 and 3 of four tie at
-    # four votes each, ahead of block 1, where the most frequent index sits.
-    # Each tie goes to the smallest value, wherever it falls in the draws.
+    # With the target's cell's votes and the other shots' cells fixed:
+    # GRK's blocks 0 and 3 of four tie at four votes each, ahead of block 1,
+    # and GS's indices 5 and 13 tie at two shots each.  Each tie goes to the
+    # smallest cell, wherever it falls in the draws.
     import groverbench.search as search
 
-    draws = np.array([13, 15, 13, 5, 3, 14, 2, 5, 1, 0], dtype=np.int64)
-    member_draws = []
+    fixed = {4: (4, [1, 0, 0, 1, 0, 0]), 16: (2, [15, 5, 3, 14, 2, 5, 1, 0])}
+    cell_draws = []
 
-    def classes_of(classes):
-        # Each draw's class: the target, the rest of its block, the others.
-        size = classes.n // classes.blocks
-        on_target = draws == classes.target
-        in_block = ~on_target & (draws // size == classes.target // size)
-        return on_target, in_block, ~on_target & ~in_block
+    def fixed_cells(rng, shots, cell, resolved):
+        cell_draws.append(shots)
+        return np.array(fixed[resolved][1], dtype=np.int64)
 
-    def fixed_counts(classes, shots, rng):
-        return [int(mask.sum()) for mask in classes_of(classes)]
-
-    def fixed_members(classes, rng, n_in, n_out):
-        member_draws.append(n_in + n_out)
-        _, in_block, out = classes_of(classes)
-        return np.concatenate([draws[in_block], draws[out]])
-
-    monkeypatch.setattr(search, "_draw_counts", fixed_counts)
-    monkeypatch.setattr(search, "_draw_members", fixed_members)
-    config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=draws.size)
+    monkeypatch.setattr(search, "_draw_votes", lambda c, shots, resolved, rng: fixed[resolved][0])
+    monkeypatch.setattr(search, "_draw_cells", fixed_cells)
+    config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=10)
     block, outcome = gb.run_grk_partial(config)
-    assert (outcome.measured_index, block, outcome.resolved_block) == (5, 0, 0)
+    assert (outcome.measured_index, block, outcome.resolved_block) == (0, 0, 0)
     assert outcome.success_fraction == 0.4
     assert not gb.verify_outcome(outcome, config)
-    outcome = gb.run_standard_grover(gb.SearchConfig(r=4, target=13, shots=draws.size))
+    outcome = gb.run_standard_grover(gb.SearchConfig(r=4, target=13, shots=10))
     assert (outcome.measured_index, outcome.resolved_block) == (5, None)
     assert outcome.success_fraction == 0.2
-    # Neither the target nor its block holds half the shots, so both runs
-    # read the ties off the drawn members.
-    assert member_draws == [9, 8]
+    # Neither cell holds over half the shots, so both runs draw the others.
+    assert cell_draws == [6, 8]
 
 
 def test_grk_deterministic():
@@ -1188,9 +1159,9 @@ def _gs_digest_cells():
 def test_grk_outputs_match_the_pinned_digest():
     # The resolved block and every outcome field but wall time, for the
     # GRK digest cells, pinned like the layered digest.  The fields but
-    # certainty are pinned as the three-class count readout drew them; each
-    # certainty is within 1e-13 of the iterated recurrence, and the full
-    # digest holds the rotation's last bits.
+    # certainty are pinned as the block vote drew them; each certainty is
+    # within 1e-13 of the iterated recurrence, and the full digest holds
+    # the rotation's last bits.
     digest, fields = hashlib.sha256(), hashlib.sha256()
     cells = 0
     for config in _grk_digest_cells():
@@ -1207,18 +1178,27 @@ def test_grk_outputs_match_the_pinned_digest():
         assert out.certainty == pytest.approx(reference, abs=1e-13)
         cells += 1
     assert (fields.hexdigest(), cells) == (
-        "2dca6dd3d90e8ad0e997be9c785e0b8be108dca06e27bc62cc78061120612b87", 114
+        "b2973d540bda8506e5aac118216e4fe6f724ea1216a8349993d7b1ae34267ce9", 114
     )
     assert digest.hexdigest() == (
-        "0ab79f4c4137212f38875bdfd5eb6a98227463cfaaf1df32bd4204a371d04c23"
+        "bfc5be7b28d262b4d68f9321e8e85f57daad8f10d8d2b2b476a4beafedd8ee1d"
     )
+
+
+def test_grk_measures_the_resolved_block_with_the_low_bits_zero():
+    # GRK measures only the top k = log2(b) bits, so on every GRK digest
+    # cell its index is the resolved block, shifted back into place.
+    for config in _grk_digest_cells():
+        outcome = gb.run_search(config)
+        assert outcome.measured_index == outcome.resolved_block << (config.r - config.k)
 
 
 def test_gs_outputs_match_the_pinned_digest():
     # Every outcome field but wall time, for the GS digest cells, pinned
     # like the GRK digest: the fields but certainty as the three-class count
-    # readout drew them, each certainty within 1e-13 of the iterated
-    # recurrence, and the full digest.
+    # readout drew them, which the index vote draws to the last bit, each
+    # certainty within 1e-13 of the iterated recurrence, and the full
+    # digest.
     digest, fields = hashlib.sha256(), hashlib.sha256()
     cells = 0
     for config in _gs_digest_cells():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import groverbench as gb
 from class_runs import (
     SPREAD_RUNS,
+    cells_of,
     grk_steps,
     run_classes,
     run_dense,
-    sample_classes,
+    sample_cells,
     shot_counts,
     write_out,
 )
@@ -268,14 +269,16 @@ def test_readouts_leave_the_class_register_unchanged():
 
     r, target = 5, 11
     steps = grk_steps(r, 4, 2, 3)
-    classes = run_classes(r, target, steps)
+    classes = run_classes(r, steps)
     kept = dataclasses.astuple(classes)
-    first = sample_classes(classes, 256, 1)
+    first = sample_cells(classes, target, 4, 256, 1)
     assert dataclasses.astuple(classes) == kept
-    np.testing.assert_array_equal(sample_classes(classes, 256, 1), first)
+    assert sample_cells(classes, target, 4, 256, 1) == first
     plain = run_dense(r, target, steps + steps)
-    again = run_classes(r, target, steps + steps)
-    np.testing.assert_allclose(write_out(again).amplitudes, plain.amplitudes, rtol=0, atol=1e-12)
+    again = run_classes(r, steps + steps)
+    np.testing.assert_allclose(
+        write_out(again, target).amplitudes, plain.amplitudes, rtol=0, atol=1e-12
+    )
 
 
 def test_class_register_holds_its_classes_1d_in_block_order():
@@ -285,14 +288,16 @@ def test_class_register_holds_its_classes_1d_in_block_order():
     # the dense register.
     r, target = 8, 0b10110101
     steps = grk_steps(r, 4, 3, 2)
-    classes = run_classes(r, target, steps)
+    classes = run_classes(r, steps)
     plain = run_dense(r, target, steps)
     assert classes.blocks == 4
     sums = gb.block_sums(plain, gb.segment_mask(r, 0, 1)).ravel()
     expected = np.full(4, 64 * classes.m_other)
     expected[target >> 6] = classes.a + 63 * classes.m
     np.testing.assert_allclose(expected, sums, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(write_out(classes).amplitudes, plain.amplitudes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        write_out(classes, target).amplitudes, plain.amplitudes, rtol=0, atol=1e-14
+    )
 
 
 @pytest.mark.parametrize("block_mask", [0, 0b1000, 0b1100, 0b1110, 0b0011])
@@ -300,7 +305,7 @@ def test_block_sums_keep_the_keepdims_shape_on_either_register(block_mask):
     # A GRK run on 4 qubits, on the dense register and written out from its
     # classes: a coarser, the same and a finer mask than the run's 0b1100,
     # and one across it, read the same keepdims shape and values from both.
-    state = write_out(run_classes(4, 6, STEPS_4))
+    state = write_out(run_classes(4, STEPS_4), 6)
     plain = run_dense(4, 6, STEPS_4)
     sums = gb.block_sums(state, block_mask)
     expected = gb.block_sums(plain, block_mask)
@@ -387,39 +392,39 @@ def test_sample_rejects_a_nan_amplitude(dtype):
 
 def test_class_sample_follows_the_register_distribution():
     # 200k class-sampled shots against the dense run's probabilities:
-    # every index's count within 5 sigma of its binomial mean.
+    # every resolved cell's count within 5 sigma of its binomial mean.
     shots = 200_000
     for r, target, steps in SPREAD_RUNS:
-        classes = run_classes(r, target, steps)
-        probs = run_dense(r, target, steps).probabilities()
-        counts = shot_counts(sample_classes(classes, shots, 2024))
-        for index, p in enumerate(probs):
+        classes, cells = run_classes(r, steps), cells_of(r, steps)
+        probs = run_dense(r, target, steps).probabilities().reshape(cells, -1).sum(axis=1)
+        counts = sample_cells(classes, target, cells, shots, 2024)
+        for cell, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
-            assert abs(counts.get(index, 0) - shots * p) <= band, (r, index)
-    np.testing.assert_array_equal(sample_classes(classes, 500, 7), sample_classes(classes, 500, 7))
+            assert abs(counts.get(cell, 0) - shots * p) <= band, (r, cell)
+    assert sample_cells(classes, target, cells, 500, 7) == sample_cells(
+        classes, target, cells, 500, 7
+    )
 
 
 def test_class_sample_skips_a_zero_target():
-    # A target of amplitude 0 is never drawn, wherever it sits in its block:
-    # the member draw skips it.  Seven states share the mass, in one block
-    # or in two blocks of four.
-    for blocks in (1, 2):
-        for target in (0, 3, 4, 5, 7):
-            classes = _Classes(8, target)
-            classes.a, classes.blocks = 0.0, blocks
-            classes.m = classes.m_other = 1 / math.sqrt(7)
-            draws = sample_classes(classes, 4096, 11)
-            assert sorted(shot_counts(draws)) == [i for i in range(8) if i != target]
+    # A target of amplitude 0 gets no vote, wherever it sits, and the cell
+    # draw skips it: the other seven indices share the mass, and each is
+    # drawn.
+    for target in (0, 3, 4, 5, 7):
+        classes = _Classes(8)
+        classes.a, classes.m = 0.0, 1 / math.sqrt(7)
+        counts = sample_cells(classes, target, 8, 4096, 11)
+        assert sorted(counts) == [i for i in range(8) if i != target]
 
 
 def test_class_sample_holds_no_register():
     # 1024 shots at r = 24, whose register would be 128 MiB.
-    classes = run_classes(24, 12_345_678, ((1, 0),))
+    classes = run_classes(24, ((1, 0),))
     # numpy.random's first use allocates; a small draw makes it before the window.
-    sample_classes(run_classes(2, 1, ((1, 0),)), 4, 3)
+    sample_cells(run_classes(2, ((1, 0),)), 1, 4, 4, 3)
     tracemalloc.start()
     try:
-        sample_classes(classes, 1024, 3)
+        sample_cells(classes, 12_345_678, 1 << 24, 1024, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,10 +433,10 @@ def test_class_sample_holds_no_register():
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])
 def test_class_readouts_reject_an_unnormalized_register(scale):
-    classes = run_classes(5, 9, grk_steps(5, 4, 1, 2))
+    classes = run_classes(5, grk_steps(5, 4, 1, 2))
     classes.m_other *= scale
     with pytest.raises(ValueError, match="norm"):
-        sample_classes(classes, 10, 0)
+        sample_cells(classes, 9, 4, 10, 0)
 
 
 def test_sample_rejects_zero_shots():
