@@ -556,16 +556,9 @@ def _edge_targets(r: int, b: int | None) -> list[int]:
     return sorted({start + end for start in range(0, 1 << r, size) for end in (0, size - 1)})
 
 
-def test_cell_sampler_follows_the_dense_cells():
-    # For a target at either end of each block, and on the spread runs,
-    # 20,000 shots' vote for the target's cell plus the other shots' drawn
-    # cells follow the dense run's mass on each cell the run resolves, and
-    # a cell of zero probability draws nothing.
+def _assert_cells_follow_dense(runs) -> None:
+    """20,000 shots' cell counts lie within five sigma of the dense run's cell masses."""
     shots = 20_000
-    runs = list(SPREAD_RUNS) + [
-        (r, target, _schedule(r, b)) for r, b in EDGE_CELLS for target in _edge_targets(r, b)
-    ]
-    assert _schedule(3, 2)[1][0] == 0
     for r, target, steps in runs:
         cells = cells_of(r, steps)
         probs = run_dense(r, target, steps).probabilities().reshape(cells, -1).sum(axis=1)
@@ -573,6 +566,22 @@ def test_cell_sampler_follows_the_dense_cells():
         for cell, p in enumerate(probs):
             band = 5 * math.sqrt(shots * p * (1 - p))
             assert abs(counts.get(cell, 0) - shots * p) <= band, (r, target, cell)
+
+
+@pytest.mark.parametrize("r, b", EDGE_CELLS)
+def test_class_sampler_edge_cells(r, b):
+    # For a target at either end of each block, the target cell's vote plus
+    # the other shots' drawn cells follow the dense run's mass on each cell
+    # the run resolves, and a cell of zero probability draws nothing.
+    steps = _schedule(r, b)
+    if b == 2 and r == 3:
+        assert steps[1][0] == 0
+    _assert_cells_follow_dense([(r, target, steps) for target in _edge_targets(r, b)])
+
+
+def test_cell_sampler_follows_the_dense_cells():
+    # The same on the spread runs (2048 blocks at r = 12).
+    _assert_cells_follow_dense(SPREAD_RUNS)
 
 
 def reference_readout(config: gb.SearchConfig, steps, resolved: int) -> tuple:
