@@ -40,9 +40,9 @@ for layer, segments in enumerate(gb.layered_plan("BDGS", r, k), start=1):
 assert ctx.value == target and ctx.queries == gb.run_bdgs(bdgs).oracle_calls
 
 # Odd register sizes leave a width-1 segment at the meeting point.  A
-# single-bit search is a coin flip, so the driver confirms the sampled
-# bit with a classical oracle probe and takes the complement on a miss:
-# still exact, just a couple of extra queries.
+# standard single-bit search is a coin flip; the exact search adds one
+# ancilla qubit that slows its one round to pi/6, so the bit is still
+# found with certainty in one query.
 config = gb.SearchConfig(r=9, target=0b101101110, algorithm="BDGS", b=4, shots=64, seed=2)
 outcome = gb.run_bdgs(config)
 print(f"\nr=9 (residual width-1 segment): recovered {outcome.measured_index:#011b}, "

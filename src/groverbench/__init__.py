@@ -38,7 +38,6 @@ from .search import (
     SearchConfig,
     SearchContext,
     SearchOutcome,
-    SegmentSearchError,
     grk_reference_amplitudes,
     layered_plan,
     run_bdgs,

@@ -20,7 +20,6 @@ from functools import lru_cache
 from .statevector import (
     BasisPredicate,
     StateVector,
-    _check_norm,
     _check_qubits,
     invert_about_mean,
     phase_flip,
@@ -46,10 +45,11 @@ class OracleSpec:
     full-range segment and no determined bits this is the textbook
     single-target oracle.  ``query_count`` increments by exactly one per
     application, whether the oracle acts on the full register or as a
-    classical index probe.  A compact segment search never applies it: it
-    reads its outcome in closed form (:func:`segment_masses`), counts its
-    ``optimal_iterations(2**width)`` amplification rounds itself, and
-    builds an oracle only to probe a drawn value.
+    classical index probe.  The full layered mode applies it on ``r + 1``
+    qubits, the segment search's ancilla last, so it marks ``target << 1 | 1``
+    with the ancilla bit among the determined ones.  A compact segment
+    search never builds one: its outcome is certain, and it counts its
+    ``reps`` rounds itself.
     """
 
     r: int
@@ -90,7 +90,8 @@ class OracleSpec:
     def query_index(self, index: int) -> bool:
         """Classical probe: does ``index`` satisfy the flip condition?
 
-        Costs one query, like any other oracle use.
+        Costs one query, like any other oracle use.  No driver probes: every
+        segment search is exact.
         """
         self.query_count += 1
         return index & self._flip_mask == self._flip_value
@@ -163,31 +164,6 @@ def optimal_iterations(search_dim: int) -> int:
     return max(1, math.floor(math.pi / (4.0 * grover_angle(search_dim))))
 
 
-# A segment's readout is taken as certain when the marked value's
-# probability clears this bar; anything less certain is sampled and then
-# confirmed against the oracle with one classical probe.
-_EXACT_THRESHOLD = 1.0 - 1e-9
-
-
-def segment_masses(width: int) -> tuple[float, float]:
-    """Readout masses ``(p_hit, p_miss)`` of one compact segment search.
-
-    A single-target search over a uniform ``2**width`` register keeps two
-    amplitude classes (Boyer, Brassard, Høyer & Tapp, quant-ph/9605034):
-    the marked value and the rest.  Turns them through
-    ``optimal_iterations(2**width)`` iterations in one :func:`_rotate` and
-    returns the probability of the marked value and of each other value.
-    The total mass passes the readout norm check.
-    """
-    _check_qubits(width)
-    n = 1 << width
-    amp = 1.0 / math.sqrt(n)
-    a, rest = _rotate(amp, amp, n, optimal_iterations(n))
-    p_hit, p_miss = a * a, rest * rest
-    _check_norm(p_hit + (n - 1) * p_miss)
-    return p_hit, p_miss
-
-
 def grover_iteration(
     state: StateVector, oracle: OracleSpec, diffusion_mask: int = 0
 ) -> StateVector:
@@ -197,10 +173,10 @@ def grover_iteration(
     The composed map equals the product of the two textbook reflections
     (including the conventional overall sign), so repeated application
     drives the state onto the marked index.  Increments the oracle's
-    query counter by one.  Works in place on the dense register.  The
-    full layered mode runs it; GS and GRK rotate their three amplitude
-    classes through a whole step of it at once (``search._class_run``),
-    and the tests check the two against each other.
+    query counter by one.  Works in place on the dense register.  GS and
+    GRK rotate their three amplitude classes through a whole step of it at
+    once (``search._class_run``), and the tests check the two against each
+    other.
     """
     flipped = oracle.apply(state)
     return invert_about_mean(flipped, diffusion_mask)
@@ -229,17 +205,22 @@ def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
 class SegmentRow:
     """What a segment search over positions ``lo..hi`` of ``r`` needs.
 
-    ``mask`` covers the segment's bits and ``shift`` right-aligns them;
-    ``reps`` is ``optimal_iterations(2**width)`` and ``(p_hit, p_miss)``
-    the compact readout masses of :func:`segment_masses`.
+    ``mask`` covers the segment's bits and ``shift`` right-aligns them.
+    The search is exact amplitude amplification (Brassard, Høyer, Mosca &
+    Tapp, quant-ph/0005055): ``reps`` is the least J with
+    ``(2J+1)·grover_angle(2**width) >= pi/2``, and ``ancilla`` the amplitude
+    on 1 of one ancilla qubit that joins the oracle's condition.  It slows
+    each round to exactly ``pi/(4J+2)``, so after ``reps`` rounds the
+    marked value holds all the mass.  ``reps`` is
+    ``optimal_iterations(2**width)``, or one more where that count stops
+    short of pi/2 (widths 7, 8, 9, 11, 14, 19, 23 and 24).
     """
 
     width: int
     mask: int
     shift: int
     reps: int
-    p_hit: float
-    p_miss: float
+    ancilla: float
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +228,10 @@ def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
     """The :class:`SegmentRow` of one segment; cached, ``r(r+1)/2`` rows at most per ``r``."""
     width = hi - lo + 1
     mask = segment_mask(r, lo, hi)
-    return SegmentRow(
-        width, mask, r - 1 - hi, optimal_iterations(1 << width), *segment_masses(width)
-    )
+    theta = grover_angle(1 << width)
+    reps = math.ceil(math.pi / (4.0 * theta) - 0.5)
+    ancilla = min(1.0, math.sin(math.pi / (4 * reps + 2)) / math.sin(theta))
+    return SegmentRow(width, mask, r - 1 - hi, reps, ancilla)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +322,10 @@ def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     """Bundle the closed-form predictions for one (algorithm, size) cell.
 
-    The DFGS count is the least any run makes, read from the driver's own
-    :func:`segment_row` of each segment of :func:`dfgs_segments`: its
-    ``reps`` amplification rounds, plus one confirming probe if it is
-    inexact.  A retry adds ``reps + 1`` more, or one probe at width 1.
-    Rejects the same ``(r, b)`` the drivers reject.
+    The DFGS count is what every run makes, read from the driver's own
+    :func:`segment_row` of each segment of :func:`dfgs_segments`: the sum
+    of their ``reps``, since every segment search is exact.  Rejects the
+    same ``(r, b)`` the drivers reject.
     """
     _check_qubits(r)
     algorithm = Algorithm(algorithm)
@@ -359,9 +340,7 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
         return PredictedCost(algorithm, exact, float(layers), layers, "single-target")
     if algorithm is Algorithm.DFGS:
-        rows = [segment_row(r, lo, hi) for lo, hi in dfgs_segments(r, k)]
-        iterations = sum(row.reps for row in rows)
-        queries = iterations + sum(row.p_hit <= _EXACT_THRESHOLD for row in rows)
-        return PredictedCost(algorithm, float(iterations), float(queries), layers, "segment")
+        queries = float(sum(segment_row(r, lo, hi).reps for lo, hi in dfgs_segments(r, k)))
+        return PredictedCost(algorithm, queries, queries, layers, "segment")
     bound = bdgs_total_queries(n, b, r, k)
     return PredictedCost(algorithm, bound, bound, layers, "single-target")

@@ -34,25 +34,28 @@ search starts from the uniform superposition over the indices still
 consistent with the bits measured so far.  The rounds depend only on
 ``(algorithm, r, k)``: :func:`layered_plan` builds them from the planner
 in ``ops`` and checks them once per triple, and ``ops.segment_row`` caches
-each segment's mask, shift, round count and readout masses once per
+each segment's mask, shift, round count and ancilla amplitude once per
 ``(r, lo, hi)``, for the drivers and ``predict_cost`` alike.  A run's whole
 state is one :class:`SearchContext`: the run's :class:`SearchConfig`,
 the bits found so far, the queries spent and the certainty.  Per segment,
-:func:`segment_partial_search` reads a value through the run's mode and,
-when that value is not certain, confirms it with one classical probe
-through :meth:`~groverbench.ops.OracleSpec.query_index`, so every retry
-shows there.  By default the search is compact: every already-determined
-bit is folded into the oracle condition, and a single-target search over
-the ``2**width`` segment subspace keeps two amplitude classes, so
-:func:`~groverbench.ops.segment_masses` gives the readout in closed form
-and no register is built.  A certain compact segment is read as
-``(target & mask) >> shift``; an uncertain one takes one draw from the
-run's generator, which is built from the seed at the first draw.  The
-full-register mode (``mode="full"``) starts from that conditioned
-superposition on the entire ``2**r`` state and diffuses within each
-block of the other bits, up to ``MAX_QUBITS``; it is the dense reference
-the compact mode is checked against.  Both modes resolve identical bit
-values and cost identical queries.
+:func:`segment_partial_search` reads a value through the run's mode.
+Every segment search is exact amplitude amplification (Brassard, Høyer,
+Mosca & Tapp, quant-ph/0005055): one ancilla qubit, rotated to the row's
+``ancilla`` amplitude and joined to the oracle's condition, slows each
+round so that the segment's ``reps`` rounds end on the marked value with
+certainty.  This departs from the paper, which runs standard iterations
+per segment; those are exact only at width 2.  So a layered
+run is a deterministic function of ``(r, k, target)``: it draws nothing
+and never retries.  By default the search is compact: every
+already-determined bit is folded into the oracle condition, the outcome
+is certain, and the segment is read as ``(target & mask) >> shift`` with
+no register built.  The full-register mode (``mode="full"``) runs the
+search on ``r + 1`` qubits, the ancilla last: it starts from the
+superposition conditioned on the determined bits and reflects about that
+start state within each block of the other bits, so it needs
+``r + 1 <= MAX_QUBITS``.  It is the dense reference the compact mode is
+checked against; both modes resolve identical bit values and cost
+identical queries.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .ops import (
-    _EXACT_THRESHOLD,
     Algorithm,
     OracleSpec,
     SegmentRow,
@@ -77,26 +79,20 @@ from .ops import (
     forward_segments,
     grk_query_count,
     grover_angle,
-    grover_iteration,
+    grover_iteration,  # no driver calls it; kept bound for tracers that wrap it here
     optimal_iterations,
     segment_row,
 )
 from .statevector import (
+    MAX_QUBITS,
     StateVector,
     _axis_selector,
     _check_norm,
     _check_qubits,
-    _inverse_cdf,
-    sample,  # no driver calls it; kept bound for tracers that wrap it here
+    sample,  # likewise
     segment_mask,
     uniform_state,  # likewise
 )
-
-MAX_SEGMENT_ATTEMPTS = 8
-
-
-class SegmentSearchError(RuntimeError):
-    """A segment's value could not be confirmed within the attempt budget."""
 
 
 @dataclass
@@ -134,11 +130,12 @@ class SearchOutcome:
     ``certainty`` is the probability mass the final pre-measurement state
     puts on the target (for the block-partial driver: on the target's
     block), whatever index or block the shots vote for; a layered run
-    multiplies its segments' readout probabilities, a probe-confirmed
-    segment counting 1.  ``resolved_block`` is the block the block-partial
-    driver resolves and ``None`` for every other driver.  That driver
-    measures only the top ``log2(b)`` bits, so its ``measured_index`` is
-    ``resolved_block << (r - log2(b))``, the unmeasured bits 0.  ``wall_time``
+    multiplies its segments' readout probabilities, each 1 in compact mode
+    and 1 within rounding in full mode.  ``resolved_block`` is the block
+    the block-partial driver resolves and ``None`` for every other driver.
+    That driver measures only the top ``log2(b)`` bits, so its
+    ``measured_index`` is ``resolved_block << (r - log2(b))``, the
+    unmeasured bits 0.  ``wall_time``
     covers state preparation through final measurement and is the one
     field excluded from determinism guarantees.
     """
@@ -161,9 +158,10 @@ class SearchContext:
     and was checked when it was built.  ``mask`` and ``value`` hold the
     determined bits, ``history`` each resolved ``((lo, hi), value)`` in
     order, ``queries`` every oracle query the run made and ``certainty``
-    the product of the segments' readout probabilities.  :meth:`generator`
-    builds the run's generator from ``config.seed`` at the first draw, so a
-    run whose segments are all exact builds none.
+    the product of the segments' readout probabilities.  ``mode`` is
+    ``"compact"`` or ``"full"``; full mode's register holds ``r + 1``
+    qubits, so it is rejected at ``r = MAX_QUBITS`` before anything is
+    allocated.
     """
 
     config: SearchConfig
@@ -173,16 +171,15 @@ class SearchContext:
     history: list[tuple[tuple[int, int], int]] = field(default_factory=list, init=False)
     queries: int = field(default=0, init=False)
     certainty: float = field(default=1.0, init=False)
-    _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in _READOUTS:
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    def generator(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.config.seed)
-        return self._rng
+        if self.mode == "full" and self.config.r >= MAX_QUBITS:
+            raise ValueError(
+                f"full mode needs r + 1 = {self.config.r + 1} qubits, the register and "
+                f"the segment search's ancilla; at most {MAX_QUBITS}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -231,81 +228,70 @@ def layered_plan(
 # Segment search
 
 
-def _conditioned_uniform(r: int, mask: int, value: int) -> StateVector:
-    """Uniform superposition over every index that agrees with ``value`` on ``mask``."""
+def _start_state(r: int, mask: int, value: int, pair: np.ndarray) -> StateVector:
+    """A segment search's start on ``r + 1`` qubits: uniform over every index
+    that agrees with ``value`` on ``mask``, each with the ancilla ``pair`` last."""
     support = 1 << (r - mask.bit_count())
-    amps = np.zeros(1 << r)
-    amps.reshape((2,) * r)[_axis_selector(r, mask, value)] = 1.0 / math.sqrt(support)
-    return StateVector(r, amps)
+    amps = np.zeros(2 << r)
+    amps.reshape((2,) * (r + 1))[_axis_selector(r, mask, value)] = pair / math.sqrt(support)
+    return StateVector(r + 1, amps)
 
 
-def _segment_marginal(state: StateVector, lo: int, hi: int) -> np.ndarray:
-    """Probability of each segment value, summed over all other positions."""
-    r = state.num_qubits
-    probs = state.probabilities().reshape((2,) * r)
-    other = tuple(ax for ax in range(r) if not lo <= ax <= hi)
-    if other:
-        probs = probs.sum(axis=other)
-    return probs.reshape(-1)
+def _reflect_about_start(state: StateVector, row: SegmentRow, pair: np.ndarray) -> None:
+    """Reflect ``state``, in place, about its start state within each block.
+
+    A block is one value of every bit but ``row``'s segment and the
+    ancilla, which the start state holds at ``pair``.  Each amplitude ``x``
+    becomes ``2 * mean * pair - x``, where ``mean`` is its block's mean over
+    the segment values of the ancilla pairs projected on ``pair``: the same
+    map as turning the ancilla pairs onto 0, inverting that half about its
+    block means, negating the other half and turning back.
+    """
+    # (bits above, segment values, bits below, ancilla)
+    view = state.amplitudes.reshape(-1, 1 << row.width, 1 << row.shift, 2)
+    mean = (view[..., 0] * pair[0] + view[..., 1] * pair[1]).mean(axis=1, keepdims=True)
+    np.subtract(2.0 * mean[..., None] * pair, view, out=view)
 
 
 def _compact_readout(
     ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
 ) -> tuple[int, float]:
-    """Read a segment search from its two amplitude classes, with no register."""
+    """Charge an exact segment search's rounds and read the target's segment value."""
     ctx.queries += row.reps
-    hit = (ctx.config.target & row.mask) >> row.shift
-    p_hit, p_miss = row.p_hit, row.p_miss
-    if p_hit > _EXACT_THRESHOLD:
-        return hit, p_hit
-    # Inverse CDF over values below the marked one, the marked one, then
-    # the values above it: the draw the dense readout makes.  The clamps
-    # keep a draw that rounds across a boundary in its range.
-    last = (1 << row.width) - 1
-    u = ctx.generator().random() * (p_hit + last * p_miss)
-    below = hit * p_miss
-    if u < below:
-        return min(int(u / p_miss), hit - 1), p_miss
-    if u < below + p_hit:
-        return hit, p_hit
-    return min(hit + 1 + int((u - below - p_hit) / p_miss), last), p_miss
+    return (ctx.config.target & row.mask) >> row.shift, 1.0
 
 
 def _full_readout(
     ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
 ) -> tuple[int, float]:
-    """Amplify the segment on the whole ``2**r`` register and read its marginal."""
-    r = ctx.config.r
-    oracle = OracleSpec(r, ctx.config.target, segment, ctx.mask, ctx.value)
-    register = _conditioned_uniform(r, ctx.mask, ctx.value)
-    diffusion_mask = ((1 << r) - 1) ^ row.mask
+    """Amplify the segment on the ``2**(r+1)`` register, the ancilla last, and
+    read the most likely value of its marginal."""
+    r, target = ctx.config.r, ctx.config.target
+    oracle = OracleSpec(r + 1, target << 1 | 1, segment, ctx.mask << 1 | 1, ctx.value << 1 | 1)
+    pair = np.array([math.sqrt(1.0 - row.ancilla * row.ancilla), row.ancilla])
+    register = _start_state(r, ctx.mask, ctx.value, pair)
     for _ in range(row.reps):
-        register = grover_iteration(register, oracle, diffusion_mask)
+        register = oracle.apply(register)
+        _reflect_about_start(register, row, pair)
     ctx.queries += oracle.query_count
-    marginal = _segment_marginal(register, *segment)
+    probs = register.probabilities().reshape(-1, 1 << row.width, 2 << row.shift)
+    marginal = probs.sum(axis=(0, 2))
     top = int(np.argmax(marginal))
-    if marginal[top] > _EXACT_THRESHOLD:
-        return top, float(marginal[top])
-    value = int(_inverse_cdf(marginal / marginal.sum(), ctx.generator()))
-    return value, float(marginal[value])
+    return top, float(marginal[top])
 
 
-# Each readout charges its own queries and returns ``(value, probability)``:
-# the argmax when it is certain, else one draw of the run's generator.
+# Each readout charges its own queries and returns ``(value, probability)``.
 _READOUTS = {"compact": _compact_readout, "full": _full_readout}
 
 
 def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None:
     """Resolve one bit segment of ``ctx.config.target`` and record it in ``ctx``.
 
-    Amplifies the segment-restricted oracle, conditioned on every
-    determined bit, for ``optimal_iterations(2**width)`` rounds and reads
-    the segment value through the run's mode.  A width-2 segment is exact,
-    so the argmax is taken as-is.  Narrower residual segments are not
-    exact: the value read is confirmed with a classical probe through
-    :meth:`OracleSpec.query_index` and, on a miss, read again up to
-    ``MAX_SEGMENT_ATTEMPTS`` times; a width-1 miss leaves only one other
-    candidate, so that case resolves deterministically.
+    Runs the segment's exact search (:class:`~groverbench.ops.SegmentRow`):
+    ``reps`` rounds of the segment-restricted oracle, conditioned on every
+    determined bit, then reads the segment value through the run's mode.
+    The value read is the target's at every width, so nothing is confirmed
+    or retried.
     """
     lo, hi = segment
     config = ctx.config
@@ -316,23 +302,7 @@ def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None
         raise ValueError(
             f"segment [{lo}, {hi}] overlaps determined bits (driver scheduling bug)"
         )
-    readout = _READOUTS[ctx.mode]
-    value, prob = readout(ctx, row, segment)
-    if prob <= _EXACT_THRESHOLD:
-        probe = OracleSpec(config.r, config.target, segment, ctx.mask, ctx.value)
-        for _ in range(MAX_SEGMENT_ATTEMPTS):
-            if probe.query_index(ctx.value | value << row.shift):
-                break
-            if row.width == 1:
-                value = 1 - value
-            else:
-                value, prob = readout(ctx, row, segment)
-        else:
-            raise SegmentSearchError(
-                f"segment [{lo}, {hi}] not confirmed in {MAX_SEGMENT_ATTEMPTS} attempts"
-            )
-        ctx.queries += probe.query_count
-        prob = 1.0  # oracle-confirmed
+    value, prob = _READOUTS[ctx.mode](ctx, row, segment)
     ctx.mask |= row.mask
     ctx.value |= value << row.shift
     ctx.history.append((segment, value))

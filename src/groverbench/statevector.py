@@ -219,34 +219,23 @@ def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
     return state
 
 
-def _inverse_cdf(
-    p: np.ndarray, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray | np.integer:
-    """Indices drawn from the distribution ``p`` by inverse CDF.
-
-    The same draws as ``rng.choice(p.size, size, p=p)``, without its
-    checks on ``p``: callers pass a distribution their norm check has
-    already passed.  The CDF is built in place in ``p``.
-    """
-    np.cumsum(p, out=p)
-    p /= p[-1]
-    return p.searchsorted(rng.random(size), side="right")
-
-
 def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Draw ``shots`` independent basis-state indices with probability ``a**2``.
 
     Returns the indices in draw order, deterministic for a fixed ``seed``:
-    the draws of ``Generator.choice(dim, shots, p=probs / probs.sum())``.
-    The CDF is built in place in the probabilities array, so no second
-    register-sized array is held.  An unnormalized state is rejected, as
-    :meth:`StateVector.probabilities` does.
+    the draws of ``Generator.choice(dim, shots, p=probs / probs.sum())``,
+    taken by inverse CDF without its checks on ``p``, which the norm check
+    has already passed.  The CDF is built in place in the probabilities
+    array, so no second register-sized array is held.  An unnormalized
+    state is rejected, as :meth:`StateVector.probabilities` does.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     cdf = state.probabilities()
     cdf /= cdf.sum()
-    return _inverse_cdf(cdf, np.random.default_rng(seed), shots)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
 
 
 def operator_matrix(r: int, operation: Callable[[StateVector], StateVector]) -> np.ndarray:

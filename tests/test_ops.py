@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import groverbench as gb
 from class_runs import grk_steps, in_blocks, run_classes, run_dense, write_out
-from groverbench.ops import segment_masses
 from groverbench.search import _class_run
 
 
@@ -401,9 +400,9 @@ def test_predict_cost():
     assert dfgs.layers == 10
     assert dfgs.oracle_calls == pytest.approx(10.0)
 
-    # Two width-3 segments: two rounds each, and each is confirmed by a probe.
+    # Two width-3 segments: two rounds each, and nothing else.
     dfgs = gb.predict_cost("DFGS", 6, 8)
-    assert (dfgs.iterations, dfgs.oracle_calls) == (4.0, 6.0)
+    assert (dfgs.iterations, dfgs.oracle_calls) == (4.0, 4.0)
 
     grk = gb.predict_cost("GRK", 8, 4)
     assert grk.layers is None
@@ -439,16 +438,21 @@ def test_bdgs_bound_is_out_of_reach_of_one_single_target_oracle():
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_segment_masses_match_a_dense_segment_search(width):
-    n = 1 << width
-    p_hit, p_miss = segment_masses(width)
+    # The compact readout puts all the mass on the target's value; the dense
+    # search, on r + 1 qubits with the ancilla, agrees to 1e-12 for a
+    # segment below a determined bit, at the same cost.
+    n, r = 1 << width, width + 1
     for value in sorted({0, n // 3, n - 1}):
-        state = gb.uniform_state(width)
-        oracle = gb.OracleSpec(width, value)
-        for _ in range(gb.optimal_iterations(n)):
-            state = gb.grover_iteration(state, oracle)
-        expected = np.full(n, p_miss)
-        expected[value] = p_hit
-        np.testing.assert_allclose(state.probabilities(), expected, rtol=0, atol=1e-12)
+        for top in (0, 1):
+            config = gb.SearchConfig(r, top << width | value, "DFGS", b=n)
+            compact, full = gb.SearchContext(config), gb.SearchContext(config, mode="full")
+            for ctx in (compact, full):
+                gb.segment_partial_search(ctx, (0, 0))
+                gb.segment_partial_search(ctx, (1, width))
+            assert compact.history == full.history == [((0, 0), top), ((1, width), value)]
+            assert compact.queries == full.queries == 1 + gb.ops.segment_row(r, 1, width).reps
+            assert compact.certainty == 1.0
+            assert full.certainty == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -456,14 +460,42 @@ def test_segment_masses_match_a_dense_segment_search(width):
     [(3, 0.9453125), (22, 0.99999999997959785717), (24, 0.99999994255802002177)],
 )
 def test_segment_hit_mass_is_the_rotation_law_to_1e15(width, exact):
-    # sin^2((2t+1)theta) at t = optimal_iterations(2**width), to 40 digits.
-    # An iterated recurrence drifts past 1e-15 by width 22.
-    assert abs(segment_masses(width)[0] - exact) < 1e-15
+    # The hit mass of a standard search over 2**width values, the paper's
+    # segment search, is sin^2((2t+1)theta) at t = optimal_iterations(2**width),
+    # here to 40 digits.  One _rotate, as GS's class run turns it, holds it
+    # to 1e-15; an iterated recurrence drifts past that by width 22.
+    n = 1 << width
+    amp = 1.0 / math.sqrt(n)
+    a, _ = gb.ops._rotate(amp, amp, n, gb.optimal_iterations(n))
+    assert abs(a * a - exact) < 1e-15
+
+
+# The least J with (2J+1)*grover_angle(2**width) >= pi/2, widths 1-24.
+EXACT_REPS = [
+    1, 1, 2, 3, 4, 6, 9, 13, 18, 25, 36, 50,
+    71, 101, 142, 201, 284, 402, 569, 804, 1137, 1608, 2275, 3217,
+]
+
+
+def test_segment_rows_hold_the_exact_search_reps_and_ancilla():
+    # reps is optimal_iterations, one more where that count stops short of
+    # pi/2, and the ancilla slows each round to exactly pi/(4J+2).
+    longer = []
+    for width, reps in enumerate(EXACT_REPS, start=1):
+        row = gb.ops.segment_row(width, 0, width - 1)
+        theta = gb.grover_angle(1 << width)
+        assert row.reps == reps
+        assert (2 * reps - 1) * theta < math.pi / 2 <= (2 * reps + 1) * theta
+        if reps > gb.optimal_iterations(1 << width):
+            longer.append(width)
+        assert 0 < row.ancilla <= 1
+        angle = math.asin(row.ancilla * math.sin(theta))
+        assert abs((2 * reps + 1) * angle - math.pi / 2) <= 1e-15
+    assert longer == [7, 8, 9, 11, 14, 19, 23, 24]
 
 
 def test_predicted_dfgs_queries_bound_every_run():
-    # predict_cost counts the least a DFGS run spends: amplification rounds
-    # plus one probe per inexact segment.  Exact at b = 4 with even r.
+    # predict_cost counts what every DFGS run spends: its segments' rounds.
     for r in range(2, 17):
         for k in range(1, min(r, 4) + 1):
             predicted = gb.predict_cost("DFGS", r, 1 << k).oracle_calls
@@ -472,7 +504,4 @@ def test_predicted_dfgs_queries_bound_every_run():
                     r=r, target=(37 * seed + 11 * r) % (1 << r), algorithm="DFGS",
                     b=1 << k, seed=seed,
                 )
-                measured = gb.run_dfgs(config).oracle_calls
-                assert predicted <= measured, (r, k, seed)
-                if k == 2 and r % 2 == 0:
-                    assert predicted == measured, (r, seed)
+                assert gb.run_dfgs(config).oracle_calls == predicted, (r, k, seed)

@@ -19,7 +19,6 @@ from class_runs import (
     sample_cells,
     write_out,
 )
-from groverbench.ops import segment_masses
 from groverbench.search import (
     _grk_local_step,
     _grk_schedule,
@@ -176,42 +175,35 @@ def test_an_all_exact_layered_run_builds_no_generator(monkeypatch):
     assert (outcome.measured_index, outcome.oracle_calls) == (987654, 10)
 
 
-def test_one_inexact_segment_builds_one_generator_from_the_seed(monkeypatch):
-    # Widths 2, 2, 1: only the width-1 residual draws.
-    config = gb.SearchConfig(r=5, target=0b10110, algorithm="DFGS", b=4, shots=16, seed=5)
-    built = _count_generators(monkeypatch)
-    outcome = gb.run_dfgs(config)
-    assert built == [(5,)]
-    assert outcome.measured_index == 0b10110
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+def test_a_layered_run_builds_no_generator_at_any_width(monkeypatch, algorithm):
+    # Every segment search is exact, width-3 and width-1 ones included, so
+    # a run draws nothing: with the generator's constructor broken, runs
+    # at r = 20, b = 8 and at r = 5, b = 4 still verify.
+    def broken(*args, **kwargs):
+        raise AssertionError("a layered run built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", broken)
+    for r, b, target in ((20, 8, 700_001), (5, 4, 0b10110)):
+        for seed in (0, 5):
+            config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b, seed=seed)
+            assert gb.verify_outcome(gb.run_search(config), config)
 
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
-def test_compact_probes_go_through_query_index(monkeypatch, algorithm):
-    # Both modes confirm every drawn value, retries included, with one
-    # OracleSpec.query_index call; the width-3 segments of r = 9 draw.
+def test_layered_runs_make_no_classical_probe(monkeypatch, algorithm):
+    # Nothing is confirmed, so neither mode calls OracleSpec.query_index,
+    # at widths 3 and 1 too, and both charge the same queries.
     import groverbench.ops as ops
 
     probes = []
-    real = ops.OracleSpec.query_index
-
-    def counted(self, index):
-        probes.append(index)
-        return real(self, index)
-
-    monkeypatch.setattr(ops.OracleSpec, "query_index", counted)
+    monkeypatch.setattr(ops.OracleSpec, "query_index", lambda self, index: probes.append(index))
     runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
-    seen = set()
-    for seed in range(12):
+    for seed in range(4):
         config = gb.SearchConfig(r=9, target=301, algorithm=algorithm, b=8, shots=1, seed=seed)
-        counts = []
-        for mode in ("compact", "full"):
-            probes.clear()
-            outcome = runner(config, mode=mode)
-            counts.append((len(probes), outcome.oracle_calls))
-        assert counts[0] == counts[1]
-        assert counts[0][0] >= 1
-        seen.add(counts[0][0])
-    assert len(seen) > 1  # some seeds retried
+        compact, full = runner(config, mode="compact"), runner(config, mode="full")
+        assert compact.oracle_calls == full.oracle_calls
+    assert probes == []
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +427,8 @@ def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
         tracemalloc.stop()
     assert peak < 64 << 10
     assert outcome.measured_index == config.target and outcome.layers == 1
-    reps = gb.optimal_iterations(1 << r)
-    assert outcome.oracle_calls >= reps + 1  # amplification, then one probe
+    # The exact search runs one round past the standard count at width 24.
+    assert outcome.oracle_calls == gb.optimal_iterations(1 << r) + 1
 
 
 def test_dense_and_class_runs_agree_at_r22():
@@ -766,11 +758,24 @@ def test_layered_run_keeps_the_traced_segment_boundaries(monkeypatch, algorithm)
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
-    # The full mode amplifies the 2**r register: one iteration per segment.
+    # The full mode amplifies the 2**(r+1) register with its own reflection
+    # about the start state: one oracle application per segment, and no
+    # grover_iteration call.
+    import groverbench.ops as ops
+
+    applied = []
+    real = ops.OracleSpec.apply
+
+    def counted(self, state):
+        applied.append(state.num_qubits)
+        return real(self, state)
+
+    monkeypatch.setattr(ops.OracleSpec, "apply", counted)
     config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
     runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
     calls = _count_layered_lookups(monkeypatch, lambda: runner(config, mode="full"))
-    assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 10}
+    assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 0}
+    assert applied == [21] * 10
 
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
@@ -930,15 +935,14 @@ def test_bdgs_r20():
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7, 9])
 def test_bdgs_odd_and_tiny_registers(r):
-    # Residual width-1 segments resolve deterministically via the
-    # verify-and-complement path, at the cost of extra oracle probes.
+    # Residual width-1 segments are exact too: one round each.
     rng = np.random.default_rng(500 + r)
     for _ in range(8):
         target = int(rng.integers(0, 1 << r))
         config = gb.SearchConfig(r=r, target=target, algorithm="BDGS", shots=16, seed=int(rng.integers(2**31)))
         outcome = gb.run_bdgs(config)
         assert outcome.measured_index == target
-        assert outcome.oracle_calls >= outcome.layers
+        assert outcome.oracle_calls == _plan_reps("BDGS", r, 2)
 
 
 def test_bdgs_r6_exhaustive():
@@ -983,23 +987,16 @@ def test_segment_search_rejects_wide_segment():
         gb.segment_partial_search(ctx, (0, 2))
 
 
-def test_segment_search_width1_resolves_with_probes():
+def test_segment_search_width1_resolves_in_one_round():
+    # The ancilla's amplitude sqrt(1/2) slows the one round to pi/6, so a
+    # single bit is found with certainty in one query, in either mode.
     for target_bit in (0, 1):
-        ctx = gb.SearchContext(gb.SearchConfig(3, target_bit << 2, "DFGS", seed=3))
-        gb.segment_partial_search(ctx, (0, 0))
-        assert ctx.history == [((0, 0), target_bit)]
-        # One amplification query plus at least one verification probe.
-        assert ctx.queries >= 2
-        assert ctx.certainty == 1.0
-
-
-def test_segment_search_attempt_budget_exhaustion(monkeypatch):
-    import groverbench.search as search
-
-    monkeypatch.setattr(search, "MAX_SEGMENT_ATTEMPTS", 0)
-    ctx = gb.SearchContext(gb.SearchConfig(3, 4, "DFGS", seed=3))
-    with pytest.raises(gb.SegmentSearchError, match="0 attempts"):
-        gb.segment_partial_search(ctx, (0, 0))
+        for mode in ("compact", "full"):
+            ctx = gb.SearchContext(gb.SearchConfig(3, target_bit << 2, "DFGS", seed=3), mode)
+            gb.segment_partial_search(ctx, (0, 0))
+            assert ctx.history == [((0, 0), target_bit)]
+            assert ctx.queries == 1
+            assert ctx.certainty == pytest.approx(1.0, abs=1e-15)
 
 
 # A context holds its SearchConfig, so the config's own checks reject a bad
@@ -1013,8 +1010,8 @@ def test_search_context_rejects_a_target_out_of_range():
 
 
 def test_search_context_rejects_a_negative_seed():
-    # Rejected at construction, not at the first draw inside
-    # np.random.default_rng (an all-exact run makes none).
+    # Rejected at construction: a layered run never builds the generator
+    # that would reject it later.
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         gb.SearchContext(gb.SearchConfig(4, 5, "DFGS", seed=-1))
 
@@ -1026,6 +1023,24 @@ def test_search_context_rejects_a_qubit_count(r, mode):
     # a 2**r register.
     with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
         gb.SearchContext(gb.SearchConfig(r, 0, "DFGS"), mode=mode)
+
+
+def test_search_context_rejects_full_mode_at_24_qubits_before_allocating():
+    # Full mode adds the segment search's ancilla, so r = 24 would need a
+    # 25-qubit register: rejected in one line, before any register exists.
+    config = gb.SearchConfig(24, 12_345_678, "DFGS", b=16)
+    message = r"^full mode needs r \+ 1 = 25 qubits, the register and the segment search's ancilla; at most 24$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            gb.SearchContext(config, mode="full")
+        with pytest.raises(ValueError, match=message):
+            gb.run_dfgs(config, mode="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert gb.SearchContext(gb.SearchConfig(23, 5, "DFGS"), mode="full").mode == "full"
 
 
 def test_search_context_rejects_an_unknown_mode():
@@ -1061,8 +1076,8 @@ def test_compact_and_full_modes_agree(r):
 @pytest.mark.parametrize("b", [16, 32])
 @pytest.mark.parametrize("r", [10, 12])
 def test_compact_and_full_modes_agree_at_sampled_widths(r, b):
-    # Widths 4 and 5 (and their residuals) are sampled and confirmed, so a
-    # miss retries: equal oracle_calls mean both modes made the same draws.
+    # Widths 4 and 5 and their residuals, where a standard search would
+    # miss; the dense search with its ancilla ends on the target's value.
     _assert_modes_agree(r, b, np.random.default_rng(31 * r + b), configs=4)
 
 
@@ -1089,8 +1104,7 @@ def test_compact_and_full_modes_agree_up_to_r10(b):
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
     # Same history, queries and certainty after every segment, so a
-    # difference shows at the segment that makes it, retries and width-1
-    # complements included.
+    # difference shows at the segment that makes it, width-1 ones included.
     widths = set()
     for r in range(2, 11):
         for b in (2, 4, 8, 16):
@@ -1115,9 +1129,9 @@ def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
 
 def test_layered_outputs_match_the_pinned_digest():
     # Index, queries, layers and the certainty's bits of 890 compact cells
-    # (r = 2-24, b = 2-16, retries included), as the uncached per-segment
-    # implementation produced them.  Any change to a draw, a query or a
-    # rounding shows here.
+    # (r = 2-24, b = 2-16), as the exact segment searches produce them.
+    # Nothing here is drawn, so the pin holds on any numpy; any change to a
+    # query or a rounding shows here.
     digest = hashlib.sha256()
     cells = 0
     for algorithm in ("DFGS", "BDGS"):
@@ -1137,7 +1151,7 @@ def test_layered_outputs_match_the_pinned_digest():
                     )).encode())
                     cells += 1
     assert (digest.hexdigest(), cells) == (
-        "84a1d3a150b3c8d5573ab5622085a8e55f09c530b606fe434b8bec12950982a5", 890
+        "4252204af506124bbf35621f334e2e70afc225eebb57ae4ee679f796e38bbbfa", 890
     )
 
 
@@ -1271,7 +1285,7 @@ def test_predictions_and_plans_match_the_pinned_digest():
                 digest.update(repr(key).encode())
                 cells += 1
     assert (digest.hexdigest(), cells) == (
-        "dc14d06fb30deae27b90fe51f4daeb407cb8cb0e5705e27d2b1a5e474c500d37", 1200
+        "edde2b28a9726e656812536cca6439cdec5c6f13796a26b7a16e25b5c93128f1", 1200
     )
 
 
@@ -1368,23 +1382,32 @@ def test_shot_accuracy_agrees_with_the_certainty(algorithm, r, b):
     assert abs(hits - expected) <= 5 * math.sqrt(variance)
 
 
-def test_segment_retries_follow_the_segment_hit_mass():
-    # DFGS at r = 6, b = 8 runs two inexact width-3 segments.  Each draw
-    # hits with p_hit, so a segment retries a geometric number of times,
-    # (1 - p_hit) / p_hit on average, and each retry costs reps + 1 queries
-    # over predict_cost's count.
-    runs, segments = 2000, 2
-    least = gb.predict_cost("DFGS", 6, 8).oracle_calls
-    retry_cost = gb.optimal_iterations(8) + 1
-    retries = 0.0
-    for seed in range(runs):
-        config = gb.SearchConfig(6, seed * 7919 % 64, "DFGS", b=8, seed=seed)
-        retries += (gb.run_search(config).oracle_calls - least) / retry_cost
-    p_hit = segment_masses(3)[0]
-    mean = (1 - p_hit) / p_hit
-    sigma = math.sqrt((1 - p_hit) / p_hit**2 / (runs * segments))
-    assert mean == pytest.approx(0.05785, abs=1e-5)
-    assert abs(retries / (runs * segments) - mean) <= 5 * sigma
+def _plan_reps(algorithm: str, r: int, k: int) -> int:
+    """The sum of the ``reps`` of every segment of a layered plan."""
+    return sum(
+        gb.ops.segment_row(r, lo, hi).reps
+        for segments in gb.layered_plan(algorithm, r, k)
+        for lo, hi in segments
+    )
+
+
+def test_layered_queries_are_the_plans_reps():
+    # A layered run charges its segments' rounds and nothing else, whatever
+    # the target and seed; for DFGS that is predict_cost's count.
+    for algorithm in ("DFGS", "BDGS"):
+        for r in range(1, 25):
+            for b in (2, 4, 8, 16, 32):
+                if b > 1 << r:
+                    continue
+                reps = _plan_reps(algorithm, r, b.bit_length() - 1)
+                if algorithm == "DFGS":
+                    assert gb.predict_cost("DFGS", r, b).oracle_calls == reps
+                for seed in (0, 7, 2**40 + 5):
+                    target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
+                    config = gb.SearchConfig(r, target, algorithm, b=b, shots=1, seed=seed)
+                    outcome = gb.run_search(config)
+                    assert outcome.oracle_calls == reps, (algorithm, r, b, seed)
+                    assert gb.verify_outcome(outcome, config) and outcome.certainty == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1455,9 +1478,7 @@ def test_search_config_validation():
     [
         ("GS", None),
         ("GRK", None),
-        ("DFGS", "compact"),
         ("DFGS", "full"),
-        ("BDGS", "compact"),
         ("BDGS", "full"),
     ],
 )
@@ -1465,9 +1486,7 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
     """A kernel that loses the norm is caught by the readout, with or without -O.
 
     GS and GRK run no kernel: the drift goes into their class run.  The
-    compact layered mode runs none either: the drift goes into its
-    two-class rotation, whose masses the cached segment rows hold, so the
-    rows are cleared around the run.
+    compact layered mode has no readout to check: its outcome is certain.
     """
     import groverbench.ops as ops
     import groverbench.search as search
@@ -1482,14 +1501,6 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
             classes.m_other *= 1.001
 
         monkeypatch.setattr(search, "_class_run", drifting_class_run)
-    elif mode == "compact":
-        real_rotate = ops._rotate
-
-        def drifting_rotate(a, rest, size, t):
-            a, rest = real_rotate(a, rest, size, t)
-            return a * 1.001, rest * 1.001
-
-        monkeypatch.setattr(ops, "_rotate", drifting_rotate)
     else:
         real = ops.phase_flip
 
@@ -1500,12 +1511,8 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
         monkeypatch.setattr(ops, "phase_flip", drifting)
     config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
     drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
-    search.segment_row.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="norm"):
-            if mode is None:
-                gb.run_search(config)
-            else:
-                drivers[algorithm](config, mode=mode)
-    finally:
-        search.segment_row.cache_clear()
+    with pytest.raises(ValueError, match="norm"):
+        if mode is None:
+            gb.run_search(config)
+        else:
+            drivers[algorithm](config, mode=mode)

@@ -25,7 +25,7 @@ def test_package_has_no_assert_statements():
 PUBLIC_API = {
     "AggregateRow", "Algorithm", "BasisPredicate", "ErrorRow", "ExperimentPlan",
     "MAX_QUBITS", "OracleSpec", "PredictedCost", "ResultTable", "SearchConfig",
-    "SearchContext", "SearchOutcome", "SegmentSearchError", "StateVector", "TrialRow",
+    "SearchContext", "SearchOutcome", "StateVector", "TrialRow",
     "backward_segments", "basis_state", "bdgs_level_iterations",
     "bdgs_terminal_iterations", "bdgs_total_queries", "block_sums", "cell_seed",
     "dfgs_segments", "emit_scaling_series", "emit_table", "forward_segments",
@@ -47,5 +47,5 @@ def test_package_exports_exactly_the_public_api():
         for name, value in vars(groverbench).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 48
+    assert len(PUBLIC_API) == 47
     assert exported == PUBLIC_API

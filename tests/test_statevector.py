@@ -346,19 +346,16 @@ def test_sample_draws_match_generator_choice(r, seed):
 
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_inverse_cdf_draws_match_generator_choice(size):
-    # The one inverse-CDF draw that the samplers and the layered drivers
-    # share gives the draws of Generator.choice, one at a time or many.
-    from groverbench.statevector import _inverse_cdf
-
+    # sample's inverse-CDF draws are those of Generator.choice on skewed
+    # distributions over a few states too.
     marginals = np.random.default_rng(size)
     for seed in range(50):
         marginal = marginals.random(size) ** 3
-        p = marginal / marginal.sum()
-        expected, actual = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            assert int(_inverse_cdf(p.copy(), actual)) == int(expected.choice(size, p=p))
+        state = gb.StateVector(size.bit_length() - 1, np.sqrt(marginal / marginal.sum()))
+        probs = state.probabilities()
         np.testing.assert_array_equal(
-            _inverse_cdf(p.copy(), actual, 64), expected.choice(size, 64, p=p)
+            gb.sample(state, shots=64, seed=seed),
+            np.random.default_rng(seed).choice(size, 64, p=probs / probs.sum()),
         )
 
 
