@@ -28,16 +28,17 @@ print(f"depth-first   : {outcome.layers} layers, {outcome.oracle_calls} oracle c
       f"accuracy {outcome.success_fraction * 100:.1f}%, "
       f"{outcome.wall_time * 1e3:.3f} ms")
 
-# Watch the bits arrive from both ends.  A SearchContext is the whole
-# state of a run, built from the run's config: forward segments fill the
-# top of the index, backward ones the bottom, and the masks never overlap.
-ctx = gb.SearchContext(bdgs)
+# Watch the bits arrive from both ends.  Every segment search is exact, so
+# a round adds the target's bits under its segments' masks: forward
+# segments fill the top of the index, backward ones the bottom, and the
+# masks never overlap.  A run reads all of this from its plan.
+mask = 0
 print("\nlayer-by-layer resolution:")
 for layer, segments in enumerate(gb.layered_plan("BDGS", r, k), start=1):
-    for segment in segments:
-        gb.segment_partial_search(ctx, segment)
-    print(f"  layer {layer}: known bits {ctx.value:0{r}b} (mask {ctx.mask:0{r}b})")
-assert ctx.value == target and ctx.queries == gb.run_bdgs(bdgs).oracle_calls
+    for lo, hi in segments:
+        mask |= gb.segment_mask(r, lo, hi)
+    print(f"  layer {layer}: known bits {target & mask:0{r}b} (mask {mask:0{r}b})")
+assert mask == (1 << r) - 1
 
 # Odd register sizes leave a width-1 segment at the meeting point.  A
 # standard single-bit search is a coin flip; the exact search adds one

@@ -30,16 +30,16 @@ from .ops import (
     grk_query_count,
     grover_angle,
     grover_iteration,
+    layered_plan,
     optimal_iterations,
     predict_cost,
     predicted_layers,
 )
 from .search import (
     SearchConfig,
-    SearchContext,
     SearchOutcome,
     grk_reference_amplitudes,
-    layered_plan,
+    layered_reference,
     run_bdgs,
     run_dfgs,
     run_grk_partial,

@@ -1,6 +1,11 @@
 """Oracles with query accounting, the composed search iteration, the one
-segment planner of the layered searches with its cached segment rows, and
-closed-form iteration/query predictors, which read the same rows.
+segment planner of the layered searches with its cached plans and segment
+rows, and closed-form iteration/query predictors, which read the same plans.
+
+A DFGS or BDGS run is a function of its plan: :func:`layered_plan` gives
+its rounds, one per layer, and :func:`_plan_cost` the sum of its segment
+rows' ``reps``, the oracle queries every run of the plan makes.  The
+layered drivers and :func:`predict_cost` read both.
 
 One search iteration is: flip the sign of the amplitudes the oracle
 marks (one query), then invert every amplitude about its block mean.
@@ -16,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import zip_longest
 
 from .statevector import (
     BasisPredicate,
@@ -45,11 +51,12 @@ class OracleSpec:
     full-range segment and no determined bits this is the textbook
     single-target oracle.  ``query_count`` increments by exactly one per
     application, whether the oracle acts on the full register or as a
-    classical index probe.  The full layered mode applies it on ``r + 1``
-    qubits, the segment search's ancilla last, so it marks ``target << 1 | 1``
-    with the ancilla bit among the determined ones.  A compact segment
-    search never builds one: its outcome is certain, and it counts its
-    ``reps`` rounds itself.
+    classical index probe.  The dense layered reference
+    (``search.layered_reference``) applies it on ``r + 1`` qubits, the
+    segment search's ancilla last, so it marks ``target << 1 | 1`` with the
+    ancilla bit among the determined ones.  A compact layered run never
+    builds one: its outcome is certain, and it reads its queries from the
+    plan.
     """
 
     r: int
@@ -234,6 +241,54 @@ def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
     return SegmentRow(width, mask, r - 1 - hi, reps, ancilla)
 
 
+@lru_cache(maxsize=None)
+def layered_plan(
+    algorithm: Algorithm | str, r: int, k: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rounds of segment searches of a DFGS or BDGS run; each round is one layer.
+
+    A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
+    pairs a segment of each pass, the DFGS plans of the top half and of the
+    bottom half from the LSB, the longer pass running on alone.  Checked
+    once per ``(algorithm, r, k)``: every segment is at most ``k`` wide, no
+    two overlap, and together they cover all ``r`` bits.
+    """
+    algorithm = Algorithm(algorithm)
+    if algorithm is Algorithm.DFGS:
+        rounds = [(segment,) for segment in dfgs_segments(r, k)]
+    elif algorithm is Algorithm.BDGS:
+        pairs = zip_longest(forward_segments(r, k), backward_segments(r, k))
+        rounds = [tuple(segment for segment in pair if segment is not None) for pair in pairs]
+    else:
+        raise ValueError(f"{algorithm.value} has no segment plan")
+    covered = 0
+    for segments in rounds:
+        for lo, hi in segments:
+            bits = segment_mask(r, lo, hi)
+            if hi - lo + 1 > k or bits & covered:
+                raise ValueError(
+                    f"{algorithm.value} plan at r={r}, k={k}: segment [{lo}, {hi}] is wider "
+                    "than k or overlaps an earlier one (driver scheduling bug)"
+                )
+            covered |= bits
+    if covered != (1 << r) - 1:
+        raise ValueError(
+            f"{algorithm.value} plan at r={r}, k={k} leaves bits unresolved "
+            "(driver scheduling bug)"
+        )
+    return tuple(rounds)
+
+
+@lru_cache(maxsize=None)
+def _plan_cost(algorithm: Algorithm, r: int, k: int) -> int:
+    """The oracle queries of every run of a layered plan: its segment rows' ``reps``."""
+    return sum(
+        segment_row(r, lo, hi).reps
+        for segments in layered_plan(algorithm, r, k)
+        for lo, hi in segments
+    )
+
+
 # ---------------------------------------------------------------------------
 # Closed-form query counts
 
@@ -289,7 +344,7 @@ def bdgs_total_queries(n_states: int, b: int, r: int, k: int) -> float:
 
     ``pi/(4*sqrt(2)) * sqrt(N) * (1 - sqrt(1/b^(r/2k)))`` with N = 2**r
     and b = 2**k.  This bounds total oracle work; it is not the
-    wall-clock layer count, which is ``ceil(r/(2k))``.
+    wall-clock layer count, which is :func:`predicted_layers`.
     """
     depth = _bdgs_depth(n_states, b, r, k)
     return (
@@ -303,29 +358,27 @@ def bdgs_total_queries(n_states: int, b: int, r: int, k: int) -> float:
 def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
     """Wall-clock layer prediction per algorithm.
 
-    GS runs ``optimal_iterations(2**r)`` sequential iterations; DFGS
-    resolves ``ceil(r/k)`` segments one after another; BDGS runs its
-    forward and backward passes in parallel, so only ``ceil(r/(2k))``
-    rounds count.  GRK has no closed-form layer count here (its schedule
-    is size-dependent), so it is rejected.
+    GS runs ``optimal_iterations(2**r)`` sequential iterations.  DFGS and
+    BDGS run the rounds of their :func:`layered_plan` one after another,
+    BDGS's forward and backward segments of one round in parallel.  GRK has
+    no closed-form layer count here (its schedule is size-dependent), so it
+    is rejected.
     """
     algorithm = Algorithm(algorithm)
     if algorithm is Algorithm.GS:
         return optimal_iterations(1 << r)
-    if algorithm is Algorithm.DFGS:
-        return math.ceil(r / k)
-    if algorithm is Algorithm.BDGS:
-        return math.ceil(r / (2 * k))
-    raise ValueError("no closed-form layer count for GRK; use predict_cost")
+    if algorithm is Algorithm.GRK:
+        raise ValueError("no closed-form layer count for GRK; use predict_cost")
+    return len(layered_plan(algorithm, r, k))
 
 
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     """Bundle the closed-form predictions for one (algorithm, size) cell.
 
-    The DFGS count is what every run makes, read from the driver's own
-    :func:`segment_row` of each segment of :func:`dfgs_segments`: the sum
-    of their ``reps``, since every segment search is exact.  Rejects the
-    same ``(r, b)`` the drivers reject.
+    The DFGS count is what every run makes, the plan cost the driver reads
+    too: the sum of the ``reps`` of the :func:`segment_row` of every
+    segment, since every segment search is exact.  Rejects the same
+    ``(r, b)`` the drivers reject.
     """
     _check_qubits(r)
     algorithm = Algorithm(algorithm)
@@ -340,7 +393,7 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
         return PredictedCost(algorithm, exact, float(layers), layers, "single-target")
     if algorithm is Algorithm.DFGS:
-        queries = float(sum(segment_row(r, lo, hi).reps for lo, hi in dfgs_segments(r, k)))
+        queries = float(_plan_cost(algorithm, r, k))
         return PredictedCost(algorithm, queries, queries, layers, "segment")
     bound = bdgs_total_queries(n, b, r, k)
     return PredictedCost(algorithm, bound, bound, layers, "single-target")

@@ -29,33 +29,25 @@ shots' cells (:func:`_draw_cells`) for ``np.unique`` to count.
 Neither driver allocates a ``2**r``- or ``b``-sized array.  The dense
 kernels are the reference the tests check the class run against.
 
-Both layered drivers run rounds of segment searches, and every segment
-search starts from the uniform superposition over the indices still
-consistent with the bits measured so far.  The rounds depend only on
-``(algorithm, r, k)``: :func:`layered_plan` builds them from the planner
-in ``ops`` and checks them once per triple, and ``ops.segment_row`` caches
-each segment's mask, shift, round count and ancilla amplitude once per
-``(r, lo, hi)``, for the drivers and ``predict_cost`` alike.  A run's whole
-state is one :class:`SearchContext`: the run's :class:`SearchConfig`,
-the bits found so far, the queries spent and the certainty.  Per segment,
-:func:`segment_partial_search` reads a value through the run's mode.
-Every segment search is exact amplitude amplification (Brassard, Høyer,
-Mosca & Tapp, quant-ph/0005055): one ancilla qubit, rotated to the row's
-``ancilla`` amplitude and joined to the oracle's condition, slows each
-round so that the segment's ``reps`` rounds end on the marked value with
-certainty.  This departs from the paper, which runs standard iterations
-per segment; those are exact only at width 2.  So a layered
-run is a deterministic function of ``(r, k, target)``: it draws nothing
-and never retries.  By default the search is compact: every
-already-determined bit is folded into the oracle condition, the outcome
-is certain, and the segment is read as ``(target & mask) >> shift`` with
-no register built.  The full-register mode (``mode="full"``) runs the
-search on ``r + 1`` qubits, the ancilla last: it starts from the
-superposition conditioned on the determined bits and reflects about that
-start state within each block of the other bits, so it needs
-``r + 1 <= MAX_QUBITS``.  It is the dense reference the compact mode is
-checked against; both modes resolve identical bit values and cost
-identical queries.
+Both layered drivers resolve the index in rounds of segment searches, each
+starting from the uniform superposition over the indices still consistent
+with the bits measured so far; the rounds and each segment's row come
+cached from ``ops.layered_plan`` and ``ops.segment_row``.  Every segment
+search is exact amplitude amplification (Brassard, Høyer, Mosca & Tapp,
+quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
+amplitude and joined to the oracle's condition, slows each round so that
+the segment's ``reps`` rounds end on the marked value with certainty.  This
+departs from the paper, which runs standard iterations per segment; those
+are exact only at width 2.  So a layered run is its plan: it finds the
+target with certainty, takes one layer per round and spends the plan's
+cost, the sum of its rows' ``reps``.  :func:`run_dfgs` and :func:`run_bdgs`
+read all of it from the cached plan, with no per-segment work.
+:func:`layered_reference` is the dense reference they are checked against:
+it walks the same plan through :func:`segment_partial_search`, which runs
+one segment search on ``r + 1`` qubits, the ancilla last.  Each starts from
+the superposition conditioned on the determined bits and reflects about
+that start state within each block of the other bits, so the reference
+needs ``r + 1 <= MAX_QUBITS``.
 """
 
 from __future__ import annotations
@@ -64,7 +56,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -73,13 +64,12 @@ from .ops import (
     OracleSpec,
     SegmentRow,
     _check_block_size,
+    _plan_cost,
     _rotate,
-    backward_segments,
-    dfgs_segments,
-    forward_segments,
     grk_query_count,
     grover_angle,
     grover_iteration,  # no driver calls it; kept bound for tracers that wrap it here
+    layered_plan,
     optimal_iterations,
     segment_row,
 )
@@ -90,7 +80,6 @@ from .statevector import (
     _check_norm,
     _check_qubits,
     sample,  # likewise
-    segment_mask,
     uniform_state,  # likewise
 )
 
@@ -129,15 +118,15 @@ class SearchOutcome:
 
     ``certainty`` is the probability mass the final pre-measurement state
     puts on the target (for the block-partial driver: on the target's
-    block), whatever index or block the shots vote for; a layered run
-    multiplies its segments' readout probabilities, each 1 in compact mode
-    and 1 within rounding in full mode.  ``resolved_block`` is the block
+    block), whatever index or block the shots vote for; a layered run's is
+    1, and :func:`layered_reference` multiplies its segments' readout
+    probabilities, each 1 within rounding.  ``resolved_block`` is the block
     the block-partial driver resolves and ``None`` for every other driver.
     That driver measures only the top ``log2(b)`` bits, so its
     ``measured_index`` is ``resolved_block << (r - log2(b))``, the
-    unmeasured bits 0.  ``wall_time``
-    covers state preparation through final measurement and is the one
-    field excluded from determinism guarantees.
+    unmeasured bits 0.  ``wall_time`` covers state preparation through
+    final measurement, for a layered run only the read of its plan, and is
+    the one field excluded from determinism guarantees.
     """
 
     measured_index: int
@@ -148,80 +137,6 @@ class SearchOutcome:
     trial_seed: int
     certainty: float
     resolved_block: int | None = None
-
-
-@dataclass
-class SearchContext:
-    """The whole state of one layered run: the bits of its config's target found so far.
-
-    ``config`` gives the register size, segment width, target and seed,
-    and was checked when it was built.  ``mask`` and ``value`` hold the
-    determined bits, ``history`` each resolved ``((lo, hi), value)`` in
-    order, ``queries`` every oracle query the run made and ``certainty``
-    the product of the segments' readout probabilities.  ``mode`` is
-    ``"compact"`` or ``"full"``; full mode's register holds ``r + 1``
-    qubits, so it is rejected at ``r = MAX_QUBITS`` before anything is
-    allocated.
-    """
-
-    config: SearchConfig
-    mode: str = "compact"
-    mask: int = field(default=0, init=False)
-    value: int = field(default=0, init=False)
-    history: list[tuple[tuple[int, int], int]] = field(default_factory=list, init=False)
-    queries: int = field(default=0, init=False)
-    certainty: float = field(default=1.0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in _READOUTS:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "full" and self.config.r >= MAX_QUBITS:
-            raise ValueError(
-                f"full mode needs r + 1 = {self.config.r + 1} qubits, the register and "
-                f"the segment search's ancilla; at most {MAX_QUBITS}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Segment scheduling
-
-
-@lru_cache(maxsize=None)
-def layered_plan(
-    algorithm: Algorithm | str, r: int, k: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Rounds of segment searches of a DFGS or BDGS run; each round is one layer.
-
-    A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
-    pairs a segment of each pass, the DFGS plans of the top half and of the
-    bottom half from the LSB, the longer pass running on alone.  Checked
-    once per ``(algorithm, r, k)``: every segment is at most ``k`` wide, no
-    two overlap, and together they cover all ``r`` bits.
-    """
-    algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.DFGS:
-        rounds = [(segment,) for segment in dfgs_segments(r, k)]
-    elif algorithm is Algorithm.BDGS:
-        pairs = zip_longest(forward_segments(r, k), backward_segments(r, k))
-        rounds = [tuple(segment for segment in pair if segment is not None) for pair in pairs]
-    else:
-        raise ValueError(f"{algorithm.value} has no segment plan")
-    covered = 0
-    for segments in rounds:
-        for lo, hi in segments:
-            bits = segment_mask(r, lo, hi)
-            if hi - lo + 1 > k or bits & covered:
-                raise ValueError(
-                    f"{algorithm.value} plan at r={r}, k={k}: segment [{lo}, {hi}] is wider "
-                    "than k or overlaps an earlier one (driver scheduling bug)"
-                )
-            covered |= bits
-    if covered != (1 << r) - 1:
-        raise ValueError(
-            f"{algorithm.value} plan at r={r}, k={k} leaves bits unresolved "
-            "(driver scheduling bug)"
-        )
-    return tuple(rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -253,60 +168,44 @@ def _reflect_about_start(state: StateVector, row: SegmentRow, pair: np.ndarray) 
     np.subtract(2.0 * mean[..., None] * pair, view, out=view)
 
 
-def _compact_readout(
-    ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
-) -> tuple[int, float]:
-    """Charge an exact segment search's rounds and read the target's segment value."""
-    ctx.queries += row.reps
-    return (ctx.config.target & row.mask) >> row.shift, 1.0
+def segment_partial_search(
+    config: SearchConfig, mask: int, value: int, segment: tuple[int, int]
+) -> tuple[int, float, int]:
+    """Search one bit segment of ``config.target`` on the dense ``2**(r+1)`` register.
 
-
-def _full_readout(
-    ctx: SearchContext, row: SegmentRow, segment: tuple[int, int]
-) -> tuple[int, float]:
-    """Amplify the segment on the ``2**(r+1)`` register, the ancilla last, and
-    read the most likely value of its marginal."""
-    r, target = ctx.config.r, ctx.config.target
-    oracle = OracleSpec(r + 1, target << 1 | 1, segment, ctx.mask << 1 | 1, ctx.value << 1 | 1)
-    pair = np.array([math.sqrt(1.0 - row.ancilla * row.ancilla), row.ancilla])
-    register = _start_state(r, ctx.mask, ctx.value, pair)
-    for _ in range(row.reps):
-        register = oracle.apply(register)
-        _reflect_about_start(register, row, pair)
-    ctx.queries += oracle.query_count
-    probs = register.probabilities().reshape(-1, 1 << row.width, 2 << row.shift)
-    marginal = probs.sum(axis=(0, 2))
-    top = int(np.argmax(marginal))
-    return top, float(marginal[top])
-
-
-# Each readout charges its own queries and returns ``(value, probability)``.
-_READOUTS = {"compact": _compact_readout, "full": _full_readout}
-
-
-def segment_partial_search(ctx: SearchContext, segment: tuple[int, int]) -> None:
-    """Resolve one bit segment of ``ctx.config.target`` and record it in ``ctx``.
-
-    Runs the segment's exact search (:class:`~groverbench.ops.SegmentRow`):
-    ``reps`` rounds of the segment-restricted oracle, conditioned on every
-    determined bit, then reads the segment value through the run's mode.
-    The value read is the target's at every width, so nothing is confirmed
-    or retried.
+    ``mask`` and ``value`` hold the bits already determined.  Runs the
+    segment's exact search (:class:`~groverbench.ops.SegmentRow`), the
+    ancilla last: ``reps`` rounds of the segment-restricted oracle,
+    conditioned on every determined bit, each followed by the reflection
+    about the start state.  Returns the most likely value of the segment's
+    marginal, its probability and the queries spent.  Rejects ``r =
+    MAX_QUBITS``, a segment wider than ``config.k`` bits and one that
+    overlaps ``mask``, before allocating.
     """
     lo, hi = segment
-    config = ctx.config
-    row = segment_row(config.r, lo, hi)
+    r = config.r
+    if r >= MAX_QUBITS:
+        raise ValueError(
+            f"full mode needs r + 1 = {r + 1} qubits, the register and "
+            f"the segment search's ancilla; at most {MAX_QUBITS}"
+        )
+    row = segment_row(r, lo, hi)
     if 1 << row.width > config.b:  # wider than k = log2(b) bits
         raise ValueError(f"segment [{lo}, {hi}] wider than {config.k} bits")
-    if row.mask & ctx.mask:
+    if row.mask & mask:
         raise ValueError(
             f"segment [{lo}, {hi}] overlaps determined bits (driver scheduling bug)"
         )
-    value, prob = _READOUTS[ctx.mode](ctx, row, segment)
-    ctx.mask |= row.mask
-    ctx.value |= value << row.shift
-    ctx.history.append((segment, value))
-    ctx.certainty *= min(prob, 1.0)
+    oracle = OracleSpec(r + 1, config.target << 1 | 1, segment, mask << 1 | 1, value << 1 | 1)
+    pair = np.array([math.sqrt(1.0 - row.ancilla * row.ancilla), row.ancilla])
+    register = _start_state(r, mask, value, pair)
+    for _ in range(row.reps):
+        register = oracle.apply(register)
+        _reflect_about_start(register, row, pair)
+    probs = register.probabilities().reshape(-1, 1 << row.width, 2 << row.shift)
+    marginal = probs.sum(axis=(0, 2))
+    top = int(np.argmax(marginal))
+    return top, float(marginal[top]), oracle.query_count
 
 
 # ---------------------------------------------------------------------------
@@ -553,47 +452,72 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     return outcome.resolved_block, outcome
 
 
-def _run_layered(config: SearchConfig, mode: str) -> SearchOutcome:
-    """Resolve the rounds of ``config``'s cached plan in order; each round is one layer."""
-    rounds = layered_plan(config.algorithm, config.r, config.k)
+def _run_layered(config: SearchConfig) -> SearchOutcome:
+    """Read ``config``'s run from its cached plan: the target, found with
+    certainty, one layer per round and the plan's cost in queries."""
     start = time.perf_counter()
-    ctx = SearchContext(config, mode)
-    for segments in rounds:
-        for segment in segments:
-            segment_partial_search(ctx, segment)
+    layers = len(layered_plan(config.algorithm, config.r, config.k))
+    queries = _plan_cost(config.algorithm, config.r, config.k)
     wall = time.perf_counter() - start
-    # The plan covers every bit, and the final register is a computational
-    # basis state, so every shot lands on the reconstructed index.
-    return SearchOutcome(
-        measured_index=ctx.value,
-        success_fraction=1.0 if ctx.value == config.target else 0.0,
-        layers=len(rounds),
-        oracle_calls=ctx.queries,
-        wall_time=wall,
-        trial_seed=config.seed,
-        certainty=ctx.certainty,
-    )
+    return SearchOutcome(config.target, 1.0, layers, queries, wall, config.seed, certainty=1.0)
 
 
-def run_dfgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
+def run_dfgs(config: SearchConfig) -> SearchOutcome:
     """Depth-first layered search: resolve every segment MSB to LSB."""
     if config.algorithm is not Algorithm.DFGS:
         raise ValueError(f"config requests {config.algorithm}, not DFGS")
-    return _run_layered(config, mode)
+    return _run_layered(config)
 
 
-def run_bdgs(config: SearchConfig, mode: str = "compact") -> SearchOutcome:
+def run_bdgs(config: SearchConfig) -> SearchOutcome:
     """Bi-directional layered search: forward and backward passes meet in
     the middle.
 
-    The passes touch disjoint bit ranges and may run concurrently; this
-    driver executes them sequentially, interleaved by layer, and reports
-    ``layers`` under the parallel accounting (the longer of the two
-    passes).
+    The passes touch disjoint bit ranges, so each round pairs a segment
+    search of each pass, and ``layers`` counts the rounds (the longer of
+    the two passes) under that parallel accounting.  The run is read from
+    the plan; :func:`layered_reference` searches a round's segments one
+    after the other.
     """
     if config.algorithm is not Algorithm.BDGS:
         raise ValueError(f"config requests {config.algorithm}, not BDGS")
-    return _run_layered(config, mode)
+    return _run_layered(config)
+
+
+def layered_reference(config: SearchConfig) -> SearchOutcome:
+    """The dense reference of ``config``'s DFGS or BDGS run.
+
+    Walks the rounds of the run's plan in order, each segment through
+    :func:`segment_partial_search` on the ``2**(r+1)`` register, and
+    reports what it measured: the index built from the segment values, the
+    queries the searches spent, one layer per round, and the product of the
+    readout probabilities as ``certainty``.  A correct run matches
+    :func:`run_dfgs` or :func:`run_bdgs` in every field but ``certainty``,
+    which is 1 within rounding, and ``wall_time``.  Needs
+    ``r + 1 <= MAX_QUBITS``.
+    """
+    rounds = layered_plan(config.algorithm, config.r, config.k)
+    start = time.perf_counter()
+    mask = value = queries = 0
+    certainty = 1.0
+    for segments in rounds:
+        for segment in segments:
+            found, prob, spent = segment_partial_search(config, mask, value, segment)
+            row = segment_row(config.r, *segment)
+            mask |= row.mask
+            value |= found << row.shift
+            queries += spent
+            certainty *= min(prob, 1.0)
+    wall = time.perf_counter() - start
+    return SearchOutcome(
+        measured_index=value,
+        success_fraction=1.0 if value == config.target else 0.0,
+        layers=len(rounds),
+        oracle_calls=queries,
+        wall_time=wall,
+        trial_seed=config.seed,
+        certainty=certainty,
+    )
 
 
 def run_search(config: SearchConfig) -> SearchOutcome:

@@ -384,6 +384,13 @@ def test_predicted_layers():
     ]
     with pytest.raises(ValueError):
         gb.predicted_layers("GRK", 8, 2)
+    # The layered counts are the rounds of the plan; the paper's closed
+    # forms ceil(r/k) and ceil(r/(2k)) are the independent reference.
+    for r in range(1, 25):
+        for k in range(1, r + 1):
+            assert gb.predicted_layers("DFGS", r, k) == math.ceil(r / k), (r, k)
+            assert gb.predicted_layers("BDGS", r, k) == math.ceil(r / (2 * k)), (r, k)
+            assert gb.predicted_layers("GS", r, k) == gb.optimal_iterations(1 << r)
 
 
 def test_predict_cost():
@@ -438,21 +445,23 @@ def test_bdgs_bound_is_out_of_reach_of_one_single_target_oracle():
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_segment_masses_match_a_dense_segment_search(width):
-    # The compact readout puts all the mass on the target's value; the dense
-    # search, on r + 1 qubits with the ancilla, agrees to 1e-12 for a
-    # segment below a determined bit, at the same cost.
+    # A compact run reads the target's value from the segment's row, with
+    # certainty, and charges the row's reps; the dense search, on r + 1
+    # qubits with the ancilla, agrees to 1e-12 for a segment below a
+    # determined bit, at the same cost.
     n, r = 1 << width, width + 1
+    row = gb.ops.segment_row(r, 1, width)
     for value in sorted({0, n // 3, n - 1}):
         for top in (0, 1):
             config = gb.SearchConfig(r, top << width | value, "DFGS", b=n)
-            compact, full = gb.SearchContext(config), gb.SearchContext(config, mode="full")
-            for ctx in (compact, full):
-                gb.segment_partial_search(ctx, (0, 0))
-                gb.segment_partial_search(ctx, (1, width))
-            assert compact.history == full.history == [((0, 0), top), ((1, width), value)]
-            assert compact.queries == full.queries == 1 + gb.ops.segment_row(r, 1, width).reps
-            assert compact.certainty == 1.0
-            assert full.certainty == pytest.approx(1.0, abs=1e-12)
+            assert (config.target & row.mask) >> row.shift == value
+            first, first_prob, first_queries = gb.segment_partial_search(config, 0, 0, (0, 0))
+            found, prob, queries = gb.segment_partial_search(
+                config, 1 << width, top << width, (1, width)
+            )
+            assert (first, found) == (top, value)
+            assert (first_queries, queries) == (1, row.reps)
+            assert first_prob * prob == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Driver-level tests: segment scheduling, exactness, query accounting,
-cross-validation of the compact and full register modes."""
+cross-validation of the compact layered runs against the dense reference."""
 
 import hashlib
 import math
@@ -37,6 +37,22 @@ def outcome_key(outcome: gb.SearchOutcome) -> tuple:
         outcome.certainty,
         outcome.resolved_block,
     )
+
+
+def walk_segments(config: gb.SearchConfig, segments) -> tuple[int, int, list, int]:
+    """Search ``segments`` in order on the dense register, each conditioned on
+    the ones before: the determined mask and value, each ``(segment, value)``
+    found, and the queries spent."""
+    mask = value = queries = 0
+    history = []
+    for segment in segments:
+        found, _, spent = gb.segment_partial_search(config, mask, value, segment)
+        row = gb.ops.segment_row(config.r, *segment)
+        mask |= row.mask
+        value |= found << row.shift
+        history.append((segment, found))
+        queries += spent
+    return mask, value, history, queries
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +111,23 @@ def test_layered_plan_pairs_the_passes_by_round():
     [([(0, 1), (1, 2), (3, 3)], "overlaps"), ([(0, 1), (2, 2)], "unresolved")],
 )
 def test_a_bad_plan_is_rejected_before_any_query(monkeypatch, segments, message):
+    import groverbench.ops as ops
     import groverbench.search as search
 
     searched = []
-    monkeypatch.setattr(search, "dfgs_segments", lambda r, k: segments)
+    monkeypatch.setattr(ops, "dfgs_segments", lambda r, k: segments)
     monkeypatch.setattr(search, "segment_partial_search", lambda *args: searched.append(args))
     config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=1)
-    search.layered_plan.cache_clear()
+    caches = (ops.layered_plan, ops._plan_cost)
+    for cache in caches:
+        cache.cache_clear()
     try:
-        with pytest.raises(ValueError, match=f"{message}.*scheduling"):
-            gb.run_dfgs(config)
+        for run in (gb.run_dfgs, gb.layered_reference):
+            with pytest.raises(ValueError, match=f"{message}.*scheduling"):
+                run(config)
     finally:
-        search.layered_plan.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert searched == []
 
 
@@ -192,8 +213,9 @@ def test_a_layered_run_builds_no_generator_at_any_width(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_layered_runs_make_no_classical_probe(monkeypatch, algorithm):
-    # Nothing is confirmed, so neither mode calls OracleSpec.query_index,
-    # at widths 3 and 1 too, and both charge the same queries.
+    # Nothing is confirmed, so neither the run nor the dense reference calls
+    # OracleSpec.query_index, at widths 3 and 1 too, and both charge the
+    # same queries.
     import groverbench.ops as ops
 
     probes = []
@@ -201,7 +223,7 @@ def test_layered_runs_make_no_classical_probe(monkeypatch, algorithm):
     runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
     for seed in range(4):
         config = gb.SearchConfig(r=9, target=301, algorithm=algorithm, b=8, shots=1, seed=seed)
-        compact, full = runner(config, mode="compact"), runner(config, mode="full")
+        compact, full = runner(config), gb.layered_reference(config)
         assert compact.oracle_calls == full.oracle_calls
     assert probes == []
 
@@ -748,19 +770,27 @@ def _count_layered_lookups(monkeypatch, run) -> dict:
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_layered_run_keeps_the_traced_segment_boundaries(monkeypatch, algorithm):
-    # 10 width-2 segments at r = 20, b = 4.  The compact mode reads each
-    # segment's two amplitude classes in closed form: no register, no
-    # iteration call.
-    config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
-    calls = _count_layered_lookups(monkeypatch, lambda: gb.run_search(config))
-    assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 0}
+    # A compact run reads its plan: no segment search, no register and no
+    # iteration call, for 10 width-2 segments at r = 20, b = 4 and for one
+    # 24-bit segment (two 12-bit ones for BDGS) at r = 24, where it
+    # allocates under 64 KiB.
+    for r, b in ((20, 4), (24, 1 << 24)):
+        config = gb.SearchConfig(r=r, target=987654, algorithm=algorithm, b=b, shots=16)
+        tracemalloc.start()
+        try:
+            calls = _count_layered_lookups(monkeypatch, lambda: gb.run_search(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == {"segment_partial_search": 0, "uniform_state": 0, "grover_iteration": 0}
+        assert peak < 64 << 10
 
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
-    # The full mode amplifies the 2**(r+1) register with its own reflection
-    # about the start state: one oracle application per segment, and no
-    # grover_iteration call.
+    # The dense reference amplifies the 2**(r+1) register with its own
+    # reflection about the start state: one oracle application per segment,
+    # and no grover_iteration call.
     import groverbench.ops as ops
 
     applied = []
@@ -772,8 +802,7 @@ def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
 
     monkeypatch.setattr(ops.OracleSpec, "apply", counted)
     config = gb.SearchConfig(r=20, target=987654, algorithm=algorithm, b=4, shots=16)
-    runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
-    calls = _count_layered_lookups(monkeypatch, lambda: runner(config, mode="full"))
+    calls = _count_layered_lookups(monkeypatch, lambda: gb.layered_reference(config))
     assert calls == {"segment_partial_search": 10, "uniform_state": 0, "grover_iteration": 0}
     assert applied == [21] * 10
 
@@ -870,12 +899,10 @@ def test_grk_deterministic():
 
 def test_dfgs_r4_history():
     config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=64, seed=0)
-    ctx = gb.SearchContext(config)
-    for segment in gb.dfgs_segments(config.r, config.k):
-        gb.segment_partial_search(ctx, segment)
+    _, value, history, _ = walk_segments(config, gb.dfgs_segments(config.r, config.k))
     # 9 = 1001: MSB pair resolves to 10, then the LSB pair to 01.
-    assert ctx.history == [((0, 1), 0b10), ((2, 3), 0b01)]
-    assert ctx.value == 9
+    assert history == [((0, 1), 0b10), ((2, 3), 0b01)]
+    assert value == 9
 
     outcome = gb.run_dfgs(config)
     assert outcome.measured_index == 9
@@ -905,15 +932,13 @@ def test_dfgs_r20_layers():
 def test_bdgs_r8_resolves_from_both_ends():
     target = 0b01101111
     config = gb.SearchConfig(r=8, target=target, algorithm="BDGS", shots=64, seed=6)
-    ctx = gb.SearchContext(config)
-    for segment in gb.forward_segments(8, 2):
-        gb.segment_partial_search(ctx, segment)
-    assert [value for _, value in ctx.history] == [0b01, 0b10]
-    for segment in gb.backward_segments(8, 2):
-        gb.segment_partial_search(ctx, segment)
-    assert [value for _, value in ctx.history][2:] == [0b11, 0b11]
-    assert ctx.value == target
-    assert ctx.mask == 0xFF
+    forward = gb.forward_segments(8, 2)
+    _, _, history, _ = walk_segments(config, forward)
+    assert [value for _, value in history] == [0b01, 0b10]
+    mask, value, history, _ = walk_segments(config, forward + gb.backward_segments(8, 2))
+    assert [value for _, value in history][2:] == [0b11, 0b11]
+    assert value == target
+    assert mask == 0xFF
 
 
 def test_bdgs_r4_parallel_accounting():
@@ -974,78 +999,57 @@ def test_layered_drivers_deterministic():
 
 
 def test_segment_search_rejects_overlap():
-    ctx = gb.SearchContext(gb.SearchConfig(4, 5, "DFGS"))
-    gb.segment_partial_search(ctx, (0, 1))
+    config = gb.SearchConfig(4, 5, "DFGS")
+    assert gb.segment_partial_search(config, 0, 0, (0, 1))[0] == 0b01
     with pytest.raises(ValueError, match="scheduling"):
-        gb.segment_partial_search(ctx, (1, 2))
-    assert (ctx.mask, ctx.value, ctx.history) == (0b1100, 0b0100, [((0, 1), 0b01)])
+        gb.segment_partial_search(config, 0b1100, 0b0100, (1, 2))
 
 
 def test_segment_search_rejects_wide_segment():
-    ctx = gb.SearchContext(gb.SearchConfig(6, 5, "DFGS"))
     with pytest.raises(ValueError, match="wider"):
-        gb.segment_partial_search(ctx, (0, 2))
+        gb.segment_partial_search(gb.SearchConfig(6, 5, "DFGS"), 0, 0, (0, 2))
 
 
 def test_segment_search_width1_resolves_in_one_round():
     # The ancilla's amplitude sqrt(1/2) slows the one round to pi/6, so a
-    # single bit is found with certainty in one query, in either mode.
+    # single bit is found with certainty in one query, the value a compact
+    # run reads from the row.
+    row = gb.ops.segment_row(3, 0, 0)
+    assert row.reps == 1
     for target_bit in (0, 1):
-        for mode in ("compact", "full"):
-            ctx = gb.SearchContext(gb.SearchConfig(3, target_bit << 2, "DFGS", seed=3), mode)
-            gb.segment_partial_search(ctx, (0, 0))
-            assert ctx.history == [((0, 0), target_bit)]
-            assert ctx.queries == 1
-            assert ctx.certainty == pytest.approx(1.0, abs=1e-15)
+        config = gb.SearchConfig(3, target_bit << 2, "DFGS", seed=3)
+        found, prob, queries = gb.segment_partial_search(config, 0, 0, (0, 0))
+        assert found == (config.target & row.mask) >> row.shift == target_bit
+        assert queries == 1
+        assert prob == pytest.approx(1.0, abs=1e-15)
 
 
-# A context holds its SearchConfig, so the config's own checks reject a bad
-# input before any context exists; the context checks only its mode.
+def test_layered_reference_rejects_24_qubits_before_allocating(monkeypatch):
+    # The dense reference adds the segment search's ancilla, so r = 24
+    # would need a 25-qubit register: rejected in one line, before any
+    # register exists.  At r = 23 the check passes and the first segment
+    # search goes on to build its register.
+    import groverbench.search as search
 
-
-def test_search_context_rejects_a_target_out_of_range():
-    for target in (16, 99, -1):
-        with pytest.raises(ValueError, match="out of range for 4 qubits"):
-            gb.SearchContext(gb.SearchConfig(4, target, "DFGS"))
-
-
-def test_search_context_rejects_a_negative_seed():
-    # Rejected at construction: a layered run never builds the generator
-    # that would reject it later.
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        gb.SearchContext(gb.SearchConfig(4, 5, "DFGS", seed=-1))
-
-
-@pytest.mark.parametrize("mode", ["compact", "full"])
-@pytest.mark.parametrize("r", [0, 25])
-def test_search_context_rejects_a_qubit_count(r, mode):
-    # Rejected at construction, before a full-mode readout could allocate
-    # a 2**r register.
-    with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
-        gb.SearchContext(gb.SearchConfig(r, 0, "DFGS"), mode=mode)
-
-
-def test_search_context_rejects_full_mode_at_24_qubits_before_allocating():
-    # Full mode adds the segment search's ancilla, so r = 24 would need a
-    # 25-qubit register: rejected in one line, before any register exists.
     config = gb.SearchConfig(24, 12_345_678, "DFGS", b=16)
     message = r"^full mode needs r \+ 1 = 25 qubits, the register and the segment search's ancilla; at most 24$"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
-            gb.SearchContext(config, mode="full")
+            gb.layered_reference(config)
         with pytest.raises(ValueError, match=message):
-            gb.run_dfgs(config, mode="full")
+            gb.segment_partial_search(config, 0, 0, (0, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
-    assert gb.SearchContext(gb.SearchConfig(23, 5, "DFGS"), mode="full").mode == "full"
 
+    def building(*args):
+        raise RuntimeError("building the register")
 
-def test_search_context_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'dense'"):
-        gb.SearchContext(gb.SearchConfig(4, 5, "DFGS"), mode="dense")
+    monkeypatch.setattr(search, "_start_state", building)
+    with pytest.raises(RuntimeError, match="building the register"):
+        gb.layered_reference(gb.SearchConfig(23, 5, "DFGS"))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,6 +1057,7 @@ def test_search_context_rejects_an_unknown_mode():
 
 
 def _assert_modes_agree(r: int, b: int, rng: np.random.Generator, configs: int = 6) -> None:
+    # A compact run against the dense reference of the same config.
     for _ in range(configs):
         target = int(rng.integers(0, 1 << r))
         seed = int(rng.integers(2**31))
@@ -1060,8 +1065,8 @@ def _assert_modes_agree(r: int, b: int, rng: np.random.Generator, configs: int =
             config = gb.SearchConfig(
                 r=r, target=target, algorithm=algorithm, b=b, shots=16, seed=seed
             )
-            compact = runner(config, mode="compact")
-            full = runner(config, mode="full")
+            compact = runner(config)
+            full = gb.layered_reference(config)
             assert compact.measured_index == full.measured_index == target
             assert compact.oracle_calls == full.oracle_calls
             assert compact.layers == full.layers
@@ -1086,8 +1091,8 @@ def test_compact_and_full_modes_agree_at_sampled_widths(r, b):
 def test_compact_and_full_modes_agree_at_r16(algorithm, b):
     runner = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}[algorithm]
     config = gb.SearchConfig(r=16, target=40503, algorithm=algorithm, b=b, shots=8, seed=b)
-    compact = runner(config, mode="compact")
-    full = runner(config, mode="full")
+    compact = runner(config)
+    full = gb.layered_reference(config)
     assert compact.measured_index == full.measured_index == config.target
     assert compact.oracle_calls == full.oracle_calls
     assert compact.layers == full.layers
@@ -1103,7 +1108,8 @@ def test_compact_and_full_modes_agree_up_to_r10(b):
 
 @pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
 def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
-    # Same history, queries and certainty after every segment, so a
+    # Every dense segment search reads the value and spends the rounds a
+    # compact run reads from the segment's row, with certainty, so a
     # difference shows at the segment that makes it, width-1 ones included.
     widths = set()
     for r in range(2, 11):
@@ -1113,17 +1119,20 @@ def test_compact_and_full_modes_agree_segment_by_segment(algorithm):
             for seed in range(3):
                 target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
                 config = gb.SearchConfig(r, target, algorithm, b=b, seed=seed)
-                compact = gb.SearchContext(config)
-                full = gb.SearchContext(config, mode="full")
+                mask = value = 0
                 for segments in gb.layered_plan(algorithm, r, config.k):
                     for segment in segments:
-                        gb.segment_partial_search(compact, segment)
-                        gb.segment_partial_search(full, segment)
-                        assert compact.history == full.history
-                        assert compact.queries == full.queries
-                        assert compact.certainty == pytest.approx(full.certainty, abs=1e-12)
-                        widths.add(segment[1] - segment[0] + 1)
-                assert compact.value == full.value == target
+                        row = gb.ops.segment_row(r, *segment)
+                        found, prob, queries = gb.segment_partial_search(
+                            config, mask, value, segment
+                        )
+                        assert found == (target & row.mask) >> row.shift
+                        assert queries == row.reps
+                        assert prob == pytest.approx(1.0, abs=1e-12)
+                        mask |= row.mask
+                        value |= found << row.shift
+                        widths.add(row.width)
+                assert value == target
     assert widths == {1, 2, 3, 4}
 
 
@@ -1326,9 +1335,12 @@ def test_grk_schedule_pins(r, b, schedule):
 
 
 def test_unknown_mode_rejected():
+    # The layered drivers take their config alone: the dense reference is
+    # layered_reference, not a mode of theirs.
     config = gb.SearchConfig(r=4, target=1, algorithm="DFGS", shots=8, seed=0)
-    with pytest.raises(ValueError, match="mode"):
-        gb.run_dfgs(config, mode="dense")
+    for runner in (gb.run_dfgs, gb.run_bdgs):
+        with pytest.raises(TypeError, match="mode"):
+            runner(config, mode="dense")
 
 
 def test_certainty_is_the_targets_mass_not_the_measured_ones():
@@ -1348,12 +1360,11 @@ def test_segment_order_independence():
     bwd = gb.backward_segments(r, k)
     orders = [fwd + bwd, bwd + fwd, [fwd[0], bwd[0], fwd[1], bwd[1]]]
     values = []
+    config = gb.SearchConfig(r, target, "BDGS", seed=4)
     for order in orders:
-        ctx = gb.SearchContext(gb.SearchConfig(r, target, "BDGS", seed=4))
-        for segment in order:
-            gb.segment_partial_search(ctx, segment)
-        assert ctx.mask == (1 << r) - 1
-        values.append(ctx.value)
+        mask, value, _, _ = walk_segments(config, order)
+        assert mask == (1 << r) - 1
+        values.append(value)
     assert values == [target, target, target]
 
 
@@ -1393,21 +1404,53 @@ def _plan_reps(algorithm: str, r: int, k: int) -> int:
 
 def test_layered_queries_are_the_plans_reps():
     # A layered run charges its segments' rounds and nothing else, whatever
-    # the target and seed; for DFGS that is predict_cost's count.
+    # the target and seed; for DFGS that is predict_cost's count.  Every
+    # field but the wall time is read from the plan: the target, one layer
+    # per round, those rounds' reps and certainty 1.
     for algorithm in ("DFGS", "BDGS"):
         for r in range(1, 25):
-            for b in (2, 4, 8, 16, 32):
-                if b > 1 << r:
-                    continue
-                reps = _plan_reps(algorithm, r, b.bit_length() - 1)
+            for k in range(1, r + 1):
+                b = 1 << k
+                reps = _plan_reps(algorithm, r, k)
+                layers = len(gb.layered_plan(algorithm, r, k))
                 if algorithm == "DFGS":
                     assert gb.predict_cost("DFGS", r, b).oracle_calls == reps
                 for seed in (0, 7, 2**40 + 5):
                     target = (seed * 2654435761 + r * 40503 + b) % (1 << r)
                     config = gb.SearchConfig(r, target, algorithm, b=b, shots=1, seed=seed)
                     outcome = gb.run_search(config)
-                    assert outcome.oracle_calls == reps, (algorithm, r, b, seed)
-                    assert gb.verify_outcome(outcome, config) and outcome.certainty == 1.0
+                    assert outcome_key(outcome) == (
+                        target, 1.0, layers, reps, seed, 1.0, None
+                    ), (algorithm, r, b, seed)
+
+
+@pytest.mark.parametrize("algorithm", ["GS", "GRK"])
+def test_layered_reference_needs_a_layered_plan(algorithm):
+    with pytest.raises(ValueError, match=f"^{algorithm} has no segment plan$"):
+        gb.layered_reference(gb.SearchConfig(6, 37, algorithm, b=4))
+
+
+def test_layered_reference_conditions_each_segment_on_the_ones_before(monkeypatch):
+    # The reference searches the plan's segments in order, each with the
+    # target's bits of every earlier segment as its determined mask and value.
+    import groverbench.search as search
+
+    calls = []
+    real = search.segment_partial_search
+
+    def recording(config, mask, value, segment):
+        calls.append((segment, mask, value))
+        return real(config, mask, value, segment)
+
+    monkeypatch.setattr(search, "segment_partial_search", recording)
+    config = gb.SearchConfig(9, 0b101101110, "BDGS", b=4)
+    assert gb.layered_reference(config).measured_index == config.target
+    mask, expected = 0, []
+    for segments in gb.layered_plan("BDGS", 9, 2):
+        for segment in segments:
+            expected.append((segment, mask, config.target & mask))
+            mask |= gb.segment_mask(9, *segment)
+    assert calls == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1448,21 +1491,25 @@ def test_verify_outcome_checks_a_grk_block():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        gb.SearchConfig(r=4, target=16)
-    with pytest.raises(ValueError):
-        gb.SearchConfig(r=4, target=-1)
+    # A layered run checks nothing else: its config's checks reject a bad
+    # input before any run or reference starts.
+    for target in (16, 99, -1):
+        with pytest.raises(ValueError, match="out of range for 4 qubits"):
+            gb.SearchConfig(r=4, target=target, algorithm="DFGS")
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, b=3)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, b=1)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, shots=0)
-    # A negative seed fails here, not later inside np.random.default_rng.
-    with pytest.raises(ValueError, match="seed"):
-        gb.SearchConfig(4, 3, seed=-1)
-    with pytest.raises(ValueError):
-        gb.SearchConfig(r=30, target=3)
+    # A negative seed fails here, not later inside np.random.default_rng,
+    # and for a layered run too, which builds no generator.
+    for algorithm in ("GS", "DFGS"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            gb.SearchConfig(4, 3, algorithm, seed=-1)
+    for r in (0, 25, 30):
+        with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
+            gb.SearchConfig(r=r, target=0, algorithm="DFGS")
     with pytest.raises(ValueError, match="index space"):
         gb.SearchConfig(r=4, target=3, algorithm="DFGS", b=32)
     # GS never reads b, so the default b = 4 does not reject a 2-state register.
@@ -1474,7 +1521,7 @@ def test_search_config_validation():
 
 
 @pytest.mark.parametrize(
-    "algorithm, mode",
+    "algorithm, register",
     [
         ("GS", None),
         ("GRK", None),
@@ -1482,16 +1529,17 @@ def test_search_config_validation():
         ("BDGS", "full"),
     ],
 )
-def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
+def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, register):
     """A kernel that loses the norm is caught by the readout, with or without -O.
 
-    GS and GRK run no kernel: the drift goes into their class run.  The
-    compact layered mode has no readout to check: its outcome is certain.
+    GS and GRK run no kernel: the drift goes into their class run.  A
+    compact layered run has no readout to check: its outcome is certain, so
+    the layered ids drift the full register of the dense reference.
     """
     import groverbench.ops as ops
     import groverbench.search as search
 
-    if mode is None:
+    if register is None:
         real_class_run = search._class_run
 
         def drifting_class_run(classes, iterations, blocks):
@@ -1510,9 +1558,8 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, mode):
 
         monkeypatch.setattr(ops, "phase_flip", drifting)
     config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
-    drivers = {"DFGS": gb.run_dfgs, "BDGS": gb.run_bdgs}
     with pytest.raises(ValueError, match="norm"):
-        if mode is None:
+        if register is None:
             gb.run_search(config)
         else:
-            drivers[algorithm](config, mode=mode)
+            gb.layered_reference(config)

@@ -25,15 +25,16 @@ def test_package_has_no_assert_statements():
 PUBLIC_API = {
     "AggregateRow", "Algorithm", "BasisPredicate", "ErrorRow", "ExperimentPlan",
     "MAX_QUBITS", "OracleSpec", "PredictedCost", "ResultTable", "SearchConfig",
-    "SearchContext", "SearchOutcome", "StateVector", "TrialRow",
+    "SearchOutcome", "StateVector", "TrialRow",
     "backward_segments", "basis_state", "bdgs_level_iterations",
     "bdgs_terminal_iterations", "bdgs_total_queries", "block_sums", "cell_seed",
     "dfgs_segments", "emit_scaling_series", "emit_table", "forward_segments",
     "grk_query_count", "grk_reference_amplitudes", "grover_angle", "grover_iteration",
-    "invert_about_mean", "layered_plan", "operator_matrix", "optimal_iterations",
-    "phase_flip", "predict_cost", "predicted_layers", "run_bdgs", "run_dfgs",
-    "run_grk_partial", "run_plan", "run_search", "run_standard_grover", "sample",
-    "segment_mask", "segment_partial_search", "uniform_state", "verify_outcome",
+    "invert_about_mean", "layered_plan", "layered_reference", "operator_matrix",
+    "optimal_iterations", "phase_flip", "predict_cost", "predicted_layers",
+    "run_bdgs", "run_dfgs", "run_grk_partial", "run_plan", "run_search",
+    "run_standard_grover", "sample", "segment_mask", "segment_partial_search",
+    "uniform_state", "verify_outcome",
 }
 
 

@@ -27,6 +27,9 @@ def test_tracer_installs_and_unpatches():
         tracing.install(tracer, gb)
         config = gb.SearchConfig(r=5, target=22, algorithm="BDGS", b=4, shots=1, seed=5)
         assert gb.bench.run_search(config).measured_index == 22
+        # A compact run reads its plan; the dense reference searches its
+        # three segments through the traced lookup.
+        assert gb.search.layered_reference(config).measured_index == 22
     finally:
         tracer.unpatch()
     assert {name: getattr(gb.search, name) for name in originals} == originals
