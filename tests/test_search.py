@@ -1024,6 +1024,36 @@ def test_segment_search_width1_resolves_in_one_round():
         assert prob == pytest.approx(1.0, abs=1e-15)
 
 
+# A layered run checks nothing of its own: the SearchConfig it is given
+# rejects a bad input before a compact run (run_dfgs) or the dense
+# reference (layered_reference) starts.
+_LAYERED_ENTRY = {"compact": gb.run_dfgs, "full": gb.layered_reference}
+
+
+def test_search_context_rejects_a_target_out_of_range():
+    for target in (16, 99, -1):
+        for run in _LAYERED_ENTRY.values():
+            with pytest.raises(ValueError, match="out of range for 4 qubits"):
+                run(gb.SearchConfig(4, target, "DFGS"))
+
+
+def test_search_context_rejects_a_negative_seed():
+    # Rejected at construction: a layered run never builds the generator
+    # that would reject it later.
+    for run in _LAYERED_ENTRY.values():
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run(gb.SearchConfig(4, 5, "DFGS", seed=-1))
+
+
+@pytest.mark.parametrize("mode", ["compact", "full"])
+@pytest.mark.parametrize("r", [0, 25])
+def test_search_context_rejects_a_qubit_count(r, mode):
+    # Rejected at construction, before the dense reference could allocate
+    # a 2**r register.
+    with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
+        _LAYERED_ENTRY[mode](gb.SearchConfig(r, 0, "DFGS"))
+
+
 def test_layered_reference_rejects_24_qubits_before_allocating(monkeypatch):
     # The dense reference adds the segment search's ancilla, so r = 24
     # would need a 25-qubit register: rejected in one line, before any
@@ -1491,25 +1521,21 @@ def test_verify_outcome_checks_a_grk_block():
 
 
 def test_search_config_validation():
-    # A layered run checks nothing else: its config's checks reject a bad
-    # input before any run or reference starts.
-    for target in (16, 99, -1):
-        with pytest.raises(ValueError, match="out of range for 4 qubits"):
-            gb.SearchConfig(r=4, target=target, algorithm="DFGS")
+    with pytest.raises(ValueError):
+        gb.SearchConfig(r=4, target=16)
+    with pytest.raises(ValueError):
+        gb.SearchConfig(r=4, target=-1)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, b=3)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, b=1)
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=3, shots=0)
-    # A negative seed fails here, not later inside np.random.default_rng,
-    # and for a layered run too, which builds no generator.
-    for algorithm in ("GS", "DFGS"):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            gb.SearchConfig(4, 3, algorithm, seed=-1)
-    for r in (0, 25, 30):
-        with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {r}"):
-            gb.SearchConfig(r=r, target=0, algorithm="DFGS")
+    # A negative seed fails here, not later inside np.random.default_rng.
+    with pytest.raises(ValueError, match="seed"):
+        gb.SearchConfig(4, 3, seed=-1)
+    with pytest.raises(ValueError):
+        gb.SearchConfig(r=30, target=3)
     with pytest.raises(ValueError, match="index space"):
         gb.SearchConfig(r=4, target=3, algorithm="DFGS", b=32)
     # GS never reads b, so the default b = 4 does not reject a 2-state register.
