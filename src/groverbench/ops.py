@@ -1,6 +1,6 @@
 """Oracles with query accounting, the composed search iteration, the one
-segment planner of the layered searches with its cached plans and segment
-rows, and closed-form iteration/query predictors, which read the same plans.
+segment planner of the layered searches with its cached plans and plan
+costs, and closed-form iteration/query predictors, which read the same plans.
 
 A DFGS or BDGS run is a function of its plan: :func:`layered_plan` gives
 its rounds, one per layer, and :func:`_plan_cost` the sum of its segment
@@ -230,9 +230,8 @@ class SegmentRow:
     ancilla: float
 
 
-@lru_cache(maxsize=None)
 def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
-    """The :class:`SegmentRow` of one segment; cached, ``r(r+1)/2`` rows at most per ``r``."""
+    """The :class:`SegmentRow` of one segment, built afresh on each call."""
     width = hi - lo + 1
     mask = segment_mask(r, lo, hi)
     theta = grover_angle(1 << width)
@@ -241,6 +240,7 @@ def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
     return SegmentRow(width, mask, r - 1 - hi, reps, ancilla)
 
 
+# Cached: every DFGS/BDGS run and layer prediction reads the plan of its (algorithm, r, k).
 @lru_cache(maxsize=None)
 def layered_plan(
     algorithm: Algorithm | str, r: int, k: int
@@ -250,10 +250,12 @@ def layered_plan(
     A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
     pairs a segment of each pass, the DFGS plans of the top half and of the
     bottom half from the LSB, the longer pass running on alone.  Checked
-    once per ``(algorithm, r, k)``: every segment is at most ``k`` wide, no
-    two overlap, and together they cover all ``r`` bits.
+    once per ``(algorithm, r, k)``, for any ``r, k >= 1``: each segment is at
+    most ``k`` wide, no two overlap, and together they cover all ``r`` bits.
     """
     algorithm = Algorithm(algorithm)
+    if min(r, k) < 1:
+        raise ValueError(f"a layered plan needs r >= 1 and k >= 1, got r = {r}, k = {k}")
     if algorithm is Algorithm.DFGS:
         rounds = [(segment,) for segment in dfgs_segments(r, k)]
     elif algorithm is Algorithm.BDGS:
@@ -279,6 +281,7 @@ def layered_plan(
     return tuple(rounds)
 
 
+# Cached: every DFGS/BDGS run and DFGS prediction reads it, and it walks a row per segment.
 @lru_cache(maxsize=None)
 def _plan_cost(algorithm: Algorithm, r: int, k: int) -> int:
     """The oracle queries of every run of a layered plan: its segment rows' ``reps``."""

@@ -31,10 +31,10 @@ kernels are the reference the tests check the class run against.
 
 Both layered drivers resolve the index in rounds of segment searches, each
 starting from the uniform superposition over the indices still consistent
-with the bits measured so far; the rounds and each segment's row come
-cached from ``ops.layered_plan`` and ``ops.segment_row``.  Every segment
-search is exact amplitude amplification (Brassard, Høyer, Mosca & Tapp,
-quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
+with the bits measured so far; the rounds come from the cached
+``ops.layered_plan`` and each segment's row from ``ops.segment_row``.  Every
+segment search is exact amplitude amplification (Brassard, Høyer, Mosca &
+Tapp, quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
 amplitude and joined to the oracle's condition, slows each round so that
 the segment's ``reps`` rounds end on the marked value with certainty.  This
 departs from the paper, which runs standard iterations per segment; those
@@ -306,8 +306,8 @@ def _amplify_and_sample(
     ``resolved_block`` (``None`` for GS).  One generator, built from
     ``config.seed``, draws the target cell's votes (:func:`_draw_votes`).
     Over half the shots settle the vote; only an open vote draws the other
-    shots' cells (:func:`_draw_cells`), the generator's last use, for
-    ``np.unique`` to count.
+    shots' cells (:func:`_draw_cells`), the generator's last use, and counts
+    every shot's cell with ``np.unique``.
     """
     start = time.perf_counter()
     n = 1 << config.r
@@ -321,12 +321,9 @@ def _amplify_and_sample(
     rng = np.random.default_rng(config.seed)
     votes = _draw_votes(classes, shots, resolved, rng)
     if 2 * votes <= shots:
-        others = np.sort(_draw_cells(rng, shots - votes, cell, resolved))
-        # Another cell ties or beats the target's only with a run of
-        # ``votes`` equal values among the sorted off-target shots.
-        if votes == 0 or (others[votes - 1 :] == others[: others.size - votes + 1]).any():
-            cells, counts = np.unique(np.append(np.full(votes, cell), others), return_counts=True)
-            cell = int(cells[counts.argmax()])
+        others = _draw_cells(rng, shots - votes, cell, resolved)
+        cells, counts = np.unique(np.append(np.full(votes, cell), others), return_counts=True)
+        cell = int(cells[counts.argmax()])
     wall = time.perf_counter() - start
 
     # The certainty is the mass of the ``size`` members of the target's
@@ -393,6 +390,7 @@ def grk_reference_amplitudes(
     return a, b_amp, g
 
 
+# Cached: every GRK run after the first at its (r, b) reuses this O(N) scan.
 @lru_cache(maxsize=None)
 def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     """Pick (global, local) iteration counts for the block-partial driver.

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -180,7 +179,6 @@ def phase_flip(state: StateVector, pred: BasisPredicate) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=256)
 def _free_axes(r: int, block_mask: int) -> tuple[int, ...]:
     """Axes of the ``(2,)*r`` view that index positions inside a block."""
     if block_mask >> r:

@@ -391,3 +391,36 @@ def test_unknown_algorithm_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["predict", "--qubits", "8", "--algo", "QAOA"])
     assert excinfo.value.code == 2
+
+
+# The console values CI pins on the installed script, checked in-process too.
+
+
+@pytest.mark.parametrize(
+    "qubits, block_size, share", [("3", "2", 0.9658203125), ("4", "8", 0.9853515625)]
+)
+def test_search_grk_gives_the_pinned_console_outcome(capsys, qubits, block_size, share):
+    argv = ["search", "--qubits", qubits, "--algo", "GRK", "--block-size", block_size]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    assert (outcome["measured_index"], outcome["resolved_block"], outcome["success_fraction"]) == (
+        0, 0, share
+    )
+
+
+@pytest.mark.parametrize("block_size", ["2", "4", "1024"])
+def test_predict_bdgs_gives_the_pinned_bound_at_every_block_size(capsys, block_size):
+    argv = ["predict", "--qubits", "20", "--algo", "BDGS", "--block-size", block_size]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["oracle_calls_bound"] == 550.9174843316374
+
+
+def test_search_dfgs_with_a_22_bit_segment_is_verified_with_certainty(capsys):
+    argv = ["search", "--qubits", "23", "--algo", "DFGS", "--block-size", "4194304"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["outcome"]["certainty"] == 1.0

@@ -106,6 +106,22 @@ def test_layered_plan_pairs_the_passes_by_round():
         gb.layered_plan("GRK", 4, 2)
 
 
+@pytest.mark.parametrize("algorithm", ["DFGS", "BDGS"])
+@pytest.mark.parametrize("r, k", [(0, 2), (4, 0), (4, -1), (-3, 2)])
+def test_a_layered_plan_rejects_r_or_k_below_one(algorithm, r, k):
+    # Before planning, with one line that names the bad input, through the
+    # plan and the layer prediction that reads it.
+    message = f"needs r >= 1 and k >= 1, got r = {r}, k = {k}$"
+    for plan in (gb.layered_plan, gb.predicted_layers):
+        with pytest.raises(ValueError, match=message):
+            plan(algorithm, r, k)
+
+
+def test_a_layered_plan_goes_past_the_register_cap():
+    assert gb.layered_plan("DFGS", 30, 4)[-1] == ((28, 29),)
+    assert gb.predicted_layers("BDGS", 40, 4) == 5
+
+
 @pytest.mark.parametrize(
     "segments, message",
     [([(0, 1), (1, 2), (3, 3)], "overlaps"), ([(0, 1), (2, 2)], "unresolved")],
@@ -261,6 +277,29 @@ def test_standard_grover_rejects_other_algorithms():
     config = gb.SearchConfig(r=4, target=1, algorithm="BDGS")
     with pytest.raises(ValueError):
         gb.run_standard_grover(config)
+
+
+def assert_within_single_target_bound(outcome: gb.SearchOutcome, r: int) -> None:
+    """Zalka's bound (quant-ph/9711070) on a run that resolves an index of
+    ``2**r`` with one single-target oracle: its T = ``oracle_calls`` queries
+    put at most sin²((2T+1)θ) on the target, θ = ``grover_angle(2**r)``,
+    while (2T+1)θ <= pi/2.  Past that an exact search reaches 1, so the cap is 1."""
+    angle = min((2 * outcome.oracle_calls + 1) * gb.grover_angle(1 << r), math.pi / 2)
+    assert outcome.certainty <= math.sin(angle) ** 2 + 1e-12, (r, outcome)
+
+
+def test_gs_certainty_stays_within_the_single_target_bound():
+    # GS is the optimum the bound describes: its certainty is the curve
+    # sin²((2T+1)θ) of its own T at every r, also where (2T+1)θ passes
+    # pi/2 (r = 1 ends at 3pi/4, with certainty 1/2).
+    for r in range(1, 25):
+        n = 1 << r
+        for seed in range(3):
+            config = gb.SearchConfig(r=r, target=(31_337 * seed + 5) % n, shots=1, seed=seed)
+            outcome = gb.run_standard_grover(config)
+            assert_within_single_target_bound(outcome, r)
+            angle = (2 * outcome.oracle_calls + 1) * gb.grover_angle(n)
+            assert outcome.certainty <= math.sin(angle) ** 2 + 1e-12, (r, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +472,22 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
 
 
 def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
-    # One segment of width 24: the compact readout takes the two class
-    # masses, never the 128 MiB register, and computes them cold.
-    from groverbench import search
+    # One segment of width 24: the run reads its plan and the plan's cost,
+    # never the 128 MiB register, and builds both cold.
+    from groverbench import ops
 
     r = 24
     config = gb.SearchConfig(r=r, target=12_345_678, algorithm="DFGS", b=1 << r, seed=5)
     gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="DFGS", b=16, seed=5))
-    search.segment_row.cache_clear()
+    ops.layered_plan.cache_clear()
+    ops._plan_cost.cache_clear()
     tracemalloc.start()
     try:
         outcome = gb.run_search(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (ops.layered_plan.cache_info().misses, ops._plan_cost.cache_info().misses) == (1, 1)
     assert peak < 64 << 10
     assert outcome.measured_index == config.target and outcome.layers == 1
     # The exact search runs one round past the standard count at width 24.
