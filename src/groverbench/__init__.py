@@ -21,9 +21,8 @@ from .ops import (
     Algorithm,
     OracleSpec,
     PredictedCost,
-    bdgs_level_iterations,
-    bdgs_terminal_iterations,
     backward_segments,
+    bdgs_level_iterations,
     bdgs_total_queries,
     dfgs_segments,
     forward_segments,

@@ -305,56 +305,46 @@ def grk_query_count(n_states: int, b: int) -> float:
     return math.pi / 4.0 * math.sqrt(n_states) * math.sqrt((b - 1) / b)
 
 
-def bdgs_level_iterations(n_states: int, b: int, level: int) -> float:
-    """Iteration budget of one bi-directional layer at depth ``level``.
-
-    Each pass searches half the index space, so the budget at depth
-    ``level`` is ``pi/4 * (sqrt((N/2)/b^level) - sqrt((N/2)/b^(level+1)))``.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if b ** (level + 1) > n_states / 2:
-        raise ValueError(
-            f"level {level} too deep: b^{level + 1} exceeds half the index space"
-        )
-    half = n_states / 2.0
-    return math.pi / 4.0 * (math.sqrt(half / b**level) - math.sqrt(half / b ** (level + 1)))
-
-
-def _bdgs_depth(n_states: int, b: int, r: int, k: int) -> float:
-    if n_states != 1 << r:
-        raise ValueError(f"n_states {n_states} is not 2^{r}")
-    if b != 1 << k:
-        raise ValueError(f"branching factor {b} is not 2^{k}")
+def _bdgs_depth(r: int, k: int) -> float:
+    """Depth ``r/(2k)`` one BDGS pass reaches, where ``b**depth = 2**(r/2)``."""
+    if min(r, k) < 1:
+        raise ValueError(f"the BDGS count needs r >= 1 and k >= 1, got r = {r}, k = {k}")
     return r / (2.0 * k)
 
 
-def bdgs_terminal_iterations(n_states: int, b: int, r: int, k: int) -> float:
-    """Residual cleanup cost when the level count ``r/(2k)`` is fractional.
+def bdgs_level_iterations(r: int, k: int, level: int) -> float:
+    """Iteration budget of one bi-directional layer at depth ``level``.
 
-    Zero whenever the layers divide evenly; otherwise the partial bottom
-    level from depth ``floor(r/2k)`` down to ``r/2k``.  Together with the
-    full levels this telescopes exactly to :func:`bdgs_total_queries`.
+    With N = 2**r and b = 2**k, each pass searches half the index space, so
+    the budget at depth ``level`` is
+    ``pi/4 * (sqrt((N/2)/b^level) - sqrt((N/2)/b^(level+1)))``.  A pass has
+    ``ceil(r/(2k))`` levels, one per layer of :func:`predicted_layers`; when
+    2k does not divide r, the last one stops at depth ``r/(2k)``, so the
+    levels add up to :func:`bdgs_total_queries`.
     """
-    depth = _bdgs_depth(n_states, b, r, k)
-    full = math.floor(depth)
-    half = n_states / 2.0
-    return math.pi / 4.0 * (math.sqrt(half / b**full) - math.sqrt(half / b**depth))
+    depth = _bdgs_depth(r, k)
+    levels = math.ceil(depth)
+    if not 0 <= level < levels:
+        raise ValueError(f"level {level} outside the {levels} levels of a pass")
+    b = 1 << k
+    half = (1 << r) / 2.0
+    end = min(level + 1, depth)
+    return math.pi / 4.0 * (math.sqrt(half / b**level) - math.sqrt(half / b**end))
 
 
-def bdgs_total_queries(n_states: int, b: int, r: int, k: int) -> float:
+def bdgs_total_queries(r: int, k: int) -> float:
     """Total oracle-call bound for bi-directional layered search.
 
     ``pi/(4*sqrt(2)) * sqrt(N) * (1 - sqrt(1/b^(r/2k)))`` with N = 2**r
     and b = 2**k.  This bounds total oracle work; it is not the
     wall-clock layer count, which is :func:`predicted_layers`.
     """
-    depth = _bdgs_depth(n_states, b, r, k)
+    depth = _bdgs_depth(r, k)
     return (
         math.pi
         / (4.0 * math.sqrt(2.0))
-        * math.sqrt(n_states)
-        * (1.0 - math.sqrt(1.0 / b**depth))
+        * math.sqrt(1 << r)
+        * (1.0 - math.sqrt(1.0 / (1 << k) ** depth))
     )
 
 
@@ -398,5 +388,5 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     if algorithm is Algorithm.DFGS:
         queries = float(_plan_cost(algorithm, r, k))
         return PredictedCost(algorithm, queries, queries, layers, "segment")
-    bound = bdgs_total_queries(n, b, r, k)
+    bound = bdgs_total_queries(r, k)
     return PredictedCost(algorithm, bound, bound, layers, "single-target")

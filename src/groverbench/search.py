@@ -186,7 +186,7 @@ def segment_partial_search(
     r = config.r
     if r >= MAX_QUBITS:
         raise ValueError(
-            f"full mode needs r + 1 = {r + 1} qubits, the register and "
+            f"the dense reference needs r + 1 = {r + 1} qubits, the register and "
             f"the segment search's ancilla; at most {MAX_QUBITS}"
         )
     row = segment_row(r, lo, hi)

@@ -208,9 +208,9 @@ def invert_about_mean(state: StateVector, block_mask: int = 0) -> StateVector:
     then written once.
     """
     r = state.num_qubits
-    if not _free_axes(r, block_mask):
+    if block_mask == (1 << r) - 1:
         return state
-    sums = block_sums(state, block_mask)
+    sums = block_sums(state, block_mask)  # rejects a mask wider than r qubits
     # Blocks hold dim / sums.size amplitudes, a power of two: the scale is exact.
     arr = state.amplitudes.reshape((2,) * r)
     np.subtract(sums * (2.0 * sums.size / state.dim), arr, out=arr)

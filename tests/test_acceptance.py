@@ -111,19 +111,16 @@ def test_criterion_4_layer_counts():
 
 def test_criterion_5_formula_suite():
     with criterion(5, "predictor formulas: telescoping, bound, block-partial count"):
-        for b, k in ((4, 2), (16, 4)):
+        for k in (2, 4):
             for r in range(4, 21, 2):
-                n = 1 << r
-                depth = r / (2 * k)
                 total = sum(
-                    gb.bdgs_level_iterations(n, b, level)
-                    for level in range(math.floor(depth))
+                    gb.bdgs_level_iterations(r, k, level)
+                    for level in range(math.ceil(r / (2 * k)))
                 )
-                total += gb.bdgs_terminal_iterations(n, b, r, k)
-                assert abs(total - gb.bdgs_total_queries(n, b, r, k)) < 1e-9
+                assert abs(total - gb.bdgs_total_queries(r, k)) < 1e-9
                 assert (
-                    gb.bdgs_total_queries(n, b, r, k)
-                    <= math.pi / (4 * math.sqrt(2)) * math.sqrt(n) + 1e-12
+                    gb.bdgs_total_queries(r, k)
+                    <= math.pi / (4 * math.sqrt(2)) * math.sqrt(1 << r) + 1e-12
                 )
         for r in range(2, 21):
             n = 1 << r

@@ -393,7 +393,8 @@ def test_unknown_algorithm_rejected(capsys):
     assert excinfo.value.code == 2
 
 
-# The console values CI pins on the installed script, checked in-process too.
+# Console values, each checked here in-process; CI only smoke-tests the
+# installed script.
 
 
 @pytest.mark.parametrize(
@@ -424,3 +425,70 @@ def test_search_dfgs_with_a_22_bit_segment_is_verified_with_certainty(capsys):
     payload = json.loads(out)
     assert payload["verified"] is True
     assert payload["outcome"]["certainty"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "algo, block_size",
+    [("GS", None), ("GRK", "2"), ("GRK", "4"), ("GRK", "1024"), ("GRK", "4194304"),
+     ("DFGS", "16777216")],
+)
+def test_search_on_24_qubits_is_verified(capsys, algo, block_size):
+    # The widest register: GS and GRK turn their amplitude classes, and DFGS
+    # with b = 2**24 reads its one 24-bit segment from the plan.
+    argv = ["search", "--qubits", "24", "--algo", algo]
+    if block_size is not None:
+        argv += ["--block-size", block_size]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    if algo == "GS":
+        assert payload["outcome"]["resolved_block"] is None
+
+
+def test_search_and_predict_give_dfgs_13_queries_at_b8_on_20_qubits(capsys):
+    # Six 3-bit segments of 2 reps each and one 2-bit segment of 1.
+    argv = ["--qubits", "20", "--algo", "DFGS", "--block-size", "8"]
+    code, out, _ = run_cli(capsys, ["search", *argv])
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    assert (outcome["oracle_calls"], outcome["certainty"]) == (13, 1.0)
+    code, out, _ = run_cli(capsys, ["predict", *argv])
+    assert code == 0
+    assert json.loads(out)["oracle_calls_bound"] == 13
+
+
+def test_search_grk_on_12_qubits_resolves_the_targets_block(capsys):
+    code, out, _ = run_cli(capsys, ["search", "--qubits", "12", "--algo", "GRK", "--block-size", "8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["outcome"]["resolved_block"] == payload["target"] >> 9
+
+
+@pytest.mark.parametrize(
+    "qubits, extra, block_size",
+    [("23,24", ["--block-size", "8"], 8), ("5,9", [], 4)],
+    ids=["23,24-b8", "5,9-default-b"],
+)
+def test_layered_plan_runs_are_exact(tmp_path, capsys, qubits, extra, block_size):
+    # Wide registers with b = 8, and odd ones at the default b = 4: every
+    # DFGS and BDGS trial recovers its target.
+    code, _, err = run_cli(
+        capsys,
+        ["run", "--qubits", qubits, "--algo", "DFGS,BDGS", *extra, "--trials", "8",
+         "--format", "json", "--out", str(tmp_path)],
+    )
+    assert code == 0, err
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert len(results["rows"]) == 32
+    assert all(row["accuracy_pct"] == 100 for row in results["rows"])
+    assert results["plan"]["block_size"] == block_size
+
+
+def test_gs_plan_on_one_and_two_qubits_runs(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, ["run", "--qubits", "1,2", "--algo", "GS", "--trials", "1", "--out", str(tmp_path)]
+    )
+    assert code == 0, err
+    assert (tmp_path / "results.csv").exists()

@@ -320,56 +320,82 @@ def test_grk_query_count_examples():
 
 
 def test_bdgs_level_iterations_examples():
-    assert gb.bdgs_level_iterations(256, 4, 0) == pytest.approx(
+    assert gb.bdgs_level_iterations(8, 2, 0) == pytest.approx(
         math.pi / 4 * (math.sqrt(128) - math.sqrt(32)), abs=1e-12
     )
-    assert gb.bdgs_level_iterations(256, 4, 0) == pytest.approx(4.443, abs=1e-3)
-    assert gb.bdgs_level_iterations(256, 4, 1) == pytest.approx(2.221, abs=1e-3)
+    assert gb.bdgs_level_iterations(8, 2, 0) == pytest.approx(4.443, abs=1e-3)
+    assert gb.bdgs_level_iterations(8, 2, 1) == pytest.approx(2.221, abs=1e-3)
+    # A pass at r = 8, k = 2 has two levels.
     with pytest.raises(ValueError):
-        gb.bdgs_level_iterations(256, 4, 4)
+        gb.bdgs_level_iterations(8, 2, 2)
     with pytest.raises(ValueError):
-        gb.bdgs_level_iterations(256, 4, -1)
+        gb.bdgs_level_iterations(8, 2, -1)
 
 
 @pytest.mark.parametrize("r", [4, 6, 8, 10, 12, 14, 16, 18, 20])
 def test_bdgs_levels_telescope_to_total(r):
-    n, b, k = 1 << r, 4, 2
-    depth = r / (2 * k)
-    partial_sum = sum(gb.bdgs_level_iterations(n, b, lam) for lam in range(math.floor(depth)))
-    partial_sum += gb.bdgs_terminal_iterations(n, b, r, k)
-    assert partial_sum == pytest.approx(gb.bdgs_total_queries(n, b, r, k), abs=1e-9)
+    levels = range(math.ceil(r / 4))
+    partial_sum = sum(gb.bdgs_level_iterations(r, 2, level) for level in levels)
+    assert partial_sum == pytest.approx(gb.bdgs_total_queries(r, 2), abs=1e-9)
 
 
 def test_bdgs_terminal_is_zero_for_even_level_splits():
+    # The last level of a pass is a full one when 2k divides r; otherwise
+    # it stops at depth r/(2k), short of a full level.
+    def full_level(r, k, level):
+        half, b = 2.0 ** (r - 1), 2.0**k
+        return math.pi / 4 * (math.sqrt(half / b**level) - math.sqrt(half / b ** (level + 1)))
+
     for r in (4, 8, 12, 16, 20):
-        assert gb.bdgs_terminal_iterations(1 << r, 4, r, 2) == pytest.approx(0.0, abs=1e-12)
-    assert gb.bdgs_terminal_iterations(1 << 6, 4, 6, 2) > 0.1
+        last = r // 4 - 1
+        assert gb.bdgs_level_iterations(r, 2, last) == pytest.approx(
+            full_level(r, 2, last), abs=1e-12
+        )
+    partial = gb.bdgs_level_iterations(6, 2, 1)
+    assert partial == pytest.approx(math.pi / 4 * (math.sqrt(8) - 2), abs=1e-12)
+    assert 0.1 < partial < full_level(6, 2, 1)
+
+
+def test_bdgs_levels_are_the_layers_of_a_pass():
+    # A pass has one level per BDGS layer, and its levels alone add up to
+    # the paper's total, the partial last one included.
+    for r in range(1, 25):
+        for k in range(1, r + 1):
+            layers = gb.predicted_layers("BDGS", r, k)
+            levels = [gb.bdgs_level_iterations(r, k, level) for level in range(layers)]
+            assert all(level > 0 for level in levels), (r, k)
+            assert abs(sum(levels) - gb.bdgs_total_queries(r, k)) < 1e-9, (r, k)
+            for level in (-1, layers):
+                with pytest.raises(ValueError, match="outside") as excinfo:
+                    gb.bdgs_level_iterations(r, k, level)
+                assert "\n" not in str(excinfo.value)
 
 
 def test_bdgs_total_queries_examples():
-    assert gb.bdgs_total_queries(16, 4, 4, 2) == pytest.approx(
+    assert gb.bdgs_total_queries(4, 2) == pytest.approx(
         math.pi / (4 * math.sqrt(2)) * 4 * 0.5, abs=1e-12
     )
-    assert gb.bdgs_total_queries(16, 4, 4, 2) == pytest.approx(1.111, abs=1e-3)
-    assert gb.bdgs_total_queries(1 << 20, 4, 20, 2) == pytest.approx(550.9, abs=0.1)
+    assert gb.bdgs_total_queries(4, 2) == pytest.approx(1.111, abs=1e-3)
+    assert gb.bdgs_total_queries(20, 2) == pytest.approx(550.9, abs=0.1)
 
 
 def test_bdgs_total_queries_bounded_and_monotonic():
     previous = 0.0
     for r in range(2, 25):
-        n = 1 << r
-        total = gb.bdgs_total_queries(n, 4, r, 2)
-        assert total <= math.pi / (4 * math.sqrt(2)) * math.sqrt(n) + 1e-12
+        total = gb.bdgs_total_queries(r, 2)
+        assert total <= math.pi / (4 * math.sqrt(2)) * math.sqrt(1 << r) + 1e-12
         assert total > previous
         previous = total
 
 
 def test_bdgs_total_queries_validates_inputs():
-    for bound in (gb.bdgs_total_queries, gb.bdgs_terminal_iterations):
-        with pytest.raises(ValueError, match="is not 2\\^6"):
-            bound(100, 4, 6, 2)
-        with pytest.raises(ValueError, match="is not 2\\^2"):
-            bound(64, 5, 6, 2)
+    # r < 1 or k < 1 has no pass to count: one line, from both formulas.
+    calls = [gb.bdgs_total_queries, lambda r, k: gb.bdgs_level_iterations(r, k, 0)]
+    for bound in calls:
+        for r, k in [(0, 2), (-3, 2), (6, 0), (6, -1), (0, 0)]:
+            with pytest.raises(ValueError, match="needs r >= 1 and k >= 1") as excinfo:
+                bound(r, k)
+            assert "\n" not in str(excinfo.value)
 
 
 def test_predicted_layers():

@@ -1103,7 +1103,10 @@ def test_layered_reference_rejects_24_qubits_before_allocating(monkeypatch):
     import groverbench.search as search
 
     config = gb.SearchConfig(24, 12_345_678, "DFGS", b=16)
-    message = r"^full mode needs r \+ 1 = 25 qubits, the register and the segment search's ancilla; at most 24$"
+    message = (
+        r"^the dense reference needs r \+ 1 = 25 qubits, the register and "
+        r"the segment search's ancilla; at most 24$"
+    )
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):

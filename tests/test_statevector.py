@@ -180,6 +180,27 @@ def test_invert_rejects_wide_mask():
         gb.invert_about_mean(gb.uniform_state(2), 0b100)
 
 
+@pytest.mark.parametrize("block_mask", [0, 0b1100, 0b0110])
+def test_invert_finds_the_free_axes_once(monkeypatch, block_mask):
+    # One inversion works out the axes its blocks span once, in its read of
+    # the block sums.
+    import groverbench.statevector as statevector
+
+    calls = []
+    real = statevector._free_axes
+
+    def counting(r, mask):
+        calls.append((r, mask))
+        return real(r, mask)
+
+    monkeypatch.setattr(statevector, "_free_axes", counting)
+    state = random_state(4, 5)
+    expected = brute_invert(state, block_mask)
+    gb.invert_about_mean(state, block_mask)
+    assert calls == [(4, block_mask)]
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # block_sums, and the amplitude classes of GS and GRK runs
 
