@@ -12,7 +12,6 @@ from .bench import (
     ExperimentPlan,
     ResultTable,
     TrialRow,
-    cell_seed,
     emit_scaling_series,
     emit_table,
     run_plan,

@@ -1,7 +1,8 @@
 """Experiment runner: seeded trial plans, result tables, and plot data.
 
-A plan is a grid of (qubits, algorithm, trial) cells.  Every cell gets a
-seed derived from the base seed and the cell id alone, so plans are
+A plan is a grid of (qubits, algorithm, trial) cells.  ``ExperimentPlan.cell``
+alone derives a cell's search config: its seed, and its target unless the
+plan fixes one, come from the base seed and the cell id alone, so plans are
 reproducible and seeds do not depend on execution order.  Cells run one
 after another in plan order.  Per-cell failures become error rows
 instead of aborting the batch.  A result table holds the plan it ran:
@@ -59,6 +60,21 @@ class ExperimentPlan:
                 SearchConfig(
                     qubits, target, algorithm, self.block_size, self.shots, self.base_seed
                 )
+
+    def cell(self, qubits: int, algorithm: Algorithm, trial: int) -> SearchConfig:
+        """The search config of one cell.
+
+        One ``SeedSequence`` keyed by the base seed and the cell id gives
+        the search seed and, when the plan draws targets, the target's
+        seed, so streams never coincide across cells or base seeds.
+        """
+        key = (qubits, list(Algorithm).index(Algorithm(algorithm)), trial)
+        sequence = np.random.SeedSequence(self.base_seed, spawn_key=key)
+        seed, target_seed = sequence.generate_state(2, np.uint64)
+        target = self.target
+        if target is None:
+            target = int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
+        return SearchConfig(qubits, target, algorithm, self.block_size, self.shots, int(seed))
 
 
 @dataclass
@@ -122,51 +138,10 @@ class ResultTable:
         return cls(plan=plan, rows=rows, aggregates=aggregates, errors=errors)
 
 
-def _cell_seeds(
-    base_seed: int, qubits: int, algorithm: Algorithm, trial: int
-) -> tuple[int, int]:
-    """(search seed, target seed) of one cell.
-
-    Both words come from one ``SeedSequence`` keyed by the base seed and
-    the cell id, so streams never coincide across cells or base seeds.
-    """
-    key = (qubits, list(Algorithm).index(Algorithm(algorithm)), trial)
-    sequence = np.random.SeedSequence(base_seed, spawn_key=key)
-    search_seed, target_seed = sequence.generate_state(2, np.uint64)
-    return int(search_seed), int(target_seed)
-
-
-def cell_seed(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> int:
-    """Deterministic seed of one cell's search and shots."""
-    return _cell_seeds(base_seed, qubits, algorithm, trial)[0]
-
-
-def _draw_target(target_seed: int, qubits: int) -> int:
-    return int(np.random.default_rng(target_seed).integers(0, 1 << qubits))
-
-
-def cell_target(base_seed: int, qubits: int, algorithm: Algorithm, trial: int) -> int:
-    """Random target index of one cell, drawn from the cell's target seed."""
-    return _draw_target(_cell_seeds(base_seed, qubits, algorithm, trial)[1], qubits)
-
-
 def _run_cell(
     plan: ExperimentPlan, qubits: int, algorithm: Algorithm, trial: int
 ) -> TrialRow:
-    # One seed derivation serves the search and, when drawn, the target.
-    seed, target_seed = _cell_seeds(plan.base_seed, qubits, algorithm, trial)
-    target = plan.target
-    if target is None:
-        target = _draw_target(target_seed, qubits)
-    config = SearchConfig(
-        r=qubits,
-        target=target,
-        algorithm=algorithm,
-        b=plan.block_size,
-        shots=plan.shots,
-        seed=seed,
-    )
-    outcome: SearchOutcome = run_search(config)
+    outcome: SearchOutcome = run_search(plan.cell(qubits, algorithm, trial))
     hits = round(outcome.success_fraction * plan.shots)
     return TrialRow(
         qubits=qubits,

@@ -9,9 +9,9 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .bench import ExperimentPlan, cell_target, emit_scaling_series, emit_table, run_plan
+from .bench import ExperimentPlan, emit_scaling_series, emit_table, run_plan
 from .ops import Algorithm, predict_cost
-from .search import SearchConfig, run_search, verify_outcome
+from .search import run_search, verify_outcome
 
 _FORMAT_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
@@ -127,17 +127,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    # The one-cell plan of these flags validates them as a plan does, and
+    # its trial 1 gives the default target; the search keeps --seed.
     try:
-        config = SearchConfig(
-            r=args.qubits,
-            target=0 if args.target is None else args.target,
-            algorithm=args.algo,
-            b=args.block_size,
+        plan = ExperimentPlan(
+            qubit_list=[args.qubits],
+            algorithms=[args.algo],
+            trials=1,
             shots=args.shots,
-            seed=args.seed,
+            base_seed=args.seed,
+            target=args.target,
+            block_size=args.block_size,
         )
-        if args.target is None:
-            config = replace(config, target=cell_target(args.seed, args.qubits, args.algo, 1))
+        config = replace(plan.cell(args.qubits, args.algo, 1), seed=args.seed)
     except ValueError as exc:
         print(f"invalid search config: {exc}", file=sys.stderr)
         return 2

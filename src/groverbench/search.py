@@ -369,9 +369,10 @@ def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
 
 
 def grk_reference_amplitudes(
-    n_states: int, b: int, t_global: int, t_local: int, cleanup: bool = True
+    n_states: int, b: int, t_global: int, t_local: int
 ) -> tuple[float, float, float]:
-    """Exact amplitudes of the block-partial schedule, tracked as scalars.
+    """Exact amplitudes after ``t_global`` global iterations, ``t_local``
+    block-local ones and one global cleanup, tracked as scalars.
 
     By symmetry the state has only three amplitude classes: the target,
     the other items of the target block, and the items of every other
@@ -385,8 +386,7 @@ def grk_reference_amplitudes(
         a, b_amp, g = _grk_global_step(a, b_amp, g, n_states, block)
     for _ in range(t_local):
         a, b_amp = _grk_local_step(a, b_amp, block)
-    if cleanup:
-        a, b_amp, g = _grk_global_step(a, b_amp, g, n_states, block)
+    a, b_amp, g = _grk_global_step(a, b_amp, g, n_states, block)
     return a, b_amp, g
 
 

@@ -25,12 +25,13 @@ def small_plan(**overrides):
 
 
 def test_cell_seed_stable_and_distinct():
-    seed = gb.cell_seed(7, 4, gb.Algorithm.GS, 1)
-    assert seed == gb.cell_seed(7, 4, gb.Algorithm.GS, 1)
+    plan = small_plan()
+    seed = plan.cell(4, gb.Algorithm.GS, 1).seed
+    assert seed == small_plan().cell(4, gb.Algorithm.GS, 1).seed
     others = {
-        gb.cell_seed(7, 4, gb.Algorithm.GS, 2),
-        gb.cell_seed(7, 8, gb.Algorithm.GS, 1),
-        gb.cell_seed(7, 4, gb.Algorithm.BDGS, 1),
+        plan.cell(4, gb.Algorithm.GS, 2).seed,
+        plan.cell(8, gb.Algorithm.GS, 1).seed,
+        plan.cell(4, gb.Algorithm.BDGS, 1).seed,
     }
     assert seed not in others
     assert len(others) == 3
@@ -125,15 +126,14 @@ def test_run_plan_runs_cells_in_plan_order_on_the_calling_thread(monkeypatch):
     ]
     # A cell's search seed names its trial too.
     caller = threading.get_ident()
-    assert calls == [(gb.cell_seed(7, *cell), caller) for cell in cells]
+    assert calls == [(small_plan().cell(*cell).seed, caller) for cell in cells]
     assert [(row.qubits, row.algorithm, row.trial) for row in table.rows] == cells
 
 
 @pytest.mark.parametrize("target", [None, 3])
 def test_a_plan_cell_derives_its_seeds_once(monkeypatch, target):
     # One SeedSequence per cell gives its search seed and, when the plan
-    # draws targets, its target seed: the values cell_seed and cell_target
-    # give, each from a derivation of its own.
+    # draws targets, its target seed; the run searches plan.cell's config.
     import groverbench.bench as bench
 
     real_sequence, real_search = np.random.SeedSequence, bench.run_search
@@ -149,13 +149,75 @@ def test_a_plan_cell_derives_its_seeds_once(monkeypatch, target):
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     monkeypatch.setattr(bench, "run_search", recording)
-    table = gb.run_plan(small_plan(target=target, algorithms=["GS", "GRK", "DFGS", "BDGS"]))
+    plan = small_plan(target=target, algorithms=["GS", "GRK", "DFGS", "BDGS"])
+    table = gb.run_plan(plan)
     assert len(builds) == len(set(builds)) == len(configs) == 2 * 4 * 2
     assert not table.errors
     for config, row in zip(configs, table.rows):
-        cell = (7, row.qubits, row.algorithm, row.trial)
-        assert config.seed == gb.cell_seed(*cell)
-        assert config.target == (bench.cell_target(*cell) if target is None else target)
+        assert config == plan.cell(row.qubits, row.algorithm, row.trial)
+        assert target is None or config.target == target
+    assert len(builds) == 2 * 2 * 4 * 2  # plan.cell's own calls build one each too
+
+
+# Pinned under numpy 2.4.6, Python 3.11.7 and glibc 2.36.  A cell's seed is
+# a word of ``SeedSequence.generate_state``, whose stream numpy keeps stable
+# across releases.  A drawn target comes from ``Generator.integers`` and the
+# hits from ``Generator.binomial``: distribution methods, which numpy may
+# change between releases, like the other sampled pins.
+_PINNED_CELLS = {
+    # (base_seed, qubits, algorithm, trial, plan target): (seed, target)
+    (7, 4, "GS", 1, None): (3277017336855510558, 14),
+    (7, 4, "GRK", 2, None): (16209623778547985216, 8),
+    (7, 20, "DFGS", 1, None): (18092000915145583756, 228312),
+    (7, 20, "BDGS", 3, 12345): (5605745049496996085, 12345),
+    (2**31 - 1, 4, "BDGS", 1, None): (14496612320569527911, 0),
+    (2**31 - 1, 4, "DFGS", 2, 5): (17785476768342621518, 5),
+    (2**31 - 1, 20, "GS", 1, None): (5675451054435432297, 331558),
+    (2**31 - 1, 20, "GRK", 2, None): (16737459563567520208, 343722),
+}
+
+_PINNED_PLAN_ROWS = [
+    # small_plan with all four algorithms: (qubits, algorithm, trial, hits, layers, oracle_calls)
+    (4, "GS", 1, 248, 3, 3), (4, "GS", 2, 249, 3, 3),
+    (4, "GRK", 1, 256, 3, 3), (4, "GRK", 2, 256, 3, 3),
+    (4, "DFGS", 1, 256, 2, 2), (4, "DFGS", 2, 256, 2, 2),
+    (4, "BDGS", 1, 256, 1, 2), (4, "BDGS", 2, 256, 1, 2),
+    (8, "GS", 1, 256, 12, 12), (8, "GS", 2, 256, 12, 12),
+    (8, "GRK", 1, 256, 10, 10), (8, "GRK", 2, 256, 10, 10),
+    (8, "DFGS", 1, 256, 4, 4), (8, "DFGS", 2, 256, 4, 4),
+    (8, "BDGS", 1, 256, 2, 4), (8, "BDGS", 2, 256, 2, 4),
+]
+
+
+def test_plan_cells_match_the_pinned_table(monkeypatch):
+    # Each cell is read off the config its plan hands the search, so the
+    # table pins what a run does, whichever helper derives it.
+    import groverbench.bench as bench
+
+    real = bench.run_search
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", recording)
+    cells = {}
+    for base_seed, qubits, algorithm, trial, target in _PINNED_CELLS:
+        plan = gb.ExperimentPlan(
+            [qubits], [algorithm], trials=trial, base_seed=base_seed, target=target
+        )
+        assert not gb.run_plan(plan).errors
+        cells[base_seed, qubits, algorithm, trial, target] = (
+            configs[-1].seed, configs[-1].target
+        )
+    assert cells == _PINNED_CELLS
+    table = gb.run_plan(small_plan(algorithms=["GS", "GRK", "DFGS", "BDGS"]))
+    assert not table.errors
+    assert [
+        (row.qubits, row.algorithm.value, row.trial, row.hits, row.layers, row.oracle_calls)
+        for row in table.rows
+    ] == _PINNED_PLAN_ROWS
 
 
 def test_run_plan_fixed_target(monkeypatch):
@@ -277,7 +339,7 @@ def test_emit_markdown_marks_failed_cells_and_groups(monkeypatch):
     import groverbench.bench as bench
 
     real = bench.run_search
-    failing_seed = gb.cell_seed(7, 4, gb.Algorithm.GS, 2)
+    failing_seed = small_plan().cell(4, gb.Algorithm.GS, 2).seed
 
     def flaky(config):
         every_dfgs_at_8 = config.algorithm is gb.Algorithm.DFGS and config.r == 8

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -143,13 +144,28 @@ def test_search_random_target_is_seeded(capsys):
     assert json.loads(out1)["target"] == json.loads(out2)["target"]
 
 
-def test_search_random_target_is_the_plan_cell_target(capsys):
-    from groverbench.bench import cell_target
-    from groverbench.ops import Algorithm
+def test_search_random_target_is_the_plan_cell_target(capsys, monkeypatch):
+    # search's drawn target, block size and shots are trial 1's of the
+    # one-cell plan of its flags; its seed stays --seed.
+    import groverbench.cli as cli
 
-    code, out, _ = run_cli(capsys, ["search", "--qubits", "12", "--algo", "DFGS", "--seed", "9", "--shots", "16"])
-    assert code == 0
-    assert json.loads(out)["target"] == cell_target(9, 12, Algorithm.DFGS, 1)
+    configs = []
+    real = cli.run_search
+
+    def recording(config):
+        configs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_search", recording)
+    for algorithm in gb.Algorithm:
+        argv = ["search", "--qubits", "12", "--algo", algorithm.value, "--seed", "9", "--shots", "16"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        plan = gb.ExperimentPlan([12], [algorithm], trials=1, shots=16, base_seed=9)
+        cell = plan.cell(12, algorithm, 1)
+        assert configs[-1] == replace(cell, seed=9)
+        assert json.loads(out)["target"] == cell.target
+    assert len(configs) == 4
 
 
 @pytest.mark.parametrize(

@@ -1309,7 +1309,7 @@ def test_gs_outputs_match_the_pinned_digest():
     cells = 0
     for config in _gs_digest_cells():
         n = 1 << config.r
-        a, _, _ = grk_reference_amplitudes(n, 2, gb.optimal_iterations(n), 0, cleanup=False)
+        a, _, _ = grk_reference_amplitudes(n, 2, gb.optimal_iterations(n) - 1, 0)
         out = gb.run_standard_grover(config)
         key = (
             config.r, config.seed, config.shots, out.measured_index, out.success_fraction,

@@ -27,8 +27,8 @@ PUBLIC_API = {
     "MAX_QUBITS", "OracleSpec", "PredictedCost", "ResultTable", "SearchConfig",
     "SearchOutcome", "StateVector", "TrialRow",
     "backward_segments", "basis_state", "bdgs_level_iterations",
-    "bdgs_total_queries", "block_sums", "cell_seed",
-    "dfgs_segments", "emit_scaling_series", "emit_table", "forward_segments",
+    "bdgs_total_queries", "block_sums", "dfgs_segments",
+    "emit_scaling_series", "emit_table", "forward_segments",
     "grk_query_count", "grk_reference_amplitudes", "grover_angle", "grover_iteration",
     "invert_about_mean", "layered_plan", "layered_reference", "operator_matrix",
     "optimal_iterations", "phase_flip", "predict_cost", "predicted_layers",
@@ -48,5 +48,5 @@ def test_package_exports_exactly_the_public_api():
         for name, value in vars(groverbench).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 46
+    assert len(PUBLIC_API) == 45
     assert exported == PUBLIC_API
