@@ -13,8 +13,12 @@ import groverbench as gb
 r, k = 20, 2
 target = 0b10110011100011001101
 print(f"{r} qubits, target {target:#022b} ({target})")
-print(f"forward segments : {gb.forward_segments(r, k)}")
-print(f"backward segments: {gb.backward_segments(r, k)}")
+# BDGS's plan: each round pairs a forward segment, cut from the MSB, with a
+# backward one, cut from the LSB; when the passes differ in length, the
+# backward pass runs on alone.
+rounds = gb.layered_plan("BDGS", r, k)
+print(f"forward segments : {[segments[0] for segments in rounds if len(segments) == 2]}")
+print(f"backward segments: {[segments[-1] for segments in rounds]}")
 
 bdgs = gb.SearchConfig(r=r, target=target, algorithm="BDGS", b=4, shots=1024, seed=17)
 outcome = gb.run_bdgs(bdgs)
@@ -34,7 +38,7 @@ print(f"depth-first   : {outcome.layers} layers, {outcome.oracle_calls} oracle c
 # masks never overlap.  A run reads all of this from its plan.
 mask = 0
 print("\nlayer-by-layer resolution:")
-for layer, segments in enumerate(gb.layered_plan("BDGS", r, k), start=1):
+for layer, segments in enumerate(rounds, start=1):
     for lo, hi in segments:
         mask |= gb.segment_mask(r, lo, hi)
     print(f"  layer {layer}: known bits {target & mask:0{r}b} (mask {mask:0{r}b})")

@@ -20,11 +20,8 @@ from .ops import (
     Algorithm,
     OracleSpec,
     PredictedCost,
-    backward_segments,
     bdgs_level_iterations,
     bdgs_total_queries,
-    dfgs_segments,
-    forward_segments,
     grk_query_count,
     grover_angle,
     grover_iteration,

@@ -66,9 +66,21 @@ class ExperimentPlan:
 
         One ``SeedSequence`` keyed by the base seed and the cell id gives
         the search seed and, when the plan draws targets, the target's
-        seed, so streams never coincide across cells or base seeds.
+        seed, so streams never coincide across cells or base seeds.  Rejects
+        a cell outside the plan's grid.
         """
-        key = (qubits, list(Algorithm).index(Algorithm(algorithm)), trial)
+        algorithm = Algorithm(algorithm)
+        if not (
+            qubits in self.qubit_list
+            and algorithm in self.algorithms
+            and 1 <= trial <= self.trials
+        ):
+            raise ValueError(
+                f"cell ({qubits}, {algorithm.value}, {trial}) is not in the plan: "
+                f"qubits {self.qubit_list}, algorithms "
+                f"{[a.value for a in self.algorithms]}, trials 1..{self.trials}"
+            )
+        key = (qubits, list(Algorithm).index(algorithm), trial)
         sequence = np.random.SeedSequence(self.base_seed, spawn_key=key)
         seed, target_seed = sequence.generate_state(2, np.uint64)
         target = self.target

@@ -1,11 +1,12 @@
 """Oracles with query accounting, the composed search iteration, the one
-segment planner of the layered searches with its cached plans and plan
-costs, and closed-form iteration/query predictors, which read the same plans.
+segment planner of the layered searches, and closed-form iteration/query
+predictors, which read the same plans.
 
 A DFGS or BDGS run is a function of its plan: :func:`layered_plan` gives
-its rounds, one per layer, and :func:`_plan_cost` the sum of its segment
-rows' ``reps``, the oracle queries every run of the plan makes.  The
-layered drivers and :func:`predict_cost` read both.
+its rounds, one per layer.  :func:`_plan_counts` caches what every run of
+the plan reports: its number of rounds and the sum of its segment rows'
+``reps``, the oracle queries it makes.  The layered drivers read both
+counts, and :func:`predict_cost` reads the queries.
 
 One search iteration is: flip the sign of the amplitudes the oracle
 marks (one query), then invert every amplitude about its block mean.
@@ -193,21 +194,6 @@ def grover_iteration(
 # Segment plans
 
 
-def dfgs_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """MSB-to-LSB segment plan covering all ``r`` positions, ``k`` at a time."""
-    return [(lo, min(lo + k - 1, r - 1)) for lo in range(0, r, k)]
-
-
-def forward_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """BDGS's forward pass: the DFGS plan of positions ``0 .. floor(r/2)-1``."""
-    return dfgs_segments(r // 2, k)
-
-
-def backward_segments(r: int, k: int) -> list[tuple[int, int]]:
-    """BDGS's backward pass: the DFGS plan of the other positions, read from the LSB up."""
-    return [(r - 1 - hi, r - 1 - lo) for lo, hi in dfgs_segments(r - r // 2, k)]
-
-
 @dataclass(frozen=True, slots=True)
 class SegmentRow:
     """What a segment search over positions ``lo..hi`` of ``r`` needs.
@@ -240,55 +226,41 @@ def segment_row(r: int, lo: int, hi: int) -> SegmentRow:
     return SegmentRow(width, mask, r - 1 - hi, reps, ancilla)
 
 
-# Cached: every DFGS/BDGS run and layer prediction reads the plan of its (algorithm, r, k).
-@lru_cache(maxsize=None)
 def layered_plan(
     algorithm: Algorithm | str, r: int, k: int
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Rounds of segment searches of a DFGS or BDGS run; each round is one layer.
 
-    A DFGS round is one segment of :func:`dfgs_segments`; a BDGS round
-    pairs a segment of each pass, the DFGS plans of the top half and of the
-    bottom half from the LSB, the longer pass running on alone.  Checked
-    once per ``(algorithm, r, k)``, for any ``r, k >= 1``: each segment is at
-    most ``k`` wide, no two overlap, and together they cover all ``r`` bits.
+    A DFGS round is one segment, cut ``k`` positions at a time from the MSB.
+    A BDGS round pairs a segment of each pass: the forward pass cuts the top
+    ``r // 2`` positions the same way, the backward pass the others from the
+    LSB up, and the longer pass runs on alone.  Built afresh on each call,
+    for any ``r, k >= 1``; the tier-1 tests check over a grid of ``(r, k)``
+    that each segment is at most ``k`` wide, no two overlap, and together
+    they cover all ``r`` bits.
     """
     algorithm = Algorithm(algorithm)
     if min(r, k) < 1:
         raise ValueError(f"a layered plan needs r >= 1 and k >= 1, got r = {r}, k = {k}")
     if algorithm is Algorithm.DFGS:
-        rounds = [(segment,) for segment in dfgs_segments(r, k)]
-    elif algorithm is Algorithm.BDGS:
-        pairs = zip_longest(forward_segments(r, k), backward_segments(r, k))
-        rounds = [tuple(segment for segment in pair if segment is not None) for pair in pairs]
-    else:
+        return tuple(((lo, min(lo + k, r) - 1),) for lo in range(0, r, k))
+    if algorithm is not Algorithm.BDGS:
         raise ValueError(f"{algorithm.value} has no segment plan")
-    covered = 0
-    for segments in rounds:
-        for lo, hi in segments:
-            bits = segment_mask(r, lo, hi)
-            if hi - lo + 1 > k or bits & covered:
-                raise ValueError(
-                    f"{algorithm.value} plan at r={r}, k={k}: segment [{lo}, {hi}] is wider "
-                    "than k or overlaps an earlier one (driver scheduling bug)"
-                )
-            covered |= bits
-    if covered != (1 << r) - 1:
-        raise ValueError(
-            f"{algorithm.value} plan at r={r}, k={k} leaves bits unresolved "
-            "(driver scheduling bug)"
-        )
-    return tuple(rounds)
+    top = r // 2
+    forward = [(lo, min(lo + k, top) - 1) for lo in range(0, top, k)]
+    backward = [(max(hi - k + 1, top), hi) for hi in range(r - 1, top - 1, -k)]
+    pairs = zip_longest(forward, backward)
+    return tuple(tuple(segment for segment in pair if segment is not None) for pair in pairs)
 
 
-# Cached: every DFGS/BDGS run and DFGS prediction reads it, and it walks a row per segment.
+# Cached: every DFGS/BDGS run reads it, and it walks a row per segment.
 @lru_cache(maxsize=None)
-def _plan_cost(algorithm: Algorithm, r: int, k: int) -> int:
-    """The oracle queries of every run of a layered plan: its segment rows' ``reps``."""
-    return sum(
-        segment_row(r, lo, hi).reps
-        for segments in layered_plan(algorithm, r, k)
-        for lo, hi in segments
+def _plan_counts(algorithm: Algorithm, r: int, k: int) -> tuple[int, int]:
+    """The layers and the oracle queries of every run of a layered plan: its
+    number of rounds and the sum of its segment rows' ``reps``."""
+    rounds = layered_plan(algorithm, r, k)
+    return len(rounds), sum(
+        segment_row(r, lo, hi).reps for segments in rounds for lo, hi in segments
     )
 
 
@@ -368,8 +340,8 @@ def predicted_layers(algorithm: Algorithm | str, r: int, k: int) -> int:
 def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
     """Bundle the closed-form predictions for one (algorithm, size) cell.
 
-    The DFGS count is what every run makes, the plan cost the driver reads
-    too: the sum of the ``reps`` of the :func:`segment_row` of every
+    The DFGS count is what every run makes, the query count the driver
+    reads too: the sum of the ``reps`` of the :func:`segment_row` of every
     segment, since every segment search is exact.  Rejects the same
     ``(r, b)`` the drivers reject.
     """
@@ -386,7 +358,7 @@ def predict_cost(algorithm: Algorithm | str, r: int, b: int) -> PredictedCost:
         exact = math.pi / (4.0 * grover_angle(n)) - 0.5
         return PredictedCost(algorithm, exact, float(layers), layers, "single-target")
     if algorithm is Algorithm.DFGS:
-        queries = float(_plan_cost(algorithm, r, k))
+        queries = float(_plan_counts(algorithm, r, k)[1])
         return PredictedCost(algorithm, queries, queries, layers, "segment")
     bound = bdgs_total_queries(r, k)
     return PredictedCost(algorithm, bound, bound, layers, "single-target")

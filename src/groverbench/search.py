@@ -31,8 +31,8 @@ kernels are the reference the tests check the class run against.
 
 Both layered drivers resolve the index in rounds of segment searches, each
 starting from the uniform superposition over the indices still consistent
-with the bits measured so far; the rounds come from the cached
-``ops.layered_plan`` and each segment's row from ``ops.segment_row``.  Every
+with the bits measured so far; the rounds come from ``ops.layered_plan``
+and each segment's row from ``ops.segment_row``.  Every
 segment search is exact amplitude amplification (Brassard, Høyer, Mosca &
 Tapp, quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
 amplitude and joined to the oracle's condition, slows each round so that
@@ -41,7 +41,8 @@ departs from the paper, which runs standard iterations per segment; those
 are exact only at width 2.  So a layered run is its plan: it finds the
 target with certainty, takes one layer per round and spends the plan's
 cost, the sum of its rows' ``reps``.  :func:`run_dfgs` and :func:`run_bdgs`
-read all of it from the cached plan, with no per-segment work.
+read both counts from one cached entry (``ops._plan_counts``), with no
+per-segment work.
 :func:`layered_reference` is the dense reference they are checked against:
 it walks the same plan through :func:`segment_partial_search`, which runs
 one segment search on ``r + 1`` qubits, the ancilla last.  Each starts from
@@ -64,7 +65,7 @@ from .ops import (
     OracleSpec,
     SegmentRow,
     _check_block_size,
-    _plan_cost,
+    _plan_counts,
     _rotate,
     grk_query_count,
     grover_angle,
@@ -125,8 +126,8 @@ class SearchOutcome:
     That driver measures only the top ``log2(b)`` bits, so its
     ``measured_index`` is ``resolved_block << (r - log2(b))``, the
     unmeasured bits 0.  ``wall_time`` covers state preparation through
-    final measurement, for a layered run only the read of its plan, and is
-    the one field excluded from determinism guarantees.
+    final measurement, for a layered run only the read of its plan's
+    counts, and is the one field excluded from determinism guarantees.
     """
 
     measured_index: int
@@ -451,11 +452,10 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
 
 
 def _run_layered(config: SearchConfig) -> SearchOutcome:
-    """Read ``config``'s run from its cached plan: the target, found with
-    certainty, one layer per round and the plan's cost in queries."""
+    """Read ``config``'s run from its plan's cached counts: the target, found
+    with certainty, one layer per round and the plan's cost in queries."""
     start = time.perf_counter()
-    layers = len(layered_plan(config.algorithm, config.r, config.k))
-    queries = _plan_cost(config.algorithm, config.r, config.k)
+    layers, queries = _plan_counts(config.algorithm, config.r, config.k)
     wall = time.perf_counter() - start
     return SearchOutcome(config.target, 1.0, layers, queries, wall, config.seed, certainty=1.0)
 

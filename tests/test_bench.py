@@ -37,6 +37,20 @@ def test_cell_seed_stable_and_distinct():
     assert len(others) == 3
 
 
+@pytest.mark.parametrize(
+    "qubits, algorithm, trial",
+    [(5, "GS", 1), (4, "GRK", 1), (4, "GS", 0), (4, "GS", 3), (8, "BDGS", -1)],
+)
+def test_a_cell_outside_the_plan_is_rejected(qubits, algorithm, trial):
+    # Qubits off the plan's list, an algorithm it does not run and a trial
+    # outside 1..trials each get one line that names the cell.
+    with pytest.raises(ValueError) as excinfo:
+        small_plan().cell(qubits, algorithm, trial)
+    message = str(excinfo.value)
+    assert message.startswith(f"cell ({qubits}, {algorithm}, {trial}) is not in the plan")
+    assert "\n" not in message
+
+
 def test_cell_seeds_independent_across_base_seeds(monkeypatch):
     """Neighbouring base seeds share no search (shot) seed and no target seed."""
     import groverbench.bench as bench

@@ -59,31 +59,40 @@ def walk_segments(config: gb.SearchConfig, segments) -> tuple[int, int, list, in
 # Segment plans
 
 
+def bdgs_passes(r: int, k: int) -> tuple[list, list]:
+    """BDGS's forward and backward passes, read from its plan: the first
+    segment of each two-segment round, and the last segment of every round."""
+    rounds = gb.layered_plan("BDGS", r, k)
+    forward = [segments[0] for segments in rounds if len(segments) == 2]
+    return forward, [segments[-1] for segments in rounds]
+
+
 def test_dfgs_segments_cover_all_bits():
-    assert gb.dfgs_segments(8, 2) == [(0, 1), (2, 3), (4, 5), (6, 7)]
-    assert gb.dfgs_segments(7, 2) == [(0, 1), (2, 3), (4, 5), (6, 6)]
-    assert gb.dfgs_segments(20, 2)[-1] == (18, 19)
-    assert len(gb.dfgs_segments(20, 2)) == 10
+    assert gb.layered_plan("DFGS", 8, 2) == (((0, 1),), ((2, 3),), ((4, 5),), ((6, 7),))
+    assert gb.layered_plan("DFGS", 7, 2) == (((0, 1),), ((2, 3),), ((4, 5),), ((6, 6),))
+    assert gb.layered_plan("DFGS", 20, 2)[-1] == ((18, 19),)
+    assert len(gb.layered_plan("DFGS", 20, 2)) == 10
 
 
 def test_forward_backward_segments_meet_in_the_middle():
-    assert gb.forward_segments(8, 2) == [(0, 1), (2, 3)]
-    assert gb.backward_segments(8, 2) == [(6, 7), (4, 5)]
+    assert bdgs_passes(8, 2) == ([(0, 1), (2, 3)], [(6, 7), (4, 5)])
     # Odd half: the forward pass narrows at the boundary.
-    assert gb.forward_segments(6, 2) == [(0, 1), (2, 2)]
-    assert gb.backward_segments(6, 2) == [(4, 5), (3, 3)]
-    assert gb.forward_segments(5, 2) == [(0, 1)]
-    assert gb.backward_segments(5, 2) == [(3, 4), (2, 2)]
+    assert bdgs_passes(6, 2) == ([(0, 1), (2, 2)], [(4, 5), (3, 3)])
+    assert bdgs_passes(5, 2) == ([(0, 1)], [(3, 4), (2, 2)])
 
 
 def test_segment_plans_are_disjoint_and_complete():
-    # Every plan at most k wide, gap-free and covering all r bits; the
-    # forward pass ascends from the MSB and the backward pass descends from
-    # the LSB until the two meet.
-    for r in range(1, 25):
-        for k in range(1, r + 1):
-            forward, backward = gb.forward_segments(r, k), gb.backward_segments(r, k)
-            for plan in (gb.dfgs_segments(r, k), forward + backward):
+    # Every plan at most k wide, disjoint and covering all r bits.  DFGS
+    # ascends from the MSB; BDGS's forward pass ascends inside the top
+    # r // 2 positions and its backward pass descends from the LSB until the
+    # two meet, the forward pass never the longer.  A plan has ceil(r/k)
+    # rounds for DFGS and ceil(r/(2k)) for BDGS, its predicted layers.
+    for r in range(1, 65):
+        top = r // 2
+        for k in range(1, r + 2):
+            dfgs = [segments[0] for segments in gb.layered_plan("DFGS", r, k)]
+            forward, backward = bdgs_passes(r, k)
+            for plan in (dfgs, forward + backward):
                 mask = 0
                 for lo, hi in plan:
                     assert 0 <= lo <= hi < r and hi - lo + 1 <= k
@@ -91,11 +100,14 @@ def test_segment_plans_are_disjoint_and_complete():
                     assert mask & bits == 0
                     mask |= bits
                 assert mask == (1 << r) - 1
-            for plan in (gb.dfgs_segments(r, k), forward):
-                assert [lo for lo, _ in plan] == [0, *(hi + 1 for _, hi in plan)][: len(plan)]
+            assert [lo for lo, _ in dfgs] == [0, *(hi + 1 for _, hi in dfgs)][:-1]
+            assert [lo for lo, _ in forward] == [0, *(hi + 1 for _, hi in forward)][:-1]
+            assert all(hi < top for _, hi in forward)
             assert [hi for _, hi in backward] == [r - 1, *(lo - 1 for lo, _ in backward)][:-1]
-            if forward:
-                assert forward[-1][1] + 1 == backward[-1][0]
+            assert backward[-1][0] == top
+            assert len(forward) <= len(backward)
+            assert len(dfgs) == -(-r // k) == gb.predicted_layers("DFGS", r, k)
+            assert len(backward) == -(-r // (2 * k)) == gb.predicted_layers("BDGS", r, k)
 
 
 def test_layered_plan_pairs_the_passes_by_round():
@@ -120,31 +132,6 @@ def test_a_layered_plan_rejects_r_or_k_below_one(algorithm, r, k):
 def test_a_layered_plan_goes_past_the_register_cap():
     assert gb.layered_plan("DFGS", 30, 4)[-1] == ((28, 29),)
     assert gb.predicted_layers("BDGS", 40, 4) == 5
-
-
-@pytest.mark.parametrize(
-    "segments, message",
-    [([(0, 1), (1, 2), (3, 3)], "overlaps"), ([(0, 1), (2, 2)], "unresolved")],
-)
-def test_a_bad_plan_is_rejected_before_any_query(monkeypatch, segments, message):
-    import groverbench.ops as ops
-    import groverbench.search as search
-
-    searched = []
-    monkeypatch.setattr(ops, "dfgs_segments", lambda r, k: segments)
-    monkeypatch.setattr(search, "segment_partial_search", lambda *args: searched.append(args))
-    config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=1)
-    caches = (ops.layered_plan, ops._plan_cost)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        for run in (gb.run_dfgs, gb.layered_reference):
-            with pytest.raises(ValueError, match=f"{message}.*scheduling"):
-                run(config)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
-    assert searched == []
 
 
 def _count_generators(monkeypatch) -> list:
@@ -472,26 +459,49 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
 
 
 def test_compact_dfgs_at_r24_reads_one_segment_without_a_register():
-    # One segment of width 24: the run reads its plan and the plan's cost,
-    # never the 128 MiB register, and builds both cold.
+    # One segment of width 24: the run reads its plan's counts, never the
+    # 128 MiB register, and builds them cold.
     from groverbench import ops
 
     r = 24
     config = gb.SearchConfig(r=r, target=12_345_678, algorithm="DFGS", b=1 << r, seed=5)
     gb.run_search(gb.SearchConfig(r=4, target=5, algorithm="DFGS", b=16, seed=5))
-    ops.layered_plan.cache_clear()
-    ops._plan_cost.cache_clear()
+    ops._plan_counts.cache_clear()
     tracemalloc.start()
     try:
         outcome = gb.run_search(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (ops.layered_plan.cache_info().misses, ops._plan_cost.cache_info().misses) == (1, 1)
+    assert ops._plan_counts.cache_info().misses == 1
     assert peak < 64 << 10
     assert outcome.measured_index == config.target and outcome.layers == 1
     # The exact search runs one round past the standard count at width 24.
     assert outcome.oracle_calls == gb.optimal_iterations(1 << r) + 1
+
+
+def test_a_warm_layered_run_reads_one_cached_entry(monkeypatch):
+    # Once a cell's counts are cached, a rerun builds neither its plan nor a
+    # segment row: it reads one entry of the plan-counts cache.
+    from groverbench import ops, search
+
+    configs = [
+        gb.SearchConfig(r=20, target=314159, algorithm=algorithm, b=4, seed=3)
+        for algorithm in ("DFGS", "BDGS")
+    ]
+    for config in configs:
+        gb.run_search(config)
+
+    def rebuilt(*args):
+        raise AssertionError(f"a warm layered run rebuilt its plan: {args}")
+
+    for module in (ops, search):
+        monkeypatch.setattr(module, "layered_plan", rebuilt)
+        monkeypatch.setattr(module, "segment_row", rebuilt)
+    for config in configs:
+        hits = ops._plan_counts.cache_info().hits
+        assert gb.verify_outcome(gb.run_search(config), config)
+        assert ops._plan_counts.cache_info().hits == hits + 1
 
 
 def test_dense_and_class_runs_agree_at_r22():
@@ -940,7 +950,8 @@ def test_grk_deterministic():
 
 def test_dfgs_r4_history():
     config = gb.SearchConfig(r=4, target=9, algorithm="DFGS", b=4, shots=64, seed=0)
-    _, value, history, _ = walk_segments(config, gb.dfgs_segments(config.r, config.k))
+    segments = [round_[0] for round_ in gb.layered_plan("DFGS", config.r, config.k)]
+    _, value, history, _ = walk_segments(config, segments)
     # 9 = 1001: MSB pair resolves to 10, then the LSB pair to 01.
     assert history == [((0, 1), 0b10), ((2, 3), 0b01)]
     assert value == 9
@@ -973,10 +984,10 @@ def test_dfgs_r20_layers():
 def test_bdgs_r8_resolves_from_both_ends():
     target = 0b01101111
     config = gb.SearchConfig(r=8, target=target, algorithm="BDGS", shots=64, seed=6)
-    forward = gb.forward_segments(8, 2)
+    forward, backward = bdgs_passes(8, 2)
     _, _, history, _ = walk_segments(config, forward)
     assert [value for _, value in history] == [0b01, 0b10]
-    mask, value, history, _ = walk_segments(config, forward + gb.backward_segments(8, 2))
+    mask, value, history, _ = walk_segments(config, forward + backward)
     assert [value for _, value in history][2:] == [0b11, 0b11]
     assert value == target
     assert mask == 0xFF
@@ -1430,8 +1441,7 @@ def test_segment_order_independence():
     # Disjoint bit ranges: forward-first, backward-first, and interleaved
     # execution must reconstruct the same index.
     r, k, target = 6, 2, 0b110110
-    fwd = gb.forward_segments(r, k)
-    bwd = gb.backward_segments(r, k)
+    fwd, bwd = bdgs_passes(r, k)
     orders = [fwd + bwd, bwd + fwd, [fwd[0], bwd[0], fwd[1], bwd[1]]]
     values = []
     config = gb.SearchConfig(r, target, "BDGS", seed=4)
