@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -193,11 +193,16 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
 CSV_COLUMNS = [f.name for f in fields(TrialRow)]
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, in declaration order; values are not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _table_csv(table: ResultTable) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, CSV_COLUMNS)
     writer.writeheader()
-    writer.writerows(asdict(row) for row in table.rows)
+    writer.writerows(_fields(row) for row in table.rows)
     return buffer.getvalue()
 
 
@@ -235,7 +240,13 @@ def emit_table(table: ResultTable, format: str) -> bytes:
     if format == "csv":
         return _table_csv(table).encode()
     if format == "json":
-        return json.dumps(asdict(table), indent=2).encode()
+        document = {
+            "plan": _fields(table.plan),
+            "rows": [_fields(row) for row in table.rows],
+            "aggregates": [_fields(agg) for agg in table.aggregates],
+            "errors": [_fields(err) for err in table.errors],
+        }
+        return json.dumps(document, indent=2).encode()
     if format == "markdown":
         return _table_markdown(table).encode()
     raise ValueError(f"unknown table format {format!r}")

@@ -30,7 +30,12 @@ def _algorithm_list(text: str) -> list[Algorithm]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(token) for token in text.split(",") if token.strip()]
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,8 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = sub.add_parser("run", help="execute a trial plan and export tables")
-    run_cmd.add_argument("--qubits", type=_int_list, default=[4, 8, 16, 20])
-    run_cmd.add_argument("--algo", type=_algorithm_list, default=[Algorithm.GS, Algorithm.DFGS, Algorithm.BDGS])
+    # String defaults go through ``type`` on every parse, so no parse
+    # shares a list with another.
+    run_cmd.add_argument("--qubits", type=_int_list, default="4,8,16,20")
+    run_cmd.add_argument("--algo", type=_algorithm_list, default="GS,DFGS,BDGS")
     run_cmd.add_argument("--trials", type=int, default=5)
     run_cmd.add_argument("--shots", type=int, default=1024)
     run_cmd.add_argument("--seed", type=int, default=0)
@@ -73,6 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     predict_cmd.add_argument("--block-size", type=int, default=4)
 
     return parser
+
+
+# Built once per process: a parse leaves the parser as it found it.
+_PARSER = build_parser()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -181,7 +192,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "search":

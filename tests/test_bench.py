@@ -1,6 +1,7 @@
 """Plan execution, exact aggregation, exports, and cell isolation."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -523,3 +524,40 @@ def test_exports_of_a_hand_built_table_match_the_pinned_digest():
     assert digest.hexdigest() == (
         "5806b2ac60a05bc08b26d3f2a359ea515e38d125f1916ecd6e8988dd1801702e"
     )
+
+
+def _plan_table_with_one_error_row(monkeypatch):
+    import groverbench.bench as bench
+
+    real = bench.run_search
+    calls = {"n": 0}
+
+    def flaky(config):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise RuntimeError("induced failure")
+        return real(config)
+
+    monkeypatch.setattr(bench, "run_search", flaky)
+    table = gb.run_plan(small_plan())
+    assert len(table.errors) == 1
+    return table
+
+
+@pytest.mark.parametrize("kind", ["one error row", "fixed target", "hand-built"])
+def test_exports_equal_the_deep_copy_reference(monkeypatch, kind):
+    # The exports read each dataclass's fields without copying them; the
+    # deep copy of ``dataclasses.asdict`` is the reference they must match.
+    if kind == "one error row":
+        table = _plan_table_with_one_error_row(monkeypatch)
+    elif kind == "fixed target":
+        table = gb.run_plan(small_plan(target=9))
+    else:
+        table = _hand_built_table()
+    reference_json = json.dumps(dataclasses.asdict(table), indent=2).encode()
+    assert gb.emit_table(table, "json") == reference_json
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(dataclasses.asdict(row) for row in table.rows)
+    assert gb.emit_table(table, "csv") == buffer.getvalue().encode()

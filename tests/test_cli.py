@@ -409,6 +409,70 @@ def test_unknown_algorithm_rejected(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("qubits", ["a", "4,x", "4.5"])
+def test_a_bad_qubit_list_is_rejected_in_plain_words(tmp_path, capsys, qubits):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--qubits", qubits, "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "groverbench run: error: argument --qubits: "
+        f"expected comma-separated integers, got '{qubits}'"
+    )
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    import groverbench.cli as cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out, _ = run_cli(capsys, ["predict", "--qubits", "8", "--algo", "BDGS"])
+    assert code == 0 and json.loads(out)["algorithm"] == "BDGS"
+    argv = ["run", "--qubits", "4,5", "--algo", "DFGS", "--trials", "1", "--out", str(tmp_path)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and (tmp_path / "results.csv").exists()
+
+
+def test_parses_share_no_default_list():
+    import groverbench.cli as cli
+
+    first, second = (cli._PARSER.parse_args(["run"]) for _ in range(2))
+    assert first.qubits == second.qubits == [4, 8, 16, 20]
+    assert first.algo == second.algo == [gb.Algorithm.GS, gb.Algorithm.DFGS, gb.Algorithm.BDGS]
+    assert first.qubits is not second.qubits
+    assert first.algo is not second.algo
+
+
+def _written(out_dir):
+    # Every file a run wrote, with its wall times dropped.
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        payload = json.loads(path.read_bytes())
+        if path.name == "results.json":
+            for row in payload["rows"] + payload["aggregates"]:
+                del row["time_s"]
+        elif path.name.startswith("runtime_vs_qubits_"):
+            payload["measured"] = [qubits for qubits, _ in payload["measured"]]
+        files[path.name] = payload
+    return files
+
+
+def test_a_rejected_argv_leaves_the_parser_as_it_was(tmp_path, capsys):
+    argv = ["run", "--qubits", "4,6", "--algo", "GS,BDGS", "--trials", "2",
+            "--shots", "64", "--format", "json"]
+    assert run_cli(capsys, [*argv, "--out", str(tmp_path / "before")])[0] == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--qubits", "4,x", "--algo", "DFGS", "--format", "xml"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, [*argv, "--out", str(tmp_path / "after")])[0] == 0
+    before = _written(tmp_path / "before")
+    assert len(before) == 5
+    assert before == _written(tmp_path / "after")
+
+
 # Console values, each checked here in-process; CI only smoke-tests the
 # installed script.
 
