@@ -12,20 +12,28 @@ Four drivers:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
-GS and GRK are two schedules of one run, :func:`_amplify_and_sample`: a
-list of ``(iterations, blocks)`` steps with one single-target oracle, each
-inverting within ``blocks`` equal blocks of the top index bits, then
-``shots`` draws that vote for the cell the run resolves: a single index
-for GS, one of the ``b`` blocks for GRK, which reports it as
-``resolved_block``.  From the uniform state a single-target run
-keeps three amplitude classes: the target, the rest of its block and
-every other block.  So the run holds those amplitudes as three floats
-(:class:`_Classes`), and a whole step, whatever its iteration count, is
-one closed-form rotation (:func:`~groverbench.ops._rotate`, through
-:func:`_class_run`).  One generator built from the run's seed puts the
-target's cell's votes in one binomial draw (:func:`_draw_votes`), and
-over half the shots settle the vote; only an open vote draws the other
-shots' cells (:func:`_draw_cells`) for ``np.unique`` to count.
+GS and GRK are two schedules of one class run: a list of ``(iterations,
+blocks)`` steps with one single-target oracle, each inverting within
+``blocks`` equal blocks of the top index bits, then ``shots`` draws that
+vote for the cell the run resolves: a single index for GS, one of the
+``b`` blocks for GRK, which reports it as ``resolved_block``.  From the
+uniform state a single-target run keeps three amplitude classes: the
+target, the rest of its block and every other block.  So the run holds
+those amplitudes as three floats (:class:`_Classes`), and a whole step,
+whatever its iteration count, is one closed-form rotation
+(:func:`~groverbench.ops._rotate`, through :func:`_class_run`).  The
+classes do not depend on the target, so a run splits in two:
+
+* :func:`_group_readout`, cached, runs the class run of a group, GS at
+  ``r`` or GRK at ``(r, b)``, and reads off what every run of the group
+  shares (:class:`_Readout`): the resolved cells, the queries, the target
+  cell's probability and the certainty.  The first run of a group pays for
+  it, GRK's schedule scan included.
+* :func:`_vote` draws one run's shots: one generator built from the run's
+  seed puts the target cell's votes in one binomial draw, and over half
+  the shots settle the vote; only an open vote draws the other shots'
+  cells (:func:`_draw_cells`) for ``np.unique`` to count.
+
 Neither driver allocates a ``2**r``- or ``b``-sized array.  The dense
 kernels are the reference the tests check the class run against.
 
@@ -57,6 +65,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +93,10 @@ from .statevector import (
     uniform_state,  # likewise
 )
 
+# The most shots one run draws.  The vote's binomial draw takes an int64
+# count, and an open vote holds a few int64 arrays of ``shots`` entries.
+MAX_SHOTS = 1 << 24
+
 
 @dataclass
 class SearchConfig:
@@ -102,8 +115,8 @@ class SearchConfig:
         if not 0 <= self.target < (1 << self.r):
             raise ValueError(f"target {self.target} out of range for {self.r} qubits")
         _check_block_size(self.r, self.b, self.algorithm)
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -125,9 +138,11 @@ class SearchOutcome:
     the block-partial driver resolves and ``None`` for every other driver.
     That driver measures only the top ``log2(b)`` bits, so its
     ``measured_index`` is ``resolved_block << (r - log2(b))``, the
-    unmeasured bits 0.  ``wall_time`` covers state preparation through
-    final measurement, for a layered run only the read of its plan's
-    counts, and is the one field excluded from determinism guarantees.
+    unmeasured bits 0.  ``wall_time`` covers, for GS and GRK, the lookup of
+    the group's class readout and the run's draws, and in the first run of
+    a group also the class run; for a layered run only the read of its
+    plan's counts.  It is the one field excluded from determinism
+    guarantees.
     """
 
     measured_index: int
@@ -262,8 +277,19 @@ def _class_run(c: _Classes, iterations: int, blocks: int) -> None:
         raise ValueError("the classes follow one block partition at a time")
 
 
-def _draw_votes(c: _Classes, shots: int, resolved: int, rng: np.random.Generator) -> int:
-    """The shots one binomial draw of ``rng`` puts in the target's cell.
+class _Readout(NamedTuple):
+    """What every run of one GS/GRK group reads off its classes: the
+    ``resolved`` cells the shots vote among, the oracle ``queries``, the
+    probability ``p`` of the target's cell and the ``certainty``."""
+
+    resolved: int
+    queries: int
+    p: float
+    certainty: float
+
+
+def _read_classes(c: _Classes, resolved: int) -> tuple[float, float]:
+    """The target cell's probability and mass in ``c``, read at ``resolved`` cells.
 
     The cells are ``resolved`` equal blocks of the top index bits.  Classes
     that no block-local step split give every index off the target one
@@ -274,10 +300,45 @@ def _draw_votes(c: _Classes, shots: int, resolved: int, rng: np.random.Generator
         raise ValueError("the classes follow one block partition at a time")
     size = c.n // resolved
     m_other = c.m if c.blocks == 1 else c.m_other
-    cell = c.a * c.a + c.m * c.m * (size - 1)
+    m_mass = c.m * c.m
+    cell = c.a * c.a + m_mass * (size - 1)
     total = cell + m_other * m_other * (c.n - size)
     _check_norm(total)
-    return int(rng.binomial(shots, cell / total))
+    # The certainty is the mass of the ``size`` members of the target's
+    # cell, with the target's own mass swapped in; the pinned outputs hold
+    # this order of operations to the last bit.
+    return cell / total, m_mass * size + (c.a * c.a - m_mass)
+
+
+# Cached: a group's classes do not depend on the target, so every run after
+# the first of a group reads this entry.  GS's key is ``(r, None)``, so GS
+# runs share it whatever their ``b``.  It holds at most 300 entries, the 24
+# GS and 276 GRK groups with r <= MAX_QUBITS.
+@lru_cache(maxsize=None)
+def _group_readout(r: int, b: int | None) -> _Readout:
+    """The class readout of GS at ``r`` (``b`` is None) or of GRK at ``(r, b)``.
+
+    Builds the group's schedule of ``(iterations, blocks)`` steps, each one
+    :func:`_class_run` of that many iterations, one oracle query each,
+    inverting about the mean of each of ``blocks`` equal blocks of the top
+    index bits: 1 is the global diffuser.  GS runs the optimal count of
+    global iterations and resolves ``n`` cells of one index; GRK runs
+    :func:`_grk_schedule`'s burn-in, block-local steps and one global
+    cleanup, and resolves the ``b`` blocks.  A class run that fails the
+    norm check raises and leaves no entry.
+    """
+    n = 1 << r
+    if b is None:
+        schedule, resolved = ((optimal_iterations(n), 1),), n
+    else:
+        t_global, t_local = _grk_schedule(r, b)
+        schedule, resolved = ((t_global, 1), (t_local, b), (1, 1)), b
+    classes = _Classes(n)
+    queries = 0
+    for iterations, blocks in schedule:
+        _class_run(classes, iterations, blocks)
+        queries += iterations
+    return _Readout(resolved, queries, *_read_classes(classes, resolved))
 
 
 def _draw_cells(rng: np.random.Generator, shots: int, cell: int, resolved: int) -> np.ndarray:
@@ -288,49 +349,31 @@ def _draw_cells(rng: np.random.Generator, shots: int, cell: int, resolved: int) 
     return cells
 
 
-def _amplify_and_sample(
-    config: SearchConfig, schedule: tuple[tuple[int, int], ...], resolved: int
-) -> SearchOutcome:
-    """Run ``schedule`` with ``config``'s single-target oracle, then draw ``shots``.
+def _vote(config: SearchConfig, readout: _Readout, start: float) -> SearchOutcome:
+    """Draw ``config.shots`` votes on ``readout``'s cells for ``config``'s target.
 
-    Each ``(iterations, blocks)`` step of ``schedule`` is one
-    :func:`_class_run` of that many iterations, one oracle query each,
-    inverting about the mean of each of ``blocks`` equal blocks of the top
-    index bits: 1 is the global diffuser.  The run resolves which of
-    ``resolved`` such cells holds the target: ``n`` cells of one index for
-    GS, the ``config.b`` blocks for GRK.  The shots vote for a cell, ties
-    going to the smallest.  ``success_fraction`` is the share of shots in
-    the target's cell, ``certainty`` the final state's mass there, and
-    ``layers`` counts oracle queries.  ``measured_index`` is the winning
-    cell's first index: the index for GS, the measured block bits with the
-    unmeasured low bits 0 for GRK, which reports the block as
-    ``resolved_block`` (``None`` for GS).  One generator, built from
-    ``config.seed``, draws the target cell's votes (:func:`_draw_votes`).
-    Over half the shots settle the vote; only an open vote draws the other
-    shots' cells (:func:`_draw_cells`), the generator's last use, and counts
-    every shot's cell with ``np.unique``.
+    The shots vote for a cell, ties going to the smallest.
+    ``success_fraction`` is the share of shots in the target's cell,
+    ``certainty`` the final state's mass there, and ``layers`` counts
+    oracle queries.  ``measured_index`` is the winning cell's first index:
+    the index for GS, the measured block bits with the unmeasured low bits
+    0 for GRK, which reports the block as ``resolved_block`` (``None`` for
+    GS).  One generator, built from ``config.seed``, draws the target
+    cell's votes in one binomial draw.  Over half the shots settle the
+    vote; only an open vote draws the other shots' cells
+    (:func:`_draw_cells`), the generator's last use, and counts every
+    shot's cell with ``np.unique``.  ``wall_time`` counts from ``start``.
     """
-    start = time.perf_counter()
-    n = 1 << config.r
-    classes = _Classes(n)
-    queries = 0
-    for iterations, blocks in schedule:
-        _class_run(classes, iterations, blocks)
-        queries += iterations
-    shots, size = config.shots, n // resolved
+    resolved, queries, p, certainty = readout
+    shots, size = config.shots, (1 << config.r) // resolved
     cell = config.target // size
     rng = np.random.default_rng(config.seed)
-    votes = _draw_votes(classes, shots, resolved, rng)
+    votes = int(rng.binomial(shots, p))
     if 2 * votes <= shots:
         others = _draw_cells(rng, shots - votes, cell, resolved)
         cells, counts = np.unique(np.append(np.full(votes, cell), others), return_counts=True)
         cell = int(cells[counts.argmax()])
     wall = time.perf_counter() - start
-
-    # The certainty is the mass of the ``size`` members of the target's
-    # cell, with the target's own mass swapped in; the pinned outputs hold
-    # this order of operations to the last bit.
-    m_mass = classes.m * classes.m
     return SearchOutcome(
         measured_index=cell * size,
         success_fraction=votes / shots,
@@ -338,7 +381,7 @@ def _amplify_and_sample(
         oracle_calls=queries,
         wall_time=wall,
         trial_seed=config.seed,
-        certainty=m_mass * size + (classes.a * classes.a - m_mass),
+        certainty=certainty,
         resolved_block=None if size == 1 else cell,
     )
 
@@ -347,8 +390,8 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     """Full-register search: optimal iteration count, then ``shots`` draws."""
     if config.algorithm is not Algorithm.GS:
         raise ValueError(f"config requests {config.algorithm}, not GS")
-    n = 1 << config.r
-    return _amplify_and_sample(config, ((optimal_iterations(n), 1),), n)
+    start = time.perf_counter()
+    return _vote(config, _group_readout(config.r, None), start)
 
 
 def _grk_global_step(
@@ -391,8 +434,8 @@ def grk_reference_amplitudes(
     return a, b_amp, g
 
 
-# Cached: every GRK run after the first at its (r, b) reuses this O(N) scan.
-@lru_cache(maxsize=None)
+# Uncached: only the first GRK run of an (r, b) group scans, inside
+# _group_readout; every later one reads that group's cached readout.
 def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     """Pick (global, local) iteration counts for the block-partial driver.
 
@@ -402,7 +445,8 @@ def _grk_schedule(r: int, b: int) -> tuple[int, int]:
     most likely one when none does.  Each burn-in of ``t1`` global
     iterations is one :func:`_rotate` of the unsplit classes, and ``t2``
     local iterations turn the in-block pair by ``2*t2*arcsin(1/sqrt(B))``
-    while the other blocks stay frozen.
+    while the other blocks stay frozen.  The scan is O(N), and runs once per
+    group: :func:`_group_readout` caches its result with the class run's.
     """
     n = 1 << r
     block = n // b
@@ -445,9 +489,8 @@ def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:
     """
     if config.algorithm is not Algorithm.GRK:
         raise ValueError(f"config requests {config.algorithm}, not GRK")
-    t_global, t_local = _grk_schedule(config.r, config.b)
-    schedule = ((t_global, 1), (t_local, config.b), (1, 1))
-    outcome = _amplify_and_sample(config, schedule, config.b)
+    start = time.perf_counter()
+    outcome = _vote(config, _group_readout(config.r, config.b), start)
     return outcome.resolved_block, outcome
 
 

@@ -6,10 +6,12 @@ one single-target oracle, the form the dense kernels take; the drivers
 take each step's mask as its count of top-bit blocks (:func:`in_blocks`).
 """
 
+import time
+
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _Classes, _class_run, _draw_cells, _draw_votes
+from groverbench.search import _Classes, _Readout, _class_run, _draw_cells, _read_classes, _vote
 
 
 def grk_steps(r: int, b: int, t_global: int, t_local: int) -> tuple[tuple[int, int], ...]:
@@ -44,16 +46,28 @@ def sample_cells(
     classes: _Classes, target: int, resolved: int, shots: int, seed: int
 ) -> dict[int, int]:
     """How many shots land in each of ``resolved`` cells, deterministic for
-    ``seed``: the driver's vote for the target's cell, then every other
-    shot's cell, drawn as an open vote draws them, on one generator built
-    from ``seed``.  A cell no shot lands in is left out."""
+    ``seed``: the driver's vote for the target's cell, on the probability
+    the drivers' readout reads off ``classes``, then every other shot's
+    cell, drawn as an open vote draws them, on one generator built from
+    ``seed``.  A cell no shot lands in is left out."""
+    p, _ = _read_classes(classes, resolved)
     rng = np.random.default_rng(seed)
-    votes = _draw_votes(classes, shots, resolved, rng)
+    votes = int(rng.binomial(shots, p))
     cell = target // (classes.n // resolved)
     counts = shot_counts(_draw_cells(rng, shots - votes, cell, resolved))
     if votes:
         counts[cell] = votes
     return counts
+
+
+def class_outcome(config: gb.SearchConfig, steps, resolved: int) -> gb.SearchOutcome:
+    """``config``'s run of ``steps``, read at ``resolved`` cells: the drivers'
+    readout of the classes the steps leave, then the drivers' vote on it."""
+    start = time.perf_counter()
+    classes = run_classes(config.r, steps)
+    queries = sum(iterations for iterations, _ in steps)
+    readout = _Readout(resolved, queries, *_read_classes(classes, resolved))
+    return _vote(config, readout, start)
 
 
 def cells_of(r: int, steps) -> int:

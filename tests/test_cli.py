@@ -7,6 +7,7 @@ import pytest
 
 import groverbench as gb
 from groverbench.cli import main
+from groverbench.search import MAX_SHOTS
 
 
 def run_cli(capsys, argv):
@@ -177,6 +178,20 @@ def test_search_rejects_bad_seed_or_qubits(capsys, extra):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid search config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 2**70])
+def test_search_and_run_reject_shots_above_the_cap(tmp_path, capsys, shots):
+    # One line and exit 2 from both commands, before any cell runs or any
+    # output directory is made.
+    message = f"shots must be in [1, {MAX_SHOTS}], got {shots}\n"
+    code, out, err = run_cli(capsys, ["search", "--qubits", "12", "--shots", str(shots)])
+    assert (code, out, err) == (2, "", f"invalid search config: {message}")
+    out_dir = tmp_path / "out"
+    argv = ["run", "--qubits", "4,12", "--algo", "GS,GRK", "--shots", str(shots), "--out", str(out_dir)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"invalid plan: {message}")
+    assert not out_dir.exists()
 
 
 def test_search_invalid_target(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverbench as gb
-from class_runs import grk_steps, in_blocks, run_classes, run_dense, write_out
+from class_runs import class_outcome, grk_steps, run_classes, run_dense, write_out
 from groverbench.search import _class_run
 
 
@@ -225,8 +225,6 @@ def test_property_class_readouts_match_the_written_out_register(run):
     # the classes write out to the dense amplitudes, the classes' sum over
     # the target's block is the dense one, and the run's certainty is the
     # dense mass of the target's block.
-    from groverbench.search import _amplify_and_sample
-
     r, b, t_global, t_local, target = run
     steps = grk_steps(r, b, t_global, t_local)
     classes = run_classes(r, steps)
@@ -240,7 +238,7 @@ def test_property_class_readouts_match_the_written_out_register(run):
     held_sum = classes.a + (size - 1) * classes.m
     assert held_sum == pytest.approx(sums[target * sums.size >> r], abs=1e-12)
     config = gb.SearchConfig(r=r, target=target, algorithm="GRK", b=b, shots=8)
-    outcome = _amplify_and_sample(config, in_blocks(steps), b)
+    outcome = class_outcome(config, steps, b)
     block_size = (1 << r) // b
     start = target // block_size * block_size
     expected = plain.probabilities()[start : start + block_size].sum()

@@ -4,6 +4,7 @@ cross-validation of the compact layered runs against the dense reference."""
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 import groverbench as gb
 from class_runs import (
     SPREAD_RUNS,
+    class_outcome,
     grk_steps,
-    in_blocks,
     run_classes,
     run_dense,
     cells_of,
@@ -20,8 +21,10 @@ from class_runs import (
     write_out,
 )
 from groverbench.search import (
+    MAX_SHOTS,
     _grk_local_step,
     _grk_schedule,
+    _group_readout,
     grk_reference_amplitudes,
 )
 
@@ -361,17 +364,22 @@ def test_grk_statevector_matches_reference_recurrence_at_r18():
 
 
 def sampled_state(monkeypatch) -> list:
-    """Record the classes each driver samples, with the sampling left as it is."""
+    """Record the classes each driver samples, with the sampling left as it is.
+
+    The readout cache is cleared first, so the next run of each group builds
+    its classes again."""
     import groverbench.search as search
 
     seen = []
-    real = search._draw_votes
+    real = search._Classes
 
-    def recording(classes, shots, resolved, rng):
+    def recording(n):
+        classes = real(n)
         seen.append(classes)
-        return real(classes, shots, resolved, rng)
+        return classes
 
-    monkeypatch.setattr(search, "_draw_votes", recording)
+    _group_readout.cache_clear()
+    monkeypatch.setattr(search, "_Classes", recording)
     return seen
 
 
@@ -438,7 +446,7 @@ def test_drivers_at_r24_allocate_no_register(algorithm):
     r, b, target = 24, 4, 12_345_678
     n = 1 << r
     config = gb.SearchConfig(r=r, target=target, algorithm=algorithm, b=b, shots=1024, seed=5)
-    _grk_schedule(r, b)  # cached; its scan is not the run's memory
+    _group_readout(r, b if algorithm == "GRK" else None)  # cached; not the run's memory
     # A small run first pays the lazy imports (numpy.random) outside the trace.
     gb.run_search(gb.SearchConfig(r=4, target=5, algorithm=algorithm, b=b, shots=16))
     tracemalloc.start()
@@ -502,6 +510,103 @@ def test_a_warm_layered_run_reads_one_cached_entry(monkeypatch):
         hits = ops._plan_counts.cache_info().hits
         assert gb.verify_outcome(gb.run_search(config), config)
         assert ops._plan_counts.cache_info().hits == hits + 1
+
+
+def test_a_warm_gs_or_grk_run_reads_one_cached_readout(monkeypatch):
+    # Once a group's readout is cached, a run of the group with another
+    # target, seed and shot count runs no class step: it reads the one
+    # entry and draws its own shots.
+    import groverbench.search as search
+
+    steps = []
+    real = search._class_run
+
+    def counted(c, iterations, blocks):
+        steps.append((iterations, blocks))
+        real(c, iterations, blocks)
+
+    monkeypatch.setattr(search, "_class_run", counted)
+    for algorithm in ("GS", "GRK"):
+        _group_readout.cache_clear()
+        gb.run_search(gb.SearchConfig(16, 12_345, algorithm, b=8, shots=64, seed=1))
+        assert steps and _group_readout.cache_info().misses == 1
+        steps.clear()
+        config = gb.SearchConfig(16, 54_321, algorithm, b=8, shots=300, seed=2)
+        assert gb.verify_outcome(gb.run_search(config), config)
+        assert steps == []
+        info = _group_readout.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def _cold_and_warm_cells():
+    """GS at r = 1-24 over three seeds, whose r = 1 runs are coin flips, and
+    GRK at every b with r <= 12, with 1,024 shots and with 2.  Two shots at
+    r = 3, b = 2 (certainty 0.969) leave the vote open at seeds 4 and 10."""
+    for r in range(1, 25):
+        for seed in (0, 1, 2):
+            yield gb.SearchConfig(r, (1 << r) // 3, "GS", shots=64, seed=seed)
+    for r in range(2, 13):
+        for k in range(1, r):
+            for shots in (1024, 2):
+                yield gb.SearchConfig(r, (1 << r) - 1, "GRK", b=1 << k, shots=shots, seed=r + k)
+    for seed in (4, 10):
+        yield gb.SearchConfig(3, 7, "GRK", b=2, shots=2, seed=seed)
+
+
+def test_cold_and_warm_runs_give_the_same_outcome():
+    # A run that fills its group's readout, and one that reads an entry a
+    # run for another target filled, agree in every field but wall time,
+    # votes that stay open included.
+    opened = {"GS": 0, "GRK": 0}
+    for config in _cold_and_warm_cells():
+        _group_readout.cache_clear()
+        cold = gb.run_search(config)
+        _group_readout.cache_clear()
+        gb.run_search(replace(config, target=0, seed=config.seed + 99))
+        warm = gb.run_search(config)
+        assert _group_readout.cache_info().hits == 1
+        assert outcome_key(warm) == outcome_key(cold), config
+        opened[config.algorithm.value] += cold.success_fraction <= 0.5
+    assert opened["GS"] > 0 and opened["GRK"] > 0
+
+
+def test_gs_runs_share_one_readout_across_block_sizes():
+    # GS never reads b: its runs at one r fill one entry whatever their b,
+    # and give the same outcome.
+    _group_readout.cache_clear()
+    outcomes = {
+        outcome_key(gb.run_search(gb.SearchConfig(12, 77, "GS", b=b, shots=16, seed=5)))
+        for b in (2, 4, 8, 1 << 12)
+    }
+    info = _group_readout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    assert len(outcomes) == 1
+
+
+def test_a_readout_that_fails_the_norm_check_leaves_no_entry(monkeypatch):
+    # The drift of test_norm_drift_is_rejected_at_readout, then a clean run
+    # of the same group: the failed fill cached nothing, so the clean run
+    # runs its classes and gives the outcome of a cold run.
+    import groverbench.search as search
+
+    real = search._class_run
+
+    def drifting(classes, iterations, blocks):
+        real(classes, iterations, blocks)
+        classes.a *= 1.001
+
+    for algorithm in ("GS", "GRK"):
+        config = gb.SearchConfig(r=6, target=37, algorithm=algorithm, shots=16)
+        _group_readout.cache_clear()
+        expected = outcome_key(gb.run_search(config))
+        _group_readout.cache_clear()
+        monkeypatch.setattr(search, "_class_run", drifting)
+        with pytest.raises(ValueError, match="norm"):
+            gb.run_search(config)
+        monkeypatch.undo()
+        assert _group_readout.cache_info().currsize == 0
+        assert outcome_key(gb.run_search(config)) == expected
+        assert _group_readout.cache_info().currsize == 1
 
 
 def test_dense_and_class_runs_agree_at_r22():
@@ -588,13 +693,10 @@ def test_one_step_of_a_trillion_iterations_runs_in_closed_form():
     # rotation takes each step, global, block-local and global on the split
     # classes, in O(1) and charges every iteration as a query, and the
     # sampler's norm check (_check_norm) passes on the state it leaves.
-    from groverbench.search import _amplify_and_sample
-
     r, t = 24, 10**12
     mask = gb.segment_mask(r, 0, 1)
     config = gb.SearchConfig(r=r, target=12_345_678, shots=64, seed=1)
-    steps = in_blocks(((t, 0), (t, mask), (t + 1, 0)))
-    outcome = _amplify_and_sample(config, steps, 4)
+    outcome = class_outcome(config, ((t, 0), (t, mask), (t + 1, 0)), 4)
     assert outcome.oracle_calls == outcome.layers == 3 * t + 1
     assert 0.0 <= outcome.certainty <= 1.0 + 1e-12
 
@@ -664,9 +766,7 @@ def reference_readout(config: gb.SearchConfig, steps, resolved: int) -> tuple:
 
 
 def readout_fields(config: gb.SearchConfig, steps, resolved: int) -> tuple:
-    from groverbench.search import _amplify_and_sample
-
-    outcome = _amplify_and_sample(config, in_blocks(steps), resolved)
+    outcome = class_outcome(config, steps, resolved)
     return outcome.measured_index, outcome.success_fraction, outcome.resolved_block
 
 
@@ -726,7 +826,7 @@ def test_grk_readout_with_a_million_blocks_stays_small():
         config = gb.SearchConfig(
             r=r, target=12_345_678, algorithm="GRK", b=b, shots=1024, seed=5
         )
-        _grk_schedule(r, b)  # cached; its scan is not the run's memory
+        _group_readout(r, b)  # cached; its class run is not the run's memory
         tracemalloc.start()
         try:
             outcome = gb.run_search(config)
@@ -741,14 +841,12 @@ def test_class_run_rejects_a_schedule_it_cannot_hold():
     # Three classes hold a run with one partition into blocks of the top
     # bits.  Blocks of one item, or a second block count, would need more
     # classes, and the run refuses them.
-    from groverbench.search import _amplify_and_sample
-
     config = gb.SearchConfig(r=4, target=6, shots=8)
     for steps in [((1, 0b1111),), ((1, 0b1100), (1, 0b1000))]:
         with pytest.raises(ValueError, match="dimension|partition"):
-            _amplify_and_sample(config, in_blocks(steps), 16)
+            class_outcome(config, steps, 16)
     with pytest.raises(ValueError, match="partition"):  # split at four blocks, read at two
-        _amplify_and_sample(config, ((1, 4),), 2)
+        class_outcome(config, ((1, 0b1100),), 2)
 
 
 def _count_kernel_lookups(monkeypatch, run) -> dict:
@@ -860,7 +958,8 @@ def test_full_layered_run_keeps_the_traced_iterations(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["GS", "GRK"])
 def test_class_drivers_keep_real_amplitudes(monkeypatch, algorithm):
-    # Every amplitude class of the run stays a real float.
+    # Every amplitude class of the run stays a real float.  The readout
+    # cache is cleared, so the run's group runs its classes again.
     import groverbench.search as search
 
     real = search._class_run
@@ -870,6 +969,7 @@ def test_class_drivers_keep_real_amplitudes(monkeypatch, algorithm):
         real(c, iterations, blocks)
         types.update(map(type, (c.a, c.m, c.m_other)))
 
+    _group_readout.cache_clear()
     monkeypatch.setattr(search, "_class_run", recording)
     gb.run_search(gb.SearchConfig(r=10, target=613, algorithm=algorithm, shots=16))
     assert types == {float}
@@ -917,13 +1017,20 @@ def test_readout_ties_go_to_the_smallest_index_and_block(monkeypatch):
     import groverbench.search as search
 
     fixed = {4: (4, [1, 0, 0, 1, 0, 0]), 16: (2, [15, 5, 3, 14, 2, 5, 1, 0])}
+    votes = [fixed[4][0], fixed[16][0]]  # in run order: GRK, then GS
     cell_draws = []
+
+    class FixedVotes:
+        """A generator whose binomial draw gives the next run's fixed votes."""
+
+        def binomial(self, shots, p):
+            return votes.pop(0)
 
     def fixed_cells(rng, shots, cell, resolved):
         cell_draws.append(shots)
         return np.array(fixed[resolved][1], dtype=np.int64)
 
-    monkeypatch.setattr(search, "_draw_votes", lambda c, shots, resolved, rng: fixed[resolved][0])
+    monkeypatch.setattr(search.np.random, "default_rng", lambda seed: FixedVotes())
     monkeypatch.setattr(search, "_draw_cells", fixed_cells)
     config = gb.SearchConfig(r=4, target=14, algorithm="GRK", b=4, shots=10)
     block, outcome = gb.run_grk_partial(config)
@@ -1386,8 +1493,7 @@ def test_predictions_and_plans_match_the_pinned_digest():
 def test_grk_schedule_matches_the_pinned_digest():
     # (r, b, t_global, t_local) for every valid pair with r <= 16, as the
     # scan produced them before its cleanup step went through
-    # _grk_global_step.  The scan is cached, so clear it to rerun it.
-    _grk_schedule.cache_clear()
+    # _grk_global_step.  The scan is uncached, so each call reruns it.
     digest = hashlib.sha256()
     pairs = 0
     for r in range(2, 17):
@@ -1574,6 +1680,25 @@ def test_verify_outcome_checks_a_grk_block():
         assert not gb.verify_outcome(outcome, other)
 
 
+@pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 2**70])
+@pytest.mark.parametrize("algorithm", ["GS", "GRK", "DFGS", "BDGS"])
+def test_search_config_rejects_shots_above_the_cap(algorithm, shots):
+    # Rejected at construction, before a binomial draw that an int64 count
+    # cannot hold, or an open vote's arrays of that many shots.
+    with pytest.raises(ValueError, match=rf"^shots must be in \[1, 16777216\], got {shots}$"):
+        gb.SearchConfig(r=12, target=5, algorithm=algorithm, shots=shots)
+
+
+def test_a_settled_gs_run_draws_the_capped_shot_count():
+    # GS at r = 10 puts 0.9995 of its mass on the target, so its 2**24
+    # shots settle the vote in one binomial draw.
+    assert MAX_SHOTS == 1 << 24
+    config = gb.SearchConfig(r=10, target=613, shots=MAX_SHOTS, seed=4)
+    outcome = gb.run_standard_grover(config)
+    assert outcome.measured_index == 613 and outcome.resolved_block is None
+    assert outcome.success_fraction == pytest.approx(outcome.certainty, abs=1e-3)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         gb.SearchConfig(r=4, target=16)
@@ -1620,6 +1745,7 @@ def test_norm_drift_is_rejected_at_readout(monkeypatch, algorithm, register):
     import groverbench.search as search
 
     if register is None:
+        _group_readout.cache_clear()  # so the run's group runs its classes again
         real_class_run = search._class_run
 
         def drifting_class_run(classes, iterations, blocks):

@@ -52,9 +52,9 @@ def test_package_exports_exactly_the_public_api():
 
 
 # The package's caches, each carrying measured traffic: the layered runs'
-# plan counts and GRK's schedule scan.  A cache added or dropped here is a
-# change of what the package holds between calls.
-CACHED = {"ops._plan_counts", "search._grk_schedule"}
+# plan counts and each GS/GRK group's class readout.  A cache added or
+# dropped here is a change of what the package holds between calls.
+CACHED = {"ops._plan_counts", "search._group_readout"}
 
 
 def _is_cache(decorator: ast.expr) -> bool:
