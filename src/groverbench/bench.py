@@ -23,6 +23,11 @@ import numpy as np
 from .ops import Algorithm, predicted_layers
 from .search import SearchConfig, SearchOutcome, run_search
 
+# The most cells one plan holds.  ``run_plan`` keeps every row in memory:
+# a 2**14-cell run and its JSON export peaked 46 MiB above the import, about
+# 2.4 KiB a cell, which puts a plan at the cap near 0.65 GiB.
+MAX_PLAN_CELLS = 1 << 18
+
 
 @dataclass
 class ExperimentPlan:
@@ -52,6 +57,9 @@ class ExperimentPlan:
             raise ValueError("algorithms must be distinct")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        cells = len(self.qubit_list) * len(self.algorithms) * self.trials
+        if cells > MAX_PLAN_CELLS:
+            raise ValueError(f"plan has {cells} cells, more than the cap of {MAX_PLAN_CELLS}")
         # A cell's config differs from this one only in a target and a seed,
         # and the cell draws both in range.
         target = 0 if self.target is None else self.target

@@ -85,6 +85,7 @@ from .ops import (
 )
 from .statevector import (
     MAX_QUBITS,
+    MAX_SHOTS,
     StateVector,
     _axis_selector,
     _check_norm,
@@ -92,10 +93,6 @@ from .statevector import (
     sample,  # likewise
     uniform_state,  # likewise
 )
-
-# The most shots one run draws.  The vote's binomial draw takes an int64
-# count, and an open vote holds a few int64 arrays of ``shots`` entries.
-MAX_SHOTS = 1 << 24
 
 
 @dataclass

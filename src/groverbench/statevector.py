@@ -35,6 +35,12 @@ import numpy as np
 
 MAX_QUBITS = 24
 
+# The most shots one readout draws.  ``sample`` holds a float64 draw and an
+# int64 index per shot (256 MiB at the cap); a search's vote takes its
+# binomial count as an int64 and an open vote holds a few int64 arrays of
+# ``shots`` entries.
+MAX_SHOTS = 1 << 24
+
 # L2-norm drift beyond this is a corrupted state, not floating-point noise.
 NORM_TOL = 1e-8
 
@@ -225,10 +231,11 @@ def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
     taken by inverse CDF without its checks on ``p``, which the norm check
     has already passed.  The CDF is built in place in the probabilities
     array, so no second register-sized array is held.  An unnormalized
-    state is rejected, as :meth:`StateVector.probabilities` does.
+    state is rejected, as :meth:`StateVector.probabilities` does, and so
+    are ``shots`` outside ``[1, MAX_SHOTS]``, before any draw.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     cdf = state.probabilities()
     cdf /= cdf.sum()
     np.cumsum(cdf, out=cdf)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import groverbench as gb
-from groverbench.bench import CSV_COLUMNS
+from groverbench.bench import CSV_COLUMNS, MAX_PLAN_CELLS
 
 
 def small_plan(**overrides):
@@ -298,6 +298,19 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="two items per block"):
         gb.ExperimentPlan(qubit_list=[8, 4], algorithms=["BDGS", "GRK"], block_size=16)
     gb.ExperimentPlan(qubit_list=[4, 8], algorithms=["GRK"], block_size=8)
+
+
+@pytest.mark.parametrize(
+    "qubits, trials", [([4], MAX_PLAN_CELLS + 1), ([4, 6, 8, 10, 12], 52429)]
+)
+def test_a_plan_one_cell_above_the_cap_is_rejected(qubits, trials):
+    # 5 * 52429 = 2**18 + 1: the cap counts cells, not trials.
+    assert MAX_PLAN_CELLS == 1 << 18
+    assert len(qubits) * trials == MAX_PLAN_CELLS + 1
+    message = rf"^plan has {MAX_PLAN_CELLS + 1} cells, more than the cap of {MAX_PLAN_CELLS}$"
+    with pytest.raises(ValueError, match=message):
+        gb.ExperimentPlan(qubit_list=qubits, algorithms=["GS"], trials=trials)
+    gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], trials=MAX_PLAN_CELLS)
     # A repeated qubit count or algorithm would run the same cells twice.
     with pytest.raises(ValueError, match="qubit counts must be distinct"):
         gb.ExperimentPlan(qubit_list=[4, 4], algorithms=["GS"])

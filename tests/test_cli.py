@@ -1,7 +1,10 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import stat
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +197,31 @@ def test_search_and_run_reject_shots_above_the_cap(tmp_path, capsys, shots):
     assert not out_dir.exists()
 
 
+def test_run_rejects_a_plan_above_the_cell_cap_before_any_cell(tmp_path, capsys, monkeypatch):
+    import groverbench.bench as bench
+
+    def no_cell(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "run_search", no_cell)
+    out_dir = tmp_path / "out"
+    trials = str(bench.MAX_PLAN_CELLS + 1)
+    argv = ["run", "--qubits", "4", "--algo", "GS", "--trials", trials, "--out", str(out_dir)]
+    code, out, err = run_cli(capsys, argv)
+    message = f"plan has {trials} cells, more than the cap of 262144\n"
+    assert (code, out, err) == (2, "", f"invalid plan: {message}")
+    assert not out_dir.exists()
+
+
+def test_the_default_run_plan_is_within_the_cell_cap():
+    import groverbench.bench as bench
+    from groverbench.cli import _PARSER
+
+    args = _PARSER.parse_args(["run"])
+    plan = gb.ExperimentPlan(args.qubits, args.algo, trials=args.trials)
+    assert len(plan.qubit_list) * len(plan.algorithms) * plan.trials <= bench.MAX_PLAN_CELLS
+
+
 def test_search_invalid_target(capsys):
     code, _, err = run_cli(capsys, ["search", "--qubits", "4", "--algo", "GS", "--target", "99"])
     assert code == 2
@@ -299,6 +327,92 @@ def test_run_write_failure_exits_2_with_one_line(tmp_path, capsys, blocked):
     assert lines[2:] == [f"wrote {tmp_path / name}" for name in written]
     assert err.startswith("invalid output directory:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _clock_masked(name, payload):
+    """An output's JSON with every wall time replaced by None."""
+    document = json.loads(payload)
+    if name.startswith("runtime_vs_qubits_"):
+        document["measured"] = [[qubits, None] for qubits, _ in document["measured"]]
+    else:
+        for row in document.get("rows", []) + document.get("aggregates", []):
+            row["time_s"] = None
+    return document
+
+
+def test_run_over_longer_stale_files_writes_what_a_fresh_run_writes(tmp_path, capsys, monkeypatch):
+    # Each output is overwritten in place and cut to length, so no tail of
+    # the longer stale file survives: every file holds exactly the export
+    # of the run's own table, and matches a run into an empty directory
+    # but for its wall times.
+    import groverbench.cli as cli
+
+    tables = []
+
+    def recorded_run_plan(plan):
+        tables.append(gb.run_plan(plan))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "run_plan", recorded_run_plan)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    algorithms = ["GS", "GRK", "DFGS", "BDGS"]
+    names = ["results.json"] + [
+        f"{kind}_vs_qubits_{algo}.json" for kind in ("layers", "runtime") for algo in algorithms
+    ]
+    for name in names:
+        (stale / name).write_bytes(b"stale\n" * 10_000)
+    argv = ["run", "--qubits", "4,6", "--algo", ",".join(algorithms), "--trials", "2",
+            "--format", "json"]
+    for out_dir in (fresh, stale):
+        assert run_cli(capsys, [*argv, "--out", str(out_dir)])[0] == 0
+    outputs = []
+    for out_dir, table in zip((fresh, stale), tables):
+        expected = {"results.json": gb.emit_table(table, "json"), **gb.emit_scaling_series(table)}
+        assert sorted(expected) == sorted(names)
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == expected
+        outputs.append({name: _clock_masked(name, payload) for name, payload in expected.items()})
+    assert outputs[0] == outputs[1]
+
+
+def test_a_new_output_gets_the_mode_write_bytes_gives(tmp_path, capsys):
+    old_umask = os.umask(0o027)
+    try:
+        (tmp_path / "reference").write_bytes(b"")
+        code, _, _ = run_cli(
+            capsys, ["run", "--qubits", "4", "--algo", "GS", "--trials", "1", "--out", str(tmp_path)]
+        )
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "results.csv").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
+
+
+def test_no_output_is_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    # Every output goes through os.open (Path.write_bytes does not), and
+    # none with O_TRUNC: on ext4 a file truncated to zero is flushed on close.
+    opened = {}
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            opened.setdefault(Path(path).name, []).append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for name in ("results.csv", "layers_vs_qubits_GS.json"):
+        (tmp_path / name).write_bytes(b"stale\n" * 1000)
+    code, out, _ = run_cli(
+        capsys,
+        ["run", "--qubits", "4,6", "--algo", "GS,DFGS", "--trials", "1", "--out", str(tmp_path)],
+    )
+    assert code == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    reported = [Path(line[len("wrote "):]).name for line in out.splitlines() if line.startswith("wrote ")]
+    assert sorted(reported) == written
+    assert sorted(opened) == written
+    assert all(len(flags) == 1 and not flags[0] & os.O_TRUNC for flags in opened.values())
 
 
 def test_run_cell_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from class_runs import (
     write_out,
 )
 from groverbench.search import _Classes
+from groverbench.statevector import MAX_SHOTS
 
 
 def random_state(r: int, seed: int) -> gb.StateVector:
@@ -460,6 +461,21 @@ def test_class_readouts_reject_an_unnormalized_register(scale):
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         gb.sample(gb.uniform_state(1), shots=0, seed=0)
+
+
+@pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 2**70])
+def test_sample_rejects_shots_above_the_cap_before_any_draw(monkeypatch, shots):
+    # One line, before a generator is built: 2**70 used to end in numpy's
+    # "Maximum allowed dimension exceeded".  The cap is the one the search
+    # configs use.
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    message = rf"^shots must be in \[1, 16777216\], got {shots}$"
+    with pytest.raises(ValueError, match=message):
+        gb.sample(gb.uniform_state(1), shots=shots, seed=0)
+    assert MAX_SHOTS == 1 << 24 and gb.search.MAX_SHOTS is MAX_SHOTS
 
 
 # ---------------------------------------------------------------------------
