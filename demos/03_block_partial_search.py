@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 import groverbench as gb
-from groverbench.search import _grk_schedule, grk_reference_amplitudes
+from groverbench.ops import _grk_schedule
+from groverbench.search import grk_reference_amplitudes
 
 r, b, target = 8, 4, 0b11001101
 n = 1 << r

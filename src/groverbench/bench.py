@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .ops import Algorithm, predicted_layers
+from .ops import Algorithm, _integer, predicted_layers
 from .search import SearchConfig, SearchOutcome, run_search
 
 # The most cells one plan holds.  ``run_plan`` keeps every row in memory:
@@ -55,6 +55,7 @@ class ExperimentPlan:
             raise ValueError(f"qubit counts must be distinct, got {self.qubit_list}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError("algorithms must be distinct")
+        self.trials = _integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         cells = len(self.qubit_list) * len(self.algorithms) * self.trials
@@ -215,10 +216,7 @@ def _table_csv(table: ResultTable) -> str:
 
 
 def _table_markdown(table: ResultTable) -> str:
-    algorithms = []
-    for row in table.rows:
-        if row.algorithm not in algorithms:
-            algorithms.append(row.algorithm)
+    algorithms = list(dict.fromkeys(row.algorithm for row in table.rows))
     header = ["Qubits", "Trial"]
     for algorithm in algorithms:
         header += [f"{algorithm.value} Acc.", f"{algorithm.value} Time(s)"]

@@ -1,12 +1,13 @@
-"""Oracles with query accounting, the composed search iteration, the one
-segment planner of the layered searches, and closed-form iteration/query
-predictors, which read the same plans.
+"""Oracles with query accounting, the composed search iteration, the
+planners of every run (the layered searches' segments and GRK's schedule),
+and closed-form iteration/query predictors, which read the same plans.
 
-A DFGS or BDGS run is a function of its plan: :func:`layered_plan` gives
-its rounds, one per layer.  :func:`_plan_counts` caches what every run of
-the plan reports: its number of rounds and the sum of its segment rows'
-``reps``, the oracle queries it makes.  The layered drivers read both
-counts, and :func:`predict_cost` reads the queries.
+Every run is one step list, :func:`_steps`: rounds of parallel steps
+``(iterations, lo, hi)``, that many oracle queries, each followed by an
+inversion about the mean over positions ``lo..hi`` within each block of
+the other positions.  Two caches hold its folds: ``search._group_readout``
+runs GS's and GRK's steps on the amplitude classes, and :func:`_plan_counts`
+gives a layered run its rounds and queries, which :func:`predict_cost` reads.
 
 One search iteration is: flip the sign of the amplitudes the oracle
 marks (one query), then invert every amplitude about its block mean.
@@ -19,10 +20,13 @@ below count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import zip_longest
+
+import numpy as np
 
 from .statevector import (
     BasisPredicate,
@@ -103,6 +107,15 @@ class OracleSpec:
         """
         self.query_count += 1
         return index & self._flip_mask == self._flip_value
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``; one ``ValueError`` line naming the field ``name``
+    when it is a ``bool`` or ``operator.index`` rejects it (numpy ints pass)."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_block_size(r: int, b: int, algorithm: Algorithm) -> None:
@@ -253,15 +266,30 @@ def layered_plan(
     return tuple(tuple(segment for segment in pair if segment is not None) for pair in pairs)
 
 
-# Cached: every DFGS/BDGS run reads it, and it walks a row per segment.
+def _steps(algorithm: Algorithm, r: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The rounds of a run on ``r`` qubits, each the steps that run in parallel.
+
+    GS is one global step and reads no ``k``.  GRK is :func:`_grk_schedule`'s
+    burn-in, local steps within its ``2**k`` blocks and cleanup, a round each.
+    A DFGS or BDGS round is its :func:`layered_plan` segments, each with its
+    :func:`segment_row`'s ``reps``.  Built afresh on each call.
+    """
+    if algorithm is Algorithm.GS:
+        return (((optimal_iterations(1 << r), 0, r - 1),),)
+    if algorithm is Algorithm.GRK:
+        t_global, t_local = _grk_schedule(r, 1 << k)
+        return ((t_global, 0, r - 1),), ((t_local, k, r - 1),), ((1, 0, r - 1),)
+    rounds = layered_plan(algorithm, r, k)
+    return tuple(tuple((segment_row(r, *seg).reps, *seg) for seg in segs) for segs in rounds)
+
+
+# Cached: every DFGS/BDGS run reads it, and its steps hold a row per segment.
 @lru_cache(maxsize=None)
 def _plan_counts(algorithm: Algorithm, r: int, k: int) -> tuple[int, int]:
     """The layers and the oracle queries of every run of a layered plan: its
-    number of rounds and the sum of its segment rows' ``reps``."""
-    rounds = layered_plan(algorithm, r, k)
-    return len(rounds), sum(
-        segment_row(r, lo, hi).reps for segments in rounds for lo, hi in segments
-    )
+    number of rounds and the sum of its steps' iterations."""
+    rounds = _steps(algorithm, r, k)
+    return len(rounds), sum(iterations for steps in rounds for iterations, _, _ in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +303,54 @@ def grk_query_count(n_states: int, b: int) -> float:
     if n_states % b:
         raise ValueError(f"branching factor {b} does not divide {n_states}")
     return math.pi / 4.0 * math.sqrt(n_states) * math.sqrt((b - 1) / b)
+
+
+def _grk_global_step(
+    a: float, b_amp: float, g: float, n: int, block: int
+) -> tuple[float, float, float]:
+    """One global iteration on GRK's three classes; with ``n == block``, a local one."""
+    mu = ((n - block) * g + (block - 1) * b_amp - a) / n
+    return 2.0 * mu + a, 2.0 * mu - b_amp, 2.0 * mu - g
+
+
+def _grk_schedule(r: int, b: int) -> tuple[int, int]:
+    """Pick (global, local) iteration counts for the block-partial driver.
+
+    The cheapest schedule whose block-success probability matches or beats
+    full search at the same size, within the query budget
+    ``ceil(grk_query_count) + 1`` (burn-in + locals + one cleanup); the
+    most likely one when none does.  Each burn-in of ``t1`` global
+    iterations is one :func:`_rotate` of the unsplit classes, and ``t2``
+    local iterations turn the in-block pair by ``2*t2*arcsin(1/sqrt(B))``
+    while the other blocks stay frozen.  The scan is O(N), uncached: only
+    :func:`_steps` calls it, once per group, inside ``search._group_readout``.
+    """
+    n = 1 << r
+    block = n // b
+    budget = math.ceil(grk_query_count(n, b)) + 1
+    t_opt = optimal_iterations(n)
+    p_full = math.sin((2 * t_opt + 1) * grover_angle(n)) ** 2
+    root = math.sqrt(block - 1)
+    t2_cap = min(budget - 1, optimal_iterations(block) + 1)
+    turns = 2.0 * grover_angle(block) * np.arange(t2_cap + 1)
+    amp = 1.0 / math.sqrt(n)
+    feasible, fallback = [], []  # (queries, -p, t1, t2) and (-p, queries, t1, t2)
+    for t1 in range(min(budget - 1, t_opt + 1) + 1):
+        a, g = _rotate(amp, amp, n, t1)  # unsplit: the target's block shares g
+        # t1 <= budget - 1, so the slice keeps at least t2 = 0.
+        angles = math.atan2(a, root * g) + turns[: budget - t1]
+        radius = math.hypot(a, root * g)
+        a3, b3, _ = _grk_global_step(  # the cleanup
+            radius * np.sin(angles), radius * np.cos(angles) / root, g, n, block
+        )
+        p_block = a3**2 + (block - 1) * b3**2
+        top = int(np.argmax(p_block))
+        fallback.append((-float(p_block[top]), t1 + top + 1, t1, top))
+        hits = np.flatnonzero(p_block >= p_full)
+        if hits.size:
+            t2 = int(hits[0])
+            feasible.append((t1 + t2 + 1, -float(p_block[t2]), t1, t2))
+    return min(feasible or fallback)[2:]
 
 
 def _bdgs_depth(r: int, k: int) -> float:
@@ -294,6 +370,7 @@ def bdgs_level_iterations(r: int, k: int, level: int) -> float:
     2k does not divide r, the last one stops at depth ``r/(2k)``, so the
     levels add up to :func:`bdgs_total_queries`.
     """
+    level = _integer("level", level)
     depth = _bdgs_depth(r, k)
     levels = math.ceil(depth)
     if not 0 <= level < levels:

@@ -12,9 +12,8 @@ Four drivers:
   forward and backward passes touch disjoint bits, so a wall-clock layer
   counts one round of the two concurrent segment searches.
 
-GS and GRK are two schedules of one class run: a list of ``(iterations,
-blocks)`` steps with one single-target oracle, each inverting within
-``blocks`` equal blocks of the top index bits, then ``shots`` draws that
+This module builds no schedule: every run's steps come from ``ops._steps``.
+GS and GRK run theirs with one single-target oracle, then ``shots`` draws
 vote for the cell the run resolves: a single index for GS, one of the
 ``b`` blocks for GRK, which reports it as ``resolved_block``.  From the
 uniform state a single-target run keeps three amplitude classes: the
@@ -24,11 +23,11 @@ whatever its iteration count, is one closed-form rotation
 (:func:`~groverbench.ops._rotate`, through :func:`_class_run`).  The
 classes do not depend on the target, so a run splits in two:
 
-* :func:`_group_readout`, cached, runs the class run of a group, GS at
-  ``r`` or GRK at ``(r, b)``, and reads off what every run of the group
-  shares (:class:`_Readout`): the resolved cells, the queries, the target
-  cell's probability and the certainty.  The first run of a group pays for
-  it, GRK's schedule scan included.
+* :func:`_group_readout`, cached, runs the steps of a group, GS at ``r``
+  or GRK at ``(r, b)``, and reads off what every run of the group shares
+  (:class:`_Readout`): the resolved cells, the queries, the target cell's
+  probability and the certainty.  The first run of a group pays for it,
+  GRK's schedule scan included.
 * :func:`_vote` draws one run's shots: one generator built from the run's
   seed puts the target cell's votes in one binomial draw, and over half
   the shots settle the vote; only an open vote draws the other shots'
@@ -39,18 +38,17 @@ kernels are the reference the tests check the class run against.
 
 Both layered drivers resolve the index in rounds of segment searches, each
 starting from the uniform superposition over the indices still consistent
-with the bits measured so far; the rounds come from ``ops.layered_plan``
-and each segment's row from ``ops.segment_row``.  Every
-segment search is exact amplitude amplification (Brassard, Høyer, Mosca &
-Tapp, quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
+with the bits measured so far; a round's steps are its ``ops.layered_plan``
+segments, each with its ``ops.segment_row``'s ``reps``.  Every segment
+search is exact amplitude amplification (Brassard, Høyer, Mosca & Tapp,
+quant-ph/0005055): one ancilla qubit, rotated to the row's ``ancilla``
 amplitude and joined to the oracle's condition, slows each round so that
 the segment's ``reps`` rounds end on the marked value with certainty.  This
 departs from the paper, which runs standard iterations per segment; those
 are exact only at width 2.  So a layered run is its plan: it finds the
-target with certainty, takes one layer per round and spends the plan's
-cost, the sum of its rows' ``reps``.  :func:`run_dfgs` and :func:`run_bdgs`
-read both counts from one cached entry (``ops._plan_counts``), with no
-per-segment work.
+target with certainty, takes one layer per round and spends the sum of its
+steps' iterations.  :func:`run_dfgs` and :func:`run_bdgs` read both counts
+from one cached entry (``ops._plan_counts``), with no per-segment work.
 :func:`layered_reference` is the dense reference they are checked against:
 it walks the same plan through :func:`segment_partial_search`, which runs
 one segment search on ``r + 1`` qubits, the ancilla last.  Each starts from
@@ -74,13 +72,13 @@ from .ops import (
     OracleSpec,
     SegmentRow,
     _check_block_size,
+    _grk_global_step,
+    _integer,
     _plan_counts,
     _rotate,
-    grk_query_count,
-    grover_angle,
+    _steps,
     grover_iteration,  # no driver calls it; kept bound for tracers that wrap it here
     layered_plan,
-    optimal_iterations,
     segment_row,
 )
 from .statevector import (
@@ -107,6 +105,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("r", "target", "b", "shots", "seed"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         _check_qubits(self.r)
         self.algorithm = Algorithm(self.algorithm)
         if not 0 <= self.target < (1 << self.r):
@@ -315,25 +315,16 @@ def _read_classes(c: _Classes, resolved: int) -> tuple[float, float]:
 def _group_readout(r: int, b: int | None) -> _Readout:
     """The class readout of GS at ``r`` (``b`` is None) or of GRK at ``(r, b)``.
 
-    Builds the group's schedule of ``(iterations, blocks)`` steps, each one
-    :func:`_class_run` of that many iterations, one oracle query each,
-    inverting about the mean of each of ``blocks`` equal blocks of the top
-    index bits: 1 is the global diffuser.  GS runs the optimal count of
-    global iterations and resolves ``n`` cells of one index; GRK runs
-    :func:`_grk_schedule`'s burn-in, block-local steps and one global
-    cleanup, and resolves the ``b`` blocks.  A class run that fails the
-    norm check raises and leaves no entry.
+    Runs the group's ``ops._steps``, each one :func:`_class_run` within the
+    ``2**lo`` blocks of the top ``lo`` bits, and reads the cells the run
+    resolves: GS's ``n`` indices, GRK's ``b`` blocks.  A class run that
+    fails the norm check raises and leaves no entry.
     """
     n = 1 << r
-    if b is None:
-        schedule, resolved = ((optimal_iterations(n), 1),), n
-    else:
-        t_global, t_local = _grk_schedule(r, b)
-        schedule, resolved = ((t_global, 1), (t_local, b), (1, 1)), b
-    classes = _Classes(n)
-    queries = 0
-    for iterations, blocks in schedule:
-        _class_run(classes, iterations, blocks)
+    algorithm, resolved = (Algorithm.GS, n) if b is None else (Algorithm.GRK, b)
+    classes, queries = _Classes(n), 0
+    for ((iterations, lo, _),) in _steps(algorithm, r, resolved.bit_length() - 1):
+        _class_run(classes, iterations, 1 << lo)
         queries += iterations
     return _Readout(resolved, queries, *_read_classes(classes, resolved))
 
@@ -391,24 +382,6 @@ def run_standard_grover(config: SearchConfig) -> SearchOutcome:
     return _vote(config, _group_readout(config.r, None), start)
 
 
-def _grk_global_step(
-    a: float, b_amp: float, g: float, n: int, block: int
-) -> tuple[float, float, float]:
-    mu = ((n - block) * g + (block - 1) * b_amp - a) / n
-    return 2.0 * mu + a, 2.0 * mu - b_amp, 2.0 * mu - g
-
-
-def _grk_local_step(a: float, b_amp: float, block: int) -> tuple[float, float]:
-    """One iteration inside a block of ``block`` items holding the target.
-
-    ``a`` is the target's amplitude and ``b_amp`` the one every other
-    item of the block shares: the oracle negates ``a``, and the
-    inversion maps both about the block mean.
-    """
-    mu = ((block - 1) * b_amp - a) / block
-    return 2.0 * mu + a, 2.0 * mu - b_amp
-
-
 def grk_reference_amplitudes(
     n_states: int, b: int, t_global: int, t_local: int
 ) -> tuple[float, float, float]:
@@ -419,58 +392,16 @@ def grk_reference_amplitudes(
     the other items of the target block, and the items of every other
     block.  This recurrence, run one iteration at a time, is the
     independent reference the class run (:func:`_class_run`) and
-    :func:`_grk_schedule` are checked against.
+    ``ops._grk_schedule`` are checked against.
     """
     block = n_states // b
     a = b_amp = g = 1.0 / math.sqrt(n_states)
     for _ in range(t_global):
         a, b_amp, g = _grk_global_step(a, b_amp, g, n_states, block)
-    for _ in range(t_local):
-        a, b_amp = _grk_local_step(a, b_amp, block)
+    for _ in range(t_local):  # a global step on the target's block alone
+        a, b_amp = _grk_global_step(a, b_amp, g, block, block)[:2]
     a, b_amp, g = _grk_global_step(a, b_amp, g, n_states, block)
     return a, b_amp, g
-
-
-# Uncached: only the first GRK run of an (r, b) group scans, inside
-# _group_readout; every later one reads that group's cached readout.
-def _grk_schedule(r: int, b: int) -> tuple[int, int]:
-    """Pick (global, local) iteration counts for the block-partial driver.
-
-    The cheapest schedule whose block-success probability matches or beats
-    full search at the same size, within the query budget
-    ``ceil(grk_query_count) + 1`` (burn-in + locals + one cleanup); the
-    most likely one when none does.  Each burn-in of ``t1`` global
-    iterations is one :func:`_rotate` of the unsplit classes, and ``t2``
-    local iterations turn the in-block pair by ``2*t2*arcsin(1/sqrt(B))``
-    while the other blocks stay frozen.  The scan is O(N), and runs once per
-    group: :func:`_group_readout` caches its result with the class run's.
-    """
-    n = 1 << r
-    block = n // b
-    budget = math.ceil(grk_query_count(n, b)) + 1
-    t_opt = optimal_iterations(n)
-    p_full = math.sin((2 * t_opt + 1) * grover_angle(n)) ** 2
-    root = math.sqrt(block - 1)
-    t2_cap = min(budget - 1, optimal_iterations(block) + 1)
-    turns = 2.0 * grover_angle(block) * np.arange(t2_cap + 1)
-    amp = 1.0 / math.sqrt(n)
-    feasible, fallback = [], []  # (queries, -p, t1, t2) and (-p, queries, t1, t2)
-    for t1 in range(min(budget - 1, t_opt + 1) + 1):
-        a, g = _rotate(amp, amp, n, t1)  # unsplit: the target's block shares g
-        # t1 <= budget - 1, so the slice keeps at least t2 = 0.
-        angles = math.atan2(a, root * g) + turns[: budget - t1]
-        radius = math.hypot(a, root * g)
-        a3, b3, _ = _grk_global_step(  # the cleanup
-            radius * np.sin(angles), radius * np.cos(angles) / root, g, n, block
-        )
-        p_block = a3**2 + (block - 1) * b3**2
-        top = int(np.argmax(p_block))
-        fallback.append((-float(p_block[top]), t1 + top + 1, t1, top))
-        hits = np.flatnonzero(p_block >= p_full)
-        if hits.size:
-            t2 = int(hits[0])
-            feasible.append((t1 + t2 + 1, -float(p_block[t2]), t1, t2))
-    return min(feasible or fallback)[2:]
 
 
 def run_grk_partial(config: SearchConfig) -> tuple[int, SearchOutcome]:

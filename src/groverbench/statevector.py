@@ -140,14 +140,8 @@ def segment_mask(r: int, lo: int, hi: int) -> int:
 
 def _axis_selector(r: int, mask: int, value: int) -> tuple:
     """Slicing tuple picking the sub-hypercube where masked bits equal value."""
-    sel: list = []
-    for ax in range(r):
-        bit = r - 1 - ax
-        if (mask >> bit) & 1:
-            sel.append((value >> bit) & 1)
-        else:
-            sel.append(slice(None))
-    return tuple(sel)
+    bits = range(r - 1, -1, -1)  # axis ax indexes bit r - 1 - ax
+    return tuple((value >> bit) & 1 if (mask >> bit) & 1 else slice(None) for bit in bits)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,20 @@ def test_run_plan_records_error_rows(monkeypatch):
     assert len(table.rows) == 10  # the other cells still completed
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.0), ("trials", True), ("base_seed", 1.5), ("shots", 2.5), ("block_size", 4.0),
+     ("target", 3.0)],
+)
+def test_a_plan_rejects_a_field_that_is_not_an_integer(field, value):
+    # Rejected before any cell runs: a fractional base seed used to pass
+    # validation and turn every cell into an error row.  A field the plan
+    # hands to SearchConfig is named as SearchConfig names it.
+    name = {"base_seed": "seed", "block_size": "b"}.get(field, field)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        gb.ExperimentPlan(qubit_list=[4], algorithms=["GS"], **{field: value})
+
+
 def test_plan_validation():
     from groverbench.statevector import MAX_QUBITS
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,42 @@ def test_only_runs_that_exit_0_enter_the_medians():
 def test_a_workload_with_no_good_run_has_no_metrics():
     summary = bench_record.summarize([{**bench_record.parse_run("", 2), "seed": 1}])
     assert (summary["runs_ok"], summary["metrics"], summary["numpy_import_s"]) == (0, {}, None)
+
+
+def test_a_checkout_that_is_no_git_work_tree_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    # The record could not name the code it measured, so no benchmark runs
+    # and no file is written.
+    launched = []
+    real_run = subprocess.run
+
+    def run(command, *args, **kwargs):
+        launched.append(command)
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    code = bench_record.main(["--checkout", str(tmp_path), "--label", "x", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert launched and all(command[0] == "git" for command in launched)
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_the_revision_names_head_and_a_dirty_tree_without_touching_it(tmp_path):
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("one\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bench_record.checkout_revision(tmp_path) == {"commit": head, "dirty_tree": None}
+    (tmp_path / "f.txt").write_text("two\n")
+    revision = bench_record.checkout_revision(tmp_path)
+    assert revision["commit"] == head and revision["dirty_tree"] not in (None, head)
+    assert git("show", f"{revision['dirty_tree']}:f.txt") == "two"
+    assert git("status", "--porcelain") == "M f.txt" and git("stash", "list") == ""
+    assert bench_record.checkout_revision(tmp_path / ".git") is None

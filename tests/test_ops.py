@@ -330,6 +330,13 @@ def test_bdgs_level_iterations_examples():
         gb.bdgs_level_iterations(8, 2, -1)
 
 
+@pytest.mark.parametrize("level", [1.5, 1.0, True])
+def test_bdgs_level_iterations_rejects_a_level_that_is_not_an_integer(level):
+    # 1.5 used to give a budget of 100.53 at r = 20, k = 2.
+    with pytest.raises(ValueError, match=rf"^level must be an integer, got {level!r}$"):
+        gb.bdgs_level_iterations(20, 2, level)
+
+
 @pytest.mark.parametrize("r", [4, 6, 8, 10, 12, 14, 16, 18, 20])
 def test_bdgs_levels_telescope_to_total(r):
     levels = range(math.ceil(r / 4))

@@ -20,10 +20,9 @@ from class_runs import (
     sample_cells,
     write_out,
 )
+from groverbench.ops import _grk_global_step, _grk_schedule, _steps
 from groverbench.search import (
     MAX_SHOTS,
-    _grk_local_step,
-    _grk_schedule,
     _group_readout,
     grk_reference_amplitudes,
 )
@@ -624,10 +623,39 @@ def test_dense_and_class_runs_agree_at_r22():
 
 
 def _schedule(r: int, b: int | None) -> tuple[tuple[int, int], ...]:
-    """GS's schedule when ``b`` is None, else GRK's at ``(r, b)``."""
-    if b is None:
-        return ((gb.optimal_iterations(1 << r), 0),)
-    return grk_steps(r, b, *_grk_schedule(r, b))
+    """GS's schedule when ``b`` is None, else GRK's at ``(r, b)``: the drivers'
+    own steps, each as ``(iterations, mask)`` with the mask of the positions
+    ``0..lo-1`` that number its blocks."""
+    algorithm, k = (gb.Algorithm.GS, 0) if b is None else (gb.Algorithm.GRK, b.bit_length() - 1)
+    return tuple(
+        (iterations, gb.segment_mask(r, 0, lo - 1) if lo else 0)
+        for ((iterations, lo, _),) in _steps(algorithm, r, k)
+    )
+
+
+def _segment_walk(algorithm: str, r: int, k: int) -> tuple[int, int]:
+    """A layered plan's layers and queries, walked without the step list:
+    its rounds, and the sum of every segment row's ``reps``."""
+    rounds = gb.layered_plan(algorithm, r, k)
+    queries = sum(gb.ops.segment_row(r, lo, hi).reps for segments in rounds for lo, hi in segments)
+    return len(rounds), queries
+
+
+def test_the_step_list_folds_match_references_that_do_not_read_it():
+    # Every (algorithm, r, b): GS spends the optimal count at r <= 24, GRK
+    # its schedule's burn-in, locals and cleanup within the query budget at
+    # r <= 16, and a layered run its plan's rounds and segment rows' reps at
+    # r <= 24.
+    for r in range(1, 25):
+        assert _group_readout(r, None).queries == gb.optimal_iterations(1 << r)
+        for k in range(1, r + 1):
+            for algorithm in (gb.Algorithm.DFGS, gb.Algorithm.BDGS):
+                assert gb.ops._plan_counts(algorithm, r, k) == _segment_walk(algorithm, r, k)
+    for r in range(2, 17):
+        for k in range(1, r):
+            t_global, t_local = _grk_schedule(r, 1 << k)
+            budget = math.ceil(gb.grk_query_count(1 << r, 1 << k)) + 1
+            assert _group_readout(r, 1 << k).queries == t_global + t_local + 1 <= budget
 
 
 def test_class_runs_match_the_dense_kernels_up_to_r12():
@@ -984,7 +1012,7 @@ def test_grk_local_rotation_closed_form():
     radius = math.hypot(a, root * b_amp)
     phase = math.atan2(a, root * b_amp)
     for step in range(1, 9):
-        a, b_amp = _grk_local_step(a, b_amp, block)
+        a, b_amp = _grk_global_step(a, b_amp, 0.0, block, block)[:2]  # block-local
         assert a == pytest.approx(radius * math.sin(phase + 2 * step * omega), abs=1e-12)
         assert b_amp == pytest.approx(
             radius * math.cos(phase + 2 * step * omega) / root, abs=1e-12
@@ -1697,6 +1725,25 @@ def test_a_settled_gs_run_draws_the_capped_shot_count():
     outcome = gb.run_standard_grover(config)
     assert outcome.measured_index == 613 and outcome.resolved_block is None
     assert outcome.success_fraction == pytest.approx(outcome.certainty, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("r", 4.0), ("target", 3.0), ("b", 4.0), ("shots", 2.5), ("shots", True), ("seed", 1.5),
+     ("seed", False), ("r", "4")],
+)
+def test_search_config_rejects_a_field_that_is_not_an_integer(field, value):
+    # Rejected at construction in one line, before a float ends in a
+    # TypeError from << or &, a fractional shot count in a share of 2/2.5,
+    # or a bool runs as one shot.
+    fields = {"r": 4, "target": 3, "b": 4, "shots": 2, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        gb.SearchConfig(**fields)
+
+
+def test_search_config_takes_numpy_integers():
+    config = gb.SearchConfig(np.int64(4), np.uint8(3), "GRK", np.int32(4), np.int64(8), np.uint64(7))
+    assert gb.verify_outcome(gb.run_search(config), config)
 
 
 def test_search_config_validation():

@@ -72,3 +72,28 @@ def test_package_caches_exactly_the_pinned_functions():
         and any(_is_cache(decorator) for decorator in node.decorator_list)
     }
     assert cached == CACHED
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports, relatively or by absolute name."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # the package is one level deep
+                module = f"{PACKAGE.name}.{module}".rstrip(".")
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    siblings = {sibling.stem for sibling in PACKAGE.glob("*.py")}
+    return {name.split(".")[1] for name in names if name.startswith(f"{PACKAGE.name}.")} & siblings
+
+
+def test_modules_import_down_the_layers_only():
+    # The kernels import no sibling, ops (the planners and the step list)
+    # only the kernels, and the drivers neither the plan runner nor the CLI.
+    imports = {path.stem: _sibling_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert imports["statevector"] == set()
+    assert imports["ops"] == {"statevector"}
+    assert imports["search"] & {"bench", "cli"} == set()
+    assert imports["search"] == {"ops", "statevector"}

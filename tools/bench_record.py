@@ -6,7 +6,11 @@ the ``meta {...}`` line (host, CPU, Python, numpy, BLAS, commit) and the
 last line, the JSON result with every metric and its unit.  Before each run
 it times one bare ``python -c "import numpy"``, so the run's ``setup_s``
 can be read against the interpreter's own start-up.  The record adds the
-libc version, which the runner does not print.
+libc version, which the runner does not print, and the code it measured:
+the checkout's ``git rev-parse HEAD`` and, when its tracked files differ
+from that commit, the commit ``git stash create`` makes of them, which names
+the tree without touching it or the stash list.  A checkout that is not the
+top of a git work tree exits 2 before any run.
 
     python tools/bench_record.py --checkout . --label HEAD --seeds 1,2,3 --seconds 12
 
@@ -86,6 +90,23 @@ def numpy_import_seconds() -> float:
     return time.perf_counter() - start
 
 
+def checkout_revision(checkout: Path) -> dict | None:
+    """The commit ``checkout`` has out and, when its tracked files differ from
+    it, the id ``git stash create`` returns (untracked files are not in it);
+    None when ``checkout`` is not the top of a git work tree."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    try:
+        top, head = git("rev-parse", "--show-toplevel", "HEAD").splitlines()
+        if Path(top).resolve() != checkout.resolve():
+            return None
+        return {"commit": head, "dirty_tree": git("stash", "create") or None}
+    except (OSError, ValueError, subprocess.CalledProcessError):
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--checkout", default=".", help="source checkout to benchmark")
@@ -96,6 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     checkout = Path(args.checkout).resolve()
+    revision = checkout_revision(checkout)
+    if revision is None:
+        print(f"{checkout} is not the top of a git work tree: no commit names the code "
+              "a record of it would measure", file=sys.stderr)
+        return 2
     seeds = [int(seed) for seed in args.seeds.split(",")]
     runs: dict[str, list[dict]] = {workload: [] for workload in WORKLOADS}
     for seed in seeds:
@@ -117,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "label": args.label,
         "libc": " ".join(platform.libc_ver()),
+        **revision,
         "host": host,
         "seeds": seeds,
         "seconds": args.seconds,
